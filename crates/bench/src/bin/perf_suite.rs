@@ -10,10 +10,10 @@
 //! - FedAvg and TACO round wall-time (median of `TACO_PERF_REPEATS`
 //!   timed runs, default 5, after one warm-up) and deterministic
 //!   bytes/round on the adult workload;
-//! - sharded vs sequential aggregation-backend wall-times: a
-//!   server-side aggregation microbenchmark at parameter-server scale
-//!   and a full TACO round trajectory, both on a 4-worker pool (see
-//!   `taco_sim::backend`);
+//! - TACO aggregation wall-times on a 4-worker pool: a server-side
+//!   microbenchmark of the one aggregation path at parameter-server
+//!   scale (see `taco_core::aggregate_planned`) and a full TACO round
+//!   trajectory;
 //! - peak resident-set size;
 //! - a per-span quantile report for every `sim.*` phase span
 //!   (see `taco_sim::phase` for the name contract).
@@ -26,8 +26,8 @@
 use taco_bench::perf::{HostInfo, PerfMetric, PerfReport, SCHEMA_VERSION};
 use taco_bench::{algorithm_by_name, banner, build_info, workload, Scale};
 use taco_core::taco::TacoConfig;
-use taco_core::{ClientUpdate, FederatedAlgorithm, HyperParams, Taco};
-use taco_sim::{BackendChoice, History};
+use taco_core::{ClientUpdate, FederatedAlgorithm, HyperParams, ShardFold, Taco};
+use taco_sim::History;
 use taco_tensor::pool::{self, Pool};
 use taco_tensor::{linalg, Prng, Tensor};
 use taco_trace as trace;
@@ -128,13 +128,12 @@ fn round_costs(algorithm: &str, reps: usize) -> (f64, f64) {
 
 /// Median wall-ms of TACO server-side aggregation alone at
 /// parameter-server scale (32 uploads × 256 Ki dims, 6 rounds) on a
-/// 4-worker pool, per backend. Client compute is excluded, so the
-/// sequential/sharded gap is the aggregation speed-up itself rather
-/// than a sliver of a training-dominated round. The per-upload clone
-/// inside the timed body is identical for both backends; six rounds
-/// amortize the sharded backend's one-time table allocation so the
-/// steady-state (eager, cache-hot accumulation) dominates.
-fn shard_aggregate_ms(choice: BackendChoice, reps: usize) -> f64 {
+/// 4-worker pool: statistics, plan, shard fold and commit through
+/// `taco_core::aggregate_planned`, with the shard count the server
+/// would pick. Client compute is excluded, so the metric is the
+/// aggregation itself rather than a sliver of a training-dominated
+/// round; six rounds reuse one fold table, as a run does.
+fn aggregate_ms(reps: usize) -> f64 {
     const DIM: usize = 262_144;
     const CLIENTS: usize = 32;
     const ROUNDS: usize = 6;
@@ -161,16 +160,20 @@ fn shard_aggregate_ms(choice: BackendChoice, reps: usize) -> f64 {
     pool::with_pool(&pool, || {
         trace::perf::time_median(reps, || {
             let mut algorithm = Taco::new(CLIENTS, TacoConfig::paper_default(ROUNDS, 4));
-            let mut backend = choice.build();
+            let mut fold = ShardFold::default();
+            let shards = taco_core::fold_shards(DIM);
             let mut global = vec![0.1f32; DIM];
             for (round, updates) in per_round.iter().enumerate() {
                 algorithm.begin_round(round, &global);
-                backend.begin_round(round, &global, &algorithm);
-                for u in updates {
-                    backend.accept_update(u.clone());
-                }
-                let agg = backend.finish_round(&global, &hyper, &mut algorithm);
-                global = agg.next_global.expect("round had uploads");
+                global = taco_core::aggregate_planned(
+                    &mut algorithm,
+                    &global,
+                    updates,
+                    &hyper,
+                    &mut fold,
+                    shards,
+                )
+                .expect("TACO plans every round");
             }
             std::hint::black_box(&global);
         })
@@ -178,12 +181,10 @@ fn shard_aggregate_ms(choice: BackendChoice, reps: usize) -> f64 {
 }
 
 /// Median wall-ms of a full TACO run (6 rounds) on the adult workload
-/// with parallel clients on a 4-worker pool, per aggregation backend.
-/// The configuration is server-heavy relative to the main round metric
-/// (32 clients, 2 local steps) so aggregation is a visible slice; at
-/// this model size the backends are near-tied and the metric mostly
-/// guards against the sharded path regressing the round loop.
-fn backend_round_ms(choice: BackendChoice, reps: usize) -> f64 {
+/// with parallel clients on a 4-worker pool. The configuration is
+/// server-heavy relative to the main round metric (32 clients, 2 local
+/// steps) so aggregation is a visible slice of the round loop.
+fn round_t4_ms(reps: usize) -> f64 {
     const T4_SCALE: Scale = Scale {
         rounds: 6,
         local_steps: 2,
@@ -197,22 +198,19 @@ fn backend_round_ms(choice: BackendChoice, reps: usize) -> f64 {
     pool::with_pool(&pool, || {
         trace::perf::time_median(reps, || {
             let alg = algorithm_by_name("TACO", T4_CLIENTS, T4_SCALE.rounds, T4_SCALE.local_steps);
-            std::hint::black_box(taco_bench::run_with_backend(
-                &w, alg, SUITE_SEED, None, false, choice,
-            ));
+            std::hint::black_box(taco_bench::run(&w, alg, SUITE_SEED, None, false));
         })
     }) * 1e3
 }
 
 /// Codec throughput + decode-free aggregation metrics for the Q8 wire
 /// format: encode bandwidth over a 1 Mi-dim delta (input GB/s), the
-/// median wall-ms of folding 32 encoded uploads × 256 Ki dims straight
-/// into an 8-shard f64 table on a 4-worker pool (no decode
-/// materialization), and the deterministic wire size of one such
-/// payload (machine-independent, gated everywhere).
+/// median wall-ms of the 8-shard [`ShardFold`] over 32 encoded uploads
+/// × 256 Ki dims on a 4-worker pool (folding from the encodings, no
+/// decode), and the deterministic wire size of one such payload
+/// (machine-independent, gated everywhere).
 fn codec_metrics(reps: usize) -> Vec<PerfMetric> {
-    use taco_core::compress::{codec_stream, Compressor, EncodedDelta, Uniform8Bit};
-    use taco_tensor::shard::{ShardSpec, StripedTable};
+    use taco_core::compress::{codec_stream, Compressor, Uniform8Bit};
 
     const ENC_DIM: usize = 1 << 20;
     let mut rng = Prng::seed_from_u64(SUITE_SEED ^ FLAT_OPS_SALT);
@@ -225,27 +223,30 @@ fn codec_metrics(reps: usize) -> Vec<PerfMetric> {
 
     const AGG_DIM: usize = 262_144;
     const AGG_CLIENTS: usize = 32;
-    let payloads: Vec<EncodedDelta> = (0..AGG_CLIENTS)
+    let uploads: Vec<ClientUpdate> = (0..AGG_CLIENTS)
         .map(|client| {
             let delta: Vec<f32> = (0..AGG_DIM).map(|_| rng.normal_f32() * 0.01).collect();
-            Uniform8Bit.encode(&delta, &mut codec_stream(SUITE_SEED, 0, client))
+            let enc = Uniform8Bit.encode(&delta, &mut codec_stream(SUITE_SEED, 0, client));
+            ClientUpdate {
+                client,
+                delta: enc.decode(),
+                num_samples: 1,
+                final_v: None,
+                mean_loss: 0.0,
+                grad_evals: 0,
+                steps: 1,
+                compute_seconds: 0.0,
+                encoded: Some(enc),
+            }
         })
         .collect();
-    let wire_bytes = payloads[0].wire_bytes() as f64;
+    let wire_bytes = uploads[0].encoded.as_ref().map_or(0, |e| e.wire_bytes()) as f64;
+    let ones = vec![1.0f32; AGG_CLIENTS];
     let pool = Pool::new(4);
     let agg_ms = pool::with_pool(&pool, || {
-        let spec = ShardSpec::new(AGG_DIM, 8);
-        let mut table = StripedTable::new(spec);
+        let mut fold = ShardFold::default();
         trace::perf::time_median(reps, || {
-            table.clear();
-            pool::for_each_index(spec.num_shards(), |s| {
-                for enc in &payloads {
-                    table.accumulate_shard_with(s, |range, acc| {
-                        enc.accumulate_range_into(range, acc, 1.0);
-                    });
-                }
-            });
-            std::hint::black_box(&table);
+            std::hint::black_box(fold.weighted_mean(&uploads, &ones, 8));
         })
     }) * 1e3;
     println!("codec.q8.aggregate {agg_ms:>9.2} ms (median of {reps}, t4, decode-free)");
@@ -337,34 +338,26 @@ fn main() {
         ));
     }
 
-    let backends = [
-        ("sequential", BackendChoice::Sequential),
-        ("sharded", BackendChoice::Sharded { shards: 8 }),
-    ];
-    for (label, choice) in backends {
-        let agg_ms = shard_aggregate_ms(choice, reps);
-        println!("aggregate.TACO.{label:<11} {agg_ms:>9.2} ms (median of {reps}, t4)");
-        metrics.push(metric(
-            &format!("aggregate.TACO.{label}.wall_ms"),
-            agg_ms,
-            "ms",
-            false,
-            true,
-            5.0,
-        ));
-    }
-    for (label, choice) in backends {
-        let run_ms = backend_round_ms(choice, reps);
-        println!("round.TACO.{label}.t4 {run_ms:>9.2} ms (median of {reps})");
-        metrics.push(metric(
-            &format!("round.TACO.{label}.t4.wall_ms"),
-            run_ms,
-            "ms",
-            false,
-            true,
-            25.0,
-        ));
-    }
+    let agg_ms = aggregate_ms(reps);
+    println!("aggregate.TACO    {agg_ms:>9.2} ms (median of {reps}, t4)");
+    metrics.push(metric(
+        "aggregate.TACO.wall_ms",
+        agg_ms,
+        "ms",
+        false,
+        true,
+        5.0,
+    ));
+    let run_ms = round_t4_ms(reps);
+    println!("round.TACO.t4     {run_ms:>9.2} ms (median of {reps})");
+    metrics.push(metric(
+        "round.TACO.t4.wall_ms",
+        run_ms,
+        "ms",
+        false,
+        true,
+        25.0,
+    ));
 
     metrics.extend(codec_metrics(reps));
 

@@ -27,8 +27,7 @@ use taco_data::partition::DriftSchedule;
 use taco_data::{partition, tabular, text, vision, FederatedDataset};
 use taco_nn::{CharLstm, Mlp, Model, PaperCnn, TinyResNet};
 use taco_sim::{
-    AdversaryPlan, BackendChoice, ChurnTrace, ClientBehavior, FaultPlan, History, SimConfig,
-    Simulation,
+    AdversaryPlan, ChurnTrace, ClientBehavior, FaultPlan, History, SimConfig, Simulation,
 };
 use taco_tensor::Prng;
 use taco_trace::Value;
@@ -322,29 +321,7 @@ pub fn run(
     behaviors: Option<Vec<ClientBehavior>>,
     sequential: bool,
 ) -> History {
-    run_configured(w, algorithm, seed, behaviors, sequential, None, None)
-}
-
-/// [`run`] with an explicit aggregation backend, overriding the
-/// `TACO_BACKEND` environment default (backend-differential
-/// measurements must not depend on ambient env).
-pub fn run_with_backend(
-    w: &Workload,
-    algorithm: Box<dyn FederatedAlgorithm>,
-    seed: u64,
-    behaviors: Option<Vec<ClientBehavior>>,
-    sequential: bool,
-    backend: BackendChoice,
-) -> History {
-    run_configured(
-        w,
-        algorithm,
-        seed,
-        behaviors,
-        sequential,
-        None,
-        Some(backend),
-    )
+    run_configured(w, algorithm, seed, behaviors, sequential, None)
 }
 
 fn run_configured(
@@ -354,7 +331,6 @@ fn run_configured(
     behaviors: Option<Vec<ClientBehavior>>,
     sequential: bool,
     fault_plan: Option<FaultPlan>,
-    backend: Option<BackendChoice>,
 ) -> History {
     let algorithm_name = algorithm.name();
     let mut config = SimConfig::new(w.hyper, w.rounds, seed);
@@ -366,9 +342,6 @@ fn run_configured(
     }
     if let Some(plan) = fault_plan {
         config = config.with_fault_plan(plan);
-    }
-    if let Some(backend) = backend {
-        config = config.with_backend(backend);
     }
     let started = Instant::now();
     let history = Simulation::new(w.fed.clone(), w.model.clone_model(), algorithm, config).run();
@@ -387,19 +360,7 @@ pub fn run_faulted(
     seed: u64,
     plan: FaultPlan,
 ) -> History {
-    run_configured(w, algorithm, seed, None, false, Some(plan), None)
-}
-
-/// [`run_faulted`] with an explicit aggregation backend (see
-/// [`run_with_backend`]).
-pub fn run_faulted_with_backend(
-    w: &Workload,
-    algorithm: Box<dyn FederatedAlgorithm>,
-    seed: u64,
-    plan: FaultPlan,
-    backend: BackendChoice,
-) -> History {
-    run_configured(w, algorithm, seed, None, false, Some(plan), Some(backend))
+    run_configured(w, algorithm, seed, None, false, Some(plan))
 }
 
 /// A composed adversarial/churn/drift scenario for [`run_scenario`]:
@@ -419,8 +380,6 @@ pub struct Scenario {
     pub fault_plan: Option<FaultPlan>,
     /// Partial participation fraction.
     pub participation: Option<f64>,
-    /// Aggregation backend override.
-    pub backend: Option<BackendChoice>,
 }
 
 /// Runs one algorithm on a workload under a composed [`Scenario`].
@@ -450,9 +409,6 @@ pub fn run_scenario(
     }
     if let Some(fraction) = scenario.participation {
         config = config.with_participation(fraction);
-    }
-    if let Some(backend) = scenario.backend {
-        config = config.with_backend(backend);
     }
     let started = Instant::now();
     let history = Simulation::new(w.fed.clone(), w.model.clone_model(), algorithm, config).run();

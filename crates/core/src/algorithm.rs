@@ -2,6 +2,7 @@
 
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
+use taco_tensor::{linalg, ops, pool};
 
 /// How aggregation weights `p_i` are chosen in Eq. 6 when the
 /// algorithm itself does not prescribe them.
@@ -17,12 +18,9 @@ pub enum AggWeighting {
 /// and shared between the coefficient math (Eq. 7) and any diagnostics.
 ///
 /// The fields are defined *operationally* — each one names the exact
-/// `taco_tensor::ops` call that produces it — because aggregation
-/// backends may compute them with different parallel decompositions
-/// (dimension-sharded mean, client-parallel norms/cosines) and the
-/// bit-identity contract between backends holds only if every path
-/// reproduces these operations exactly. [`UploadStats::compute`] is the
-/// sequential reference.
+/// `taco_tensor::ops` arithmetic that produces it — so that
+/// [`UploadStats::compute`] is bit-identical at any shard count and
+/// any pool size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UploadStats {
     /// The unweighted mean delta `Δ̄` — `taco_tensor::ops::mean_of`
@@ -37,25 +35,34 @@ pub struct UploadStats {
 }
 
 impl UploadStats {
-    /// Computes the statistics sequentially (the reference
-    /// implementation every backend must match bit for bit).
+    /// Computes the statistics: the mean is a [`ShardFold`] with unit
+    /// weights over `shards` dimension shards; norms and cosines are
+    /// whole-vector reductions, one pool task per upload when
+    /// `shards > 1`. No cross-client float fold runs in parallel, so
+    /// the result is the same at any `shards` and any pool size.
     ///
     /// # Panics
     ///
-    /// Panics if `deltas` is empty or lengths are inconsistent.
-    pub fn compute(deltas: &[&[f32]]) -> Self {
-        let mean_delta = taco_tensor::ops::mean_of(deltas);
-        let norms: Vec<f32> = deltas.iter().map(|d| taco_tensor::ops::norm(d)).collect();
-        // `cosine_with_norms` reuses the norms already in hand (and the
-        // mean's norm, computed once) — bit-identical to
-        // `cosine_similarity(d, mean_delta)` per upload, minus two
-        // redundant whole-vector passes per upload.
-        let mean_norm = taco_tensor::ops::norm(&mean_delta);
-        let cosines: Vec<f32> = deltas
-            .iter()
-            .zip(&norms)
-            .map(|(d, &n)| taco_tensor::ops::cosine_with_norms(d, &mean_delta, n, mean_norm))
-            .collect();
+    /// Panics if `updates` is empty or delta lengths are inconsistent.
+    pub fn compute(updates: &[ClientUpdate], fold: &mut ShardFold, shards: usize) -> Self {
+        let ones = vec![1.0f32; updates.len()];
+        let mean_delta = fold.weighted_mean(updates, &ones, shards);
+        // `cosine_with_norms` reuses each upload's norm and the mean's
+        // norm, computed once — bit-identical to `cosine_similarity`.
+        let mean_norm = ops::norm(&mean_delta);
+        let per_task = if shards > 1 { 1 } else { updates.len() };
+        let mut scalars = vec![(0.0f32, 0.0f32); updates.len()];
+        pool::for_each_chunk(&mut scalars, per_task, |task, slots| {
+            for (j, slot) in slots.iter_mut().enumerate() {
+                let d = &updates[task * per_task + j].delta;
+                let norm = ops::norm(d);
+                *slot = (
+                    norm,
+                    ops::cosine_with_norms(d, &mean_delta, norm, mean_norm),
+                );
+            }
+        });
+        let (norms, cosines) = scalars.into_iter().unzip();
         UploadStats {
             mean_delta,
             norms,
@@ -67,8 +74,7 @@ impl UploadStats {
 /// A declarative aggregation plan: how this round's deltas combine into
 /// the gradient step. Produced by
 /// [`FederatedAlgorithm::plan_aggregation`]; executed by
-/// [`combine_weighted`] (sequentially) or shard-wise by a sharded
-/// backend — both must yield bit-identical results.
+/// [`combine_weighted`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightedCombine {
     /// Aggregation weights `p_i`, one per accepted upload in client
@@ -76,35 +82,152 @@ pub struct WeightedCombine {
     pub weights: Vec<f32>,
     /// Optional in-place scale applied to the weighted mean *before*
     /// the step (TACO's `1 / (K·η_l)` normalization). `None` skips the
-    /// pass entirely — `Some(1.0)` would still be bit-identical, but
-    /// the plan mirrors the sequential code path op for op.
+    /// pass entirely.
     pub pre_scale: Option<f32>,
     /// Coefficient of the final `w_{t+1} = w_t + step_scale · Δ` AXPY
     /// (negative for descent).
     pub step_scale: f32,
 }
 
-/// Executes a [`WeightedCombine`] plan sequentially: weighted mean →
-/// optional pre-scale → AXPY step. Returns `(combined, next_global)`
+/// Models smaller than this fold on one shard: below it a pool
+/// dispatch costs more than the fold saves.
+const PARALLEL_DIM_FLOOR: usize = 16_384;
+
+/// The shard count the server folds a `dim`-parameter model with: one
+/// below [`PARALLEL_DIM_FLOOR`], otherwise the pool's
+/// [`pool::effective_parallelism`]. Every count gives the same bits;
+/// this only picks the fastest.
+pub fn fold_shards(dim: usize) -> usize {
+    if dim < PARALLEL_DIM_FLOOR {
+        1
+    } else {
+        pool::effective_parallelism()
+    }
+}
+
+/// The order-fixed shard fold behind every weighted combine.
+///
+/// The model's dimensions are split into `shards` contiguous chunks of
+/// one reused `f64` table; the pool folds the chunks in parallel, and
+/// each chunk folds the uploads **in client order** with the widening
+/// `acc += w as f64 · x as f64` of [`ops::weighted_mean`]. Chunks are
+/// disjoint, so their schedule cannot reorder any dimension's sum, and
+/// the result is bit-identical to `ops::weighted_mean` over the decoded
+/// deltas at any shard count and any pool size. `shards = 1` is the
+/// sequential reference.
+///
+/// An upload that carries its wire encoding folds straight from it
+/// through [`EncodedDelta::accumulate_range_into`] — the same
+/// per-dimension arithmetic without a dense copy. The server validates
+/// every encoding with [`EncodedDelta::check_integrity`] before it gets
+/// here.
+///
+/// [`EncodedDelta::accumulate_range_into`]: crate::compress::EncodedDelta::accumulate_range_into
+/// [`EncodedDelta::check_integrity`]: crate::compress::EncodedDelta::check_integrity
+#[derive(Debug, Default)]
+pub struct ShardFold {
+    sums: Vec<f64>,
+}
+
+impl ShardFold {
+    /// `Σ_i w_i·Δ_i / Σ_i w_i` per dimension, rounded to `f32`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `updates` is empty, the weight count or delta lengths
+    /// are inconsistent, or the weights do not sum to a positive finite
+    /// value.
+    pub fn weighted_mean(
+        &mut self,
+        updates: &[ClientUpdate],
+        weights: &[f32],
+        shards: usize,
+    ) -> Vec<f32> {
+        assert!(!updates.is_empty(), "weighted mean of no updates");
+        assert_eq!(updates.len(), weights.len(), "weight count mismatch");
+        let wide: Vec<f64> = weights.iter().map(|&w| f64::from(w)).collect();
+        let total = ops::sum_f64(&wide);
+        assert!(
+            total.is_finite() && total > 0.0,
+            "weights must sum to a positive finite value, got {total}"
+        );
+        let dim = updates[0].delta.len();
+        assert!(
+            updates.iter().all(|u| u.delta.len() == dim),
+            "delta length mismatch"
+        );
+        let chunk = dim.div_ceil(shards.max(1)).max(1);
+        self.sums.clear();
+        self.sums.resize(dim, 0.0);
+        pool::for_each_chunk(&mut self.sums, chunk, |s, acc| {
+            let range = s * chunk..s * chunk + acc.len();
+            for (u, &w) in updates.iter().zip(weights) {
+                match &u.encoded {
+                    Some(enc) => enc.accumulate_range_into(range.clone(), acc, w),
+                    None => linalg::scale_accumulate(acc, &u.delta[range.clone()], f64::from(w)),
+                }
+            }
+        });
+        let mut mean = vec![0.0f32; dim];
+        let sums = &self.sums;
+        pool::for_each_chunk(&mut mean, chunk, |s, out| {
+            for (o, &a) in out.iter_mut().zip(&sums[s * chunk..]) {
+                *o = (a / total) as f32;
+            }
+        });
+        mean
+    }
+}
+
+/// Executes a [`WeightedCombine`] plan: the shard-folded weighted mean
+/// → optional pre-scale → AXPY step. Returns `(combined, next_global)`
 /// where `combined` is the post-scale aggregate (what TACO stores as
 /// `Δ_{t+1}`) and `next_global` the stepped parameters.
 ///
 /// # Panics
 ///
-/// Panics if `deltas` is empty, lengths are inconsistent, or the plan's
-/// weights do not sum to a positive finite value.
+/// Panics as [`ShardFold::weighted_mean`] does.
 pub fn combine_weighted(
     global: &[f32],
-    deltas: &[&[f32]],
+    updates: &[ClientUpdate],
     plan: &WeightedCombine,
+    fold: &mut ShardFold,
+    shards: usize,
 ) -> (Vec<f32>, Vec<f32>) {
-    let mut combined = taco_tensor::ops::weighted_mean(deltas, &plan.weights);
+    let mut combined = fold.weighted_mean(updates, &plan.weights, shards);
     if let Some(s) = plan.pre_scale {
-        taco_tensor::ops::scale(&mut combined, s);
+        ops::scale(&mut combined, s);
     }
     let mut next = global.to_vec();
-    taco_tensor::ops::axpy(&mut next, plan.step_scale, &combined);
+    ops::axpy(&mut next, plan.step_scale, &combined);
     (combined, next)
+}
+
+/// The one aggregation path: [`UploadStats`] if the algorithm wants
+/// them, then its [`FederatedAlgorithm::plan_aggregation`], the
+/// [`combine_weighted`] fold over `shards` shards, and
+/// [`FederatedAlgorithm::commit_aggregation`]. Returns `None`, having
+/// folded nothing, when the algorithm has no plan — its own
+/// [`FederatedAlgorithm::aggregate`] then runs the server step.
+///
+/// # Panics
+///
+/// Panics if `updates` is empty or the plan is invalid.
+pub fn aggregate_planned<A: FederatedAlgorithm + ?Sized>(
+    algorithm: &mut A,
+    global: &[f32],
+    updates: &[ClientUpdate],
+    hyper: &HyperParams,
+    fold: &mut ShardFold,
+    shards: usize,
+) -> Option<Vec<f32>> {
+    let stats = algorithm
+        .wants_upload_stats()
+        .then(|| UploadStats::compute(updates, fold, shards));
+    let plan = algorithm.plan_aggregation(global, updates, stats.as_ref(), hyper)?;
+    let (combined, next) = combine_weighted(global, updates, &plan, fold, shards);
+    algorithm.commit_aggregation(global, &combined);
+    Some(next)
 }
 
 /// Static per-step compute profile of an algorithm, used by the
@@ -129,11 +252,16 @@ pub struct CostProfile {
 /// 2. [`FederatedAlgorithm::local_rule`] for every participating
 ///    client, whose result is interpreted by
 ///    [`crate::update::run_local_steps`] on the client's model/shard;
-/// 3. [`FederatedAlgorithm::aggregate`] with all uploads, returning
-///    the next global parameter vector.
+/// 3. [`aggregate_planned`] with all uploads — statistics, plan, shard
+///    fold, commit — or, for an algorithm without a plan, its own
+///    [`FederatedAlgorithm::aggregate`].
 ///
 /// Implementations hold whatever cross-round state they need (control
-/// variates, momenta, correction coefficients).
+/// variates, momenta, correction coefficients). An algorithm whose
+/// server step is a weighted mean implements
+/// [`FederatedAlgorithm::plan_aggregation`] and keeps the default
+/// `aggregate`; one whose server step carries other state overrides
+/// `aggregate` instead.
 pub trait FederatedAlgorithm: Send {
     /// The algorithm's display name (matches the paper's tables).
     fn name(&self) -> &'static str;
@@ -146,34 +274,49 @@ pub trait FederatedAlgorithm: Send {
     fn local_rule(&self, client: usize, global: &[f32]) -> LocalRule;
 
     /// Aggregates the round's uploads and returns the next global
-    /// parameter vector.
+    /// parameter vector. The default runs [`aggregate_planned`] with a
+    /// fresh [`ShardFold`] over [`fold_shards`] shards.
+    ///
+    /// # Panics
+    ///
+    /// The default panics if `updates` is empty or the algorithm has
+    /// no plan.
     fn aggregate(
         &mut self,
         global: &[f32],
         updates: &[ClientUpdate],
         hyper: &HyperParams,
-    ) -> Vec<f32>;
+    ) -> Vec<f32> {
+        assert!(!updates.is_empty(), "aggregate with no updates");
+        let shards = fold_shards(global.len());
+        aggregate_planned(
+            self,
+            global,
+            updates,
+            hyper,
+            &mut ShardFold::default(),
+            shards,
+        )
+        .unwrap_or_else(|| panic!("{} has no aggregation plan", self.name()))
+    }
 
     /// Whether [`FederatedAlgorithm::plan_aggregation`] needs
     /// [`UploadStats`] for this algorithm (TACO's Eq. 7 coefficients
-    /// do; FedAvg's data-size weights do not). Backends that compute
-    /// statistics incrementally use this to skip the work entirely.
+    /// do; FedAvg's data-size weights do not). The server asks once
+    /// the round's uploads are in and skips the statistics otherwise.
     fn wants_upload_stats(&self) -> bool {
         false
     }
 
     /// Decomposes this round's aggregation into a declarative
     /// [`WeightedCombine`] plan, advancing any cross-round state
-    /// (coefficients, strikes, histories) exactly as
-    /// [`FederatedAlgorithm::aggregate`] would. Backends that execute
-    /// the combine themselves (shard-wise, out of order in memory but
-    /// order-fixed per dimension) call this instead of `aggregate`,
-    /// then [`FederatedAlgorithm::commit_aggregation`] with the result.
+    /// (coefficients, strikes, histories). The server executes the
+    /// plan with [`combine_weighted`], then calls
+    /// [`FederatedAlgorithm::commit_aggregation`] with the result.
     ///
     /// `stats` is `Some` iff [`FederatedAlgorithm::wants_upload_stats`]
-    /// returned `true`. The default returns `None`, meaning the
-    /// algorithm does not support planned aggregation and backends must
-    /// fall back to calling [`FederatedAlgorithm::aggregate`].
+    /// returned `true`. The default returns `None`: the algorithm has
+    /// no plan and must override [`FederatedAlgorithm::aggregate`].
     fn plan_aggregation(
         &mut self,
         _global: &[f32],
@@ -278,8 +421,8 @@ pub fn fedavg_step(
 ) -> Vec<f32> {
     assert!(!updates.is_empty(), "aggregate with no updates");
     let plan = fedavg_plan(updates, hyper, weighting);
-    let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
-    combine_weighted(global, &deltas, &plan).1
+    let shards = fold_shards(global.len());
+    combine_weighted(global, updates, &plan, &mut ShardFold::default(), shards).1
 }
 
 /// The [`WeightedCombine`] plan behind [`fedavg_step`]: `p_i` per the
@@ -297,6 +440,79 @@ pub fn fedavg_plan(
         weights,
         pre_scale: None,
         step_scale: -(hyper.eta_g / hyper.k_eta_l()),
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod testkit {
+    //! Shared fixtures for the planned-aggregation unit tests.
+
+    use super::*;
+    use taco_tensor::Prng;
+
+    /// An upload of `delta` from `client`, one sample, one step.
+    pub(crate) fn update(client: usize, delta: Vec<f32>) -> ClientUpdate {
+        ClientUpdate {
+            client,
+            delta,
+            num_samples: 1,
+            final_v: None,
+            mean_loss: 0.0,
+            grad_evals: 0,
+            steps: 1,
+            compute_seconds: 0.0,
+            encoded: None,
+        }
+    }
+
+    /// A random global vector and `n` random uploads of `dim` dims.
+    pub(crate) fn random_round(n: usize, dim: usize, seed: u64) -> (Vec<f32>, Vec<ClientUpdate>) {
+        let mut rng = Prng::seed_from_u64(seed);
+        let global = (0..dim).map(|_| rng.normal_f32()).collect();
+        let updates = (0..n)
+            .map(|c| {
+                let scale = 0.1 + c as f32;
+                update(c, (0..dim).map(|_| rng.normal_f32() * scale).collect())
+            })
+            .collect();
+        (global, updates)
+    }
+
+    /// The sequential reference for a plan: `ops::weighted_mean` →
+    /// pre-scale → AXPY.
+    pub(crate) fn reference_step(
+        global: &[f32],
+        updates: &[ClientUpdate],
+        plan: &WeightedCombine,
+    ) -> Vec<f32> {
+        let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
+        let mut combined = ops::weighted_mean(&deltas, &plan.weights);
+        if let Some(s) = plan.pre_scale {
+            ops::scale(&mut combined, s);
+        }
+        let mut next = global.to_vec();
+        ops::axpy(&mut next, plan.step_scale, &combined);
+        next
+    }
+
+    /// One [`aggregate_planned`] round over `shards` shards.
+    pub(crate) fn planned(
+        algorithm: &mut dyn FederatedAlgorithm,
+        global: &[f32],
+        updates: &[ClientUpdate],
+        hyper: &HyperParams,
+        shards: usize,
+    ) -> Vec<f32> {
+        let mut fold = ShardFold::default();
+        aggregate_planned(algorithm, global, updates, hyper, &mut fold, shards)
+            .expect("the algorithm plans")
+    }
+
+    pub(crate) fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: dim {i}: {g} vs {w}");
+        }
     }
 }
 
@@ -337,6 +553,76 @@ mod tests {
         let updates = vec![upd(0, vec![1.0], 9), upd(1, vec![0.0], 1)];
         let next = fedavg_step(&global, &updates, &hyper, AggWeighting::DataSize);
         assert!((next[0] + 0.9).abs() < 1e-6, "got {}", next[0]);
+    }
+
+    #[test]
+    fn shard_fold_matches_the_weighted_mean_at_any_shard_and_thread_count() {
+        use crate::compress::{codec_stream, Compressor, TopK, Uniform8Bit};
+        let dim = 1001; // odd, so chunk boundaries cross Q8/sparse runs
+        let (_, mut updates) = testkit::random_round(5, dim, 23);
+        // Two uploads fold from their wire encodings.
+        for (i, codec) in [(1, &Uniform8Bit as &dyn Compressor), (3, &TopK::new(0.1))] {
+            let enc = codec.encode(&updates[i].delta, &mut codec_stream(23, 0, i));
+            updates[i].delta = enc.decode();
+            updates[i].encoded = Some(enc);
+        }
+        let weights = [0.3f32, 1.7, 0.01, 2.5, 0.9];
+        let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
+        let want = taco_tensor::ops::weighted_mean(&deltas, &weights);
+        let mut fold = ShardFold::default();
+        for threads in [1, 4] {
+            let pool = taco_tensor::pool::Pool::new(threads);
+            for shards in [1, 3, 8, 64, 5000] {
+                let got = taco_tensor::pool::with_pool(&pool, || {
+                    fold.weighted_mean(&updates, &weights, shards)
+                });
+                testkit::assert_bits_eq(&got, &want, &format!("shards={shards} t{threads}"));
+            }
+        }
+    }
+
+    #[test]
+    fn upload_stats_match_their_sequential_definitions() {
+        let (_, updates) = testkit::random_round(6, 257, 5);
+        let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
+        let mean = taco_tensor::ops::mean_of(&deltas);
+        let norms: Vec<f32> = deltas.iter().map(|d| taco_tensor::ops::norm(d)).collect();
+        let cosines: Vec<f32> = deltas
+            .iter()
+            .map(|d| taco_tensor::ops::cosine_similarity(d, &mean))
+            .collect();
+        let pool = taco_tensor::pool::Pool::new(4);
+        for shards in [1, 3, 8] {
+            let stats = taco_tensor::pool::with_pool(&pool, || {
+                UploadStats::compute(&updates, &mut ShardFold::default(), shards)
+            });
+            testkit::assert_bits_eq(&stats.mean_delta, &mean, "mean");
+            testkit::assert_bits_eq(&stats.norms, &norms, "norms");
+            testkit::assert_bits_eq(&stats.cosines, &cosines, "cosines");
+        }
+    }
+
+    #[test]
+    fn small_models_fold_on_one_shard() {
+        assert_eq!(fold_shards(0), 1);
+        assert_eq!(fold_shards(PARALLEL_DIM_FLOOR - 1), 1);
+        assert!(fold_shards(PARALLEL_DIM_FLOOR) >= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "has no aggregation plan")]
+    fn default_aggregate_needs_a_plan() {
+        struct Planless;
+        impl FederatedAlgorithm for Planless {
+            fn name(&self) -> &'static str {
+                "planless"
+            }
+            fn local_rule(&self, _client: usize, _global: &[f32]) -> LocalRule {
+                LocalRule::PlainSgd
+            }
+        }
+        let hyper = HyperParams::new(1, 1, 1.0, 1);
+        let _ = Planless.aggregate(&[0.0], &[upd(0, vec![1.0], 1)], &hyper);
     }
 
     #[test]

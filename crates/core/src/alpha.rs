@@ -57,7 +57,7 @@ pub fn correction_coefficients_variant(deltas: &[&[f32]], variant: AlphaVariant)
 /// Eq. 7 from precomputed per-upload statistics: the norm `‖Δ_i‖` and
 /// the cosine `cos(Δ_i, Δ̄)` of every delta against the unweighted
 /// mean. This is the scalar half of
-/// [`correction_coefficients_variant`] — aggregation backends that
+/// [`correction_coefficients_variant`] — planning algorithms that
 /// already hold the statistics (e.g. [`crate::UploadStats`]) call it
 /// directly, and both paths are bit-identical because each output
 /// depends only on its own norm/cosine and the order-fixed `norm_sum`.

@@ -245,10 +245,11 @@ impl EncodedDelta {
 
     /// Decode-free accumulation of one dimension shard:
     /// `acc[j] += weight as f64 · decode()[range][j] as f64` for `j`
-    /// ascending — **bit-identical** to decoding and then running
-    /// [`taco_tensor::shard::StripedTable::accumulate_shard`] over the
-    /// same range, because every per-dimension operation is the exact
-    /// widening multiply-add of that fold, performed in the same
+    /// ascending — **bit-identical** to decoding and then running the
+    /// dense `acc += weight as f64 * x as f64` fold of
+    /// [`taco_tensor::ops::weighted_mean`] over the same range, because
+    /// every per-dimension operation is that exact widening
+    /// multiply-add, performed in the same
     /// ascending order (the AVX kernels are elementwise, so
     /// vectorization cannot reorder any per-dimension arithmetic):
     ///
@@ -271,8 +272,8 @@ impl EncodedDelta {
     /// message (unsorted or out-of-range exception indices, an
     /// undersized level buffer) may panic. Callers must gate
     /// untrusted encodings through [`EncodedDelta::check_integrity`]
-    /// first — the server's validation path does exactly that before
-    /// anything reaches the backend accumulators.
+    /// first — the server does exactly that for every encoded upload
+    /// before anything reaches [`crate::ShardFold`].
     pub fn accumulate_range_into(&self, range: Range<usize>, acc: &mut [f64], weight: f32) {
         assert!(range.end <= self.dim(), "shard range out of bounds");
         assert_eq!(acc.len(), range.len(), "shard accumulator length mismatch");
@@ -610,7 +611,7 @@ pub fn codec_by_name(name: &str) -> Option<Arc<dyn Compressor>> {
 
 /// The codec selected by `TACO_CODEC` (`none`, `topk`, `q8`, `q4`);
 /// `None` when unset or empty. An unrecognized name warns once on
-/// stderr and runs uncompressed, mirroring `TACO_BACKEND`'s fallback.
+/// stderr and runs uncompressed.
 pub fn codec_from_env() -> Option<Arc<dyn Compressor>> {
     let name = taco_trace::env::codec_name()?;
     let trimmed = name.trim();
@@ -902,8 +903,9 @@ mod tests {
             // endpoint exactly, and billing reflects it.
             assert_eq!(out[0], f32::MAX, "{}", c.name());
             let escapes = match &enc {
-                EncodedDelta::Q8 { exceptions, .. }
-                | EncodedDelta::Q4 { exceptions, .. } => exceptions.len(),
+                EncodedDelta::Q8 { exceptions, .. } | EncodedDelta::Q4 { exceptions, .. } => {
+                    exceptions.len()
+                }
                 _ => unreachable!(),
             };
             assert!(escapes >= 1, "{}", c.name());

@@ -1,8 +1,7 @@
 //! FedAvg (McMahan et al.) — the uncorrected baseline.
 
 use crate::algorithm::{
-    fedavg_plan, fedavg_step, AggWeighting, CostProfile, FederatedAlgorithm, UploadStats,
-    WeightedCombine,
+    fedavg_plan, AggWeighting, CostProfile, FederatedAlgorithm, UploadStats, WeightedCombine,
 };
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
@@ -42,15 +41,6 @@ impl FederatedAlgorithm for FedAvg {
 
     fn local_rule(&self, _client: usize, _global: &[f32]) -> LocalRule {
         LocalRule::PlainSgd
-    }
-
-    fn aggregate(
-        &mut self,
-        global: &[f32],
-        updates: &[ClientUpdate],
-        hyper: &HyperParams,
-    ) -> Vec<f32> {
-        fedavg_step(global, updates, hyper, self.weighting)
     }
 
     fn plan_aggregation(

@@ -21,6 +21,12 @@ use crate::update::{ClientUpdate, LocalRule};
 use taco_tensor::ops;
 
 /// FedNova: plain local SGD with normalized aggregation.
+///
+/// FedNova keeps its own [`FederatedAlgorithm::aggregate`] instead of
+/// a [`crate::WeightedCombine`] plan. Its fold accumulates
+/// `p_i · Δ_i / τ_i` in `f64` and scales by `τ_eff` before rounding to
+/// `f32`, while a plan's weights are `f32` and its scales apply after
+/// the `f32` mean — the same value on paper, not the same bits.
 #[derive(Debug, Clone)]
 pub struct FedNova {
     weighting: AggWeighting,

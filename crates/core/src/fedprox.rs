@@ -1,6 +1,8 @@
 //! FedProx (Li et al.) — loss-function regularization.
 
-use crate::algorithm::{fedavg_step, AggWeighting, CostProfile, FederatedAlgorithm};
+use crate::algorithm::{
+    fedavg_plan, AggWeighting, CostProfile, FederatedAlgorithm, UploadStats, WeightedCombine,
+};
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
 
@@ -51,13 +53,14 @@ impl FederatedAlgorithm for FedProx {
         }
     }
 
-    fn aggregate(
+    fn plan_aggregation(
         &mut self,
-        global: &[f32],
+        _global: &[f32],
         updates: &[ClientUpdate],
+        _stats: Option<&UploadStats>,
         hyper: &HyperParams,
-    ) -> Vec<f32> {
-        fedavg_step(global, updates, hyper, self.weighting)
+    ) -> Option<WeightedCombine> {
+        Some(fedavg_plan(updates, hyper, self.weighting))
     }
 
     fn cost_profile(&self) -> CostProfile {
@@ -71,6 +74,7 @@ impl FederatedAlgorithm for FedProx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::testkit;
 
     #[test]
     fn rule_anchors_at_global() {
@@ -82,6 +86,23 @@ mod tests {
                 assert_eq!(anchor, vec![1.0, 2.0]);
             }
             other => panic!("unexpected rule {other:?}"),
+        }
+    }
+
+    #[test]
+    fn planned_aggregate_matches_the_weighted_mean_bitwise() {
+        let hyper = HyperParams::new(5, 4, 0.05, 8);
+        let (global, updates) = testkit::random_round(5, 301, 3);
+        let plan = fedavg_plan(&updates, &hyper, AggWeighting::Uniform);
+        let want = testkit::reference_step(&global, &updates, &plan);
+        assert_eq!(
+            want,
+            crate::algorithm::fedavg_step(&global, &updates, &hyper, AggWeighting::Uniform)
+        );
+        for shards in [1, 3, 8] {
+            let mut alg = FedProx::new(0.1);
+            let got = testkit::planned(&mut alg, &global, &updates, &hyper, shards);
+            testkit::assert_bits_eq(&got, &want, &format!("shards={shards}"));
         }
     }
 

@@ -1,6 +1,6 @@
 //! FoolsGold (Fung et al.) — aggregation calibration.
 
-use crate::algorithm::{CostProfile, FederatedAlgorithm};
+use crate::algorithm::{CostProfile, FederatedAlgorithm, UploadStats, WeightedCombine};
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
 use taco_tensor::ops;
@@ -112,19 +112,19 @@ impl FederatedAlgorithm for FoolsGold {
         LocalRule::PlainSgd
     }
 
-    fn aggregate(
+    fn wants_upload_stats(&self) -> bool {
+        true
+    }
+
+    fn plan_aggregation(
         &mut self,
-        global: &[f32],
+        _global: &[f32],
         updates: &[ClientUpdate],
+        stats: Option<&UploadStats>,
         hyper: &HyperParams,
-    ) -> Vec<f32> {
-        assert!(!updates.is_empty(), "aggregate with no updates");
-        let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
-        let mean = ops::mean_of(&deltas);
-        let weights: Vec<f32> = deltas
-            .iter()
-            .map(|d| ops::cosine_similarity(d, &mean).max(1e-3))
-            .collect();
+    ) -> Option<WeightedCombine> {
+        let stats = stats?;
+        let weights: Vec<f32> = stats.cosines.iter().map(|c| c.max(1e-3)).collect();
         self.last_weights = weights.clone();
         // Accumulate the cosine history (suspicion diagnostics only —
         // the weights above are already fixed for this round).
@@ -137,11 +137,11 @@ impl FederatedAlgorithm for FoolsGold {
             ops::axpy(hist, 1.0, &u.delta);
             self.observations[u.client] += 1;
         }
-        let agg = ops::weighted_mean(&deltas, &weights);
-        let scale = hyper.eta_g / hyper.k_eta_l();
-        let mut next = global.to_vec();
-        ops::axpy(&mut next, -scale, &agg);
-        next
+        Some(WeightedCombine {
+            weights,
+            pre_scale: None,
+            step_scale: -(hyper.eta_g / hyper.k_eta_l()),
+        })
     }
 
     fn suspected(&self) -> Vec<usize> {
@@ -209,6 +209,7 @@ impl FederatedAlgorithm for FoolsGold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::testkit;
 
     fn upd(client: usize, delta: Vec<f32>) -> ClientUpdate {
         ClientUpdate {
@@ -325,6 +326,35 @@ mod tests {
         let a = strict.aggregate(&[1.0, 1.0], &updates, &hyper);
         let b = lax.aggregate(&[1.0, 1.0], &updates, &hyper);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn plan_matches_the_cosine_weighted_mean_bitwise() {
+        let hyper = HyperParams::new(5, 4, 0.05, 8);
+        let (global, mut updates) = testkit::random_round(5, 301, 4);
+        // One client pulls against the federation: its weight floors.
+        updates[2].delta = ops::scaled(&updates[4].delta, -0.5);
+        let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
+        let mean = ops::mean_of(&deltas);
+        let weights: Vec<f32> = deltas
+            .iter()
+            .map(|d| ops::cosine_similarity(d, &mean).max(1e-3))
+            .collect();
+        assert_eq!(weights[2], 1e-3);
+        let plan = WeightedCombine {
+            weights: weights.clone(),
+            pre_scale: None,
+            step_scale: -(hyper.eta_g / hyper.k_eta_l()),
+        };
+        let want = testkit::reference_step(&global, &updates, &plan);
+        for shards in [1, 3, 8] {
+            let mut alg = FoolsGold::new();
+            let got = testkit::planned(&mut alg, &global, &updates, &hyper, shards);
+            testkit::assert_bits_eq(&got, &want, &format!("shards={shards}"));
+            testkit::assert_bits_eq(alg.last_weights(), &weights, "weights");
+            assert_eq!(alg.tracked_client_states(), 5, "history updated");
+            testkit::assert_bits_eq(&alg.histories[3], &updates[3].delta, "history");
+        }
     }
 
     #[test]

@@ -53,7 +53,8 @@ pub mod tailored;
 pub mod update;
 
 pub use algorithm::{
-    combine_weighted, AggWeighting, CostProfile, FederatedAlgorithm, UploadStats, WeightedCombine,
+    aggregate_planned, combine_weighted, fold_shards, AggWeighting, CostProfile,
+    FederatedAlgorithm, ShardFold, UploadStats, WeightedCombine,
 };
 pub use fedacg::FedAcg;
 pub use fedavg::FedAvg;

@@ -17,9 +17,7 @@
 //! `Δ_i^t` the clients send anyway, which is why its per-round client
 //! overhead in Table III is "Low".
 
-use crate::algorithm::{
-    combine_weighted, CostProfile, FederatedAlgorithm, UploadStats, WeightedCombine,
-};
+use crate::algorithm::{CostProfile, FederatedAlgorithm, UploadStats, WeightedCombine};
 use crate::alpha;
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
@@ -191,20 +189,43 @@ impl Taco {
             .unwrap_or(self.config.initial_alpha);
         alpha::extrapolated_output(global, &self.prev_global, avg)
     }
+}
 
-    /// Advances the server state for one round (Eq. 7 coefficients,
-    /// Eq. 10 strikes, the α history, `w_{t−1}`) and returns the
-    /// Eq. 9 combine plan. Shared — statement for statement — by the
-    /// sequential [`FederatedAlgorithm::aggregate`] path and the
-    /// backend-facing [`FederatedAlgorithm::plan_aggregation`] hook,
-    /// which is what keeps the two bit-identical.
-    fn make_plan(
+impl FederatedAlgorithm for Taco {
+    fn name(&self) -> &'static str {
+        "TACO"
+    }
+
+    fn begin_round(&mut self, _round: usize, global: &[f32]) {
+        if self.global_delta.len() != global.len() {
+            self.global_delta = vec![0.0; global.len()];
+        }
+        if self.prev_global.len() != global.len() {
+            self.prev_global = global.to_vec();
+        }
+    }
+
+    fn local_rule(&self, client: usize, _global: &[f32]) -> LocalRule {
+        if !self.config.tailored_correction || self.global_delta.is_empty() {
+            return LocalRule::PlainSgd;
+        }
+        let factor = self.config.gamma * (1.0 - self.alphas[client]);
+        let term = ops::scaled(&self.global_delta, factor);
+        LocalRule::Correction { term }
+    }
+
+    fn wants_upload_stats(&self) -> bool {
+        true
+    }
+
+    fn plan_aggregation(
         &mut self,
         global: &[f32],
         updates: &[ClientUpdate],
-        stats: &UploadStats,
+        stats: Option<&UploadStats>,
         hyper: &HyperParams,
-    ) -> WeightedCombine {
+    ) -> Option<WeightedCombine> {
+        let stats = stats?;
         // Eq. 7: next-round coefficients from this round's uploads.
         let new_alphas =
             alpha::coefficients_from_stats(&stats.norms, &stats.cosines, self.config.alpha_variant);
@@ -241,66 +262,11 @@ impl Taco {
         self.avg_alpha_history
             .push(alpha::average_alpha(&new_alphas));
         self.prev_global = global.to_vec();
-        WeightedCombine {
+        Some(WeightedCombine {
             weights,
             pre_scale: Some(1.0 / hyper.k_eta_l()),
             step_scale: -hyper.eta_g,
-        }
-    }
-}
-
-impl FederatedAlgorithm for Taco {
-    fn name(&self) -> &'static str {
-        "TACO"
-    }
-
-    fn begin_round(&mut self, _round: usize, global: &[f32]) {
-        if self.global_delta.len() != global.len() {
-            self.global_delta = vec![0.0; global.len()];
-        }
-        if self.prev_global.len() != global.len() {
-            self.prev_global = global.to_vec();
-        }
-    }
-
-    fn local_rule(&self, client: usize, _global: &[f32]) -> LocalRule {
-        if !self.config.tailored_correction || self.global_delta.is_empty() {
-            return LocalRule::PlainSgd;
-        }
-        let factor = self.config.gamma * (1.0 - self.alphas[client]);
-        let term = ops::scaled(&self.global_delta, factor);
-        LocalRule::Correction { term }
-    }
-
-    fn aggregate(
-        &mut self,
-        global: &[f32],
-        updates: &[ClientUpdate],
-        hyper: &HyperParams,
-    ) -> Vec<f32> {
-        assert!(!updates.is_empty(), "aggregate with no updates");
-        let _span = taco_trace::quiet_span!("core.aggregate.taco");
-        let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
-        let stats = UploadStats::compute(&deltas);
-        let plan = self.make_plan(global, updates, &stats, hyper);
-        let (combined, next) = combine_weighted(global, &deltas, &plan);
-        self.commit_aggregation(global, &combined);
-        next
-    }
-
-    fn wants_upload_stats(&self) -> bool {
-        true
-    }
-
-    fn plan_aggregation(
-        &mut self,
-        global: &[f32],
-        updates: &[ClientUpdate],
-        stats: Option<&UploadStats>,
-        hyper: &HyperParams,
-    ) -> Option<WeightedCombine> {
-        let stats = stats?;
-        Some(self.make_plan(global, updates, stats, hyper))
+        })
     }
 
     fn commit_aggregation(&mut self, _global: &[f32], combined: &[f32]) {

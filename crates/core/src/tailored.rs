@@ -13,8 +13,10 @@
 //! - [`TailoredScaffold`]: client `i` applies its control-variate
 //!   shift with coefficient `(1−α_i^t)` instead of the uniform `α`.
 
-use crate::algorithm::{fedavg_step, AggWeighting, CostProfile, FederatedAlgorithm};
-use crate::alpha;
+use crate::algorithm::{
+    fedavg_plan, AggWeighting, CostProfile, FederatedAlgorithm, UploadStats, WeightedCombine,
+};
+use crate::alpha::{self, AlphaVariant};
 use crate::hyper::HyperParams;
 use crate::scaffold::Scaffold;
 use crate::update::{ClientUpdate, LocalRule};
@@ -58,18 +60,24 @@ impl FederatedAlgorithm for TailoredProx {
         }
     }
 
-    fn aggregate(
+    fn wants_upload_stats(&self) -> bool {
+        true
+    }
+
+    fn plan_aggregation(
         &mut self,
-        global: &[f32],
+        _global: &[f32],
         updates: &[ClientUpdate],
+        stats: Option<&UploadStats>,
         hyper: &HyperParams,
-    ) -> Vec<f32> {
-        let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
-        let new_alphas = alpha::correction_coefficients(&deltas);
+    ) -> Option<WeightedCombine> {
+        let stats = stats?;
+        let new_alphas =
+            alpha::coefficients_from_stats(&stats.norms, &stats.cosines, AlphaVariant::Full);
         for (u, &a) in updates.iter().zip(&new_alphas) {
             self.alphas[u.client] = a;
         }
-        fedavg_step(global, updates, hyper, AggWeighting::Uniform)
+        Some(fedavg_plan(updates, hyper, AggWeighting::Uniform))
     }
 
     fn alphas(&self) -> Option<&[f32]> {
@@ -156,6 +164,7 @@ impl FederatedAlgorithm for TailoredScaffold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::testkit;
 
     fn upd(client: usize, delta: Vec<f32>) -> ClientUpdate {
         ClientUpdate {
@@ -194,6 +203,22 @@ mod tests {
             "skewed client should get stronger prox: {l0} vs {l1}"
         );
         assert!(l0 <= 0.1 && l1 <= 0.1, "strengths bounded by base zeta");
+    }
+
+    #[test]
+    fn tailored_prox_plan_matches_the_weighted_mean_and_eq7_bitwise() {
+        let hyper = HyperParams::new(5, 4, 0.05, 8);
+        let (global, updates) = testkit::random_round(5, 301, 9);
+        let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
+        let want_alphas = alpha::correction_coefficients(&deltas);
+        let plan = fedavg_plan(&updates, &hyper, AggWeighting::Uniform);
+        let want = testkit::reference_step(&global, &updates, &plan);
+        for shards in [1, 3, 8] {
+            let mut alg = TailoredProx::new(5, 0.1);
+            let got = testkit::planned(&mut alg, &global, &updates, &hyper, shards);
+            testkit::assert_bits_eq(&got, &want, &format!("shards={shards}"));
+            testkit::assert_bits_eq(&alg.alphas, &want_alphas, "alphas");
+        }
     }
 
     #[test]

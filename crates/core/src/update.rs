@@ -102,7 +102,7 @@ pub struct ClientUpdate {
     pub compute_seconds: f64,
     /// The wire-format payload when an upload codec is active (`None`
     /// for uncompressed runs). When present, `delta` holds the decoded
-    /// lossy vector and the sharded backend folds this encoding
+    /// lossy vector and the server's shard fold reads this encoding
     /// decode-free; validation checks its structural integrity before
     /// trusting the floats.
     pub encoded: Option<crate::compress::EncodedDelta>,

@@ -7,8 +7,8 @@
 //! post-compression payload in transit). The transform is a pure
 //! function of `(plan, behaviour, run seed, round, Δ_i)`, applied in
 //! client order by the runner before the server pipeline, so attacked
-//! trajectories are bit-identical at any `TACO_THREADS` and across
-//! `TACO_BACKEND=sequential|sharded`.
+//! trajectories are bit-identical at any `TACO_THREADS` and any
+//! aggregation shard count.
 //!
 //! Inertness: a plan attached to an all-honest behaviour vector never
 //! transforms anything and consumes no randomness — trajectories are

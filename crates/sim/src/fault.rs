@@ -166,17 +166,23 @@ impl RejectReason {
     }
 }
 
+/// Structure-checks an upload's wire encoding, if it has one: a
+/// corrupted index or level buffer is [`RejectReason::MalformedEncoding`]
+/// even when the decoded floats happen to look plausible. The server
+/// runs this on every upload, with or without a fault plan.
+pub fn check_encoding(update: &ClientUpdate) -> Result<(), RejectReason> {
+    match &update.encoded {
+        Some(enc) if !enc.check_integrity() => Err(RejectReason::MalformedEncoding),
+        _ => Ok(()),
+    }
+}
+
 impl ValidationPolicy {
     /// Validates one received upload; `Err` names the quarantine
-    /// reason. Encoded payloads are structure-checked first: a
-    /// corrupted index or level buffer is quarantined as malformed
-    /// even when the decoded floats happen to look plausible.
+    /// reason. Encoded payloads are structure-checked first
+    /// ([`check_encoding`]).
     pub fn validate(&self, update: &ClientUpdate) -> Result<(), RejectReason> {
-        if let Some(enc) = &update.encoded {
-            if !enc.check_integrity() {
-                return Err(RejectReason::MalformedEncoding);
-            }
-        }
+        check_encoding(update)?;
         if !ops::all_finite(&update.delta) {
             return Err(RejectReason::NonFinite);
         }

@@ -7,12 +7,10 @@
 //!   parallel client execution (std scoped threads) and
 //!   deterministic per-client RNG streams, so results are independent
 //!   of thread scheduling. Client-side job execution and the server's
-//!   upload pipeline live in private `client`/`server` modules.
-//! - [`backend`] — pluggable [`backend::AggregationBackend`]s: the
-//!   sequential reference and a lock-striped, double-buffered sharded
-//!   parameter-server backend, bit-identical at any shard or thread
-//!   count and selected via `TACO_BACKEND`/`TACO_SHARDS` (or
-//!   [`runner::SimConfig::with_backend`]).
+//!   upload pipeline and aggregation live in private `client`/`server`
+//!   modules; aggregation is one order-fixed shard fold
+//!   ([`taco_core::aggregate_planned`]), bit-identical at any shard or
+//!   thread count.
 //! - [`freeloader`] — ground-truth client behaviours: honest clients
 //!   train; lazy freeloaders (Section IV-A) re-upload the previous
 //!   global update; sign-flippers, boosters, and colluding coalitions
@@ -61,7 +59,6 @@
 #![deny(missing_docs)]
 
 pub mod adversary;
-pub mod backend;
 pub mod churn;
 mod client;
 pub mod comm;
@@ -75,9 +72,6 @@ pub mod runner;
 mod server;
 
 pub use adversary::AdversaryPlan;
-pub use backend::{
-    AggregationBackend, BackendChoice, RoundAggregate, SequentialBackend, ShardedBackend,
-};
 pub use churn::ChurnTrace;
 pub use fault::{Corruption, Deadline, FaultKind, FaultPlan, RejectReason, ValidationPolicy};
 pub use freeloader::ClientBehavior;

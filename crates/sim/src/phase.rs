@@ -16,25 +16,21 @@ pub const PARTICIPATION: &str = "sim.phase.participation";
 pub const LOCAL: &str = "sim.phase.local";
 /// Lossy upload compression + byte accounting.
 pub const COMPRESS: &str = "sim.phase.compress";
-/// Server-side aggregation.
+/// Server-side aggregation: upload statistics, the plan, the shard
+/// fold and the commit (or a plan-less algorithm's own aggregate).
 pub const AGGREGATE: &str = "sim.phase.aggregate";
-/// Shard accumulation/merge work inside the sharded backend (per
-/// accepted upload while accumulating, and once inside [`AGGREGATE`]
-/// for the frozen-table merge). Zero on the sequential backend.
-pub const SHARD_MERGE: &str = "sim.phase.shard_merge";
 /// Global-model evaluation.
 pub const EVAL: &str = "sim.phase.eval";
 /// One client's local computation (per-client, inside [`LOCAL`]).
 pub const CLIENT_COMPUTE: &str = "client_compute";
 
 /// Every phase name, outermost first.
-pub const ALL: [&str; 8] = [
+pub const ALL: [&str; 7] = [
     ROUND,
     PARTICIPATION,
     LOCAL,
     COMPRESS,
     AGGREGATE,
-    SHARD_MERGE,
     EVAL,
     CLIENT_COMPUTE,
 ];

@@ -1,7 +1,6 @@
 //! The parameter-server round loop.
 
 use crate::adversary::{self, AdversaryPlan};
-use crate::backend::{AggregationBackend, BackendChoice};
 use crate::churn::ChurnTrace;
 use crate::client::{self, ClientJob};
 use crate::fault::{FaultKind, FaultPlan};
@@ -80,11 +79,6 @@ pub struct SimConfig {
     /// `None` disables the subsystem entirely — trajectories are
     /// bit-identical to a plan-free run.
     pub fault_plan: Option<FaultPlan>,
-    /// Which aggregation backend executes the server side of each
-    /// round. Defaults from the `TACO_BACKEND`/`TACO_SHARDS`
-    /// environment ([`BackendChoice::from_env`]); both backends are
-    /// bit-identical, so this only affects wall-clock.
-    pub backend: BackendChoice,
     /// Parameters of the model-update attacks mounted by non-honest
     /// behaviours. The plan is inert while every behaviour is honest
     /// or freeloading; which clients attack is `behaviors`' job.
@@ -116,7 +110,6 @@ impl SimConfig {
             local_steps_per_client: None,
             upload_compressor: None,
             fault_plan: None,
-            backend: BackendChoice::from_env(),
             adversary: AdversaryPlan::default(),
             churn: None,
             drift: None,
@@ -150,13 +143,6 @@ impl SimConfig {
     /// Builder-style drift-schedule override.
     pub fn with_drift(mut self, schedule: DriftSchedule) -> Self {
         self.drift = Some(schedule);
-        self
-    }
-
-    /// Builder-style aggregation-backend override (wins over the
-    /// `TACO_BACKEND` environment default).
-    pub fn with_backend(mut self, backend: BackendChoice) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -253,7 +239,6 @@ impl std::fmt::Debug for SimConfig {
                 &self.upload_compressor.as_ref().map(|c| c.name()),
             )
             .field("fault_plan", &self.fault_plan)
-            .field("backend", &self.backend)
             .field("adversary", &self.adversary)
             .field("churn", &self.churn)
             .field("drift", &self.drift)
@@ -267,7 +252,6 @@ pub struct Simulation {
     fed: FederatedDataset,
     prototype: Box<dyn Model>,
     algorithm: Box<dyn FederatedAlgorithm>,
-    backend: Box<dyn AggregationBackend>,
     config: SimConfig,
     eval_batches: Vec<Batch>,
     /// The pooled training data, rebuilt from the initial shards, used
@@ -307,7 +291,6 @@ impl Simulation {
             );
         }
         let eval_batches = fed.test().eval_batches(config.eval_batch);
-        let backend = config.backend.build();
         // Re-pool the shards up front (in client order, so the pool is
         // a pure function of the initial partition) only when drift
         // can actually fire; an inert schedule costs nothing.
@@ -322,7 +305,6 @@ impl Simulation {
             fed,
             prototype,
             algorithm,
-            backend,
             config,
             eval_batches,
             drift_pool,
@@ -380,8 +362,6 @@ impl Simulation {
             }
             let draw_span = trace::Span::quiet(crate::phase::PARTICIPATION);
             self.algorithm.begin_round(round, &global);
-            self.backend
-                .begin_round(round, &global, self.algorithm.as_ref());
             let expelled: Vec<usize> = self.algorithm.expelled();
             let mut expelled_mask = vec![false; n];
             for &c in &expelled {
@@ -582,8 +562,8 @@ impl Simulation {
             // Model-update attacks: applied in client order on the
             // device side of the wire, upstream of compression,
             // corruption, and validation. A pure per-update transform,
-            // so attacked runs stay bit-identical across thread counts
-            // and backends.
+            // so attacked runs stay bit-identical across thread and shard
+            // counts.
             let mut attacks_applied = 0usize;
             for u in &mut updates {
                 let label = adversary::apply(
@@ -612,16 +592,14 @@ impl Simulation {
                 }
             }
             // The server pipeline (stragglers, deadline, compression,
-            // corruption, validation) hands every survivor to the
-            // aggregation backend in client order; see
-            // [`crate::server`].
+            // corruption, validation) returns the survivors in client
+            // order; see [`crate::server`].
             let outcome = crate::server::process_uploads(
                 &self.config,
                 &fault_of,
                 round,
                 updates,
                 self.algorithm.as_mut(),
-                self.backend.as_mut(),
             );
             let upload_bytes = outcome.upload_bytes;
             fault_totals.deadline_cuts = outcome.deadline_cuts;
@@ -633,11 +611,9 @@ impl Simulation {
             // quarantined) holds the global model and is still
             // recorded, so the trajectory keeps its round indexing.
             let aggregate_span = trace::Span::quiet(crate::phase::AGGREGATE);
-            let agg = self
-                .backend
-                .finish_round(&global, &hyper, self.algorithm.as_mut());
-            let updates = agg.updates;
-            let next = agg.next_global.unwrap_or_else(|| global.clone());
+            let updates = outcome.accepted;
+            let next = crate::server::aggregate(self.algorithm.as_mut(), &global, &updates, &hyper)
+                .unwrap_or_else(|| global.clone());
             let aggregate_secs = aggregate_span.finish();
             prev_global = global;
             global = next;

@@ -1,22 +1,17 @@
-//! The server's upload pipeline: everything that happens between the
-//! clients' uploads leaving the devices and the aggregation backend
-//! accepting them — straggler slowdown, the synchronous deadline,
-//! lossy compression with byte accounting, wire corruption, and
-//! validation/quarantine.
-//!
-//! The pipeline runs strictly *before* the backend's `accept_update`
-//! (see [`crate::AggregationBackend`]), so backends may start
-//! accumulating eagerly: an upload that reaches `accept_update` is
-//! final for the round.
+//! The server side of a round: the upload pipeline — straggler
+//! slowdown, the synchronous deadline, lossy compression with byte
+//! accounting, wire corruption, and validation/quarantine — and the
+//! aggregation of the uploads that survive it.
 
-use crate::backend::AggregationBackend;
-use crate::fault::FaultKind;
+use crate::fault::{self, FaultKind};
 use crate::runner::SimConfig;
-use taco_core::{ClientUpdate, FederatedAlgorithm};
+use taco_core::{ClientUpdate, FederatedAlgorithm, HyperParams, ShardFold};
 use taco_trace as trace;
 
 /// What the pipeline did to a round's uploads.
 pub(crate) struct UploadOutcome {
+    /// The uploads that reached aggregation, in client order.
+    pub(crate) accepted: Vec<ClientUpdate>,
     /// Accounted wire bytes for the uploads that arrived.
     pub(crate) upload_bytes: usize,
     /// Uploads cut by the synchronous deadline.
@@ -35,15 +30,14 @@ impl UploadOutcome {
 }
 
 /// Runs the pipeline over this round's raw uploads (already sorted in
-/// client order) and hands each survivor to the backend; quarantined
-/// uploads are reported through the backend instead.
+/// client order) and returns the survivors; quarantined uploads are
+/// reported to the algorithm.
 pub(crate) fn process_uploads(
     config: &SimConfig,
     fault_of: &[Option<FaultKind>],
     round: usize,
     mut updates: Vec<ClientUpdate>,
     algorithm: &mut dyn FederatedAlgorithm,
-    backend: &mut dyn AggregationBackend,
 ) -> UploadOutcome {
     // Straggler slowdown + the server's synchronous deadline. The
     // deadline compares *simulated* time (steps × seconds_per_step ×
@@ -88,8 +82,8 @@ pub(crate) fn process_uploads(
     // is active — wire corruption is applied to the *encoded* payload
     // (an index, a value slot, or the scale header), since that is
     // what travels. The update then carries both the encoding (for
-    // decode-free aggregation and integrity validation) and the
-    // decoded lossy delta (for algorithms and norm checks).
+    // the decode-free fold and integrity validation) and the decoded
+    // lossy delta (for algorithms and norm checks).
     let compress_span = trace::Span::quiet(crate::phase::COMPRESS);
     let upload_bytes: usize = match &config.upload_compressor {
         Some(c) => {
@@ -99,7 +93,7 @@ pub(crate) fn process_uploads(
                 let mut enc = c.encode(&u.delta, &mut stream);
                 if config.fault_plan.is_some() {
                     if let Some(FaultKind::Corrupt(corruption)) = fault_of[u.client] {
-                        crate::fault::apply_corruption_encoded(&mut enc, corruption);
+                        fault::apply_corruption_encoded(&mut enc, corruption);
                     }
                 }
                 bytes += enc.wire_bytes();
@@ -112,48 +106,72 @@ pub(crate) fn process_uploads(
     };
     let compress_secs = compress_span.finish();
     trace::counter("sim.upload_bytes").add(upload_bytes as u64);
-    // The server quarantines anything malformed, non-finite, or
-    // norm-exploded before the backend sees it and reports the
-    // offender to the algorithm's freeloader-detection machinery.
+    // Uncompressed runs corrupt the dense floats directly (there is no
+    // other wire representation to damage).
+    if config.fault_plan.is_some() && config.upload_compressor.is_none() {
+        for u in &mut updates {
+            if let Some(FaultKind::Corrupt(corruption)) = fault_of[u.client] {
+                fault::apply_corruption(&mut u.delta, corruption);
+            }
+        }
+    }
+    // The server quarantines anything malformed — and, under a fault
+    // plan, anything non-finite or norm-exploded — before it reaches
+    // aggregation, and reports the offender to the algorithm's
+    // freeloader-detection machinery. Every encoding is checked, fault
+    // plan or not: the shard fold trusts an encoding's structure.
     // Quarantined uploads did arrive, so their bytes stay counted.
-    if let Some(plan) = &config.fault_plan {
-        // Uncompressed runs corrupt the dense floats directly (there
-        // is no other wire representation to damage).
-        if config.upload_compressor.is_none() {
-            for u in &mut updates {
-                if let Some(FaultKind::Corrupt(corruption)) = fault_of[u.client] {
-                    crate::fault::apply_corruption(&mut u.delta, corruption);
+    let mut accepted = Vec::with_capacity(updates.len());
+    for u in updates {
+        let verdict = match &config.fault_plan {
+            Some(plan) => plan.validation.validate(&u),
+            None => fault::check_encoding(&u),
+        };
+        match verdict {
+            Ok(()) => accepted.push(u),
+            Err(reason) => {
+                quarantined += 1;
+                trace::counter("sim.faults.rejected").incr();
+                if trace::active() {
+                    trace::emit(
+                        &trace::Event::new("fault")
+                            .with("round", round)
+                            .with("client", u.client)
+                            .with("fault", "quarantine")
+                            .with("reason", reason.label()),
+                    );
                 }
+                algorithm.report_invalid_update(u.client);
             }
-        }
-        for u in updates {
-            match plan.validation.validate(&u) {
-                Ok(()) => backend.accept_update(u),
-                Err(reason) => {
-                    quarantined += 1;
-                    trace::counter("sim.faults.rejected").incr();
-                    if trace::active() {
-                        trace::emit(
-                            &trace::Event::new("fault")
-                                .with("round", round)
-                                .with("client", u.client)
-                                .with("fault", "quarantine")
-                                .with("reason", reason.label()),
-                        );
-                    }
-                    backend.report_invalid_update(u.client, algorithm);
-                }
-            }
-        }
-    } else {
-        for u in updates {
-            backend.accept_update(u);
         }
     }
     UploadOutcome {
+        accepted,
         upload_bytes,
         deadline_cuts,
         quarantined,
         compress_secs,
     }
+}
+
+/// Aggregates the accepted uploads into the next global model: the one
+/// planned path, [`taco_core::aggregate_planned`] over
+/// [`taco_core::fold_shards`] shards, or the algorithm's own
+/// `aggregate` when it has no plan. `None` for an empty round, which
+/// holds the current model. The round's statistics and combine reuse
+/// one fold table, freed with the round.
+pub(crate) fn aggregate(
+    algorithm: &mut dyn FederatedAlgorithm,
+    global: &[f32],
+    updates: &[ClientUpdate],
+    hyper: &HyperParams,
+) -> Option<Vec<f32>> {
+    if updates.is_empty() {
+        return None;
+    }
+    let shards = taco_core::fold_shards(global.len());
+    let mut fold = ShardFold::default();
+    let planned =
+        taco_core::aggregate_planned(algorithm, global, updates, hyper, &mut fold, shards);
+    Some(planned.unwrap_or_else(|| algorithm.aggregate(global, updates, hyper)))
 }

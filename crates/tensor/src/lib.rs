@@ -18,10 +18,6 @@
 //! - [`ops`]: flat-vector helpers (`dot`, `norm`, `cosine_similarity`,
 //!   `axpy`, ...) used pervasively by the federated-learning algorithms,
 //!   which treat model parameters as flat `&[f32]` slices.
-//! - [`shard`]: contiguous dimension sharding with lock-striped,
-//!   double-buffered `f64` accumulators for the simulation's sharded
-//!   parameter-server backend; merge order is fixed so sharded
-//!   aggregation is bit-identical to the sequential fold.
 //! - [`rng`]: a deterministic xoshiro256++ PRNG with normal, gamma,
 //!   Dirichlet and categorical samplers (the offline `rand` crate does
 //!   not ship `rand_distr`, so the distributions needed by the paper's
@@ -49,7 +45,6 @@ pub mod ops;
 pub mod pool;
 pub mod rng;
 pub mod shape;
-pub mod shard;
 pub mod stats;
 mod tensor;
 

@@ -629,7 +629,7 @@ pub fn matvec(a: &Tensor, x: &[f32]) -> Vec<f32> {
 // --- Codec scale-accumulate kernels ---------------------------------------
 //
 // The upload codecs in `taco-core::compress` fold encoded payloads
-// directly into the sharded backend's `f64` accumulators without
+// directly into the server's shard-fold `f64` accumulators without
 // materializing an intermediate decoded `Vec<f32>`. Each kernel is a
 // purely elementwise `acc[j] += weight · decode(j)` pass — no
 // cross-lane reduction — so the AVX build is bit-identical to the

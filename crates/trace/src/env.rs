@@ -29,7 +29,7 @@ pub struct EnvVar {
 /// Every `TACO_*` variable the workspace recognizes. taco-check D8
 /// cross-checks this registry against all use sites and against the
 /// README/EXPERIMENTS docs in both directions.
-pub const REGISTRY: [EnvVar; 15] = [
+pub const REGISTRY: [EnvVar; 13] = [
     EnvVar {
         name: "TACO_TRACE",
         doc: "JSONL trace sink file path; unset/empty disables tracing",
@@ -37,14 +37,6 @@ pub const REGISTRY: [EnvVar; 15] = [
     EnvVar {
         name: "TACO_THREADS",
         doc: "worker-pool size (positive integer); default: available parallelism",
-    },
-    EnvVar {
-        name: "TACO_BACKEND",
-        doc: "aggregation backend: `sequential` (default) or `sharded`",
-    },
-    EnvVar {
-        name: "TACO_SHARDS",
-        doc: "shard count for the sharded backend (positive integer; default 8)",
     },
     EnvVar {
         name: "TACO_CODEC",
@@ -127,20 +119,6 @@ pub fn threads() -> Option<usize> {
             None
         }
     }
-}
-
-/// `TACO_BACKEND`: the raw backend name; interpretation (and the
-/// unknown-name warning) stays with `sim::backend`.
-pub fn backend_name() -> Option<String> {
-    raw("TACO_BACKEND")
-}
-
-/// `TACO_SHARDS`: shard count for the sharded backend; `None` when
-/// unset, unparseable, or zero.
-pub fn shards() -> Option<usize> {
-    raw("TACO_SHARDS")
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
 }
 
 /// `TACO_CODEC`: the raw upload-codec name; interpretation (and the
@@ -242,8 +220,6 @@ mod tests {
         // accessor must return its unset-shape instead of panicking.
         let _ = trace_path();
         let _ = threads();
-        let _ = backend_name();
-        let _ = shards();
         let _ = codec_name();
         let _ = scale_name();
         let _ = seeds();

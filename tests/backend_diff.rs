@@ -1,28 +1,33 @@
-//! Backend-equivalence differential suite (see `taco_sim::backend`).
+//! Aggregation-path differential suite (see
+//! `taco_core::aggregate_planned`).
 //!
-//! The sharded parameter-server backend carries a hard contract: at
-//! any shard count and any `TACO_THREADS`, every deterministic field
-//! of the round trajectory is **bit-identical** to the sequential
-//! reference. This suite enforces the contract differentially —
-//! sequential vs sharded across a shard × thread matrix, against the
-//! committed golden fixtures, and under fault injection where
-//! quarantine reports must produce the same strike/expulsion
-//! sequences — and writes a machine-readable report to
+//! The server aggregates every round through one order-fixed shard
+//! fold whose shard count it derives from the model size and the pool.
+//! The fold's contract: at any shard count and any `TACO_THREADS`,
+//! every deterministic field of a run is **bit-identical**. This suite
+//! enforces it for every algorithm in `taco_core` over shards
+//! {1, 3, 8} × threads {1, 4} — against the shards = 1 / threads = 1
+//! run, against the committed golden fixtures, and under fault
+//! injection, where quarantine strikes must expel the same clients —
+//! and writes a machine-readable report to
 //! `results/backend_diff_report.json` (archived by CI).
 //!
-//! Every run here pins its backend explicitly via
-//! [`SimConfig::with_backend`], so the comparisons are immune to the
-//! `TACO_BACKEND` environment matrix CI runs the rest of the tests
-//! under.
+//! The shard count goes through the fold's argument:
+//! [`common::fixed_shards`] wraps an algorithm so its aggregation folds
+//! over exactly that many shards, however small the model.
 
 mod common;
 
 use common::{
-    assert_values_close, check_against_golden, golden_run, history_value, mlp, tabular_fed,
+    assert_values_close, check_against_golden, fixed_shards, golden_run, history_value, mlp,
+    tabular_fed,
 };
 use taco::core::taco::TacoConfig;
-use taco::core::{AggWeighting, FedAvg, FederatedAlgorithm, HyperParams, Scaffold, Taco};
-use taco::sim::{BackendChoice, FaultPlan, History, SimConfig, Simulation};
+use taco::core::{
+    AggWeighting, FedAcg, FedAvg, FedDyn, FedNova, FedProx, FederatedAlgorithm, FoolsGold,
+    HyperParams, Scaffold, Stem, Taco, TailoredProx, TailoredScaffold,
+};
+use taco::sim::{FaultPlan, History, SimConfig, Simulation};
 use taco::tensor::pool::{self, Pool};
 use taco::trace::Value;
 
@@ -31,33 +36,50 @@ const THREAD_COUNTS: [usize; 2] = [1, 4];
 
 type AlgorithmMaker = fn() -> Box<dyn FederatedAlgorithm>;
 
-/// The three algorithm shapes the backends must agree on: a plain
-/// plan-based aggregator (FedAvg), the full TACO statistics pipeline
-/// (upload stats → α → weighted plan), and a plan-less algorithm
-/// (SCAFFOLD) that exercises the sharded backend's sequential
-/// fallback.
+/// Every algorithm in `taco_core`, configured for the golden run's
+/// four clients: the planning ones (FedAvg, FedProx, FoolsGold, TACO,
+/// FedProx+TACO) run the shard fold; the rest exercise the fallback to
+/// their own `aggregate`.
 fn algorithms() -> Vec<(&'static str, AlgorithmMaker)> {
     vec![
         ("FedAvg", || Box::new(FedAvg::new(AggWeighting::Uniform))),
+        ("FedProx", || Box::new(FedProx::new(0.1))),
+        ("FedNova", || Box::new(FedNova::default())),
+        ("FedDyn", || Box::new(FedDyn::new(4, 0.01))),
+        ("FoolsGold", || Box::new(FoolsGold::new())),
+        ("Scaffold", || Box::new(Scaffold::new(4, 1.0))),
+        ("STEM", || Box::new(Stem::new(0.5))),
+        ("FedACG", || Box::new(FedAcg::new(0.001))),
         ("TACO", || {
             Box::new(Taco::new(4, TacoConfig::paper_default(8, 6)))
         }),
-        ("Scaffold", || Box::new(Scaffold::new(4, 1.0))),
+        ("FedProx+TACO", || Box::new(TailoredProx::new(4, 0.1))),
+        ("Scaffold+TACO", || Box::new(TailoredScaffold::new(4))),
     ]
+}
+
+/// `f` on a fresh pool of `threads` workers.
+fn on_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    pool::with_pool(&Pool::new(threads), f)
 }
 
 #[test]
 fn trajectories_are_bit_identical_across_the_shard_thread_matrix() {
     let mut rows = Vec::new();
     for (name, make) in algorithms() {
-        let reference = golden_run(make(), false, Some(BackendChoice::Sequential));
+        let reference = on_pool(1, || golden_run(fixed_shards(make(), 1), false));
         let reference_value = history_value(&reference);
+        // The wrapper is transparent: the server's own shard count
+        // gives the same run.
+        assert_values_close(
+            &reference_value,
+            &history_value(&on_pool(1, || golden_run(make(), false))),
+            0.0,
+            &format!("{name}.unwrapped"),
+        );
         for shards in SHARD_COUNTS {
             for threads in THREAD_COUNTS {
-                let pool = Pool::new(threads);
-                let got = pool::with_pool(&pool, || {
-                    golden_run(make(), true, Some(BackendChoice::Sharded { shards }))
-                });
+                let got = on_pool(threads, || golden_run(fixed_shards(make(), shards), true));
                 let label = format!("{name}.shards{shards}.t{threads}");
                 assert_values_close(&reference_value, &history_value(&got), 0.0, &label);
                 rows.push(Value::object(vec![
@@ -72,7 +94,7 @@ fn trajectories_are_bit_identical_across_the_shard_thread_matrix() {
     }
     let report = Value::object(vec![
         ("suite".to_string(), Value::from("backend_diff")),
-        ("reference".to_string(), Value::from("sequential")),
+        ("reference".to_string(), Value::from("shards1.t1")),
         ("comparisons".to_string(), Value::Array(rows)),
     ]);
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
@@ -86,29 +108,32 @@ fn trajectories_are_bit_identical_across_the_shard_thread_matrix() {
 
 #[test]
 fn sharded_runs_match_the_committed_golden_fixtures() {
-    // The goldens were recorded on the sequential path; the sharded
-    // backend must reproduce the committed files exactly — shard-count
-    // equivalence is not just internal consistency but agreement with
-    // the frozen trajectory.
-    let h = golden_run(
-        Box::new(FedAvg::new(AggWeighting::Uniform)),
-        false,
-        Some(BackendChoice::Sharded { shards: 8 }),
-    );
-    check_against_golden("golden_fedavg.json", &h);
-    let h = golden_run(
-        Box::new(Taco::new(4, TacoConfig::paper_default(8, 6))),
-        false,
-        Some(BackendChoice::Sharded { shards: 3 }),
-    );
-    check_against_golden("golden_taco.json", &h);
+    // Shard-count equivalence is not just internal consistency: a
+    // multi-shard fold on a parallel pool must reproduce the committed
+    // trajectories exactly.
+    for threads in THREAD_COUNTS {
+        let h = on_pool(threads, || {
+            golden_run(
+                fixed_shards(Box::new(FedAvg::new(AggWeighting::Uniform)), 8),
+                false,
+            )
+        });
+        check_against_golden("golden_fedavg.json", &h);
+        let h = on_pool(threads, || {
+            golden_run(
+                fixed_shards(Box::new(Taco::new(4, TacoConfig::paper_default(8, 6))), 3),
+                false,
+            )
+        });
+        check_against_golden("golden_taco.json", &h);
+    }
 }
 
 /// A faulted TACO run: corruption past the validation norm cap (so
-/// uploads are quarantined and reported through the backend), plus
+/// uploads are quarantined and reported to the algorithm), plus
 /// stragglers behind a synchronous deadline, with detection enabled so
 /// quarantine strikes can expel clients.
-fn faulted_run(backend: BackendChoice) -> History {
+fn faulted_run(shards: usize) -> History {
     let clients = 6;
     let fed = tabular_fed(clients, 13, 0.4);
     let hyper = HyperParams::new(clients, 6, 0.05, 16);
@@ -118,47 +143,49 @@ fn faulted_run(backend: BackendChoice) -> History {
         .with_max_delta_norm(1e4)
         .with_stragglers(0.2, 4.0)
         .with_deadline(12.0, 1.0);
-    let config = SimConfig::new(hyper, 8, 13)
-        .with_fault_plan(plan)
-        .with_backend(backend);
+    let config = SimConfig::new(hyper, 8, 13).with_fault_plan(plan);
     let alg = Taco::new(
         clients,
         TacoConfig::paper_default(8, 6).with_detection(0.6, 1),
     );
-    Simulation::new(fed, mlp(13), Box::new(alg), config).run()
+    let alg = fixed_shards(Box::new(alg), shards);
+    Simulation::new(fed, mlp(13), alg, config).run()
 }
 
 #[test]
-fn fault_injection_interacts_identically_with_both_backends() {
-    let reference = faulted_run(BackendChoice::Sequential);
+fn fault_injection_interacts_identically_across_shard_counts() {
+    let reference = on_pool(1, || faulted_run(1));
     assert!(
         reference.rounds.iter().any(|r| r.updates_rejected > 0),
         "fault plan must reject uploads for this test to bite"
     );
     for shards in SHARD_COUNTS {
-        let got = faulted_run(BackendChoice::Sharded { shards });
-        assert_values_close(
-            &history_value(&reference),
-            &history_value(&got),
-            0.0,
-            &format!("faulted.shards{shards}"),
-        );
-        // Fault accounting and the strike/expulsion sequence are not
-        // part of history_value; compare them field by field.
-        for (ra, rb) in reference.rounds.iter().zip(&got.rounds) {
-            let r = ra.round;
-            assert_eq!(
-                ra.faults_injected, rb.faults_injected,
-                "shards{shards}: faults_injected @ round {r}"
+        for threads in THREAD_COUNTS {
+            let got = on_pool(threads, || faulted_run(shards));
+            let label = format!("faulted.shards{shards}.t{threads}");
+            assert_values_close(
+                &history_value(&reference),
+                &history_value(&got),
+                0.0,
+                &label,
             );
+            // Fault accounting and the strike/expulsion sequence are
+            // not part of history_value; compare them field by field.
+            for (ra, rb) in reference.rounds.iter().zip(&got.rounds) {
+                let r = ra.round;
+                assert_eq!(
+                    ra.faults_injected, rb.faults_injected,
+                    "{label}: faults_injected @ round {r}"
+                );
+                assert_eq!(
+                    ra.updates_rejected, rb.updates_rejected,
+                    "{label}: updates_rejected @ round {r}"
+                );
+            }
             assert_eq!(
-                ra.updates_rejected, rb.updates_rejected,
-                "shards{shards}: updates_rejected @ round {r}"
+                reference.expelled_clients, got.expelled_clients,
+                "{label}: expulsion sequence"
             );
         }
-        assert_eq!(
-            reference.expelled_clients, got.expelled_clients,
-            "shards{shards}: expulsion sequence"
-        );
     }
 }

@@ -1,13 +1,17 @@
 //! Shared harness for the integration suites: fixed-seed federated
-//! workloads, deterministic history serialization, and the golden
-//! fixture comparison used by `end_to_end.rs` (trajectory regression)
-//! and `backend_diff.rs` (backend equivalence).
+//! workloads, a fixed-shard-count algorithm wrapper, deterministic
+//! history serialization, and the golden fixture comparison used by
+//! `end_to_end.rs` (trajectory regression) and `backend_diff.rs`
+//! (shard/thread equivalence of the aggregation path).
 #![allow(dead_code)] // each test binary uses a subset
 
-use taco::core::{FederatedAlgorithm, HyperParams};
+use taco::core::{
+    aggregate_planned, ClientUpdate, CostProfile, FederatedAlgorithm, HyperParams, LocalRule,
+    ShardFold,
+};
 use taco::data::{partition, tabular, FederatedDataset};
 use taco::nn::{Mlp, Model};
-use taco::sim::{BackendChoice, History, SimConfig, Simulation};
+use taco::sim::{History, SimConfig, Simulation};
 use taco::tensor::Prng;
 use taco::trace::{json, Value};
 
@@ -27,16 +31,86 @@ pub fn mlp(seed: u64) -> Box<dyn Model> {
     Box::new(Mlp::new(14, &[16, 8], 2, &mut rng))
 }
 
+/// Runs the server's aggregation path — [`aggregate_planned`], or the
+/// algorithm's own `aggregate` when it has no plan — over a fixed
+/// shard count instead of the one the server derives from the model
+/// size. Every other method forwards to the wrapped algorithm, so a
+/// run sees the same algorithm; the simulation finds no plan on the
+/// wrapper and calls its `aggregate`, where the fold runs with
+/// `shards`.
+pub struct FixedShards {
+    inner: Box<dyn FederatedAlgorithm>,
+    shards: usize,
+    fold: ShardFold,
+}
+
+/// Wraps `inner` so its aggregation folds over exactly `shards` shards.
+pub fn fixed_shards(
+    inner: Box<dyn FederatedAlgorithm>,
+    shards: usize,
+) -> Box<dyn FederatedAlgorithm> {
+    Box::new(FixedShards {
+        inner,
+        shards,
+        fold: ShardFold::default(),
+    })
+}
+
+impl FederatedAlgorithm for FixedShards {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn begin_round(&mut self, round: usize, global: &[f32]) {
+        self.inner.begin_round(round, global);
+    }
+    fn local_rule(&self, client: usize, global: &[f32]) -> LocalRule {
+        self.inner.local_rule(client, global)
+    }
+    fn aggregate(
+        &mut self,
+        global: &[f32],
+        updates: &[ClientUpdate],
+        hyper: &HyperParams,
+    ) -> Vec<f32> {
+        let inner = self.inner.as_mut();
+        aggregate_planned(inner, global, updates, hyper, &mut self.fold, self.shards)
+            .unwrap_or_else(|| self.inner.aggregate(global, updates, hyper))
+    }
+    fn output_params(&self, global: &[f32]) -> Vec<f32> {
+        self.inner.output_params(global)
+    }
+    fn expelled(&self) -> Vec<usize> {
+        self.inner.expelled()
+    }
+    fn suspected(&self) -> Vec<usize> {
+        self.inner.suspected()
+    }
+    fn client_joined(&mut self, client: usize) {
+        self.inner.client_joined(client);
+    }
+    fn client_departed(&mut self, client: usize) {
+        self.inner.client_departed(client);
+    }
+    fn tracked_client_states(&self) -> usize {
+        self.inner.tracked_client_states()
+    }
+    fn report_invalid_update(&mut self, client: usize) {
+        self.inner.report_invalid_update(client);
+    }
+    fn alphas(&self) -> Option<&[f32]> {
+        self.inner.alphas()
+    }
+    fn uploads_momentum(&self) -> bool {
+        self.inner.uploads_momentum()
+    }
+    fn cost_profile(&self) -> CostProfile {
+        self.inner.cost_profile()
+    }
+}
+
 /// The canonical golden-fixture run: 4 clients, 8 rounds, seed 11.
-/// `backend` of `None` keeps `SimConfig`'s environment default
-/// (`TACO_BACKEND`); the differential suite passes explicit choices so
-/// its comparisons are immune to the CI backend matrix.
-pub fn golden_run(
-    alg: Box<dyn FederatedAlgorithm>,
-    parallel: bool,
-    backend: Option<BackendChoice>,
-) -> History {
-    golden_run_configured(alg, parallel, backend, |c| c)
+pub fn golden_run(alg: Box<dyn FederatedAlgorithm>, parallel: bool) -> History {
+    golden_run_configured(alg, parallel, |c| c)
 }
 
 /// [`golden_run`] with a config decorator, for suites that must prove
@@ -45,7 +119,6 @@ pub fn golden_run(
 pub fn golden_run_configured(
     alg: Box<dyn FederatedAlgorithm>,
     parallel: bool,
-    backend: Option<BackendChoice>,
     decorate: impl FnOnce(SimConfig) -> SimConfig,
 ) -> History {
     let clients = 4;
@@ -53,9 +126,6 @@ pub fn golden_run_configured(
     let hyper = HyperParams::new(clients, 6, 0.05, 16);
     let mut config = SimConfig::new(hyper, 8, 11);
     config.parallel = parallel;
-    if let Some(b) = backend {
-        config = config.with_backend(b);
-    }
     Simulation::new(fed, mlp(11), alg, decorate(config)).run()
 }
 

@@ -153,7 +153,8 @@ fn taco_alphas_stay_in_unit_interval_all_run() {
 // ---------------------------------------------------------------------------
 // Golden-trajectory regression: fixed-seed runs serialized round by
 // round and compared against checked-in fixtures (the harness lives in
-// `tests/common/mod.rs`, shared with the backend-differential suite).
+// `tests/common/mod.rs`, shared with the shard/thread differential
+// suite in `backend_diff.rs`).
 // Any unintended change to kernels, data generation, client
 // scheduling, or aggregation shows up as a trajectory diff here.
 // Regenerate after an *intended* change with
@@ -165,7 +166,7 @@ use taco::tensor::pool::{self, Pool};
 
 #[test]
 fn golden_trajectory_fedavg_matches_fixture() {
-    let h = golden_run(Box::new(FedAvg::new(AggWeighting::Uniform)), false, None);
+    let h = golden_run(Box::new(FedAvg::new(AggWeighting::Uniform)), false);
     check_against_golden("golden_fedavg.json", &h);
 }
 
@@ -174,7 +175,6 @@ fn golden_trajectory_taco_matches_fixture() {
     let h = golden_run(
         Box::new(Taco::new(4, TacoConfig::paper_default(8, 6))),
         false,
-        None,
     );
     check_against_golden("golden_taco.json", &h);
 }
@@ -188,8 +188,8 @@ fn golden_trajectory_is_thread_count_invariant() {
     let p1 = Pool::new(1);
     let p8 = Pool::new(8);
     let make = || Box::new(Taco::new(4, TacoConfig::paper_default(8, 6)));
-    let h1 = pool::with_pool(&p1, || golden_run(make(), true, None));
-    let h8 = pool::with_pool(&p8, || golden_run(make(), true, None));
+    let h1 = pool::with_pool(&p1, || golden_run(make(), true));
+    let h8 = pool::with_pool(&p8, || golden_run(make(), true));
     assert_values_close(&history_value(&h1), &history_value(&h8), 0.0, "t1_vs_t8");
     check_against_golden("golden_taco.json", &h8);
 }

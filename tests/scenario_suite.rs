@@ -1,21 +1,20 @@
 //! Scenario-suite integration tests: churn × expulsion interaction,
 //! per-client state retirement under churn, bit-identity of attacked
-//! runs across the thread/backend matrix, and proof that inert
+//! runs across the thread × shard-count matrix, and proof that inert
 //! adversary/churn/drift plans leave the committed golden fixtures
 //! byte-identical.
 
 mod common;
 
 use common::{
-    assert_values_close, check_against_golden, golden_run_configured, history_value, mlp,
-    tabular_fed,
+    assert_values_close, check_against_golden, fixed_shards, golden_run_configured, history_value,
+    mlp, tabular_fed,
 };
 use taco::core::taco::TacoConfig;
 use taco::core::{AggWeighting, FedAvg, FoolsGold, HyperParams, Taco};
 use taco::data::partition::DriftSchedule;
 use taco::sim::{
-    detection, AdversaryPlan, BackendChoice, ChurnTrace, ClientBehavior, FaultPlan, History,
-    SimConfig, Simulation,
+    detection, AdversaryPlan, ChurnTrace, ClientBehavior, FaultPlan, History, SimConfig, Simulation,
 };
 use taco::tensor::pool::{self, Pool};
 
@@ -126,7 +125,7 @@ fn colluders_show_up_on_the_detection_curves() {
     assert_eq!(last.fpr, 0.0, "no honest client flagged");
 }
 
-fn adversarial_history(parallel: bool, backend: BackendChoice) -> History {
+fn adversarial_history(parallel: bool, shards: usize) -> History {
     let clients = 4;
     let hyper = HyperParams::new(clients, 6, 0.05, 16);
     let mut config = SimConfig::new(hyper, 8, 11)
@@ -138,46 +137,45 @@ fn adversarial_history(parallel: bool, backend: BackendChoice) -> History {
         ])
         .with_adversary(AdversaryPlan::new().starting_at(2))
         .with_churn(ChurnTrace::new(clients).departs(3, 4).joins(3, 6))
-        .with_drift(DriftSchedule::new(0.5, 0.2, 3, 8))
-        .with_backend(backend);
+        .with_drift(DriftSchedule::new(0.5, 0.2, 3, 8));
     config.parallel = parallel;
     Simulation::new(
         tabular_fed(clients, 11, 0.3),
         mlp(11),
-        Box::new(Taco::new(clients, TacoConfig::paper_default(8, 6))),
+        fixed_shards(
+            Box::new(Taco::new(clients, TacoConfig::paper_default(8, 6))),
+            shards,
+        ),
         config,
     )
     .run()
 }
 
 /// An attacked, churning, drifting run is bit-identical across the
-/// thread × backend matrix: attacks are applied to sorted updates from
-/// per-client seeded streams, so neither the worker pool size nor the
-/// sharded parameter server may perturb a single bit.
+/// thread × shard-count matrix: attacks are applied to sorted updates
+/// from per-client seeded streams, so neither the worker pool size nor
+/// the aggregation's shard count may perturb a single bit.
 #[test]
-fn attacked_runs_are_bit_identical_across_threads_and_backends() {
-    let reference = adversarial_history(false, BackendChoice::Sequential);
+fn attacked_runs_are_bit_identical_across_threads_and_shard_counts() {
+    let reference = pool::with_pool(&Pool::new(1), || adversarial_history(false, 1));
     let golden = history_value(&reference);
     assert!(
         reference.total_attacks_applied() > 0,
         "scenario applies no attacks; the matrix would prove nothing"
     );
     for &threads in &[1usize, 4] {
-        for &backend in &[
-            BackendChoice::Sequential,
-            BackendChoice::Sharded { shards: 3 },
-        ] {
-            let got = pool::with_pool(&Pool::new(threads), || adversarial_history(true, backend));
+        for shards in [1usize, 3] {
+            let got = pool::with_pool(&Pool::new(threads), || adversarial_history(true, shards));
             assert_eq!(
                 got.total_attacks_applied(),
                 reference.total_attacks_applied(),
-                "attack count drifted (threads={threads}, {backend:?})"
+                "attack count drifted (threads={threads}, shards={shards})"
             );
             assert_values_close(
                 &golden,
                 &history_value(&got),
                 0.0,
-                &format!("threads={threads}/{backend:?}"),
+                &format!("threads={threads}/shards={shards}"),
             );
         }
     }
@@ -185,8 +183,8 @@ fn attacked_runs_are_bit_identical_across_threads_and_backends() {
 
 /// Attaching inert plans — an empty adversary plan over all-honest
 /// behaviours, a churn trace with no events, an inert drift schedule —
-/// must leave the committed golden fixtures byte-identical on both
-/// backends.
+/// must leave the committed golden fixtures byte-identical at any
+/// shard count.
 #[test]
 fn inert_plans_leave_the_goldens_untouched() {
     let inert = |c: SimConfig| {
@@ -194,21 +192,19 @@ fn inert_plans_leave_the_goldens_untouched() {
             .with_churn(ChurnTrace::new(4))
             .with_drift(DriftSchedule::inert())
     };
-    for &backend in &[
-        BackendChoice::Sequential,
-        BackendChoice::Sharded { shards: 3 },
-    ] {
+    for shards in [1usize, 3] {
         let h = golden_run_configured(
-            Box::new(FedAvg::new(AggWeighting::Uniform)),
+            fixed_shards(Box::new(FedAvg::new(AggWeighting::Uniform)), shards),
             true,
-            Some(backend),
             inert,
         );
         check_against_golden("golden_fedavg.json", &h);
         let h = golden_run_configured(
-            Box::new(Taco::new(4, TacoConfig::paper_default(8, 6))),
+            fixed_shards(
+                Box::new(Taco::new(4, TacoConfig::paper_default(8, 6))),
+                shards,
+            ),
             true,
-            Some(backend),
             inert,
         );
         check_against_golden("golden_taco.json", &h);
