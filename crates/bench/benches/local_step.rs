@@ -34,7 +34,7 @@ fn rules(dim: usize) -> Vec<(&'static str, LocalRule)> {
             "fedprox",
             LocalRule::Prox {
                 lambda: 0.1,
-                anchor: vec![0.0; dim],
+                anchor: vec![0.0; dim].into(),
             },
         ),
         (

@@ -250,8 +250,10 @@ pub struct CostProfile {
 /// 1. [`FederatedAlgorithm::begin_round`] with the current global
 ///    parameters;
 /// 2. [`FederatedAlgorithm::local_rule`] for every participating
-///    client, whose result is interpreted by
-///    [`crate::update::run_local_steps`] on the client's model/shard;
+///    client, with the same global parameters, whose result is
+///    interpreted by [`crate::update::run_local_steps`] on the
+///    client's model/shard (a round-constant vector such as a proximal
+///    anchor can therefore be built once in `begin_round` and shared);
 /// 3. [`aggregate_planned`] with all uploads — statistics, plan, shard
 ///    fold, commit — or, for an algorithm without a plan, its own
 ///    [`FederatedAlgorithm::aggregate`].

@@ -3,6 +3,7 @@
 use crate::algorithm::{CostProfile, FederatedAlgorithm};
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
+use std::sync::Arc;
 use taco_tensor::ops;
 
 /// FedACG: the server maintains a global momentum `m_t`; every client
@@ -23,6 +24,10 @@ pub struct FedAcg {
     momentum_decay: f32,
     /// Global momentum `m_t` in parameter units; empty until sized.
     momentum: Vec<f32>,
+    /// This round's look-ahead anchor `w_t + m_t`, shared by every
+    /// client's rule: built in `begin_round`, dropped when the round
+    /// aggregates.
+    anchor: Option<Arc<[f32]>>,
 }
 
 impl FedAcg {
@@ -42,6 +47,7 @@ impl FedAcg {
             beta,
             momentum_decay: 0.85,
             momentum: Vec::new(),
+            anchor: None,
         }
     }
 
@@ -69,6 +75,16 @@ impl FedAcg {
             self.momentum = vec![0.0; dim];
         }
     }
+
+    /// The look-ahead anchor `w_t + m_t` (`w_t` before the momentum
+    /// is sized).
+    fn look_ahead(&self, global: &[f32]) -> Arc<[f32]> {
+        if self.momentum.len() == global.len() {
+            ops::add(global, &self.momentum).into()
+        } else {
+            global.into()
+        }
+    }
 }
 
 impl FederatedAlgorithm for FedAcg {
@@ -78,18 +94,13 @@ impl FederatedAlgorithm for FedAcg {
 
     fn begin_round(&mut self, _round: usize, global: &[f32]) {
         self.ensure_dim(global.len());
+        self.anchor = Some(self.look_ahead(global));
     }
 
     fn local_rule(&self, _client: usize, global: &[f32]) -> LocalRule {
-        let anchor = if self.momentum.len() == global.len() {
-            // Look-ahead anchor w_t + m_t.
-            ops::add(global, &self.momentum)
-        } else {
-            global.to_vec()
-        };
         LocalRule::Prox {
             lambda: self.beta,
-            anchor,
+            anchor: crate::update::round_anchor(&self.anchor, global, || self.look_ahead(global)),
         }
     }
 
@@ -101,6 +112,7 @@ impl FederatedAlgorithm for FedAcg {
     ) -> Vec<f32> {
         assert!(!updates.is_empty(), "aggregate with no updates");
         self.ensure_dim(global.len());
+        self.anchor = None;
         // Data-weighted mean of Δ_i, in gradient units.
         let weights: Vec<f32> = updates.iter().map(|u| u.num_samples as f32).collect();
         let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();

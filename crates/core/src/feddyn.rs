@@ -26,6 +26,7 @@
 use crate::algorithm::{CostProfile, FederatedAlgorithm};
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
+use std::sync::Arc;
 use taco_tensor::ops;
 
 /// FedDyn with uniform regularization strength `α`.
@@ -34,6 +35,9 @@ pub struct FedDyn {
     alpha: f32,
     /// Per-client correction states `h_i` (lazily sized).
     h_clients: Vec<Vec<f32>>,
+    /// This round's proximal anchor, shared by every client's rule:
+    /// built in `begin_round`, dropped when the round aggregates.
+    anchor: Option<Arc<[f32]>>,
 }
 
 impl FedDyn {
@@ -52,6 +56,7 @@ impl FedDyn {
         FedDyn {
             alpha,
             h_clients: vec![Vec::new(); num_clients],
+            anchor: None,
         }
     }
 
@@ -81,6 +86,7 @@ impl FederatedAlgorithm for FedDyn {
 
     fn begin_round(&mut self, _round: usize, global: &[f32]) {
         self.ensure_dim(global.len());
+        self.anchor = Some(global.into());
     }
 
     fn local_rule(&self, client: usize, global: &[f32]) -> LocalRule {
@@ -91,7 +97,7 @@ impl FederatedAlgorithm for FedDyn {
         };
         LocalRule::ProxCorrection {
             lambda: self.alpha,
-            anchor: global.to_vec(),
+            anchor: crate::update::round_anchor(&self.anchor, global, || global.into()),
             term,
         }
     }
@@ -104,6 +110,7 @@ impl FederatedAlgorithm for FedDyn {
     ) -> Vec<f32> {
         assert!(!updates.is_empty(), "aggregate with no updates");
         self.ensure_dim(global.len());
+        self.anchor = None;
         // h_i ← h_i + α·Δ_i  (Δ_i = w_t − w_i, i.e. −drift).
         for u in updates {
             let h = &mut self.h_clients[u.client];

@@ -5,6 +5,7 @@ use crate::algorithm::{
 };
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
+use std::sync::Arc;
 
 /// FedProx: each client minimizes
 /// `f_i(w) + (ζ/2)‖w − w_t‖²` (Algorithm 1, line 4), which adds the
@@ -15,6 +16,9 @@ use crate::update::{ClientUpdate, LocalRule};
 pub struct FedProx {
     zeta: f32,
     weighting: AggWeighting,
+    /// This round's proximal anchor, shared by every client's rule:
+    /// built in `begin_round`, dropped when the round aggregates.
+    anchor: Option<Arc<[f32]>>,
 }
 
 impl FedProx {
@@ -32,6 +36,7 @@ impl FedProx {
         FedProx {
             zeta,
             weighting: AggWeighting::Uniform,
+            anchor: None,
         }
     }
 
@@ -46,10 +51,14 @@ impl FederatedAlgorithm for FedProx {
         "FedProx"
     }
 
+    fn begin_round(&mut self, _round: usize, global: &[f32]) {
+        self.anchor = Some(global.into());
+    }
+
     fn local_rule(&self, _client: usize, global: &[f32]) -> LocalRule {
         LocalRule::Prox {
             lambda: self.zeta,
-            anchor: global.to_vec(),
+            anchor: crate::update::round_anchor(&self.anchor, global, || global.into()),
         }
     }
 
@@ -60,6 +69,7 @@ impl FederatedAlgorithm for FedProx {
         _stats: Option<&UploadStats>,
         hyper: &HyperParams,
     ) -> Option<WeightedCombine> {
+        self.anchor = None;
         Some(fedavg_plan(updates, hyper, self.weighting))
     }
 
@@ -83,7 +93,7 @@ mod tests {
         match rule {
             LocalRule::Prox { lambda, anchor } => {
                 assert_eq!(lambda, 0.1);
-                assert_eq!(anchor, vec![1.0, 2.0]);
+                assert_eq!(*anchor, [1.0, 2.0]);
             }
             other => panic!("unexpected rule {other:?}"),
         }

@@ -20,12 +20,16 @@ use crate::alpha::{self, AlphaVariant};
 use crate::hyper::HyperParams;
 use crate::scaffold::Scaffold;
 use crate::update::{ClientUpdate, LocalRule};
+use std::sync::Arc;
 
 /// FedProx with tailored per-client proximal strengths (Fig. 6).
 #[derive(Debug, Clone)]
 pub struct TailoredProx {
     zeta: f32,
     alphas: Vec<f32>,
+    /// This round's proximal anchor, shared by every client's rule:
+    /// built in `begin_round`, dropped when the round aggregates.
+    anchor: Option<Arc<[f32]>>,
 }
 
 impl TailoredProx {
@@ -44,6 +48,7 @@ impl TailoredProx {
         TailoredProx {
             zeta,
             alphas: vec![0.1; num_clients],
+            anchor: None,
         }
     }
 }
@@ -53,10 +58,14 @@ impl FederatedAlgorithm for TailoredProx {
         "FedProx+TACO"
     }
 
+    fn begin_round(&mut self, _round: usize, global: &[f32]) {
+        self.anchor = Some(global.into());
+    }
+
     fn local_rule(&self, client: usize, global: &[f32]) -> LocalRule {
         LocalRule::Prox {
             lambda: self.zeta * (1.0 - self.alphas[client]),
-            anchor: global.to_vec(),
+            anchor: crate::update::round_anchor(&self.anchor, global, || global.into()),
         }
     }
 
@@ -71,6 +80,7 @@ impl FederatedAlgorithm for TailoredProx {
         stats: Option<&UploadStats>,
         hyper: &HyperParams,
     ) -> Option<WeightedCombine> {
+        self.anchor = None;
         let stats = stats?;
         let new_alphas =
             alpha::coefficients_from_stats(&stats.norms, &stats.cosines, AlphaVariant::Full);
@@ -128,11 +138,9 @@ impl FederatedAlgorithm for TailoredScaffold {
 
     fn local_rule(&self, client: usize, global: &[f32]) -> LocalRule {
         match self.inner.local_rule(client, global) {
-            LocalRule::Correction { term } => {
-                let factor = 1.0 - self.alphas[client];
-                LocalRule::Correction {
-                    term: taco_tensor::ops::scaled(&term, factor),
-                }
+            LocalRule::Correction { mut term } => {
+                taco_tensor::ops::scale(&mut term, 1.0 - self.alphas[client]);
+                LocalRule::Correction { term }
             }
             other => other,
         }

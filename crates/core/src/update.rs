@@ -6,6 +6,8 @@
 //! share one loop and differ only in the effective gradient
 //! `v_{i,k}` they apply at each step.
 
+use std::sync::Arc;
+
 use taco_data::Dataset;
 use taco_nn::Model;
 use taco_tensor::{ops, Prng};
@@ -17,19 +19,33 @@ pub enum LocalRule {
     PlainSgd,
     /// `v = g + lambda · (w − anchor)` — the gradient of an L2
     /// proximal term `(λ/2)‖w − anchor‖²`. FedProx uses
-    /// `anchor = w_t`; FedACG uses `anchor = w_t + m_t`.
+    /// `anchor = w_t`; FedACG uses `anchor = w_t + m_t`. The anchor
+    /// is the same for every client of a round, so they share one
+    /// buffer.
     Prox {
         /// Regularization strength (`ζ` in FedProx, `β` in FedACG).
         lambda: f32,
         /// Proximal anchor point.
-        anchor: Vec<f32>,
+        anchor: Arc<[f32]>,
     },
-    /// `v = g + term` — a correction vector held constant across the
-    /// round. SCAFFOLD uses `term = α(c_t − c_i^t)`; TACO uses
-    /// `term = γ(1−α_i^t)Δ_t` (Eq. 8).
+    /// `v = g + term` — a per-client correction vector held constant
+    /// across the round. SCAFFOLD uses `term = α(c_t − c_i^t)`.
     Correction {
         /// The additive correction vector.
         term: Vec<f32>,
+    },
+    /// `v = g + factor · direction` — a round-constant direction
+    /// shared by every client, scaled by a per-client factor. TACO
+    /// uses `direction = Δ_t`, `factor = γ(1−α_i^t)` (Eq. 8). Applied
+    /// as `v[j] += factor · direction[j]`, bit-identical to
+    /// [`LocalRule::Correction`] with `term = factor · direction`:
+    /// Rust does not contract `a·b + c` to a fused multiply-add, and
+    /// `1·x` is exact.
+    ScaledCorrection {
+        /// The shared direction.
+        direction: Arc<[f32]>,
+        /// This client's scale on `direction`.
+        factor: f32,
     },
     /// STEM's recursive two-gradient momentum:
     /// `v_{i,k} = g_{i,k} + (1−α)(v_{i,k−1} − ∇f_i(w_{i,k−1}, ξ_{i,k}))`.
@@ -46,7 +62,7 @@ pub enum LocalRule {
         /// Proximal strength.
         lambda: f32,
         /// Proximal anchor point.
-        anchor: Vec<f32>,
+        anchor: Arc<[f32]>,
         /// Constant additive correction.
         term: Vec<f32>,
     },
@@ -59,6 +75,22 @@ impl LocalRule {
             LocalRule::StemMomentum { .. } => 2,
             _ => 1,
         }
+    }
+}
+
+/// The round's shared anchor when one was built for `global`'s
+/// dimension, else a fresh one from `build`. Algorithms build the
+/// anchor once in `begin_round` and drop it when the round
+/// aggregates, so every client of a round shares one buffer while a
+/// rule asked for outside a round still gets a correct anchor.
+pub(crate) fn round_anchor(
+    anchor: &Option<Arc<[f32]>>,
+    global: &[f32],
+    build: impl FnOnce() -> Arc<[f32]>,
+) -> Arc<[f32]> {
+    match anchor {
+        Some(a) if a.len() == global.len() => Arc::clone(a),
+        _ => build(),
     }
 }
 
@@ -154,11 +186,15 @@ pub fn run_local_steps(
     if let LocalRule::Correction { term } = rule {
         assert_eq!(term.len(), dim, "correction term length mismatch");
     }
+    if let LocalRule::ScaledCorrection { direction, .. } = rule {
+        assert_eq!(direction.len(), dim, "correction direction length mismatch");
+    }
     if let LocalRule::ProxCorrection { anchor, term, .. } = rule {
         assert_eq!(anchor.len(), dim, "prox anchor length mismatch");
         assert_eq!(term.len(), dim, "correction term length mismatch");
     }
-    let w0 = w.clone();
+    // `w_{i,0}`; overwritten in place with the delta at the end.
+    let mut delta = w.clone();
     let mut loss_sum = 0.0f64;
     let mut grad_evals = 0usize;
     let mut prev_w: Vec<f32> = Vec::new();
@@ -180,6 +216,11 @@ pub fn run_local_steps(
             LocalRule::Correction { term } => {
                 let mut v = g;
                 ops::axpy(&mut v, 1.0, term);
+                v
+            }
+            LocalRule::ScaledCorrection { direction, factor } => {
+                let mut v = g;
+                ops::axpy(&mut v, *factor, direction);
                 v
             }
             LocalRule::ProxCorrection {
@@ -217,7 +258,9 @@ pub fn run_local_steps(
         ops::axpy(&mut w, -eta_l, &v);
         model.set_params(&w);
     }
-    let delta = ops::sub(&w0, &w);
+    for (d, &wk) in delta.iter_mut().zip(&w) {
+        *d -= wk;
+    }
     LocalOutcome {
         delta,
         final_v: if matches!(rule, LocalRule::StemMomentum { .. }) {
@@ -284,7 +327,7 @@ mod tests {
             &data,
             &LocalRule::Prox {
                 lambda: 1000.0,
-                anchor: anchor.clone(),
+                anchor: anchor.into(),
             },
             10,
             0.0005,
@@ -328,6 +371,49 @@ mod tests {
         );
         let cos = ops::cosine_similarity(&out.delta, &term);
         assert!(cos > 0.99, "delta not aligned with correction: cos {cos}");
+    }
+
+    /// Every field of a [`LocalOutcome`] as raw bits, so signed zeros
+    /// and NaN payloads compare exactly.
+    fn outcome_bits(o: &LocalOutcome) -> (Vec<u32>, u32, usize, usize) {
+        (
+            o.delta.iter().map(|x| x.to_bits()).collect(),
+            o.mean_loss.to_bits(),
+            o.grad_evals,
+            o.steps,
+        )
+    }
+
+    #[test]
+    fn scaled_correction_matches_the_materialized_term_bitwise() {
+        let (mut model, _, _) = fixture();
+        let dim = model.param_count();
+        let mut drng = Prng::seed_from_u64(11);
+        let mut direction: Vec<f32> = (0..dim).map(|_| drng.normal_f32()).collect();
+        // Signed zeros in the direction: `factor · ±0` must keep the
+        // same sign the materialized term would.
+        direction[0] = 0.0;
+        direction[1] = -0.0;
+        let direction: Arc<[f32]> = direction.into();
+        for factor in [0.37f32, -0.81, 0.0, -0.0, 1.0, -1.0, 1e-30] {
+            let run = |rule: &LocalRule| {
+                let (mut m, data, mut rng) = fixture();
+                run_local_steps(&mut m, &data, rule, 6, 0.05, 4, &mut rng)
+            };
+            let shared = run(&LocalRule::ScaledCorrection {
+                direction: Arc::clone(&direction),
+                factor,
+            });
+            let owned = run(&LocalRule::Correction {
+                term: ops::scaled(&direction, factor),
+            });
+            assert_eq!(
+                outcome_bits(&shared),
+                outcome_bits(&owned),
+                "factor {factor}"
+            );
+            assert!(shared.final_v.is_none());
+        }
     }
 
     #[test]
@@ -401,7 +487,7 @@ mod tests {
             &data,
             &LocalRule::Prox {
                 lambda: 0.1,
-                anchor: vec![0.0; 3],
+                anchor: vec![0.0; 3].into(),
             },
             1,
             0.1,

@@ -29,6 +29,14 @@ pub trait Model: Send + Sync {
 
     /// Overwrites the parameters from a flat vector.
     ///
+    /// The parameters fully determine the model's behaviour: no hidden
+    /// state (activation caches, gradient accumulators, recurrent
+    /// state) survives `set_params` into later calls. A model that
+    /// already trained one client and was reset with `set_params(g)`
+    /// therefore computes bit-identical results to a fresh
+    /// [`Model::clone_model`] reset with `set_params(g)`, which lets
+    /// the simulator reuse one model for many clients.
+    ///
     /// # Panics
     ///
     /// Panics if `params.len() != self.param_count()`.
@@ -44,8 +52,8 @@ pub trait Model: Send + Sync {
     fn loss_and_accuracy(&mut self, batch: &Batch) -> (f32, f32);
 
     /// Creates a fresh boxed clone of this model (same architecture and
-    /// parameters). Used by the simulator to hand each client thread
-    /// its own instance.
+    /// parameters). Used by the simulator to hand each pool task its
+    /// own instance, which then serves that task's clients in turn.
     fn clone_model(&self) -> Box<dyn Model>;
 }
 

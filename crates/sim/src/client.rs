@@ -1,6 +1,8 @@
 //! Client-side execution: deterministic per-client RNG derivation and
 //! local-step jobs run sequentially or on the shared worker pool.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use taco_core::{update, ClientUpdate, HyperParams, LocalRule};
 use taco_data::FederatedDataset;
 use taco_nn::Model;
@@ -25,12 +27,20 @@ pub(crate) fn client_rng(seed: u64, round: usize, client: usize) -> Prng {
 }
 
 /// Executes honest-client jobs, sequentially or on the shared worker
-/// pool ([`taco_tensor::pool`]). One job is one pool task; tensor
-/// kernels invoked inside a pooled job detect they're on a worker
-/// thread and run inline, so clients and kernels share the same
-/// `TACO_THREADS` budget instead of oversubscribing. With
-/// `TACO_THREADS=1` (or [`crate::SimConfig::sequential`]) everything
-/// runs on the caller; histories are bit-identical either way.
+/// pool ([`taco_tensor::pool`]). The pool runs at most
+/// `pool::threads()` tasks; each clones the prototype once, on its
+/// first job, and then claims jobs one at a time from a shared
+/// counter, resetting its model with `set_params(global)` before every
+/// client. Claiming one job at a time keeps the threads busy until the
+/// last client finishes. Tensor kernels invoked inside a pooled task
+/// detect they're on a worker thread and run inline, so clients and
+/// kernels share the same `TACO_THREADS` budget instead of
+/// oversubscribing. With `TACO_THREADS=1` (or
+/// [`crate::SimConfig::sequential`]) everything runs on the caller.
+/// Results come back in job order and are bit-identical whichever task
+/// ran a job: each client re-seeds its RNG from [`client_rng`] and
+/// starts from `global`, and a model's parameters fully determine its
+/// behaviour ([`Model::set_params`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_jobs(
     prototype: &dyn Model,
@@ -42,14 +52,13 @@ pub(crate) fn execute_jobs(
     seed: u64,
     parallel: bool,
 ) -> Vec<ClientUpdate> {
-    let run_one = move |job: &ClientJob| -> ClientUpdate {
+    let run_one = move |model: &mut dyn Model, job: &ClientJob| -> ClientUpdate {
         let span = trace::span!(
             crate::phase::CLIENT_STEP,
             round = round,
             client = job.client,
             steps = job.steps
         );
-        let mut model = prototype.clone_model();
         model.set_params(global);
         let mut rng = client_rng(seed, round, job.client);
         // Wall-clock time is read only through taco-trace spans
@@ -57,7 +66,7 @@ pub(crate) fn execute_jobs(
         // histogram and hands back the measured duration.
         let compute_span = trace::Span::quiet(crate::phase::CLIENT_COMPUTE);
         let outcome = update::run_local_steps(
-            &mut *model,
+            model,
             fed.client(job.client),
             &job.rule,
             job.steps,
@@ -71,17 +80,26 @@ pub(crate) fn execute_jobs(
         drop(span);
         u
     };
-    if !parallel || jobs.len() <= 1 || taco_tensor::pool::threads() <= 1 {
-        return jobs.iter().map(run_one).collect();
+    let threads = taco_tensor::pool::threads();
+    if !parallel || jobs.len() <= 1 || threads <= 1 {
+        let mut model = prototype.clone_model();
+        return jobs.iter().map(|job| run_one(&mut *model, job)).collect();
     }
-    let mut results: Vec<Option<ClientUpdate>> = Vec::new();
-    results.resize_with(jobs.len(), || None);
-    taco_tensor::pool::for_each_chunk(&mut results, 1, |i, slot| {
-        slot[0] = Some(run_one(&jobs[i]));
+    // The claim counter publishes nothing: results travel back through
+    // each task's own slot, which the pool hands over on completion.
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<Vec<(usize, ClientUpdate)>> = Vec::new();
+    done.resize_with(threads.min(jobs.len()), Vec::new);
+    taco_tensor::pool::for_each_chunk(&mut done, 1, |_, slot| {
+        let mut model: Option<Box<dyn Model>> = None;
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(i) else { break };
+            let model = model.get_or_insert_with(|| prototype.clone_model());
+            slot[0].push((i, run_one(&mut **model, job)));
+        }
     });
-    results
-        .into_iter()
-        // taco-check: allow(unwrap, pool::for_each_chunk visits every chunk exactly once, so every slot was filled)
-        .map(|r| r.expect("client job not executed"))
-        .collect()
+    let mut done: Vec<(usize, ClientUpdate)> = done.into_iter().flatten().collect();
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, u)| u).collect()
 }

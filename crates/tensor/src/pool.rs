@@ -153,9 +153,8 @@ impl Pool {
             next: AtomicUsize::new(0),
             tasks,
             run: &f,
-            completed_helpers: Mutex::new(0),
-            helper_done: Condvar::new(),
         };
+        let completion = Arc::new(Completion::default());
         // Helpers beyond `tasks − 1` could never claim anything.
         let helpers = (self.threads - 1).min(tasks - 1);
         let batch = self.next_batch.fetch_add(1, Ordering::Relaxed);
@@ -163,17 +162,24 @@ impl Pool {
         // helper jobs is only dereferenced by jobs of this batch, and
         // this function does not return until every such job has either
         // been cancelled (removed from the queue before starting) or
-        // has signalled completion — `ctx` outlives all uses.
+        // has finished its claim loop — `ctx` outlives all uses. The
+        // completion signal lives behind an `Arc` each helper holds, so
+        // a helper may still touch it after this function returned.
         let raw = RawCtx(&ctx as *const DispatchCtx<'_, F> as usize);
         {
             let mut st = lock(&self.shared.state);
             for _ in 0..helpers {
                 let raw = RawCtx(raw.0);
+                let completion = Arc::clone(&completion);
                 st.jobs.push_back(Queued {
                     batch,
-                    // SAFETY: per the lifetime-erasure argument above,
-                    // `ctx` outlives every job queued for this batch.
-                    job: Box::new(move || unsafe { helper_entry::<F>(raw) }),
+                    job: Box::new(move || {
+                        // SAFETY: per the lifetime-erasure argument
+                        // above, `ctx` outlives every job queued for
+                        // this batch until it signals completion.
+                        unsafe { helper_entry::<F>(raw) };
+                        completion.signal();
+                    }),
                 });
             }
         }
@@ -188,14 +194,7 @@ impl Pool {
             st.jobs.retain(|q| q.batch != batch);
             before - st.jobs.len()
         };
-        let live = helpers - removed;
-        let mut done = lock(&ctx.completed_helpers);
-        while *done < live {
-            done = ctx
-                .helper_done
-                .wait(done)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
+        completion.wait_for(helpers - removed);
     }
 
     /// Splits `data` into consecutive chunks of `chunk_len` elements
@@ -244,8 +243,35 @@ struct DispatchCtx<'a, F> {
     next: AtomicUsize,
     tasks: usize,
     run: &'a F,
-    completed_helpers: Mutex<usize>,
-    helper_done: Condvar,
+}
+
+/// How many of a dispatch's helpers have finished their claim loop.
+///
+/// Shared through an `Arc` rather than kept in the caller's
+/// [`DispatchCtx`]: a helper signals and notifies after the caller may
+/// already have seen the final count and returned, so the signal must
+/// not live on the caller's stack frame.
+#[derive(Default)]
+struct Completion {
+    finished: Mutex<usize>,
+    changed: Condvar,
+}
+
+impl Completion {
+    fn signal(&self) {
+        *lock(&self.finished) += 1;
+        self.changed.notify_all();
+    }
+
+    fn wait_for(&self, helpers: usize) {
+        let mut finished = lock(&self.finished);
+        while *finished < helpers {
+            finished = self
+                .changed
+                .wait(finished)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+    }
 }
 
 impl<F: Fn(usize) + Sync> DispatchCtx<'_, F> {
@@ -270,16 +296,12 @@ struct RawCtx(usize);
 /// `raw` must point at a live `DispatchCtx<F>` with the same `F` —
 /// guaranteed by [`Pool::for_each_index`], which queues helpers only
 /// for its own batch and does not return until each has been cancelled
-/// or has signalled completion.
+/// or has signalled that this call returned.
 unsafe fn helper_entry<F: Fn(usize) + Sync>(raw: RawCtx) {
     // SAFETY: per the function contract, `raw` points at a live
     // `DispatchCtx<F>` for the whole call.
     let ctx = unsafe { &*(raw.0 as *const DispatchCtx<'_, F>) };
     ctx.claim_loop();
-    let mut done = lock(&ctx.completed_helpers);
-    *done += 1;
-    drop(done);
-    ctx.helper_done.notify_all();
 }
 
 /// Raw pointer wrapper asserting cross-thread use is sound because all

@@ -9,8 +9,8 @@ use common::{
 };
 use taco::core::taco::TacoConfig;
 use taco::core::{
-    AggWeighting, FedAcg, FedAvg, FedProx, FederatedAlgorithm, FoolsGold, HyperParams, Scaffold,
-    Stem, Taco,
+    AggWeighting, FedAcg, FedAvg, FedDyn, FedProx, FederatedAlgorithm, FoolsGold, HyperParams,
+    Scaffold, Stem, Taco, TailoredProx, TailoredScaffold,
 };
 use taco::data::{partition, vision, FederatedDataset};
 use taco::nn::PaperCnn;
@@ -177,6 +177,30 @@ fn golden_trajectory_taco_matches_fixture() {
         false,
     );
     check_against_golden("golden_taco.json", &h);
+}
+
+#[test]
+fn golden_trajectories_of_the_anchored_baselines_match_fixtures() {
+    // The rules whose round-constant vectors are shared between
+    // clients (the proximal anchors of FedProx, FedProx+TACO, FedACG
+    // and FedDyn) or scaled in place (Scaffold+TACO's term) must
+    // replay the trajectories recorded when every client owned a copy.
+    let cases: Vec<(&str, Box<dyn FederatedAlgorithm>)> = vec![
+        ("golden_fedprox.json", Box::new(FedProx::new(0.1))),
+        (
+            "golden_fedprox_taco.json",
+            Box::new(TailoredProx::new(4, 0.1)),
+        ),
+        ("golden_fedacg.json", Box::new(FedAcg::new(0.01))),
+        ("golden_feddyn.json", Box::new(FedDyn::new(4, 0.05))),
+        (
+            "golden_scaffold_taco.json",
+            Box::new(TailoredScaffold::new(4)),
+        ),
+    ];
+    for (fixture, algorithm) in cases {
+        check_against_golden(fixture, &golden_run(algorithm, true));
+    }
 }
 
 #[test]
