@@ -29,7 +29,7 @@ fn main() {
                 .with_extrapolated_output(false)
                 .with_alpha_variant(variant);
             let alg = Box::new(Taco::new(clients, cfg));
-            let history = run(&w, alg, 61, None, false);
+            let history = run(&w, alg, w.config(61));
             rows.push(vec![
                 ds.to_string(),
                 label.to_string(),

@@ -27,7 +27,7 @@ fn main() {
         for alg in algs {
             let name = alg.name().to_string();
             // Full participation.
-            let full = run(&w, alg, 45, None, false);
+            let full = run(&w, alg, w.config(45));
             // Half participation needs a fresh algorithm instance.
             let alg2 = match name.as_str() {
                 "FedNova" => Box::new(FedNova::default()) as Box<dyn FederatedAlgorithm>,

@@ -28,7 +28,7 @@ fn main() {
     let mut rows = Vec::new();
     for alg in all_algorithms(clients, w.rounds, w.hyper.local_steps) {
         let name = alg.name().to_string();
-        let history = run(&w, alg, 53, None, true);
+        let history = run(&w, alg, w.config(53).sequential());
         let accs = history.accuracy_series();
         let secs = history.per_round_seconds();
         let mut row = vec![name];

@@ -19,7 +19,7 @@ use taco_core::compress::{
     codec_from_env, Compressor, NoCompression, Stochastic4Bit, TopK, Uniform8Bit,
 };
 use taco_sim::comm::{time_to_accuracy_with_comm, CommModel};
-use taco_sim::{SimConfig, Simulation};
+use taco_sim::Simulation;
 
 fn main() {
     let _manifest = banner(
@@ -48,7 +48,7 @@ fn main() {
     for alg_name in ["FedAvg", "TACO"] {
         for (label, codec) in &codecs {
             let alg = algorithm_by_name(alg_name, clients, w.rounds, w.hyper.local_steps);
-            let config = SimConfig::new(w.hyper, w.rounds, 37).with_compressor(codec.clone());
+            let config = w.config(37).with_compressor(codec.clone());
             let history = Simulation::new(w.fed.clone(), w.model.clone_model(), alg, config).run();
             // Measured mean uplink bytes per client per round, from
             // the actual wire encodings.

@@ -9,7 +9,7 @@
 //! detection, so learning should degrade gracefully rather than
 //! diverge as fault rates climb.
 
-use taco_bench::{banner, report, run_faulted, workload, Scale};
+use taco_bench::{banner, report, run, workload, Scale};
 use taco_core::taco::TacoConfig;
 use taco_core::{AggWeighting, FedAvg, FederatedAlgorithm, Taco};
 use taco_sim::FaultPlan;
@@ -78,11 +78,10 @@ fn main() {
     for (label, plan) in scenarios(w.hyper.local_steps) {
         let mut row = vec![label.to_string()];
         for (_, make) in &algorithms {
-            let history = run_faulted(
+            let history = run(
                 &w,
                 make(clients, w.rounds, w.hyper.local_steps),
-                seed,
-                plan.clone(),
+                w.config(seed).with_fault_plan(plan.clone()),
             );
             let totals = history.fault_totals();
             row.push(format!("{:.1}%", history.final_accuracy() * 100.0));

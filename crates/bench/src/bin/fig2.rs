@@ -32,7 +32,7 @@ fn main() {
                     .nth(alg_idx)
                     .expect("algorithm index");
                 name = alg.name().to_string();
-                let history = run(&w, alg, 21 + seed, None, true);
+                let history = run(&w, alg, w.config(21 + seed).sequential());
                 if seed == 0 {
                     for (r, acc) in history.accuracy_series().iter().enumerate() {
                         acc_rows.push(vec![

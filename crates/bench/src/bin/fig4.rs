@@ -21,7 +21,7 @@ fn main() {
         let mut fedavg_time = None;
         for alg in all_algorithms(clients, w.rounds, w.hyper.local_steps) {
             let name = alg.name();
-            let history = run(&w, alg, 13, None, true);
+            let history = run(&w, alg, w.config(13).sequential());
             let t = history.time_to_accuracy(w.target);
             if name == "FedAvg" {
                 fedavg_time = t;

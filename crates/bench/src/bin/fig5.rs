@@ -21,7 +21,7 @@ fn main() {
         let w = workload(ds, clients, 17, scale, None);
         for alg in all_algorithms(clients, w.rounds, w.hyper.local_steps) {
             let name = alg.name();
-            let history = run(&w, alg, 17, None, true);
+            let history = run(&w, alg, w.config(17).sequential());
             let per_round = history.per_round_seconds();
             // Round 0 runs without corrections for the stateful
             // algorithms; the distribution uses the steady-state rounds.

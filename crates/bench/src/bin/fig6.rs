@@ -22,16 +22,12 @@ fn main() {
             let base = run(
                 &w,
                 algorithm_by_name(pair.0, clients, w.rounds, w.hyper.local_steps),
-                29,
-                None,
-                false,
+                w.config(29),
             );
             let tailored = run(
                 &w,
                 algorithm_by_name(pair.1, clients, w.rounds, w.hyper.local_steps),
-                29,
-                None,
-                false,
+                w.config(29),
             );
             rows.push(vec![
                 ds.to_string(),

@@ -38,7 +38,7 @@ fn main() {
                 base.with_gamma(gamma)
             };
             let alg = Box::new(Taco::new(clients, cfg));
-            let history = run(&w, alg, 91, None, false);
+            let history = run(&w, alg, w.config(91));
             rows.push(vec![
                 ds.to_string(),
                 format!("{gamma}"),

@@ -119,7 +119,7 @@ fn round_costs(algorithm: &str, reps: usize) -> (f64, f64) {
             SUITE_SCALE.rounds,
             SUITE_SCALE.local_steps,
         );
-        last = Some(taco_bench::run(&w, alg, SUITE_SEED, None, true));
+        last = Some(taco_bench::run(&w, alg, w.config(SUITE_SEED).sequential()));
     });
     let history = last.expect("time_median ran the body at least once");
     let bytes_per_round = history.total_upload_bytes() as f64 / SUITE_SCALE.rounds as f64;
@@ -198,7 +198,7 @@ fn round_t4_ms(reps: usize) -> f64 {
     pool::with_pool(&pool, || {
         trace::perf::time_median(reps, || {
             let alg = algorithm_by_name("TACO", T4_CLIENTS, T4_SCALE.rounds, T4_SCALE.local_steps);
-            std::hint::black_box(taco_bench::run(&w, alg, SUITE_SEED, None, false));
+            std::hint::black_box(taco_bench::run(&w, alg, w.config(SUITE_SEED)));
         })
     }) * 1e3
 }

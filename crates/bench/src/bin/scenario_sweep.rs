@@ -20,63 +20,58 @@
 
 use std::io::Write as _;
 
-use taco_bench::{banner, report, results_dir, run_scenario, workload, Scale, Scenario, Workload};
+use taco_bench::{banner, report, results_dir, run, workload, Scale, Workload};
 use taco_core::taco::TacoConfig;
 use taco_core::{AggWeighting, FedAvg, FederatedAlgorithm, FoolsGold, Scaffold, Taco};
 use taco_data::partition::DriftSchedule;
 use taco_sim::freeloader::{with_behavior, with_freeloaders};
-use taco_sim::{detection, AdversaryPlan, ChurnTrace, ClientBehavior, FaultPlan};
+use taco_sim::{detection, AdversaryPlan, ChurnTrace, ClientBehavior, FaultPlan, SimConfig};
 use taco_trace::Value;
 
 const CLIENTS: usize = 10;
 const SEED: u64 = 97;
 
-fn scenarios(w: &Workload) -> Vec<(&'static str, Scenario)> {
+fn scenarios(w: &Workload) -> Vec<(&'static str, SimConfig)> {
     let rounds = w.rounds;
+    let config = || w.config(SEED);
     vec![
         (
             "signflip",
-            Scenario {
-                behaviors: Some(with_behavior(CLIENTS, 3, ClientBehavior::SignFlip)),
-                adversary: Some(AdversaryPlan::new()),
-                ..Scenario::default()
-            },
+            config()
+                .with_behaviors(with_behavior(CLIENTS, 3, ClientBehavior::SignFlip))
+                .with_adversary(AdversaryPlan::new()),
         ),
         (
             // Boosted updates blow past the server's norm cap, so each
             // round's quarantine feeds the strike machinery — the
             // validation-driven path to expulsion.
             "boost",
-            Scenario {
-                behaviors: Some(with_behavior(CLIENTS, 3, ClientBehavior::Boost)),
-                adversary: Some(AdversaryPlan::new().with_boost_factor(1e5)),
-                fault_plan: Some(FaultPlan::new().with_max_delta_norm(1e3)),
-                ..Scenario::default()
-            },
+            config()
+                .with_behaviors(with_behavior(CLIENTS, 3, ClientBehavior::Boost))
+                .with_adversary(AdversaryPlan::new().with_boost_factor(1e5))
+                .with_fault_plan(FaultPlan::new().with_max_delta_norm(1e3)),
         ),
         (
             // Full-strength collusion: the coalition uploads a shared
             // seeded direction, exactly the signature FoolsGold's
             // pairwise cosine history is built to catch.
             "collude",
-            Scenario {
-                behaviors: Some(with_behavior(
+            config()
+                .with_behaviors(with_behavior(
                     CLIENTS,
                     4,
                     ClientBehavior::Colluder { coalition: 0 },
-                )),
-                adversary: Some(AdversaryPlan::new().with_collusion_strength(1.0)),
-                ..Scenario::default()
-            },
+                ))
+                .with_adversary(AdversaryPlan::new().with_collusion_strength(1.0)),
         ),
         (
             // Freeloaders under churn: an expelled freeloader's trace
             // has it "rejoin" (it must stay expelled), honest clients
             // come and go, and one arrives late.
             "churn",
-            Scenario {
-                behaviors: Some(with_freeloaders(CLIENTS, 3)),
-                churn: Some(
+            config()
+                .with_behaviors(with_freeloaders(CLIENTS, 3))
+                .with_churn(
                     ChurnTrace::new(CLIENTS)
                         .departs(0, rounds / 3)
                         .joins(0, rounds / 3 + 2)
@@ -84,19 +79,13 @@ fn scenarios(w: &Workload) -> Vec<(&'static str, Scenario)> {
                         .joins(5, rounds / 2)
                         .absent_until(9, rounds / 3),
                 ),
-                ..Scenario::default()
-            },
         ),
         (
             // All-honest drift: φ decays 0.5 → 0.1 with periodic
             // re-partitioning. The scoreboard here is a pure FPR
             // probe — any flag is a false positive.
             "drift",
-            Scenario {
-                behaviors: Some(with_freeloaders(CLIENTS, 0)),
-                drift: Some(DriftSchedule::new(0.5, 0.1, (rounds / 4).max(1), rounds)),
-                ..Scenario::default()
-            },
+            config().with_drift(DriftSchedule::new(0.5, 0.1, (rounds / 4).max(1), rounds)),
         ),
     ]
 }
@@ -144,22 +133,19 @@ fn main() {
     }
     let mut rows = Vec::new();
     let mut board_entries = Vec::new();
-    for (scenario_name, scenario) in &scenario_list {
-        let behaviors = scenario
-            .behaviors
-            .clone()
-            .unwrap_or_else(|| with_freeloaders(CLIENTS, 0));
+    for (scenario_name, config) in &scenario_list {
+        // The config's behaviours are the scoreboard's ground truth.
+        let behaviors = &config.behaviors;
         for (alg_name, make) in &algorithm_list {
-            let history = run_scenario(
+            let history = run(
                 &w,
                 make(CLIENTS, w.rounds, w.hyper.local_steps),
-                SEED,
-                scenario,
+                config.clone(),
             );
-            let curves = detection::curves(&history, &behaviors);
+            let curves = detection::curves(&history, behaviors);
             let score = curves
                 .final_score()
-                .unwrap_or_else(|| detection::score(&[], &behaviors, Some(&[false; CLIENTS])));
+                .unwrap_or_else(|| detection::score(&[], behaviors, Some(&[false; CLIENTS])));
             rows.push(vec![
                 (*scenario_name).to_string(),
                 (*alg_name).to_string(),

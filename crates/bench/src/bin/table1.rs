@@ -30,14 +30,12 @@ fn main() {
         let _ = run(
             &w,
             taco_bench::algorithm_by_name("FedAvg", clients, w.rounds, w.hyper.local_steps),
-            7,
-            None,
-            true,
+            w.config(7).sequential(),
         );
         let mut base = None;
         for alg in all_algorithms(clients, w.rounds, w.hyper.local_steps) {
             let name = alg.name();
-            let history = run(&w, alg, 7, None, true);
+            let history = run(&w, alg, w.config(7).sequential());
             // Mean per-client seconds in the corrected rounds, scaled
             // to 100 local updates.
             let steady = &history.rounds[1..];

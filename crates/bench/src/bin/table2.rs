@@ -42,7 +42,7 @@ fn main() {
                 .with_extrapolated_output(false)
         };
         let alg = Box::new(taco_core::Taco::new(clients, cfg));
-        let history = run(&w, alg, 33, Some(behaviors.clone()), false);
+        let history = run(&w, alg, w.config(33).with_behaviors(behaviors.clone()));
         // Average alphas over the second half of training.
         let half = history.rounds.len() / 2;
         let mut per_bucket: [Vec<f64>; 4] = Default::default();

@@ -73,7 +73,7 @@ fn main() {
     for alg in all_algorithms(clients, w.rounds, w.hyper.local_steps) {
         let name = alg.name();
         let caps = capabilities(name);
-        let history = run(&w, alg, 5, None, true);
+        let history = run(&w, alg, w.config(5).sequential());
         // Skip round 0 (uncorrected warm-up) in the timing average.
         let times: Vec<f64> = history.rounds[1..]
             .iter()

@@ -37,7 +37,7 @@ fn main() {
                     .nth(alg_idx)
                     .expect("algorithm index");
                 name = alg.name().to_string();
-                let history = run(&w, alg, 100 + seed, None, false);
+                let history = run(&w, alg, w.config(100 + seed));
                 accs.push(history.final_accuracy() * 100.0);
                 if seed == 0 {
                     rounds_repr = format_rounds(&history, w.target, w.rounds, w.chance);

@@ -37,7 +37,7 @@ fn main() {
                 .with_extrapolated_output(false)
                 .with_ablation(corr, agg);
             let alg = Box::new(Taco::new(clients, cfg));
-            let history = run(&w, alg, 55, None, false);
+            let history = run(&w, alg, w.config(55));
             row.push(format!("{:.2}%", history.final_accuracy() * 100.0));
         }
         rows.push(row);

@@ -21,7 +21,7 @@ fn main() {
         let w = workload(ds, clients, 71, scale, None);
         for alg in all_algorithms(clients, w.rounds, w.hyper.local_steps) {
             let name = alg.name();
-            let history = run(&w, alg, 71, None, false);
+            let history = run(&w, alg, w.config(71));
             rows.push(vec![
                 ds.to_string(),
                 name.to_string(),

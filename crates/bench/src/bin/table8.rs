@@ -35,7 +35,7 @@ fn main() {
                 .with_extrapolated_output(false)
                 .with_detection(kappa as f32, lambda);
             let alg = Box::new(Taco::new(clients, cfg));
-            let history = run(&w, alg, 81, Some(behaviors.clone()), false);
+            let history = run(&w, alg, w.config(81).with_behaviors(behaviors.clone()));
             let participated = history.participation_mask(behaviors.len());
             let score =
                 detection::score(&history.expelled_clients, &behaviors, Some(&participated));

@@ -23,12 +23,9 @@ use taco_core::{
     AggWeighting, FedAcg, FedAvg, FedProx, FederatedAlgorithm, FoolsGold, HyperParams, Scaffold,
     Stem, Taco, TailoredProx, TailoredScaffold,
 };
-use taco_data::partition::DriftSchedule;
 use taco_data::{partition, tabular, text, vision, FederatedDataset};
 use taco_nn::{CharLstm, Mlp, Model, PaperCnn, TinyResNet};
-use taco_sim::{
-    AdversaryPlan, ChurnTrace, ClientBehavior, FaultPlan, History, SimConfig, Simulation,
-};
+use taco_sim::{History, SimConfig, Simulation};
 use taco_tensor::Prng;
 use taco_trace::Value;
 
@@ -235,6 +232,14 @@ pub fn workload(
     }
 }
 
+impl Workload {
+    /// The workload's default simulation config for `seed`: its hyper-
+    /// parameters and round count, parallel clients, all honest.
+    pub fn config(&self, seed: u64) -> SimConfig {
+        SimConfig::new(self.hyper, self.rounds, seed)
+    }
+}
+
 fn make_partition(
     labels: &[usize],
     clients: usize,
@@ -309,111 +314,18 @@ pub fn algorithm_by_name(
     }
 }
 
-/// Runs one algorithm on a workload. `sequential` disables parallel
-/// clients (timing experiments); `behaviors` defaults to all-honest.
+/// Runs one algorithm on a workload under `config` (start from
+/// [`Workload::config`]).
 ///
 /// Every call is recorded into the experiment's run manifest (written
 /// by [`report`] / [`report_csv_only`] next to the CSV artifact).
-pub fn run(
-    w: &Workload,
-    algorithm: Box<dyn FederatedAlgorithm>,
-    seed: u64,
-    behaviors: Option<Vec<ClientBehavior>>,
-    sequential: bool,
-) -> History {
-    run_configured(w, algorithm, seed, behaviors, sequential, None)
-}
-
-fn run_configured(
-    w: &Workload,
-    algorithm: Box<dyn FederatedAlgorithm>,
-    seed: u64,
-    behaviors: Option<Vec<ClientBehavior>>,
-    sequential: bool,
-    fault_plan: Option<FaultPlan>,
-) -> History {
+pub fn run(w: &Workload, algorithm: Box<dyn FederatedAlgorithm>, config: SimConfig) -> History {
     let algorithm_name = algorithm.name();
-    let mut config = SimConfig::new(w.hyper, w.rounds, seed);
-    if let Some(b) = behaviors {
-        config = config.with_behaviors(b);
-    }
-    if sequential {
-        config = config.sequential();
-    }
-    if let Some(plan) = fault_plan {
-        config = config.with_fault_plan(plan);
-    }
+    let (seed, sequential) = (config.seed, !config.parallel);
     let started = Instant::now();
     let history = Simulation::new(w.fed.clone(), w.model.clone_model(), algorithm, config).run();
     let wall_secs = started.elapsed().as_secs_f64();
     record_run(w, algorithm_name, seed, sequential, wall_secs, &history);
-    history
-}
-
-/// Runs one algorithm on a workload under a deterministic
-/// [`FaultPlan`] (the fault-sweep scenario). The run is recorded into
-/// the manifest like [`run`], with its injected-fault and rejection
-/// totals alongside the accuracy columns.
-pub fn run_faulted(
-    w: &Workload,
-    algorithm: Box<dyn FederatedAlgorithm>,
-    seed: u64,
-    plan: FaultPlan,
-) -> History {
-    run_configured(w, algorithm, seed, None, false, Some(plan))
-}
-
-/// A composed adversarial/churn/drift scenario for [`run_scenario`]:
-/// every field is optional, so one spec type covers the whole
-/// attack × churn × drift grid.
-#[derive(Default)]
-pub struct Scenario {
-    /// Ground-truth behaviour vector (doubles as scoreboard labels).
-    pub behaviors: Option<Vec<ClientBehavior>>,
-    /// Attack knobs for the non-honest behaviours.
-    pub adversary: Option<AdversaryPlan>,
-    /// Client join/leave schedule.
-    pub churn: Option<ChurnTrace>,
-    /// Time-varying non-IID drift.
-    pub drift: Option<DriftSchedule>,
-    /// Fault injection and server validation.
-    pub fault_plan: Option<FaultPlan>,
-    /// Partial participation fraction.
-    pub participation: Option<f64>,
-}
-
-/// Runs one algorithm on a workload under a composed [`Scenario`].
-/// The run is recorded into the manifest like [`run`].
-pub fn run_scenario(
-    w: &Workload,
-    algorithm: Box<dyn FederatedAlgorithm>,
-    seed: u64,
-    scenario: &Scenario,
-) -> History {
-    let algorithm_name = algorithm.name();
-    let mut config = SimConfig::new(w.hyper, w.rounds, seed);
-    if let Some(b) = &scenario.behaviors {
-        config = config.with_behaviors(b.clone());
-    }
-    if let Some(plan) = scenario.adversary {
-        config = config.with_adversary(plan);
-    }
-    if let Some(trace) = &scenario.churn {
-        config = config.with_churn(trace.clone());
-    }
-    if let Some(schedule) = scenario.drift {
-        config = config.with_drift(schedule);
-    }
-    if let Some(plan) = &scenario.fault_plan {
-        config = config.with_fault_plan(plan.clone());
-    }
-    if let Some(fraction) = scenario.participation {
-        config = config.with_participation(fraction);
-    }
-    let started = Instant::now();
-    let history = Simulation::new(w.fed.clone(), w.model.clone_model(), algorithm, config).run();
-    let wall_secs = started.elapsed().as_secs_f64();
-    record_run(w, algorithm_name, seed, false, wall_secs, &history);
     history
 }
 

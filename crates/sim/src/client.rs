@@ -3,7 +3,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use taco_core::{update, ClientUpdate, HyperParams, LocalRule};
+use crate::runner::SimConfig;
+use taco_core::{update, ClientUpdate, LocalRule};
 use taco_data::FederatedDataset;
 use taco_nn::Model;
 use taco_tensor::Prng;
@@ -41,17 +42,15 @@ pub(crate) fn client_rng(seed: u64, round: usize, client: usize) -> Prng {
 /// ran a job: each client re-seeds its RNG from [`client_rng`] and
 /// starts from `global`, and a model's parameters fully determine its
 /// behaviour ([`Model::set_params`]).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_jobs(
     prototype: &dyn Model,
     fed: &FederatedDataset,
     global: &[f32],
     jobs: Vec<ClientJob>,
     round: usize,
-    hyper: &HyperParams,
-    seed: u64,
-    parallel: bool,
+    config: &SimConfig,
 ) -> Vec<ClientUpdate> {
+    let (hyper, seed) = (&config.hyper, config.seed);
     let run_one = move |model: &mut dyn Model, job: &ClientJob| -> ClientUpdate {
         let span = trace::span!(
             crate::phase::CLIENT_STEP,
@@ -81,7 +80,7 @@ pub(crate) fn execute_jobs(
         u
     };
     let threads = taco_tensor::pool::threads();
-    if !parallel || jobs.len() <= 1 || threads <= 1 {
+    if !config.parallel || jobs.len() <= 1 || threads <= 1 {
         let mut model = prototype.clone_model();
         return jobs.iter().map(|job| run_one(&mut *model, job)).collect();
     }

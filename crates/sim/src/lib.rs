@@ -4,11 +4,12 @@
 //! any [`taco_core::FederatedAlgorithm`]:
 //!
 //! - [`runner`] — the [`runner::Simulation`] round loop with optional
-//!   parallel client execution (std scoped threads) and
-//!   deterministic per-client RNG streams, so results are independent
-//!   of thread scheduling. Client-side job execution and the server's
-//!   upload pipeline and aggregation live in private `client`/`server`
-//!   modules; aggregation is one order-fixed shard fold
+//!   parallel client execution (on the `taco_tensor::pool` workers)
+//!   and deterministic per-client RNG streams, so results are
+//!   independent of thread scheduling. Each round is planned (private
+//!   `plan` module: drift, churn, participation and fault draws),
+//!   executed (`client`), uploaded and aggregated (`server`), and
+//!   recorded; aggregation is one order-fixed shard fold
 //!   ([`taco_core::aggregate_planned`]), bit-identical at any shard or
 //!   thread count.
 //! - [`freeloader`] — ground-truth client behaviours: honest clients
@@ -68,6 +69,7 @@ pub mod fault;
 pub mod freeloader;
 pub mod metrics;
 pub mod phase;
+mod plan;
 pub mod runner;
 mod server;
 

@@ -10,7 +10,8 @@
 
 /// The whole communication round.
 pub const ROUND: &str = "sim.round";
-/// Expulsion filtering + participation draw.
+/// Round planning (drift re-partition, churn, expulsion filtering,
+/// participation and fault draws) + building the clients' jobs.
 pub const PARTICIPATION: &str = "sim.phase.participation";
 /// Local client training (all clients of the round).
 pub const LOCAL: &str = "sim.phase.local";

@@ -1,4 +1,11 @@
 //! The parameter-server round loop.
+//!
+//! [`Simulation::run`] reads as the paper's Algorithm 1: each round is
+//! planned (`plan::plan_round`: drift, churn, participation and fault
+//! draws), executed (local steps, freeloader echoes, attacks), uploaded
+//! (`server::process_uploads`), aggregated (`server::aggregate`) and
+//! recorded as one [`RoundRecord`], from which the JSONL `round` event
+//! is derived.
 
 use crate::adversary::{self, AdversaryPlan};
 use crate::churn::ChurnTrace;
@@ -6,6 +13,8 @@ use crate::client::{self, ClientJob};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::freeloader::ClientBehavior;
 use crate::metrics::{FaultTotals, History, RoundRecord};
+use crate::plan::{plan_round, Churn, RoundPlan};
+use crate::server::{self, UploadOutcome};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use taco_core::compress::Compressor;
@@ -20,11 +29,6 @@ use taco_trace as trace;
 /// the drift stream never aliases the training, participation, fault,
 /// or coalition streams.
 const DRIFT_SALT: u64 = 0xD81F;
-
-/// Salt folded into the run seed for the per-round participation
-/// sampling draw, keeping the subset-selection stream independent of
-/// client training and every other salted stream in the workspace.
-const PARTICIPATION_SALT: u64 = 0x9A97;
 
 /// Which clients take part in each round.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,6 +45,10 @@ pub enum Participation {
 }
 
 /// Configuration of a simulation run.
+///
+/// The fields are public; [`Simulation::new`] checks them with the
+/// same rules the builders apply, so a field set directly cannot reach
+/// the round loop malformed.
 #[derive(Clone)]
 pub struct SimConfig {
     /// Shared FL hyper-parameters.
@@ -116,6 +124,46 @@ impl SimConfig {
         }
     }
 
+    /// Panics, naming the field, when a public field breaks a rule the
+    /// round loop relies on. The builders and [`Simulation::new`] both
+    /// call it.
+    fn check(&self) {
+        let n = self.hyper.num_clients;
+        assert_eq!(
+            self.behaviors.len(),
+            n,
+            "behaviors has {} entries but hyper says {n} clients",
+            self.behaviors.len()
+        );
+        if let Some(steps) = &self.local_steps_per_client {
+            assert_eq!(
+                steps.len(),
+                n,
+                "local_steps_per_client has {} entries but hyper says {n} clients",
+                steps.len()
+            );
+            assert!(
+                steps.iter().all(|&s| s > 0),
+                "local_steps_per_client entries must be positive"
+            );
+        }
+        assert!(self.eval_every > 0, "eval_every must be positive");
+        if let Participation::Sample { fraction } = self.participation {
+            assert!(
+                fraction > 0.0 && fraction <= 1.0,
+                "participation fraction must be in (0, 1], got {fraction}"
+            );
+        }
+        if let Some(trace) = &self.churn {
+            assert_eq!(
+                trace.num_clients(),
+                n,
+                "churn trace covers {} clients but hyper says {n}",
+                trace.num_clients()
+            );
+        }
+    }
+
     /// Builder-style adversary-plan override (attack knobs only; which
     /// clients attack is set via [`SimConfig::with_behaviors`]).
     pub fn with_adversary(mut self, plan: AdversaryPlan) -> Self {
@@ -129,14 +177,8 @@ impl SimConfig {
     ///
     /// Panics if the trace's client count differs from the config's.
     pub fn with_churn(mut self, trace: ChurnTrace) -> Self {
-        assert_eq!(
-            trace.num_clients(),
-            self.hyper.num_clients,
-            "churn trace covers {} clients but hyper says {}",
-            trace.num_clients(),
-            self.hyper.num_clients
-        );
         self.churn = Some(trace);
+        self.check();
         self
     }
 
@@ -164,11 +206,8 @@ impl SimConfig {
     ///
     /// Panics if `fraction` is outside `(0, 1]`.
     pub fn with_participation(mut self, fraction: f64) -> Self {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "participation fraction must be in (0, 1], got {fraction}"
-        );
         self.participation = Participation::Sample { fraction };
+        self.check();
         self
     }
 
@@ -179,13 +218,8 @@ impl SimConfig {
     /// Panics if the length differs from the client count or any step
     /// count is zero.
     pub fn with_local_steps(mut self, steps: Vec<usize>) -> Self {
-        assert_eq!(
-            steps.len(),
-            self.hyper.num_clients,
-            "step count must match client count"
-        );
-        assert!(steps.iter().all(|&s| s > 0), "step counts must be positive");
         self.local_steps_per_client = Some(steps);
+        self.check();
         self
     }
 
@@ -195,12 +229,8 @@ impl SimConfig {
     ///
     /// Panics if the length differs from the client count.
     pub fn with_behaviors(mut self, behaviors: Vec<ClientBehavior>) -> Self {
-        assert_eq!(
-            behaviors.len(),
-            self.hyper.num_clients,
-            "behaviour count must match client count"
-        );
         self.behaviors = behaviors;
+        self.check();
         self
     }
 
@@ -216,12 +246,17 @@ impl SimConfig {
     ///
     /// Panics if `eval_every` is zero.
     pub fn with_eval_every(mut self, eval_every: usize) -> Self {
-        assert!(eval_every > 0, "eval_every must be positive");
         self.eval_every = eval_every;
+        self.check();
         self
     }
-}
 
+    /// Whether round `round` evaluates the global model: every
+    /// `eval_every` rounds, and always the last.
+    fn evaluates(&self, round: usize) -> bool {
+        round.is_multiple_of(self.eval_every) || round + 1 == self.rounds
+    }
+}
 impl std::fmt::Debug for SimConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimConfig")
@@ -261,13 +296,40 @@ pub struct Simulation {
     coalition_dirs: BTreeMap<u16, Vec<f32>>,
 }
 
+/// Seconds spent in each phase of one round (see [`crate::phase`]).
+#[derive(Default)]
+struct PhaseSecs {
+    round: f64,
+    participation: f64,
+    local: f64,
+    compress: f64,
+    aggregate: f64,
+    eval: f64,
+}
+
+/// Counts one occurrence on `counter` and, only while a trace sink is
+/// installed, emits a `kind` event for `round` carrying the fields
+/// `fields` adds.
+pub(crate) fn note(
+    counter: &str,
+    kind: &str,
+    round: usize,
+    fields: impl FnOnce(trace::Event) -> trace::Event,
+) {
+    trace::counter(counter).incr();
+    if trace::active() {
+        trace::emit(&fields(trace::Event::new(kind).with("round", round)));
+    }
+}
+
 impl Simulation {
     /// Creates a simulation.
     ///
     /// # Panics
     ///
     /// Panics if the federation's client count differs from
-    /// `config.hyper.num_clients`.
+    /// `config.hyper.num_clients`, or if a config field breaks the
+    /// rules its builder enforces.
     pub fn new(
         fed: FederatedDataset,
         prototype: Box<dyn Model>,
@@ -281,15 +343,7 @@ impl Simulation {
             fed.num_clients(),
             config.hyper.num_clients
         );
-        if let Some(trace) = &config.churn {
-            assert_eq!(
-                trace.num_clients(),
-                fed.num_clients(),
-                "churn trace covers {} clients but the federation has {}",
-                trace.num_clients(),
-                fed.num_clients()
-            );
-        }
+        config.check();
         let eval_batches = fed.test().eval_batches(config.eval_batch);
         // Re-pool the shards up front (in client order, so the pool is
         // a pure function of the initial partition) only when drift
@@ -314,8 +368,8 @@ impl Simulation {
 
     /// Runs the full training loop and returns the trajectory.
     pub fn run(mut self) -> History {
-        let mut prototype = self.prototype.clone_model();
-        let mut global = prototype.params();
+        let mut eval_model = self.prototype.clone_model();
+        let mut global = eval_model.params();
         let mut prev_global = global.clone();
         let mut history = History {
             algorithm: self.algorithm.name().to_string(),
@@ -323,228 +377,36 @@ impl Simulation {
             expelled_clients: Vec::new(),
         };
         let hyper = self.config.hyper;
-        let needs_momentum_upload = self.algorithm.uploads_momentum();
-        let n = self.fed.num_clients();
-        // Presence state across rounds, for join/depart edge detection.
-        // Starting all-present means a round-0 absence is announced as
-        // a departure, so lazily-held per-client state is retired even
+        // Presence across rounds, for churn edge detection. Starting
+        // all-present means a round-0 absence is announced as a
+        // departure, so lazily-held per-client state is retired even
         // for late arrivals.
-        let mut prev_present = vec![true; n];
+        let mut present = vec![true; hyper.num_clients];
         for round in 0..self.config.rounds {
             // Phase spans use the stable names in [`crate::phase`]:
             // their `.seconds` histograms are a reported contract
             // consumed by the perf-trajectory suite.
             let round_span = trace::Span::quiet(crate::phase::ROUND);
-            // Data drift fires before anything reads the shards: the
-            // whole round (local training, sample counts, losses) sees
-            // the re-partitioned federation.
-            if let (Some(schedule), Some(pool)) = (&self.config.drift, &self.drift_pool) {
-                if let Some(phi) = schedule.repartition_at(round) {
-                    let mut rng =
-                        client::client_rng(self.config.seed ^ DRIFT_SALT, round, usize::MAX);
-                    let shards = partition::dirichlet(pool.labels(), n, phi, &mut rng);
-                    let skew = partition::skew_statistic(pool.labels(), &shards);
-                    trace::counter("sim.drift.repartitions").incr();
-                    if trace::active() {
-                        trace::emit(
-                            &trace::Event::new("drift")
-                                .with("round", round)
-                                .with("phi", phi)
-                                .with("skew", skew),
-                        );
-                    }
-                    self.fed = FederatedDataset::from_partition(
-                        pool.clone(),
-                        self.fed.test().clone(),
-                        &shards,
-                    );
-                }
-            }
             let draw_span = trace::Span::quiet(crate::phase::PARTICIPATION);
             self.algorithm.begin_round(round, &global);
-            let expelled: Vec<usize> = self.algorithm.expelled();
-            let mut expelled_mask = vec![false; n];
-            for &c in &expelled {
-                if c < n {
-                    expelled_mask[c] = true;
-                }
-            }
-            // Churn edges. Joins of expelled clients are never
-            // announced — expulsion outlives any departure/rejoin
-            // cycle — but presence still updates so the client isn't
-            // re-announced later.
-            let present: Vec<bool> = match &self.config.churn {
-                Some(trace) => trace.present_mask(round),
-                None => vec![true; n],
-            };
-            for c in 0..n {
-                if present[c] == prev_present[c] {
-                    continue;
-                }
-                if present[c] {
-                    if !expelled_mask[c] {
-                        self.algorithm.client_joined(c);
-                        trace::counter("sim.churn.joins").incr();
-                        if trace::active() {
-                            trace::emit(
-                                &trace::Event::new("churn")
-                                    .with("round", round)
-                                    .with("client", c)
-                                    .with("event", "join"),
-                            );
-                        }
-                    }
-                } else {
-                    self.algorithm.client_departed(c);
-                    trace::counter("sim.churn.departures").incr();
-                    if trace::active() {
-                        trace::emit(
-                            &trace::Event::new("churn")
-                                .with("round", round)
-                                .with("client", c)
-                                .with("event", "depart"),
-                        );
-                    }
-                }
-            }
-            prev_present = present.clone();
+            let plan = plan_round(&self.config, round, &self.algorithm.expelled(), &present);
+            self.apply_drift_and_churn(&plan);
+            present.clone_from(&plan.present);
             // Only a fully-expelled federation freezes training; every
             // other degenerate round (nothing sampled, nobody present,
             // everyone dropped or quarantined) is recorded as empty
             // and the run continues.
-            if expelled_mask.iter().all(|&e| e) {
+            if plan.frozen {
                 break;
             }
-            let eligible: Vec<usize> = (0..n)
-                .filter(|&c| !expelled_mask[c] && present[c])
-                .collect();
-            // Participation draw (deterministic per round). The subset
-            // is drawn from the *eligible* clients — sampling all N
-            // and filtering expelled ones afterwards would silently
-            // shrink effective participation as freeloaders are
-            // expelled. Without expulsions or churn `eligible` is the
-            // identity map, so the historical stream is reproduced bit
-            // for bit; the per-round draw consumes a fresh generator,
-            // so an all-absent round doesn't shift later draws.
-            let participating: Vec<bool> = match self.config.participation {
-                Participation::Full => {
-                    let mut v = vec![false; n];
-                    for &c in &eligible {
-                        v[c] = true;
-                    }
-                    v
-                }
-                Participation::Sample { .. } if eligible.is_empty() => vec![false; n],
-                Participation::Sample { fraction } => {
-                    let m = ((eligible.len() as f64 * fraction).ceil() as usize)
-                        .clamp(1, eligible.len());
-                    let mut prng = client::client_rng(
-                        self.config.seed ^ PARTICIPATION_SALT,
-                        round,
-                        usize::MAX,
-                    );
-                    let chosen = prng.sample_indices(eligible.len(), m);
-                    let mut v = vec![false; n];
-                    for c in chosen {
-                        v[eligible[c]] = true;
-                    }
-                    v
-                }
+            let faults = note_faults(&plan);
+            let (jobs, mut echoes) = self.build_jobs(&plan, &global, &prev_global);
+            trace::counter("sim.clients_skipped")
+                .add((hyper.num_clients - plan.participants.len()) as u64);
+            let mut secs = PhaseSecs {
+                participation: draw_span.finish(),
+                ..PhaseSecs::default()
             };
-            // Fault draws: a pure per-(round, client) function of the
-            // seed and plan, so they are identical whatever the thread
-            // count or execution order.
-            let fault_of: Vec<Option<FaultKind>> = (0..n)
-                .map(|c| {
-                    if expelled_mask[c] || !participating[c] {
-                        return None;
-                    }
-                    self.config
-                        .fault_plan
-                        .as_ref()
-                        .and_then(|p| p.fault_for(self.config.seed, round, c))
-                })
-                .collect();
-            let mut fault_totals = FaultTotals::default();
-            for (client, fault) in fault_of.iter().enumerate() {
-                let Some(kind) = fault else { continue };
-                trace::counter(match kind {
-                    FaultKind::Dropout => {
-                        fault_totals.dropouts += 1;
-                        "sim.faults.dropout"
-                    }
-                    FaultKind::Straggler { .. } => {
-                        fault_totals.stragglers += 1;
-                        "sim.faults.straggler"
-                    }
-                    FaultKind::Corrupt(_) => {
-                        fault_totals.corruptions += 1;
-                        "sim.faults.corrupt"
-                    }
-                })
-                .incr();
-                if trace::active() {
-                    trace::emit(
-                        &trace::Event::new("fault")
-                            .with("round", round)
-                            .with("client", client)
-                            .with("fault", kind.label()),
-                    );
-                }
-            }
-            let faults_injected = fault_totals.injected();
-            // Build this round's jobs. Attackers run the honest local
-            // computation (their transform comes later); freeloaders
-            // skip it and echo the previous global update.
-            let mut jobs = Vec::new();
-            let mut freeloader_updates = Vec::new();
-            let mut skipped = 0u64;
-            for client in 0..n {
-                if expelled_mask[client] || !participating[client] {
-                    skipped += 1;
-                    continue;
-                }
-                if fault_of[client] == Some(FaultKind::Dropout) {
-                    // The update never arrives; honest dropouts also
-                    // skip the (wasted) local computation.
-                    continue;
-                }
-                match self.config.behaviors[client] {
-                    ClientBehavior::Honest
-                    | ClientBehavior::SignFlip
-                    | ClientBehavior::Boost
-                    | ClientBehavior::Colluder { .. } => jobs.push(ClientJob {
-                        client,
-                        rule: self.algorithm.local_rule(client, &global),
-                        num_samples: self.fed.client(client).len(),
-                        steps: self
-                            .config
-                            .local_steps_per_client
-                            .as_ref()
-                            .map_or(hyper.local_steps, |s| s[client]),
-                    }),
-                    ClientBehavior::Freeloader => {
-                        // Upload the previous global update verbatim
-                        // (Section IV-A): Δ_i = w_{t−1} − w_t, the
-                        // parameter-space image of the last Δ_t.
-                        let delta = ops::sub(&prev_global, &global);
-                        let dim = delta.len();
-                        freeloader_updates.push(ClientUpdate {
-                            client,
-                            delta,
-                            num_samples: self.fed.client(client).len(),
-                            final_v: needs_momentum_upload.then(|| vec![0.0; dim]),
-                            mean_loss: 0.0,
-                            grad_evals: 0,
-                            steps: 0,
-                            compute_seconds: 0.0,
-                            encoded: None,
-                        });
-                    }
-                }
-            }
-            trace::counter("sim.clients_skipped").add(skipped);
-            let participation_secs = draw_span.finish();
             let local_span = trace::Span::quiet(crate::phase::LOCAL);
             let mut updates = client::execute_jobs(
                 &*self.prototype,
@@ -552,177 +414,292 @@ impl Simulation {
                 &global,
                 jobs,
                 round,
-                &hyper,
-                self.config.seed,
-                self.config.parallel,
-            );
-            updates.append(&mut freeloader_updates);
-            updates.sort_by_key(|u| u.client);
-            let local_secs = local_span.finish();
-            // Model-update attacks: applied in client order on the
-            // device side of the wire, upstream of compression,
-            // corruption, and validation. A pure per-update transform,
-            // so attacked runs stay bit-identical across thread and shard
-            // counts.
-            let mut attacks_applied = 0usize;
-            for u in &mut updates {
-                let label = adversary::apply(
-                    &self.config.adversary,
-                    self.config.behaviors[u.client],
-                    self.config.seed,
-                    round,
-                    &mut u.delta,
-                    &mut self.coalition_dirs,
-                );
-                let Some(label) = label else { continue };
-                attacks_applied += 1;
-                trace::counter(match label {
-                    "sign_flip" => "sim.attacks.sign_flip",
-                    "boost" => "sim.attacks.boost",
-                    _ => "sim.attacks.collude",
-                })
-                .incr();
-                if trace::active() {
-                    trace::emit(
-                        &trace::Event::new("attack")
-                            .with("round", round)
-                            .with("client", u.client)
-                            .with("attack", label),
-                    );
-                }
-            }
-            // The server pipeline (stragglers, deadline, compression,
-            // corruption, validation) returns the survivors in client
-            // order; see [`crate::server`].
-            let outcome = crate::server::process_uploads(
                 &self.config,
-                &fault_of,
+            );
+            updates.append(&mut echoes);
+            updates.sort_by_key(|u| u.client);
+            secs.local = local_span.finish();
+            let attacks_applied = self.apply_attacks(round, &mut updates);
+            let outcome = server::process_uploads(
+                &self.config,
+                &plan.faults,
                 round,
                 updates,
                 self.algorithm.as_mut(),
             );
-            let upload_bytes = outcome.upload_bytes;
-            fault_totals.deadline_cuts = outcome.deadline_cuts;
-            fault_totals.quarantined = outcome.quarantined;
-            let updates_rejected = outcome.updates_rejected();
-            let compress_secs = outcome.compress_secs;
-            // Aggregate and advance. A round with no surviving
-            // updates (all sampled clients dropped, cut, or
-            // quarantined) holds the global model and is still
-            // recorded, so the trajectory keeps its round indexing.
+            secs.compress = outcome.compress_secs;
+            // A round with no surviving updates holds the global model
+            // and is still recorded, so the trajectory keeps its round
+            // indexing.
             let aggregate_span = trace::Span::quiet(crate::phase::AGGREGATE);
-            let updates = outcome.accepted;
-            let next = crate::server::aggregate(self.algorithm.as_mut(), &global, &updates, &hyper)
-                .unwrap_or_else(|| global.clone());
-            let aggregate_secs = aggregate_span.finish();
-            prev_global = global;
-            global = next;
-            // Metrics. Rounds without an honest participant carry the
-            // previous train loss forward (a 0.0 would plot as a
-            // perfect loss) and are marked as carried.
-            let honest: Vec<&ClientUpdate> = updates
-                .iter()
-                .filter(|u| self.config.behaviors[u.client] == ClientBehavior::Honest)
-                .collect();
-            let (train_loss, train_loss_carried) = if honest.is_empty() {
-                (history.rounds.last().map_or(0.0, |r| r.train_loss), true)
-            } else {
-                (
-                    honest.iter().map(|u| u.mean_loss as f64).sum::<f64>() / honest.len() as f64,
-                    false,
-                )
-            };
-            let max_secs = updates
-                .iter()
-                .map(|u| u.compute_seconds)
-                .fold(0.0, f64::max);
-            let total_secs: f64 = updates.iter().map(|u| u.compute_seconds).sum();
-            let evaluate_now =
-                round % self.config.eval_every == 0 || round + 1 == self.config.rounds;
+            let next =
+                server::aggregate(self.algorithm.as_mut(), &global, &outcome.accepted, &hyper)
+                    .unwrap_or_else(|| global.clone());
+            secs.aggregate = aggregate_span.finish();
+            prev_global = std::mem::replace(&mut global, next);
             let eval_span = trace::Span::quiet(crate::phase::EVAL);
-            let (test_loss, test_acc) = if evaluate_now {
-                let out = self.algorithm.output_params(&global);
-                prototype.set_params(&out);
-                let (l, a) = taco_nn::evaluate(&mut *prototype, &self.eval_batches);
-                (l as f64, a as f64)
-            } else {
-                history
-                    .rounds
-                    .last()
-                    .map(|r| (r.test_loss, r.test_accuracy))
-                    .unwrap_or((0.0, 0.0))
-            };
-            let eval_secs = eval_span.finish();
-            let alphas = self.algorithm.alphas().map(<[f32]>::to_vec);
-            let expelled_now = self.algorithm.expelled().len();
-            let mut suspected = self.algorithm.suspected();
-            suspected.sort_unstable();
-            suspected.dedup();
-            let tracked_states = self.algorithm.tracked_client_states();
-            let participants: Vec<usize> = (0..n).filter(|&c| participating[c]).collect();
+            let test = self
+                .config
+                .evaluates(round)
+                .then(|| self.evaluate(&mut *eval_model, &global));
+            secs.eval = eval_span.finish();
+            let last = history.rounds.last();
+            let record = self.record(plan, faults, attacks_applied, &outcome, test, last);
             trace::counter("sim.rounds").incr();
-            let round_secs = round_span.finish();
+            secs.round = round_span.finish();
             if trace::active() {
-                let mut event = trace::Event::new("round")
-                    .with("round", round)
-                    .with("algorithm", history.algorithm.as_str())
-                    .with("clients_active", updates.len())
-                    .with("clients_skipped", skipped)
-                    .with("expelled", expelled_now)
-                    .with("faults_injected", faults_injected)
-                    .with("updates_rejected", updates_rejected)
-                    .with("attacks_applied", attacks_applied)
-                    .with("suspected", suspected.len())
-                    .with("tracked_states", tracked_states)
-                    .with("upload_bytes", upload_bytes)
-                    .with("train_loss", train_loss)
-                    .with("train_loss_carried", train_loss_carried)
-                    .with("evaluated", evaluate_now)
-                    .with("test_accuracy", test_acc)
-                    .with("test_loss", test_loss)
-                    .with("secs", round_secs)
-                    .with("participation_secs", participation_secs)
-                    .with("local_secs", local_secs)
-                    .with("compress_secs", compress_secs)
-                    .with("aggregate_secs", aggregate_secs)
-                    .with("eval_secs", eval_secs)
-                    .with("max_client_secs", max_secs)
-                    .with("total_client_secs", total_secs);
-                if let Some(a) = &alphas {
-                    let mean = a.iter().map(|&x| x as f64).sum::<f64>() / a.len().max(1) as f64;
-                    let min = a.iter().copied().fold(f32::INFINITY, f32::min);
-                    let max = a.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                    event = event
-                        .with("alpha_mean", mean)
-                        .with("alpha_min", min)
-                        .with("alpha_max", max);
-                }
-                trace::emit(&event);
+                trace::emit(&self.round_event(&record, &secs));
             }
-            history.rounds.push(RoundRecord {
-                round,
-                test_accuracy: test_acc,
-                test_loss,
-                train_loss,
-                train_loss_carried,
-                max_client_seconds: max_secs,
-                total_client_seconds: total_secs,
-                alphas,
-                expelled: expelled_now,
-                upload_bytes,
-                faults_injected,
-                updates_rejected,
-                participants,
-                suspected,
-                attacks_applied,
-                fault_totals,
-                tracked_states,
-            });
+            history.rounds.push(record);
         }
         trace::flush();
         history.expelled_clients = self.algorithm.expelled();
         history
     }
+
+    /// Applies the plan's drift re-partition, which every later read of
+    /// the shards this round sees, and announces its churn edges to the
+    /// algorithm.
+    fn apply_drift_and_churn(&mut self, plan: &RoundPlan) {
+        let round = plan.round;
+        if let (Some(phi), Some(pool)) = (plan.drift_phi, &self.drift_pool) {
+            let mut rng = client::client_rng(self.config.seed ^ DRIFT_SALT, round, usize::MAX);
+            let shards =
+                partition::dirichlet(pool.labels(), self.config.hyper.num_clients, phi, &mut rng);
+            let skew = partition::skew_statistic(pool.labels(), &shards);
+            note("sim.drift.repartitions", "drift", round, |e| {
+                e.with("phi", phi).with("skew", skew)
+            });
+            self.fed =
+                FederatedDataset::from_partition(pool.clone(), self.fed.test().clone(), &shards);
+        }
+        for &edge in &plan.churn {
+            let (counter, label, client) = match edge {
+                Churn::Join(c) => {
+                    self.algorithm.client_joined(c);
+                    ("sim.churn.joins", "join", c)
+                }
+                Churn::Depart(c) => {
+                    self.algorithm.client_departed(c);
+                    ("sim.churn.departures", "depart", c)
+                }
+            };
+            note(counter, "churn", round, |e| {
+                e.with("client", client).with("event", label)
+            });
+        }
+    }
+
+    /// This round's work: a local-training job for every participant
+    /// that trains (attackers too; their transform comes after
+    /// training) and the echoed upload of every freeloader. Dropped
+    /// clients get neither: their update never arrives, so honest
+    /// dropouts also skip the wasted computation.
+    fn build_jobs(
+        &self,
+        plan: &RoundPlan,
+        global: &[f32],
+        prev_global: &[f32],
+    ) -> (Vec<ClientJob>, Vec<ClientUpdate>) {
+        let mut jobs = Vec::new();
+        let mut echoes = Vec::new();
+        for &client in &plan.participants {
+            if plan.faults[client] == Some(FaultKind::Dropout) {
+                continue;
+            }
+            let num_samples = self.fed.client(client).len();
+            if self.config.behaviors[client] != ClientBehavior::Freeloader {
+                jobs.push(ClientJob {
+                    client,
+                    rule: self.algorithm.local_rule(client, global),
+                    num_samples,
+                    steps: self
+                        .config
+                        .local_steps_per_client
+                        .as_ref()
+                        .map_or(self.config.hyper.local_steps, |s| s[client]),
+                });
+                continue;
+            }
+            // A freeloader uploads the previous global update verbatim
+            // (Section IV-A): Δ_i = w_{t−1} − w_t, the parameter-space
+            // image of the last Δ_t.
+            let delta = ops::sub(prev_global, global);
+            let dim = delta.len();
+            echoes.push(ClientUpdate {
+                client,
+                delta,
+                num_samples,
+                final_v: self.algorithm.uploads_momentum().then(|| vec![0.0; dim]),
+                mean_loss: 0.0,
+                grad_evals: 0,
+                steps: 0,
+                compute_seconds: 0.0,
+                encoded: None,
+            });
+        }
+        (jobs, echoes)
+    }
+
+    /// Applies the model-update attacks in client order, on the device
+    /// side of the wire (upstream of compression, corruption and
+    /// validation), and returns how many fired. Each is a pure
+    /// per-update transform, so attacked runs stay bit-identical across
+    /// thread and shard counts.
+    fn apply_attacks(&mut self, round: usize, updates: &mut [ClientUpdate]) -> usize {
+        let mut applied = 0;
+        for u in updates {
+            let Some(label) = adversary::apply(
+                &self.config.adversary,
+                self.config.behaviors[u.client],
+                self.config.seed,
+                round,
+                &mut u.delta,
+                &mut self.coalition_dirs,
+            ) else {
+                continue;
+            };
+            applied += 1;
+            let counter = match label {
+                "sign_flip" => "sim.attacks.sign_flip",
+                "boost" => "sim.attacks.boost",
+                _ => "sim.attacks.collude",
+            };
+            note(counter, "attack", round, |e| {
+                e.with("client", u.client).with("attack", label)
+            });
+        }
+        applied
+    }
+
+    /// Test loss and accuracy of the algorithm's reported parameters.
+    fn evaluate(&self, model: &mut dyn Model, global: &[f32]) -> (f64, f64) {
+        model.set_params(&self.algorithm.output_params(global));
+        let (loss, accuracy) = taco_nn::evaluate(model, &self.eval_batches);
+        (loss as f64, accuracy as f64)
+    }
+
+    /// The round's record. A round without an honest upload carries the
+    /// previous train loss forward (a 0.0 would plot as a perfect loss)
+    /// and marks it carried; a round that did not evaluate carries the
+    /// previous test metrics.
+    fn record(
+        &self,
+        plan: RoundPlan,
+        faults: FaultTotals,
+        attacks_applied: usize,
+        outcome: &UploadOutcome,
+        test: Option<(f64, f64)>,
+        last: Option<&RoundRecord>,
+    ) -> RoundRecord {
+        let accepted = &outcome.accepted;
+        let honest: Vec<f64> = accepted
+            .iter()
+            .filter(|u| self.config.behaviors[u.client] == ClientBehavior::Honest)
+            .map(|u| u.mean_loss as f64)
+            .collect();
+        let train_loss_carried = honest.is_empty();
+        let train_loss = if train_loss_carried {
+            last.map_or(0.0, |r| r.train_loss)
+        } else {
+            honest.iter().sum::<f64>() / honest.len() as f64
+        };
+        let (test_loss, test_accuracy) = test
+            .or_else(|| last.map(|r| (r.test_loss, r.test_accuracy)))
+            .unwrap_or((0.0, 0.0));
+        let mut suspected = self.algorithm.suspected();
+        suspected.sort_unstable();
+        suspected.dedup();
+        RoundRecord {
+            round: plan.round,
+            test_accuracy,
+            test_loss,
+            train_loss,
+            train_loss_carried,
+            max_client_seconds: accepted
+                .iter()
+                .map(|u| u.compute_seconds)
+                .fold(0.0, f64::max),
+            total_client_seconds: accepted.iter().map(|u| u.compute_seconds).sum(),
+            alphas: self.algorithm.alphas().map(<[f32]>::to_vec),
+            expelled: self.algorithm.expelled().len(),
+            upload_bytes: outcome.upload_bytes,
+            faults_injected: faults.injected(),
+            updates_rejected: outcome.updates_rejected(),
+            participants: plan.participants,
+            suspected,
+            attacks_applied,
+            fault_totals: FaultTotals {
+                deadline_cuts: outcome.deadline_cuts,
+                quarantined: outcome.quarantined,
+                ..faults
+            },
+            tracked_states: self.algorithm.tracked_client_states(),
+        }
+    }
+
+    /// The JSONL `round` event: the record's fields plus the round's
+    /// phase timings.
+    fn round_event(&self, r: &RoundRecord, secs: &PhaseSecs) -> trace::Event {
+        let participants = r.participants.len();
+        let event = trace::Event::new("round")
+            .with("round", r.round)
+            .with("algorithm", self.algorithm.name())
+            .with(
+                "clients_active",
+                participants - r.fault_totals.dropouts - r.updates_rejected,
+            )
+            .with(
+                "clients_skipped",
+                self.config.hyper.num_clients - participants,
+            )
+            .with("expelled", r.expelled)
+            .with("faults_injected", r.faults_injected)
+            .with("updates_rejected", r.updates_rejected)
+            .with("attacks_applied", r.attacks_applied)
+            .with("suspected", r.suspected.len())
+            .with("tracked_states", r.tracked_states)
+            .with("upload_bytes", r.upload_bytes)
+            .with("train_loss", r.train_loss)
+            .with("train_loss_carried", r.train_loss_carried)
+            .with("evaluated", self.config.evaluates(r.round))
+            .with("test_accuracy", r.test_accuracy)
+            .with("test_loss", r.test_loss)
+            .with("secs", secs.round)
+            .with("participation_secs", secs.participation)
+            .with("local_secs", secs.local)
+            .with("compress_secs", secs.compress)
+            .with("aggregate_secs", secs.aggregate)
+            .with("eval_secs", secs.eval)
+            .with("max_client_secs", r.max_client_seconds)
+            .with("total_client_secs", r.total_client_seconds);
+        let Some(a) = &r.alphas else { return event };
+        let mean = a.iter().map(|&x| x as f64).sum::<f64>() / a.len().max(1) as f64;
+        let min = a.iter().copied().fold(f32::INFINITY, f32::min);
+        let max = a.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        event
+            .with("alpha_mean", mean)
+            .with("alpha_min", min)
+            .with("alpha_max", max)
+    }
+}
+
+/// Tallies the plan's fault draws, reporting each one.
+fn note_faults(plan: &RoundPlan) -> FaultTotals {
+    let mut totals = FaultTotals::default();
+    for (client, kind) in plan.faults.iter().enumerate() {
+        let Some(kind) = kind else { continue };
+        let (count, counter) = match kind {
+            FaultKind::Dropout => (&mut totals.dropouts, "sim.faults.dropout"),
+            FaultKind::Straggler { .. } => (&mut totals.stragglers, "sim.faults.straggler"),
+            FaultKind::Corrupt(_) => (&mut totals.corruptions, "sim.faults.corrupt"),
+        };
+        *count += 1;
+        note(counter, "fault", plan.round, |e| {
+            e.with("client", client).with("fault", kind.label())
+        });
+    }
+    totals
 }
 
 #[cfg(test)]
@@ -789,46 +766,6 @@ mod tests {
         // alpha, byte count, and expulsion matches field-for-field.
         assert_eq!(parallel_a, parallel_b);
         assert_eq!(parallel_a, sequential);
-    }
-
-    #[test]
-    fn round_events_reach_the_sink_with_phase_breakdown() {
-        let _guard = trace::test_guard();
-        let sink = Arc::new(trace::MemorySink::new());
-        let prev = trace::set_sink(sink.clone());
-        let hyper = HyperParams::new(3, 2, 0.05, 8);
-        let history = Simulation::new(
-            small_fed(3, 14),
-            mlp(14),
-            Box::new(FedAvg::default()),
-            SimConfig::new(hyper, 3, 5),
-        )
-        .run();
-        trace::set_sink(prev);
-        trace::clear_sink();
-        let rounds = sink.events_of_kind("round");
-        assert_eq!(rounds.len(), history.rounds.len());
-        for (i, e) in rounds.iter().enumerate() {
-            assert_eq!(
-                e.field("round").and_then(trace::Value::as_f64),
-                Some(i as f64)
-            );
-            for key in [
-                "participation_secs",
-                "local_secs",
-                "compress_secs",
-                "aggregate_secs",
-                "eval_secs",
-                "secs",
-                "upload_bytes",
-                "clients_active",
-            ] {
-                assert!(e.field(key).is_some(), "round event missing {key}");
-            }
-        }
-        // Per-client spans rode along too: 3 clients × 3 rounds.
-        let steps = sink.events_of_kind("span");
-        assert_eq!(steps.len(), 9);
     }
 
     #[test]
@@ -987,9 +924,6 @@ mod tests {
     /// silently ended the run.
     #[test]
     fn expelled_minority_does_not_end_training_early() {
-        let _guard = trace::test_guard();
-        let sink = Arc::new(trace::MemorySink::new());
-        let prev = trace::set_sink(sink.clone());
         let hyper = HyperParams::new(6, 4, 0.05, 8);
         let algorithm = ForcedExpulsion {
             inner: FedAvg::default(),
@@ -997,16 +931,16 @@ mod tests {
         };
         let config = SimConfig::new(hyper, 6, 21).with_participation(0.34);
         let history = Simulation::new(small_fed(6, 21), mlp(21), Box::new(algorithm), config).run();
-        trace::set_sink(prev);
-        trace::clear_sink();
         assert_eq!(history.rounds.len(), 6, "training ended early");
-        assert!(history.rounds.iter().all(|r| r.expelled == 2));
-        for e in sink.events_of_kind("round") {
-            // ⌈0.34 · 4⌉ = 2 eligible clients participate every round.
-            assert_eq!(
-                e.field("clients_active").and_then(trace::Value::as_f64),
-                Some(2.0)
-            );
+        for r in &history.rounds {
+            assert_eq!(r.expelled, 2);
+            // ⌈0.34 · 4⌉ = 2 eligible clients participate every round,
+            // and with no faults both uploads arrive (the round event's
+            // `clients_active`).
+            assert_eq!(r.participants.len(), 2, "round {}", r.round);
+            assert!(r.participants.iter().all(|&c| c >= 2), "round {}", r.round);
+            let active = r.participants.len() - r.fault_totals.dropouts - r.updates_rejected;
+            assert_eq!(active, 2, "round {}", r.round);
         }
     }
 
@@ -1172,14 +1106,11 @@ mod tests {
         );
     }
 
-    /// Acceptance check: the per-round trace events report exactly the
-    /// fault and rejection counts that replaying the plan's pure
-    /// `fault_for` predicts for the participating clients.
+    /// The recorded fault and rejection counts are exactly what
+    /// replaying the plan's pure `fault_for` predicts for the
+    /// participating clients (here all of them).
     #[test]
-    fn round_events_match_a_plan_replay() {
-        let _guard = trace::test_guard();
-        let sink = Arc::new(trace::MemorySink::new());
-        let prev = trace::set_sink(sink.clone());
+    fn recorded_faults_match_a_plan_replay() {
         let n = 5;
         let seed = 41;
         let rounds = 5;
@@ -1196,66 +1127,33 @@ mod tests {
             config,
         )
         .run();
-        trace::set_sink(prev);
-        trace::clear_sink();
-        let events = sink.events_of_kind("round");
-        assert_eq!(events.len(), rounds);
-        for (round, e) in events.iter().enumerate() {
+        assert_eq!(history.rounds.len(), rounds);
+        for (round, r) in history.rounds.iter().enumerate() {
+            assert_eq!(r.participants, (0..n).collect::<Vec<_>>());
             let faults: Vec<FaultKind> = (0..n)
                 .filter_map(|c| plan.fault_for(seed, round, c))
                 .collect();
-            let rejected = faults
+            let corrupted = faults
                 .iter()
                 .filter(|k| matches!(k, FaultKind::Corrupt(_)))
                 .count();
             assert_eq!(
-                e.field("faults_injected").and_then(trace::Value::as_f64),
-                Some(faults.len() as f64),
+                r.faults_injected,
+                faults.len(),
                 "round {round} fault count diverges from the plan"
             );
             // Every corruption is a norm explosion far past the cap,
             // so the quarantine count equals the corruption count.
             assert_eq!(
-                e.field("updates_rejected").and_then(trace::Value::as_f64),
-                Some(rejected as f64),
+                r.updates_rejected, corrupted,
                 "round {round} rejection count diverges from the plan"
             );
-            assert_eq!(
-                history.rounds[round].faults_injected,
-                faults.len(),
-                "history and trace disagree"
-            );
+            assert_eq!(r.fault_totals.quarantined, corrupted);
         }
         assert!(
             history.total_faults_injected() > 0,
             "plan never fired; replay check is vacuous"
         );
-        // Individual fault events arrive under the event kind "fault"
-        // with the category in a "fault" field ("kind" is a reserved
-        // Event key): one per injection plus one per quarantine.
-        let fault_events = sink.events_of_kind("fault");
-        assert_eq!(
-            fault_events.len(),
-            history.total_faults_injected() + history.total_updates_rejected()
-        );
-        for e in &fault_events {
-            let label = e.field("fault").and_then(trace::Value::as_str);
-            assert!(
-                matches!(
-                    label,
-                    Some(
-                        "dropout"
-                            | "straggler"
-                            | "corrupt_nan"
-                            | "corrupt_inf"
-                            | "corrupt_scale"
-                            | "deadline_cut"
-                            | "quarantine"
-                    )
-                ),
-                "unexpected fault label {label:?}"
-            );
-        }
     }
 
     /// SCAFFOLD under system heterogeneity: the control-variate update
@@ -1471,10 +1369,7 @@ mod tests {
     }
 
     #[test]
-    fn drift_repartitions_on_cadence_and_stays_deterministic() {
-        let _guard = trace::test_guard();
-        let sink = Arc::new(trace::MemorySink::new());
-        let prev = trace::set_sink(sink.clone());
+    fn drift_repartitions_stay_deterministic() {
         let hyper = HyperParams::new(4, 4, 0.05, 16);
         let schedule = DriftSchedule::new(0.5, 0.1, 2, 8);
         let run = || {
@@ -1488,18 +1383,24 @@ mod tests {
         };
         let h1 = zero_timing(run());
         let h2 = zero_timing(run());
-        trace::set_sink(prev);
-        trace::clear_sink();
         assert_eq!(h1, h2);
         assert_eq!(h1.rounds.len(), 8);
-        // Rounds 2, 4, 6 re-partition (round 0 keeps the initial
-        // partition); two identical runs double the event count.
-        let drifts = sink.events_of_kind("drift");
-        assert_eq!(drifts.len(), 2 * 3);
-        for e in &drifts {
-            let phi = e.field("phi").and_then(trace::Value::as_f64);
-            assert!(phi.is_some_and(|p| p > 0.0 && p <= 0.5), "phi {phi:?}");
-        }
+        // The re-partitioned shards change what the clients train on.
+        let plain = zero_timing(
+            Simulation::new(
+                small_fed(4, 38),
+                mlp(38),
+                Box::new(FedAvg::default()),
+                SimConfig::new(hyper, 8, 29),
+            )
+            .run(),
+        );
+        assert_eq!(
+            h1.rounds[..2],
+            plain.rounds[..2],
+            "drift fired before round 2"
+        );
+        assert_ne!(h1.rounds[2..], plain.rounds[2..], "drift never fired");
     }
 
     #[test]
@@ -1527,5 +1428,44 @@ mod tests {
             Box::new(FedAvg::default()),
             SimConfig::new(hyper, 1, 1),
         );
+    }
+
+    /// A config whose fields were set directly, bypassing the builders.
+    fn direct_config(set: impl FnOnce(&mut SimConfig)) -> SimConfig {
+        let mut config = SimConfig::new(HyperParams::new(3, 2, 0.05, 8), 2, 1);
+        set(&mut config);
+        config
+    }
+
+    fn simulate(config: SimConfig) -> History {
+        Simulation::new(small_fed(3, 6), mlp(6), Box::new(FedAvg::default()), config).run()
+    }
+
+    #[test]
+    #[should_panic(expected = "eval_every must be positive")]
+    fn direct_zero_eval_every_panics_in_new() {
+        simulate(direct_config(|c| c.eval_every = 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "behaviors has 2 entries but hyper says 3 clients")]
+    fn direct_short_behaviors_panics_in_new() {
+        simulate(direct_config(|c| c.behaviors.truncate(2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "local_steps_per_client has 2 entries but hyper says 3 clients")]
+    fn direct_short_local_steps_panics_in_new() {
+        simulate(direct_config(|c| {
+            c.local_steps_per_client = Some(vec![2, 2])
+        }));
+    }
+
+    #[test]
+    #[should_panic(expected = "participation fraction must be in (0, 1]")]
+    fn direct_zero_participation_panics_in_new() {
+        simulate(direct_config(|c| {
+            c.participation = Participation::Sample { fraction: 0.0 }
+        }));
     }
 }

@@ -4,7 +4,7 @@
 //! aggregation of the uploads that survive it.
 
 use crate::fault::{self, FaultKind};
-use crate::runner::SimConfig;
+use crate::runner::{note, SimConfig};
 use taco_core::{ClientUpdate, FederatedAlgorithm, HyperParams, ShardFold};
 use taco_trace as trace;
 
@@ -60,15 +60,9 @@ pub(crate) fn process_uploads(
                 };
                 if deadline.misses(u.steps, slowdown) {
                     deadline_cuts += 1;
-                    trace::counter("sim.faults.deadline_cut").incr();
-                    if trace::active() {
-                        trace::emit(
-                            &trace::Event::new("fault")
-                                .with("round", round)
-                                .with("client", u.client)
-                                .with("fault", "deadline_cut"),
-                        );
-                    }
+                    note("sim.faults.deadline_cut", "fault", round, |e| {
+                        e.with("client", u.client).with("fault", "deadline_cut")
+                    });
                     false
                 } else {
                     true
@@ -131,16 +125,11 @@ pub(crate) fn process_uploads(
             Ok(()) => accepted.push(u),
             Err(reason) => {
                 quarantined += 1;
-                trace::counter("sim.faults.rejected").incr();
-                if trace::active() {
-                    trace::emit(
-                        &trace::Event::new("fault")
-                            .with("round", round)
-                            .with("client", u.client)
-                            .with("fault", "quarantine")
-                            .with("reason", reason.label()),
-                    );
-                }
+                note("sim.faults.rejected", "fault", round, |e| {
+                    e.with("client", u.client)
+                        .with("fault", "quarantine")
+                        .with("reason", reason.label())
+                });
                 algorithm.report_invalid_update(u.client);
             }
         }
