@@ -150,7 +150,6 @@ fn aggregate_ms(reps: usize) -> f64 {
                     grad_evals: 0,
                     steps: 1,
                     compute_seconds: 0.0,
-                    encoded: None,
                 })
                 .collect()
         })
@@ -203,11 +202,11 @@ fn round_t4_ms(reps: usize) -> f64 {
     }) * 1e3
 }
 
-/// Codec throughput + decode-free aggregation metrics for the Q8 wire
-/// format: encode bandwidth over a 1 Mi-dim delta (input GB/s), the
-/// median wall-ms of the 8-shard [`ShardFold`] over 32 encoded uploads
-/// × 256 Ki dims on a 4-worker pool (folding from the encodings, no
-/// decode), and the deterministic wire size of one such payload
+/// Codec throughput + aggregation metrics for the Q8 wire format:
+/// encode bandwidth over a 1 Mi-dim delta (input GB/s), the median
+/// wall-ms of the 8-shard [`ShardFold`] over 32 decoded Q8 uploads ×
+/// 256 Ki dims on a 4-worker pool (the dense fold the server runs),
+/// and the deterministic wire size of one such payload
 /// (machine-independent, gated everywhere).
 fn codec_metrics(reps: usize) -> Vec<PerfMetric> {
     use taco_core::compress::{codec_stream, Compressor, Uniform8Bit};
@@ -223,10 +222,14 @@ fn codec_metrics(reps: usize) -> Vec<PerfMetric> {
 
     const AGG_DIM: usize = 262_144;
     const AGG_CLIENTS: usize = 32;
+    let mut wire_bytes = 0.0;
     let uploads: Vec<ClientUpdate> = (0..AGG_CLIENTS)
         .map(|client| {
             let delta: Vec<f32> = (0..AGG_DIM).map(|_| rng.normal_f32() * 0.01).collect();
             let enc = Uniform8Bit.encode(&delta, &mut codec_stream(SUITE_SEED, 0, client));
+            if client == 0 {
+                wire_bytes = enc.wire_bytes() as f64;
+            }
             ClientUpdate {
                 client,
                 delta: enc.decode(),
@@ -236,11 +239,9 @@ fn codec_metrics(reps: usize) -> Vec<PerfMetric> {
                 grad_evals: 0,
                 steps: 1,
                 compute_seconds: 0.0,
-                encoded: Some(enc),
             }
         })
         .collect();
-    let wire_bytes = uploads[0].encoded.as_ref().map_or(0, |e| e.wire_bytes()) as f64;
     let ones = vec![1.0f32; AGG_CLIENTS];
     let pool = Pool::new(4);
     let agg_ms = pool::with_pool(&pool, || {
@@ -249,7 +250,7 @@ fn codec_metrics(reps: usize) -> Vec<PerfMetric> {
             std::hint::black_box(fold.weighted_mean(&uploads, &ones, 8));
         })
     }) * 1e3;
-    println!("codec.q8.aggregate {agg_ms:>9.2} ms (median of {reps}, t4, decode-free)");
+    println!("codec.q8.aggregate {agg_ms:>9.2} ms (median of {reps}, t4, decoded)");
 
     vec![
         metric("codec.q8.encode_gbps", encode_gbps, "GB/s", true, true, 0.5),

@@ -112,18 +112,10 @@ pub fn fold_shards(dim: usize) -> usize {
 /// each chunk folds the uploads **in client order** with the widening
 /// `acc += w as f64 · x as f64` of [`ops::weighted_mean`]. Chunks are
 /// disjoint, so their schedule cannot reorder any dimension's sum, and
-/// the result is bit-identical to `ops::weighted_mean` over the decoded
-/// deltas at any shard count and any pool size. `shards = 1` is the
-/// sequential reference.
-///
-/// An upload that carries its wire encoding folds straight from it
-/// through [`EncodedDelta::accumulate_range_into`] — the same
-/// per-dimension arithmetic without a dense copy. The server validates
-/// every encoding with [`EncodedDelta::check_integrity`] before it gets
-/// here.
-///
-/// [`EncodedDelta::accumulate_range_into`]: crate::compress::EncodedDelta::accumulate_range_into
-/// [`EncodedDelta::check_integrity`]: crate::compress::EncodedDelta::check_integrity
+/// the result is bit-identical to `ops::weighted_mean` over the deltas
+/// at any shard count and any pool size. `shards = 1` is the
+/// sequential reference. Encoded uploads arrive here already decoded:
+/// the fold only ever reads dense deltas.
 #[derive(Debug, Default)]
 pub struct ShardFold {
     sums: Vec<f64>,
@@ -162,10 +154,7 @@ impl ShardFold {
         pool::for_each_chunk(&mut self.sums, chunk, |s, acc| {
             let range = s * chunk..s * chunk + acc.len();
             for (u, &w) in updates.iter().zip(weights) {
-                match &u.encoded {
-                    Some(enc) => enc.accumulate_range_into(range.clone(), acc, w),
-                    None => linalg::scale_accumulate(acc, &u.delta[range.clone()], f64::from(w)),
-                }
+                linalg::scale_accumulate(acc, &u.delta[range.clone()], f64::from(w));
             }
         });
         let mut mean = vec![0.0f32; dim];
@@ -463,7 +452,6 @@ pub(crate) mod testkit {
             grad_evals: 0,
             steps: 1,
             compute_seconds: 0.0,
-            encoded: None,
         }
     }
 
@@ -532,7 +520,6 @@ mod tests {
             grad_evals: 0,
             steps: 1,
             compute_seconds: 0.0,
-            encoded: None,
         }
     }
 
@@ -562,11 +549,10 @@ mod tests {
         use crate::compress::{codec_stream, Compressor, TopK, Uniform8Bit};
         let dim = 1001; // odd, so chunk boundaries cross Q8/sparse runs
         let (_, mut updates) = testkit::random_round(5, dim, 23);
-        // Two uploads fold from their wire encodings.
+        // Two uploads carry decoded lossy deltas, as under a codec.
         for (i, codec) in [(1, &Uniform8Bit as &dyn Compressor), (3, &TopK::new(0.1))] {
             let enc = codec.encode(&updates[i].delta, &mut codec_stream(23, 0, i));
             updates[i].delta = enc.decode();
-            updates[i].encoded = Some(enc);
         }
         let weights = [0.3f32, 1.7, 0.01, 2.5, 0.9];
         let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();

@@ -12,12 +12,9 @@
 //!   message. Its [`EncodedDelta::wire_bytes`] is computed from the
 //!   actual encoding (headers, indices, levels, non-finite escapes),
 //!   not from a formula over the dense length.
-//! - The server side either [`EncodedDelta::decode`]s, or folds the
-//!   payload **decode-free** into `f64` shard accumulators via
-//!   [`EncodedDelta::accumulate_range_into`], which reproduces the
-//!   decode-then-add arithmetic bit for bit (see the determinism notes
-//!   on that method) using the AVX-dispatched scale-accumulate kernels
-//!   in [`taco_tensor::linalg`].
+//! - The server checks each message's structure
+//!   ([`EncodedDelta::check_integrity`] and its dimension), then
+//!   [`EncodedDelta::decode`]s it once and aggregates the dense delta.
 //!
 //! Four codecs ship:
 //!
@@ -45,9 +42,8 @@
 //! | `Q8` | `min: f32, scale: f32, n_exc: u32`, `d × u8`, `n_exc × (idx: u32, raw: f32)` | `12 + d + 8·n_exc` |
 //! | `Q4` | `min: f32, scale: f32, n_exc: u32, dim: u32`, `⌈d/2⌉ × u8`, `n_exc × (idx: u32, raw: f32)` | `16 + ⌈d/2⌉ + 8·n_exc` |
 
-use std::ops::Range;
 use std::sync::Arc;
-use taco_tensor::{linalg, ops, Prng};
+use taco_tensor::{ops, Prng};
 
 /// Salt mixed into the run seed for the stochastic-rounding stream, so
 /// quantization draws are independent of the training, participation,
@@ -227,136 +223,6 @@ impl EncodedDelta {
                     }
                 }
                 out
-            }
-        }
-    }
-
-    /// Decode-free accumulation over the whole vector:
-    /// `acc[j] += weight · decode()[j]`, without materializing the
-    /// decoded vector. See [`EncodedDelta::accumulate_range_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `acc.len() != self.dim()`.
-    pub fn accumulate_into(&self, acc: &mut [f64], weight: f32) {
-        assert_eq!(acc.len(), self.dim(), "accumulator length mismatch");
-        self.accumulate_range_into(0..self.dim(), acc, weight);
-    }
-
-    /// Decode-free accumulation of one dimension shard:
-    /// `acc[j] += weight as f64 · decode()[range][j] as f64` for `j`
-    /// ascending — **bit-identical** to decoding and then running the
-    /// dense `acc += weight as f64 * x as f64` fold of
-    /// [`taco_tensor::ops::weighted_mean`] over the same range, because
-    /// every per-dimension operation is that exact widening
-    /// multiply-add, performed in the same
-    /// ascending order (the AVX kernels are elementwise, so
-    /// vectorization cannot reorder any per-dimension arithmetic):
-    ///
-    /// - `Dense` runs [`linalg::scale_accumulate`] on the subslice.
-    /// - `Q8`/`Q4` run the fused dequantize-accumulate kernels over
-    ///   the level buffer, splitting around in-range escape entries so
-    ///   each escaped dimension contributes its raw value exactly once.
-    /// - `Sparse` adds only the stored coordinates. Skipping the zero
-    ///   coordinates is exact: the accumulator starts at `+0.0` and a
-    ///   finite IEEE sum can only become `−0.0` when every addend is
-    ///   `−0.0`, so `acc + (±0.0)` is always bitwise `acc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` exceeds the dimension or `acc.len()` differs
-    /// from the range length.
-    ///
-    /// Unlike [`EncodedDelta::decode`], which is defensive, the index
-    /// arithmetic here trusts the encoding's structure: a malformed
-    /// message (unsorted or out-of-range exception indices, an
-    /// undersized level buffer) may panic. Callers must gate
-    /// untrusted encodings through [`EncodedDelta::check_integrity`]
-    /// first — the server does exactly that for every encoded upload
-    /// before anything reaches [`crate::ShardFold`].
-    pub fn accumulate_range_into(&self, range: Range<usize>, acc: &mut [f64], weight: f32) {
-        assert!(range.end <= self.dim(), "shard range out of bounds");
-        assert_eq!(acc.len(), range.len(), "shard accumulator length mismatch");
-        debug_assert!(
-            self.check_integrity(),
-            "accumulate_range_into on a malformed encoding: callers must check_integrity() first"
-        );
-        let w = f64::from(weight);
-        match self {
-            EncodedDelta::Dense(v) => {
-                linalg::scale_accumulate(acc, &v[range], w);
-            }
-            EncodedDelta::Sparse {
-                indices, values, ..
-            } => {
-                let lo = indices.partition_point(|&i| (i as usize) < range.start);
-                let hi = indices.partition_point(|&i| (i as usize) < range.end);
-                for (&i, &v) in indices[lo..hi].iter().zip(&values[lo..hi]) {
-                    acc[i as usize - range.start] += w * f64::from(v);
-                }
-            }
-            EncodedDelta::Q8 {
-                min,
-                scale,
-                levels,
-                exceptions,
-            } => {
-                let mut start = range.start;
-                for &(i, raw) in exceptions {
-                    let i = i as usize;
-                    if i < range.start || i >= range.end {
-                        continue;
-                    }
-                    linalg::dequant8_accumulate(
-                        &mut acc[start - range.start..i - range.start],
-                        &levels[start..i],
-                        *min,
-                        *scale,
-                        w,
-                    );
-                    acc[i - range.start] += w * f64::from(raw);
-                    start = i + 1;
-                }
-                linalg::dequant8_accumulate(
-                    &mut acc[start - range.start..],
-                    &levels[start..range.end],
-                    *min,
-                    *scale,
-                    w,
-                );
-            }
-            EncodedDelta::Q4 {
-                min,
-                scale,
-                packed,
-                exceptions,
-                ..
-            } => {
-                let mut start = range.start;
-                for &(i, raw) in exceptions {
-                    let i = i as usize;
-                    if i < range.start || i >= range.end {
-                        continue;
-                    }
-                    linalg::dequant4_accumulate(
-                        &mut acc[start - range.start..i - range.start],
-                        packed,
-                        start,
-                        *min,
-                        *scale,
-                        w,
-                    );
-                    acc[i - range.start] += w * f64::from(raw);
-                    start = i + 1;
-                }
-                linalg::dequant4_accumulate(
-                    &mut acc[start - range.start..],
-                    packed,
-                    start,
-                    *min,
-                    *scale,
-                    w,
-                );
             }
         }
     }
@@ -943,8 +809,6 @@ mod tests {
             assert_eq!(enc.dim(), 0, "{}", c.name());
             assert!(enc.decode().is_empty(), "{}", c.name());
             assert!(enc.check_integrity(), "{}", c.name());
-            let mut acc: Vec<f64> = Vec::new();
-            enc.accumulate_into(&mut acc, 1.0);
         }
     }
 
@@ -954,54 +818,6 @@ mod tests {
         let x = Tensor::randn([512], 1.0, &mut rng).into_vec();
         let out = rt(&TopK::new(0.2), &x);
         assert!(ops::cosine_similarity(&x, &out) > 0.5);
-    }
-
-    #[test]
-    fn accumulate_into_matches_decode_then_add_bitwise() {
-        let mut rng = Prng::seed_from_u64(8);
-        let dim = 1003;
-        let mut x = Tensor::randn([dim], 1.0, &mut rng).into_vec();
-        // Exercise the escape-splitting paths too.
-        x[17] = f32::NAN;
-        x[900] = f32::INFINITY;
-        for c in [
-            &NoCompression as &dyn Compressor,
-            &TopK::new(0.1),
-            &Uniform8Bit,
-            &Stochastic4Bit,
-        ] {
-            let enc = c.encode(&x, &mut stream());
-            let decoded = enc.decode();
-            for w in [1.0f32, 0.25, -2.5] {
-                let mut want = vec![0.0f64; dim];
-                for (a, &v) in want.iter_mut().zip(&decoded) {
-                    *a += f64::from(w) * f64::from(v);
-                }
-                // Whole-vector fold.
-                let mut got = vec![0.0f64; dim];
-                enc.accumulate_into(&mut got, w);
-                // Ragged shard split at awkward boundaries (odd split
-                // points cross the Q4 nibble parity).
-                let mut split = vec![0.0f64; dim];
-                for (start, end) in [(0usize, 333usize), (333, 334), (334, 1003)] {
-                    enc.accumulate_range_into(start..end, &mut split[start..end], w);
-                }
-                for (i, ((p, q), r)) in got.iter().zip(&want).zip(&split).enumerate() {
-                    assert_eq!(
-                        p.to_bits(),
-                        q.to_bits(),
-                        "{} w={w} dim {i}: {p} vs {q}",
-                        c.name()
-                    );
-                    assert_eq!(
-                        r.to_bits(),
-                        q.to_bits(),
-                        "{} w={w} dim {i} (split): {r} vs {q}",
-                        c.name()
-                    );
-                }
-            }
-        }
     }
 
     #[test]

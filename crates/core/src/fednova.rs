@@ -116,7 +116,6 @@ mod tests {
             grad_evals: steps,
             steps,
             compute_seconds: 0.0,
-            encoded: None,
         }
     }
 

@@ -127,7 +127,6 @@ mod tests {
             grad_evals: 0,
             steps: 1,
             compute_seconds: 0.0,
-            encoded: None,
         }
     }
 
@@ -177,7 +176,6 @@ mod tests {
             grad_evals: 0,
             steps: 1,
             compute_seconds: 0.0,
-            encoded: None,
         };
         let _ = alg.aggregate(&[0.0], &[u], &hyper);
     }

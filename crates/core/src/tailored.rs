@@ -184,7 +184,6 @@ mod tests {
             grad_evals: 0,
             steps: 1,
             compute_seconds: 0.0,
-            encoded: None,
         }
     }
 

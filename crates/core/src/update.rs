@@ -117,7 +117,9 @@ pub struct LocalOutcome {
 pub struct ClientUpdate {
     /// The uploading client's id.
     pub client: usize,
-    /// Accumulated local gradient `Δ_i^t` (parameter units).
+    /// Accumulated local gradient `Δ_i^t` (parameter units). Under an
+    /// upload codec the server replaces it with the decoded lossy
+    /// vector once the encoding passes its structure check.
     pub delta: Vec<f32>,
     /// Local dataset size `D_i` (for data-weighted aggregation).
     pub num_samples: usize,
@@ -132,12 +134,6 @@ pub struct ClientUpdate {
     /// Measured local compute time in seconds (filled by the
     /// simulator; algorithms must not read it).
     pub compute_seconds: f64,
-    /// The wire-format payload when an upload codec is active (`None`
-    /// for uncompressed runs). When present, `delta` holds the decoded
-    /// lossy vector and the server's shard fold reads this encoding
-    /// decode-free; validation checks its structural integrity before
-    /// trusting the floats.
-    pub encoded: Option<crate::compress::EncodedDelta>,
 }
 
 impl ClientUpdate {
@@ -153,7 +149,6 @@ impl ClientUpdate {
             grad_evals: outcome.grad_evals,
             steps: outcome.steps,
             compute_seconds: 0.0,
-            encoded: None,
         }
     }
 }

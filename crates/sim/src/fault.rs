@@ -23,11 +23,12 @@
 //!   *after* upload compression): one element NaN- or ∞-poisoned, or
 //!   the whole delta scaled by a huge factor.
 //!
-//! On the server side, a [`ValidationPolicy`] quarantines broken
-//! uploads before they reach aggregation: any non-finite delta (or
-//! momentum buffer) and any delta whose L2 norm exceeds
-//! `max_delta_norm` is rejected, counted, and reported to the
-//! algorithm via
+//! On the server side, every upload is checked before it reaches
+//! aggregation, fault plan or not: a malformed encoding
+//! ([`check_encoding`]) and any non-finite delta or momentum buffer
+//! is quarantined. A plan's [`ValidationPolicy`] adds the norm cap:
+//! any delta whose L2 norm exceeds `max_delta_norm`. Each quarantined
+//! upload is counted and reported to the algorithm via
 //! [`taco_core::FederatedAlgorithm::report_invalid_update`] as
 //! freeloader-detection evidence (TACO turns repeated offenders into
 //! strikes, Eq. 10).
@@ -150,8 +151,8 @@ pub enum RejectReason {
     /// `‖Δ_i‖₂` exceeds the policy's bound.
     NormExploded,
     /// The encoded payload is structurally invalid (out-of-range or
-    /// unsorted indices, truncated level buffer) — rejected before the
-    /// decoded floats are trusted.
+    /// unsorted indices, a ragged or truncated buffer, the wrong
+    /// dimension) — rejected before it is decoded.
     MalformedEncoding,
 }
 
@@ -166,31 +167,39 @@ impl RejectReason {
     }
 }
 
-/// Structure-checks an upload's wire encoding, if it has one: a
-/// corrupted index or level buffer is [`RejectReason::MalformedEncoding`]
-/// even when the decoded floats happen to look plausible. The server
-/// runs this on every upload, with or without a fault plan.
-pub fn check_encoding(update: &ClientUpdate) -> Result<(), RejectReason> {
-    match &update.encoded {
-        Some(enc) if !enc.check_integrity() => Err(RejectReason::MalformedEncoding),
-        _ => Ok(()),
+/// Structure-checks an upload's wire encoding before it is decoded: a
+/// corrupted index, a ragged or truncated buffer, or a payload whose
+/// dimension differs from the model's `dim` is
+/// [`RejectReason::MalformedEncoding`], even when the decoded floats
+/// would look plausible. The server runs this on every encoded upload,
+/// with or without a fault plan.
+pub fn check_encoding(enc: &EncodedDelta, dim: usize) -> Result<(), RejectReason> {
+    if enc.dim() == dim && enc.check_integrity() {
+        Ok(())
+    } else {
+        Err(RejectReason::MalformedEncoding)
+    }
+}
+
+/// Rejects an upload whose delta or momentum buffer holds NaN/∞ as
+/// [`RejectReason::NonFinite`]. The server runs this on every upload,
+/// with or without a fault plan.
+pub(crate) fn check_finite(update: &ClientUpdate) -> Result<(), RejectReason> {
+    let finite =
+        ops::all_finite(&update.delta) && update.final_v.as_deref().is_none_or(ops::all_finite);
+    if finite {
+        Ok(())
+    } else {
+        Err(RejectReason::NonFinite)
     }
 }
 
 impl ValidationPolicy {
-    /// Validates one received upload; `Err` names the quarantine
-    /// reason. Encoded payloads are structure-checked first
-    /// ([`check_encoding`]).
+    /// Validates one received (decoded) upload: finiteness of the delta
+    /// and momentum buffer, then the norm cap. `Err` names the
+    /// quarantine reason.
     pub fn validate(&self, update: &ClientUpdate) -> Result<(), RejectReason> {
-        check_encoding(update)?;
-        if !ops::all_finite(&update.delta) {
-            return Err(RejectReason::NonFinite);
-        }
-        if let Some(v) = &update.final_v {
-            if !ops::all_finite(v) {
-                return Err(RejectReason::NonFinite);
-            }
-        }
+        check_finite(update)?;
         if ops::norm(&update.delta) > self.max_delta_norm {
             return Err(RejectReason::NormExploded);
         }
@@ -485,7 +494,6 @@ mod tests {
             grad_evals: 0,
             steps: 1,
             compute_seconds: 0.0,
-            encoded: None,
         }
     }
 

@@ -535,7 +535,6 @@ impl Simulation {
                 grad_evals: 0,
                 steps: 0,
                 compute_seconds: 0.0,
-                encoded: None,
             });
         }
         (jobs, echoes)

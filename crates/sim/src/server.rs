@@ -1,7 +1,8 @@
 //! The server side of a round: the upload pipeline — straggler
 //! slowdown, the synchronous deadline, lossy compression with byte
-//! accounting, wire corruption, and validation/quarantine — and the
-//! aggregation of the uploads that survive it.
+//! accounting, wire corruption, the structure check and decode, and
+//! validation/quarantine — and the aggregation of the uploads that
+//! survive it.
 
 use crate::fault::{self, FaultKind};
 use crate::runner::{note, SimConfig};
@@ -75,14 +76,15 @@ pub(crate) fn process_uploads(
     // are measured from the actual encoding, and — when a fault plan
     // is active — wire corruption is applied to the *encoded* payload
     // (an index, a value slot, or the scale header), since that is
-    // what travels. The update then carries both the encoding (for
-    // the decode-free fold and integrity validation) and the decoded
-    // lossy delta (for algorithms and norm checks).
+    // what travels. The server then checks the encoding's structure:
+    // a well-formed one is decoded once into the delta and dropped; a
+    // malformed one is never decoded and is quarantined below.
     let compress_span = trace::Span::quiet(crate::phase::COMPRESS);
+    let mut structure = vec![Ok(()); updates.len()];
     let upload_bytes: usize = match &config.upload_compressor {
         Some(c) => {
             let mut bytes = 0;
-            for u in &mut updates {
+            for (u, verdict) in updates.iter_mut().zip(&mut structure) {
                 let mut stream = taco_core::compress::codec_stream(config.seed, round, u.client);
                 let mut enc = c.encode(&u.delta, &mut stream);
                 if config.fault_plan.is_some() {
@@ -91,8 +93,10 @@ pub(crate) fn process_uploads(
                     }
                 }
                 bytes += enc.wire_bytes();
-                u.delta = enc.decode();
-                u.encoded = Some(enc);
+                *verdict = fault::check_encoding(&enc, u.delta.len());
+                if verdict.is_ok() {
+                    u.delta = enc.decode();
+                }
             }
             bytes
         }
@@ -109,18 +113,17 @@ pub(crate) fn process_uploads(
             }
         }
     }
-    // The server quarantines anything malformed — and, under a fault
-    // plan, anything non-finite or norm-exploded — before it reaches
+    // The server quarantines anything malformed or non-finite — and,
+    // under a fault plan, anything norm-exploded — before it reaches
     // aggregation, and reports the offender to the algorithm's
-    // freeloader-detection machinery. Every encoding is checked, fault
-    // plan or not: the shard fold trusts an encoding's structure.
-    // Quarantined uploads did arrive, so their bytes stay counted.
+    // freeloader-detection machinery. Quarantined uploads did arrive,
+    // so their bytes stay counted.
     let mut accepted = Vec::with_capacity(updates.len());
-    for u in updates {
-        let verdict = match &config.fault_plan {
+    for (u, structure) in updates.into_iter().zip(structure) {
+        let verdict = structure.and_then(|()| match &config.fault_plan {
             Some(plan) => plan.validation.validate(&u),
-            None => fault::check_encoding(&u),
-        };
+            None => fault::check_finite(&u),
+        });
         match verdict {
             Ok(()) => accepted.push(u),
             Err(reason) => {

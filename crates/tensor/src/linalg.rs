@@ -626,19 +626,17 @@ pub fn matvec(a: &Tensor, x: &[f32]) -> Vec<f32> {
         .collect()
 }
 
-// --- Codec scale-accumulate kernels ---------------------------------------
+// --- Scale-accumulate kernel -----------------------------------------------
 //
-// The upload codecs in `taco-core::compress` fold encoded payloads
-// directly into the server's shard-fold `f64` accumulators without
-// materializing an intermediate decoded `Vec<f32>`. Each kernel is a
-// purely elementwise `acc[j] += weight · decode(j)` pass — no
-// cross-lane reduction — so the AVX build is bit-identical to the
-// scalar body lane for lane (the differential tests below pin this),
-// and the widening arithmetic is exactly the
-// `acc += weight as f64 * x as f64` of [`crate::ops::weighted_mean`].
+// The server's shard fold (`taco-core::ShardFold`) adds each decoded
+// upload into its `f64` accumulators with this kernel. It is a purely
+// elementwise `acc[j] += weight · values[j]` pass — no cross-lane
+// reduction — so the AVX build is bit-identical to the scalar body
+// lane for lane (the differential test below pins this), and the
+// widening arithmetic is exactly the `acc += weight as f64 * x as f64`
+// of [`crate::ops::weighted_mean`].
 
 static K_SCALE_ACC: ktrace::Kernel = ktrace::Kernel::new("kernel.scale_acc");
-static K_DEQUANT_ACC: ktrace::Kernel = ktrace::Kernel::new("kernel.dequant_acc");
 
 /// Fused scale-accumulate `acc[j] += weight · values[j]`, widening each
 /// `f32` to `f64` before the multiply (the weighted-mean contract).
@@ -677,134 +675,6 @@ unsafe fn scale_accumulate_avx(acc: &mut [f64], values: &[f32], weight: f64) {
 #[inline(always)]
 fn scale_accumulate_body(acc: &mut [f64], values: &[f32], weight: f64) {
     for (a, &x) in acc.iter_mut().zip(values) {
-        *a += weight * f64::from(x);
-    }
-}
-
-/// Fused 8-bit dequantize-accumulate:
-/// `acc[j] += weight · f64(min + levels[j] · scale)`, where the affine
-/// reconstruction `min + level · scale` happens in `f32` — the exact
-/// value a decode-then-add pass would have produced.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn dequant8_accumulate(acc: &mut [f64], levels: &[u8], min: f32, scale: f32, weight: f64) {
-    assert_eq!(
-        acc.len(),
-        levels.len(),
-        "dequant8_accumulate length mismatch"
-    );
-    if acc.is_empty() {
-        return;
-    }
-    let _t = K_DEQUANT_ACC.record(acc.len() as u64);
-    #[cfg(target_arch = "x86_64")]
-    if cpu_has_avx() {
-        // SAFETY: AVX support was just verified at runtime.
-        unsafe { dequant8_accumulate_avx(acc, levels, min, scale, weight) };
-        return;
-    }
-    let _ = cpu_has_avx();
-    dequant8_accumulate_body(acc, levels, min, scale, weight);
-}
-
-/// # Safety
-///
-/// The CPU must support AVX (`target_feature` makes calling this UB
-/// otherwise); the dispatch site verifies with `cpu_has_avx` at
-/// runtime. The body is the safe `dequant8_accumulate_body` compiled
-/// with AVX codegen.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn dequant8_accumulate_avx(
-    acc: &mut [f64],
-    levels: &[u8],
-    min: f32,
-    scale: f32,
-    weight: f64,
-) {
-    dequant8_accumulate_body(acc, levels, min, scale, weight);
-}
-
-#[inline(always)]
-fn dequant8_accumulate_body(acc: &mut [f64], levels: &[u8], min: f32, scale: f32, weight: f64) {
-    for (a, &l) in acc.iter_mut().zip(levels) {
-        let x = min + f32::from(l) * scale;
-        *a += weight * f64::from(x);
-    }
-}
-
-/// Fused 4-bit dequantize-accumulate over a nibble-packed level buffer:
-/// element `first + j` reads the low (even index) or high (odd index)
-/// nibble of `packed[(first + j) / 2]`, reconstructs
-/// `min + level · scale` in `f32`, and accumulates
-/// `acc[j] += weight · f64(value)`. `first` is the absolute element
-/// offset, so shard-range calls agree with a whole-vector pass on
-/// nibble parity.
-///
-/// # Panics
-///
-/// Panics if `packed` is too short for elements `first .. first + acc.len()`.
-pub fn dequant4_accumulate(
-    acc: &mut [f64],
-    packed: &[u8],
-    first: usize,
-    min: f32,
-    scale: f32,
-    weight: f64,
-) {
-    if acc.is_empty() {
-        return;
-    }
-    assert!(
-        (first + acc.len()).div_ceil(2) <= packed.len(),
-        "dequant4_accumulate: packed buffer too short"
-    );
-    let _t = K_DEQUANT_ACC.record(acc.len() as u64);
-    #[cfg(target_arch = "x86_64")]
-    if cpu_has_avx() {
-        // SAFETY: AVX support was just verified at runtime.
-        unsafe { dequant4_accumulate_avx(acc, packed, first, min, scale, weight) };
-        return;
-    }
-    let _ = cpu_has_avx();
-    dequant4_accumulate_body(acc, packed, first, min, scale, weight);
-}
-
-/// # Safety
-///
-/// The CPU must support AVX (`target_feature` makes calling this UB
-/// otherwise); the dispatch site verifies with `cpu_has_avx` at
-/// runtime. The body is the safe `dequant4_accumulate_body` compiled
-/// with AVX codegen.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn dequant4_accumulate_avx(
-    acc: &mut [f64],
-    packed: &[u8],
-    first: usize,
-    min: f32,
-    scale: f32,
-    weight: f64,
-) {
-    dequant4_accumulate_body(acc, packed, first, min, scale, weight);
-}
-
-#[inline(always)]
-fn dequant4_accumulate_body(
-    acc: &mut [f64],
-    packed: &[u8],
-    first: usize,
-    min: f32,
-    scale: f32,
-    weight: f64,
-) {
-    for (j, a) in acc.iter_mut().enumerate() {
-        let i = first + j;
-        let byte = packed[i / 2];
-        let level = (byte >> ((i % 2) * 4)) & 0x0F;
-        let x = min + f32::from(level) * scale;
         *a += weight * f64::from(x);
     }
 }
@@ -975,46 +845,6 @@ mod tests {
             for (i, (p, q)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(p.to_bits(), q.to_bits(), "len {len} dim {i}");
             }
-        }
-    }
-
-    #[test]
-    fn dequant8_accumulate_matches_decode_then_add_bitwise() {
-        let mut rng = Prng::seed_from_u64(12);
-        let len = 513;
-        let levels: Vec<u8> = (0..len).map(|_| (rng.below(256)) as u8).collect();
-        let (min, scale) = (-0.83f32, 0.0071f32);
-        let w = -1.25f64;
-        let init: Vec<f64> = (0..len).map(|_| rng.normal_f64()).collect();
-        let mut got = init.clone();
-        dequant8_accumulate(&mut got, &levels, min, scale, w);
-        let mut want = init;
-        for (a, &l) in want.iter_mut().zip(&levels) {
-            let x = min + f32::from(l) * scale;
-            *a += w * f64::from(x);
-        }
-        for (i, (p, q)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(p.to_bits(), q.to_bits(), "dim {i}");
-        }
-    }
-
-    #[test]
-    fn dequant4_range_calls_agree_with_whole_vector_pass() {
-        // Splitting the element range at an odd boundary must read the
-        // same nibbles as one whole-vector pass: parity comes from the
-        // absolute index, not the slice offset.
-        let mut rng = Prng::seed_from_u64(13);
-        let dim = 257usize;
-        let packed: Vec<u8> = (0..dim.div_ceil(2)).map(|_| rng.below(256) as u8).collect();
-        let (min, scale, w) = (0.05f32, 0.013f32, 2.0f64);
-        let mut whole = vec![0.0f64; dim];
-        dequant4_accumulate(&mut whole, &packed, 0, min, scale, w);
-        let mut split = vec![0.0f64; dim];
-        for (start, end) in [(0usize, 101usize), (101, 102), (102, dim)] {
-            dequant4_accumulate(&mut split[start..end], &packed, start, min, scale, w);
-        }
-        for (i, (p, q)) in whole.iter().zip(&split).enumerate() {
-            assert_eq!(p.to_bits(), q.to_bits(), "dim {i}");
         }
     }
 }

@@ -1,20 +1,18 @@
 //! Codec differential suite (see `taco_core::compress`).
 //!
-//! The upload codecs carry the same hard contract as the aggregation
-//! path: the server's [`ShardFold`] folds an encoded payload
-//! **decode-free**, and that must be bit-identical to decoding it and
-//! running the dense weighted mean, at any shard count and any
-//! `TACO_THREADS`. This suite enforces the contract four ways:
+//! The server checks each encoded upload's structure, decodes it once
+//! and folds only dense deltas. This suite checks that pipeline four
+//! ways:
 //!
-//! - a fold differential over shards {1, 3, 8} × threads {1, 4},
-//!   comparing the folded mean bit-for-bit against
-//!   `ops::weighted_mean` over the decoded payloads;
-//! - end-to-end simulations per codec over the same shard × thread
-//!   matrix, with bit-identical histories;
+//! - end-to-end simulations per codec over shards {1, 3, 8} × threads
+//!   {1, 4}, with bit-identical histories;
 //! - fault-pipeline runs proving corrupted *encodings* (a poisoned
 //!   value, a broken index, a damaged scale header) are quarantined
-//!   and counted in `updates_rejected` — and that malformed encodings
-//!   are quarantined even without a fault plan;
+//!   and counted in `updates_rejected`;
+//! - runs without a fault plan proving malformed, wrong-length and
+//!   non-finite uploads — including a seeded mutation of every
+//!   encoding variant — are quarantined and counted, never folded and
+//!   never a panic;
 //! - a `NoCompression` run proving the codec plumbing is inert — its
 //!   history is bit-identical to a codec-free run, so the committed
 //!   goldens stay valid.
@@ -26,17 +24,18 @@
 mod common;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use common::{assert_values_close, fixed_shards, golden_run, golden_run_configured, history_value};
 use taco::core::compress::{
-    codec_by_name, codec_from_env, codec_stream, Compressor, EncodedDelta, NoCompression,
+    codec_by_name, codec_from_env, Compressor, EncodedDelta, NoCompression, Uniform8Bit,
 };
 use taco::core::taco::TacoConfig;
-use taco::core::{AggWeighting, ClientUpdate, FedAvg, FederatedAlgorithm, ShardFold, Taco};
-use taco::sim::{FaultPlan, RejectReason, ValidationPolicy};
+use taco::core::{AggWeighting, FedAvg, FederatedAlgorithm, Taco};
+use taco::sim::fault::check_encoding;
+use taco::sim::{FaultPlan, History, RejectReason};
 use taco::tensor::pool::{self, Pool};
-use taco::tensor::{ops, Prng, Tensor};
+use taco::tensor::Prng;
 
 const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
 const THREAD_COUNTS: [usize; 2] = [1, 4];
@@ -50,61 +49,6 @@ fn codecs_under_test() -> Vec<Arc<dyn Compressor>> {
             .iter()
             .map(|n| codec_by_name(n).expect("registry name"))
             .collect(),
-    }
-}
-
-/// Encoded uploads for a synthetic cohort: normal deltas of varying
-/// magnitude, encoded with the per-(round, client) rounding stream.
-/// Each upload carries its encoding and, as on the server, the decoded
-/// delta.
-fn encoded_cohort(codec: &dyn Compressor, dim: usize, clients: usize) -> Vec<ClientUpdate> {
-    let mut rng = Prng::seed_from_u64(17);
-    (0..clients)
-        .map(|client| {
-            let delta = Tensor::randn([dim], 0.5 + client as f32, &mut rng).into_vec();
-            let enc = codec.encode(&delta, &mut codec_stream(17, 0, client));
-            ClientUpdate {
-                client,
-                delta: enc.decode(),
-                num_samples: 1,
-                final_v: None,
-                mean_loss: 0.0,
-                grad_evals: 1,
-                steps: 1,
-                compute_seconds: 0.0,
-                encoded: Some(enc),
-            }
-        })
-        .collect()
-}
-
-#[test]
-fn decode_free_folds_are_bit_identical_across_the_shard_thread_matrix() {
-    let dim = 2003; // odd: shard boundaries cross Q4 nibble parity
-    let clients = 5;
-    let weights: [f32; 5] = [1.0, 0.25, 2.0, 0.125, 0.8125];
-    for codec in codecs_under_test() {
-        let cohort = encoded_cohort(codec.as_ref(), dim, clients);
-        // Reference: the sequential weighted mean of the decoded
-        // payloads.
-        let decoded: Vec<&[f32]> = cohort.iter().map(|u| u.delta.as_slice()).collect();
-        let reference = ops::weighted_mean(&decoded, &weights);
-        let mut fold = ShardFold::default();
-        for shards in SHARD_COUNTS {
-            for threads in THREAD_COUNTS {
-                let pool = Pool::new(threads);
-                let mean = pool::with_pool(&pool, || fold.weighted_mean(&cohort, &weights, shards));
-                assert_eq!(mean.len(), dim);
-                for (i, (got, want)) in mean.iter().zip(&reference).enumerate() {
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "{} shards={shards} threads={threads} dim {i}: {got} vs {want}",
-                        codec.name()
-                    );
-                }
-            }
-        }
     }
 }
 
@@ -202,27 +146,29 @@ fn corrupted_encodings_are_quarantined_and_counted() {
 
 #[test]
 fn broken_index_is_rejected_as_malformed_before_the_floats_are_trusted() {
-    // The decoded delta below is perfectly finite and small — only the
-    // structural check can catch the out-of-range index.
-    let update = ClientUpdate {
-        client: 0,
-        delta: vec![0.0, 0.5, 0.0, 0.0],
-        num_samples: 1,
-        final_v: None,
-        mean_loss: 0.0,
-        grad_evals: 1,
-        steps: 1,
-        compute_seconds: 0.0,
-        encoded: Some(EncodedDelta::Sparse {
-            dim: 4,
-            indices: vec![u32::MAX],
-            values: vec![0.5],
-        }),
+    // The defensive decode of this message is perfectly finite and
+    // small — only the structural check can catch the out-of-range
+    // index.
+    let broken = EncodedDelta::Sparse {
+        dim: 4,
+        indices: vec![u32::MAX],
+        values: vec![0.5],
     };
-    let policy = ValidationPolicy::default();
+    assert!(broken.decode().iter().all(|v| v.is_finite()));
     assert_eq!(
-        policy.validate(&update),
+        check_encoding(&broken, 4),
         Err(RejectReason::MalformedEncoding)
+    );
+    let sound = EncodedDelta::Sparse {
+        dim: 4,
+        indices: vec![1],
+        values: vec![0.5],
+    };
+    assert_eq!(check_encoding(&sound, 4), Ok(()));
+    assert_eq!(
+        check_encoding(&sound, 5),
+        Err(RejectReason::MalformedEncoding),
+        "a payload for another model size is malformed"
     );
     assert_eq!(
         RejectReason::MalformedEncoding.label(),
@@ -230,50 +176,79 @@ fn broken_index_is_rejected_as_malformed_before_the_floats_are_trusted() {
     );
 }
 
-/// A codec whose encodings are structurally broken — an out-of-range
-/// sparse index — on every upload with an odd call index (`odd_only`),
-/// or on every upload. Honest calls ship the dense floats.
-struct MalformingCodec {
+/// A FedAvg run of the golden federation (4 clients, 8 rounds, every
+/// client in every round) with `codec` on the uploads and no fault
+/// plan.
+fn fedavg_with_codec(codec: Arc<dyn Compressor>) -> History {
+    golden_run_configured(Box::new(FedAvg::new(AggWeighting::Uniform)), false, |c| {
+        c.with_compressor(codec)
+    })
+}
+
+/// Every round trained on, and evaluated, a finite model.
+fn assert_model_finite(history: &History, what: &str) {
+    for r in &history.rounds {
+        assert!(
+            r.test_loss.is_finite() && r.train_loss.is_finite(),
+            "{what} round {}: non-finite loss",
+            r.round
+        );
+    }
+}
+
+/// A Q8 codec that passes the encodings of the calls `hit` selects
+/// through `damage`. Uploads are encoded in client order, so with the
+/// golden federation's four always-present clients call `c` is client
+/// `c % 4`.
+struct DamagingCodec {
     calls: AtomicUsize,
-    odd_only: bool,
+    hit: fn(usize) -> bool,
+    damage: fn(EncodedDelta) -> EncodedDelta,
 }
 
-impl MalformingCodec {
-    fn shared(odd_only: bool) -> Arc<dyn Compressor> {
-        Arc::new(MalformingCodec {
-            calls: AtomicUsize::new(0),
-            odd_only,
-        })
-    }
-}
-
-impl Compressor for MalformingCodec {
+impl Compressor for DamagingCodec {
     fn name(&self) -> &'static str {
-        "malforming"
+        "damaging"
     }
 
-    fn encode(&self, input: &[f32], _stream: &mut Prng) -> EncodedDelta {
-        let call = self.calls.fetch_add(1, Ordering::Relaxed);
-        if self.odd_only && call.is_multiple_of(2) {
-            return EncodedDelta::Dense(input.to_vec());
+    fn encode(&self, input: &[f32], stream: &mut Prng) -> EncodedDelta {
+        let enc = Uniform8Bit.encode(input, stream);
+        if (self.hit)(self.calls.fetch_add(1, Ordering::Relaxed)) {
+            (self.damage)(enc)
+        } else {
+            enc
         }
-        EncodedDelta::Sparse {
-            dim: input.len(),
-            indices: vec![input.len() as u32],
-            values: vec![1.0],
-        }
+    }
+}
+
+fn damaging(
+    hit: fn(usize) -> bool,
+    damage: fn(EncodedDelta) -> EncodedDelta,
+) -> Arc<dyn Compressor> {
+    Arc::new(DamagingCodec {
+        calls: AtomicUsize::new(0),
+        hit,
+        damage,
+    })
+}
+
+/// Replaces an encoding with a sparse one whose only index is out of
+/// range.
+fn broken_index(enc: EncodedDelta) -> EncodedDelta {
+    let dim = enc.dim();
+    EncodedDelta::Sparse {
+        dim,
+        indices: vec![dim as u32],
+        values: vec![1.0],
     }
 }
 
 #[test]
 fn malformed_encodings_are_quarantined_without_a_fault_plan() {
     // No fault plan: the shard fold must still never see an encoding
-    // that failed `check_integrity()`. Uploads are encoded in client
-    // order, so with four always-present clients the odd calls are
-    // clients 1 and 3 of every round.
-    let history = golden_run_configured(Box::new(FedAvg::new(AggWeighting::Uniform)), false, |c| {
-        c.with_compressor(MalformingCodec::shared(true))
-    });
+    // that failed `check_integrity()`. Clients 1 and 3 send one every
+    // round.
+    let history = fedavg_with_codec(damaging(|c| c % 2 == 1, broken_index));
     assert_eq!(history.rounds.len(), 8);
     for r in &history.rounds {
         assert_eq!(r.faults_injected, 0, "round {}", r.round);
@@ -291,7 +266,7 @@ fn malformed_encodings_are_quarantined_without_a_fault_plan() {
     // strike expels, so round 0 expels the whole federation.
     let detecting = Taco::new(4, TacoConfig::paper_default(8, 6).with_detection(0.6, 0));
     let history = golden_run_configured(Box::new(detecting), false, |c| {
-        c.with_compressor(MalformingCodec::shared(false))
+        c.with_compressor(damaging(|_| true, broken_index))
     });
     assert_eq!(
         history.rounds.len(),
@@ -300,4 +275,250 @@ fn malformed_encodings_are_quarantined_without_a_fault_plan() {
     );
     assert_eq!(history.rounds[0].updates_rejected, 4);
     assert_eq!(history.expelled_clients, vec![0, 1, 2, 3]);
+}
+
+#[test]
+fn wrong_length_encodings_are_quarantined_without_a_fault_plan() {
+    // A Q8 message one level short is structurally sound on its own —
+    // only the comparison with the model's dimension catches it.
+    let short = |mut enc: EncodedDelta| {
+        if let EncodedDelta::Q8 { levels, .. } = &mut enc {
+            levels.pop();
+        }
+        enc
+    };
+    let history = fedavg_with_codec(damaging(|c| c % 4 == 1, short));
+    assert_eq!(history.rounds.len(), 8);
+    for r in &history.rounds {
+        assert_eq!(r.updates_rejected, 1, "round {}", r.round);
+    }
+    assert_model_finite(&history, "short_q8");
+    assert!(history.final_accuracy() > 0.0);
+}
+
+#[test]
+fn non_finite_uploads_are_quarantined_without_a_fault_plan() {
+    // A well-formed dense payload carrying a NaN: no structural check
+    // can catch it, so the finiteness check must run on every upload.
+    let nan = |enc: EncodedDelta| {
+        let mut v = enc.decode();
+        v[0] = f32::NAN;
+        EncodedDelta::Dense(v)
+    };
+    let poisoned = nan(EncodedDelta::Dense(vec![0.5; 3]));
+    assert_eq!(check_encoding(&poisoned, 3), Ok(()), "structurally sound");
+    assert!(!poisoned.decode().iter().all(|v| v.is_finite()));
+    let history = fedavg_with_codec(damaging(|c| c % 4 == 1, nan));
+    assert_eq!(history.rounds.len(), 8);
+    for r in &history.rounds {
+        assert_eq!(
+            r.updates_rejected, 1,
+            "round {}: the NaN upload is counted as non_finite",
+            r.round
+        );
+    }
+    assert_model_finite(&history, "nan_dense");
+    assert!(history.final_accuracy() > 0.0);
+}
+
+/// Wraps a codec and, from a fixed seed, damages about three in four
+/// of its encodings in one field each. The damage kind cycles through
+/// every kind the variant has, so a run covers them all; which slot,
+/// how far, and NaN vs ∞ are drawn at random. `log` records, per
+/// encode call in order, the damage label or `None` for an honest
+/// upload.
+struct MutatingCodec {
+    inner: Arc<dyn Compressor>,
+    rng: Mutex<Prng>,
+    log: Mutex<Vec<Option<&'static str>>>,
+}
+
+impl Compressor for MutatingCodec {
+    fn name(&self) -> &'static str {
+        "mutating"
+    }
+
+    fn encode(&self, input: &[f32], stream: &mut Prng) -> EncodedDelta {
+        let mut enc = self.inner.encode(input, stream);
+        let mut rng = self.rng.lock().unwrap();
+        let mut log = self.log.lock().unwrap();
+        let label = (rng.below(4) != 0).then(|| {
+            let kind = log.iter().flatten().count();
+            mutate(&mut enc, input.len(), kind, &mut rng)
+        });
+        log.push(label);
+        enc
+    }
+}
+
+/// How many damage kinds [`mutate`] has for `enc`'s variant.
+fn damage_kinds(enc: &EncodedDelta) -> usize {
+    match enc {
+        EncodedDelta::Dense(_) => 3,
+        EncodedDelta::Q8 { .. } => 5,
+        EncodedDelta::Sparse { .. } | EncodedDelta::Q4 { .. } => 6,
+    }
+}
+
+/// Damages one field of `enc`, an encoding of a `dim`-dimensional
+/// delta, with damage kind `kind` modulo [`damage_kinds`].
+/// Every kind either breaks the structure or the dimension, or writes
+/// NaN/∞ where every decoded coordinate (or one value) reads it.
+fn mutate(enc: &mut EncodedDelta, dim: usize, kind: usize, rng: &mut Prng) -> &'static str {
+    let poison = if rng.below(2) == 0 {
+        f32::NAN
+    } else {
+        f32::INFINITY
+    };
+    let out_of_range = (dim + rng.below(1000)) as u32;
+    let resized = dim + 1 + rng.below(10);
+    let kind = kind % damage_kinds(enc);
+    match enc {
+        EncodedDelta::Dense(v) => match kind {
+            0 => {
+                v.truncate(rng.below(dim));
+                "dense.truncate"
+            }
+            1 => {
+                v.resize(resized, 0.0);
+                "dense.extend"
+            }
+            _ => {
+                v[rng.below(dim)] = poison;
+                "dense.poison_value"
+            }
+        },
+        EncodedDelta::Sparse {
+            dim: d,
+            indices,
+            values,
+        } => {
+            assert!(!indices.is_empty(), "top-k keeps at least one coordinate");
+            match kind {
+                0 => {
+                    indices.pop();
+                    "sparse.truncate_indices"
+                }
+                1 => {
+                    values.push(1.0);
+                    "sparse.extend_values"
+                }
+                2 => {
+                    *d = resized;
+                    "sparse.set_dim"
+                }
+                3 => {
+                    let i = rng.below(indices.len());
+                    indices.insert(i, indices[i]);
+                    values.insert(i, 1.0);
+                    "sparse.unsorted"
+                }
+                4 => {
+                    let i = rng.below(indices.len());
+                    indices[i] = out_of_range;
+                    "sparse.out_of_range"
+                }
+                _ => {
+                    values[rng.below(indices.len())] = poison;
+                    "sparse.poison_value"
+                }
+            }
+        }
+        EncodedDelta::Q8 {
+            min,
+            scale,
+            levels,
+            exceptions,
+        } => match kind {
+            0 => {
+                levels.truncate(rng.below(dim));
+                "q8.truncate_levels"
+            }
+            1 => {
+                levels.resize(resized, 0);
+                "q8.extend_levels"
+            }
+            2 => {
+                exceptions.push((out_of_range, 0.0));
+                "q8.out_of_range"
+            }
+            3 => {
+                exceptions.extend([(1, 0.0), (0, 0.0)]);
+                "q8.unsorted"
+            }
+            _ => {
+                *(if rng.below(2) == 0 { min } else { scale }) = poison;
+                "q8.poison_header"
+            }
+        },
+        EncodedDelta::Q4 {
+            dim: d,
+            min,
+            scale,
+            packed,
+            exceptions,
+        } => match kind {
+            0 => {
+                packed.truncate(rng.below(packed.len()));
+                "q4.truncate_packed"
+            }
+            1 => {
+                packed.push(0);
+                "q4.extend_packed"
+            }
+            2 => {
+                *d = resized;
+                "q4.set_dim"
+            }
+            3 => {
+                exceptions.push((out_of_range, 0.0));
+                "q4.out_of_range"
+            }
+            4 => {
+                exceptions.extend([(1, 0.0), (0, 0.0)]);
+                "q4.unsorted"
+            }
+            _ => {
+                *(if rng.below(2) == 0 { min } else { scale }) = poison;
+                "q4.poison_header"
+            }
+        },
+    }
+}
+
+#[test]
+fn seeded_mutations_of_every_encoding_are_rejected_without_a_panic() {
+    for codec in codecs_under_test() {
+        let mutating = Arc::new(MutatingCodec {
+            inner: codec.clone(),
+            rng: Mutex::new(Prng::seed_from_u64(0x5EED)),
+            log: Mutex::new(Vec::new()),
+        });
+        let history = fedavg_with_codec(mutating.clone());
+        let log = mutating.log.lock().unwrap();
+        let name = codec.name();
+        // Every client uploads in every round, encoded in client order.
+        let mut calls = log.iter();
+        for r in &history.rounds {
+            let mutated = calls
+                .by_ref()
+                .take(r.participants.len())
+                .filter(|l| l.is_some())
+                .count();
+            assert_eq!(
+                r.updates_rejected, mutated,
+                "{name} round {}: every mutated upload is rejected, every honest one kept",
+                r.round
+            );
+        }
+        assert!(calls.next().is_none(), "{name}: every encode is accounted");
+        let labels: std::collections::BTreeSet<_> = log.iter().flatten().collect();
+        let kinds = damage_kinds(&codec.encode(&[1.0, 2.0], &mut Prng::seed_from_u64(0)));
+        assert_eq!(
+            labels.len(),
+            kinds,
+            "{name}: every damage kind ran: {labels:?}"
+        );
+        assert_model_finite(&history, name);
+    }
 }

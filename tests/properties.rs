@@ -21,7 +21,6 @@ fn update(client: usize, delta: Vec<f32>) -> ClientUpdate {
         grad_evals: 0,
         steps: 1,
         compute_seconds: 0.0,
-        encoded: None,
     }
 }
 
