@@ -9,8 +9,8 @@ use common::{
 };
 use taco::core::taco::TacoConfig;
 use taco::core::{
-    AggWeighting, FedAcg, FedAvg, FedDyn, FedProx, FederatedAlgorithm, FoolsGold, HyperParams,
-    Scaffold, Stem, Taco, TailoredProx, TailoredScaffold,
+    AggWeighting, FedAcg, FedAvg, FedDyn, FedNova, FedProx, FederatedAlgorithm, FoolsGold,
+    HyperParams, Scaffold, Stem, Taco, TailoredProx, TailoredScaffold,
 };
 use taco::data::{partition, vision, FederatedDataset};
 use taco::nn::PaperCnn;
@@ -197,6 +197,23 @@ fn golden_trajectories_of_the_anchored_baselines_match_fixtures() {
             "golden_scaffold_taco.json",
             Box::new(TailoredScaffold::new(4)),
         ),
+    ];
+    for (fixture, algorithm) in cases {
+        check_against_golden(fixture, &golden_run(algorithm, true));
+    }
+}
+
+#[test]
+fn golden_trajectories_of_the_stateful_servers_match_fixtures() {
+    // Server steps that carry per-client or momentum state (control
+    // variates, STEM's uploaded momenta, FedNova's τ-normalization,
+    // FoolsGold's similarity history) must replay their recorded
+    // trajectories whichever aggregation path runs them.
+    let cases: Vec<(&str, Box<dyn FederatedAlgorithm>)> = vec![
+        ("golden_scaffold.json", Box::new(Scaffold::new(4, 1.0))),
+        ("golden_stem.json", Box::new(Stem::new(0.5))),
+        ("golden_fednova.json", Box::<FedNova>::default()),
+        ("golden_foolsgold.json", Box::new(FoolsGold::new())),
     ];
     for (fixture, algorithm) in cases {
         check_against_golden(fixture, &golden_run(algorithm, true));
