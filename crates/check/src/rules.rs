@@ -25,7 +25,7 @@ pub enum RuleId {
     D1ThreadSpawn,
     /// No `Instant::now`/`SystemTime::now` outside the `bench` crate
     /// and the trace clock edge (`trace::span`, `trace::event`) — the
-    /// simulation's cost model must consume injected timings, so
+    /// simulation's deadlines must consume simulated timings, so
     /// wall-clock never leaks into simulated time. Other justified
     /// readings (kernel timers, the trace perf module) carry explicit
     /// pragmas.
@@ -346,7 +346,7 @@ fn rule_d2(ctx: &FileCtx, idx: &FileIndex, out: &mut Vec<Finding>) {
                     ctx.rel_path.clone(),
                     line,
                     format!(
-                        "`{what}` outside trace/bench: simulated time must come from the cost model or taco-trace spans, never the wall clock"
+                        "`{what}` outside trace/bench: simulated time must come from the fault plan's deadline or taco-trace spans, never the wall clock"
                     ),
                 ));
             }

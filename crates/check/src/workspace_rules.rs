@@ -380,7 +380,7 @@ mod tests {
                 },
                 SpanUse {
                     name: "sim.adhoc".into(),
-                    loc: loc("crates/sim/src/cost.rs", 123),
+                    loc: loc("crates/sim/src/server.rs", 123),
                 },
             ],
             ..WorkspaceModel::default()

@@ -192,12 +192,12 @@ pub fn combine_weighted(
     (combined, next)
 }
 
-/// The one aggregation path: [`UploadStats`] if the algorithm wants
-/// them, then its [`FederatedAlgorithm::plan_aggregation`], the
+/// The planned server step behind the default
+/// [`FederatedAlgorithm::aggregate`]: [`UploadStats`] if the algorithm
+/// wants them, then its [`FederatedAlgorithm::plan_aggregation`], the
 /// [`combine_weighted`] fold over `shards` shards, and
 /// [`FederatedAlgorithm::commit_aggregation`]. Returns `None`, having
-/// folded nothing, when the algorithm has no plan — its own
-/// [`FederatedAlgorithm::aggregate`] then runs the server step.
+/// folded nothing, when the algorithm has no plan.
 ///
 /// # Panics
 ///
@@ -219,10 +219,11 @@ pub fn aggregate_planned<A: FederatedAlgorithm + ?Sized>(
     Some(next)
 }
 
-/// Static per-step compute profile of an algorithm, used by the
-/// simulator's analytic cost model (Table I / Table III / Fig. 5
-/// report the *measured* numbers; the profile lets the harness verify
-/// the measured ratios against the arithmetic the paper describes).
+/// Static per-step compute profile of an algorithm: the arithmetic
+/// behind the per-step overheads the paper describes. Table I,
+/// Table III and Fig. 5 report *measured* times; nothing in the
+/// workspace reads the profile, and the benchmark's timing decorator
+/// only forwards it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostProfile {
     /// Gradient evaluations per local step (2 for STEM).
@@ -243,16 +244,16 @@ pub struct CostProfile {
 ///    interpreted by [`crate::update::run_local_steps`] on the
 ///    client's model/shard (a round-constant vector such as a proximal
 ///    anchor can therefore be built once in `begin_round` and shared);
-/// 3. [`aggregate_planned`] with all uploads — statistics, plan, shard
-///    fold, commit — or, for an algorithm without a plan, its own
-///    [`FederatedAlgorithm::aggregate`].
+/// 3. [`FederatedAlgorithm::aggregate`] with the round's accepted
+///    uploads, once per round that has any.
 ///
 /// Implementations hold whatever cross-round state they need (control
 /// variates, momenta, correction coefficients). An algorithm whose
-/// server step is a weighted mean implements
-/// [`FederatedAlgorithm::plan_aggregation`] and keeps the default
-/// `aggregate`; one whose server step carries other state overrides
-/// `aggregate` instead.
+/// server step is `w_t + s·Σ p_i Δ_i / Σ p_i` implements
+/// [`FederatedAlgorithm::plan_aggregation`], advancing its state there,
+/// and keeps the default `aggregate`; one whose step has another shape
+/// (FedNova's `f64` τ-fold, STEM's momentum fold, FedACG's server
+/// momentum) overrides `aggregate` instead.
 pub trait FederatedAlgorithm: Send {
     /// The algorithm's display name (matches the paper's tables).
     fn name(&self) -> &'static str;
@@ -265,8 +266,9 @@ pub trait FederatedAlgorithm: Send {
     fn local_rule(&self, client: usize, global: &[f32]) -> LocalRule;
 
     /// Aggregates the round's uploads and returns the next global
-    /// parameter vector. The default runs [`aggregate_planned`] with a
-    /// fresh [`ShardFold`] over [`fold_shards`] shards.
+    /// parameter vector: the server's one aggregation entry point. The
+    /// default runs [`aggregate_planned`] with a fresh [`ShardFold`]
+    /// over [`fold_shards`] shards.
     ///
     /// # Panics
     ///
@@ -293,17 +295,18 @@ pub trait FederatedAlgorithm: Send {
 
     /// Whether [`FederatedAlgorithm::plan_aggregation`] needs
     /// [`UploadStats`] for this algorithm (TACO's Eq. 7 coefficients
-    /// do; FedAvg's data-size weights do not). The server asks once
-    /// the round's uploads are in and skips the statistics otherwise.
+    /// do; FedAvg's data-size weights do not). [`aggregate_planned`]
+    /// asks once per round and skips the statistics otherwise.
     fn wants_upload_stats(&self) -> bool {
         false
     }
 
     /// Decomposes this round's aggregation into a declarative
     /// [`WeightedCombine`] plan, advancing any cross-round state
-    /// (coefficients, strikes, histories). The server executes the
-    /// plan with [`combine_weighted`], then calls
-    /// [`FederatedAlgorithm::commit_aggregation`] with the result.
+    /// (coefficients, strikes, control variates, histories). The
+    /// default `aggregate` executes the plan with [`combine_weighted`],
+    /// then calls [`FederatedAlgorithm::commit_aggregation`] with the
+    /// result.
     ///
     /// `stats` is `Some` iff [`FederatedAlgorithm::wants_upload_stats`]
     /// returned `true`. The default returns `None`: the algorithm has
@@ -396,28 +399,10 @@ pub trait FederatedAlgorithm: Send {
     }
 }
 
-/// Computes the FedAvg-style aggregated gradient
-/// `Δ_{t+1} = Σ p_i Δ_i / (K·η_l)` and applies
-/// `w_{t+1} = w_t − η_g Δ_{t+1}` (Eq. 6 with the paper's
-/// normalization).
-///
-/// # Panics
-///
-/// Panics if `updates` is empty or delta lengths differ from `global`.
-pub fn fedavg_step(
-    global: &[f32],
-    updates: &[ClientUpdate],
-    hyper: &HyperParams,
-    weighting: AggWeighting,
-) -> Vec<f32> {
-    assert!(!updates.is_empty(), "aggregate with no updates");
-    let plan = fedavg_plan(updates, hyper, weighting);
-    let shards = fold_shards(global.len());
-    combine_weighted(global, updates, &plan, &mut ShardFold::default(), shards).1
-}
-
-/// The [`WeightedCombine`] plan behind [`fedavg_step`]: `p_i` per the
-/// weighting rule, no pre-scale, step `−(η_g / (K·η_l))`.
+/// FedAvg's [`WeightedCombine`] plan,
+/// `Δ_{t+1} = Σ p_i Δ_i / (K·η_l)` and `w_{t+1} = w_t − η_g Δ_{t+1}`
+/// (Eq. 6 with the paper's normalization): `p_i` per the weighting
+/// rule, no pre-scale, step `−(η_g / (K·η_l))`.
 pub fn fedavg_plan(
     updates: &[ClientUpdate],
     hyper: &HyperParams,
@@ -509,6 +494,7 @@ pub(crate) mod testkit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fedavg::FedAvg;
 
     fn upd(client: usize, delta: Vec<f32>, n: usize) -> ClientUpdate {
         ClientUpdate {
@@ -524,13 +510,13 @@ mod tests {
     }
 
     #[test]
-    fn fedavg_step_with_default_eta_g_averages_models() {
+    fn fedavg_with_default_eta_g_averages_models() {
         // With η_g = K·η_l, w' = w − mean(Δ_i), i.e. the average of the
         // client models (w − Δ_i).
         let hyper = HyperParams::new(2, 10, 0.1, 4);
         let global = vec![1.0, 1.0];
         let updates = vec![upd(0, vec![0.2, 0.0], 5), upd(1, vec![0.0, 0.4], 5)];
-        let next = fedavg_step(&global, &updates, &hyper, AggWeighting::Uniform);
+        let next = FedAvg::new(AggWeighting::Uniform).aggregate(&global, &updates, &hyper);
         assert!((next[0] - 0.9).abs() < 1e-6);
         assert!((next[1] - 0.8).abs() < 1e-6);
     }
@@ -540,7 +526,7 @@ mod tests {
         let hyper = HyperParams::new(2, 1, 1.0, 4);
         let global = vec![0.0];
         let updates = vec![upd(0, vec![1.0], 9), upd(1, vec![0.0], 1)];
-        let next = fedavg_step(&global, &updates, &hyper, AggWeighting::DataSize);
+        let next = FedAvg::new(AggWeighting::DataSize).aggregate(&global, &updates, &hyper);
         assert!((next[0] + 0.9).abs() < 1e-6, "got {}", next[0]);
     }
 
@@ -617,6 +603,6 @@ mod tests {
     #[should_panic(expected = "no updates")]
     fn empty_updates_panic() {
         let hyper = HyperParams::new(1, 1, 1.0, 1);
-        let _ = fedavg_step(&[0.0], &[], &hyper, AggWeighting::Uniform);
+        let _ = FedAvg::default().aggregate(&[0.0], &[], &hyper);
     }
 }

@@ -23,7 +23,9 @@
 //! clients**, so FedDyn is another instance of the paper's
 //! over-correction pattern and a natural extra baseline.
 
-use crate::algorithm::{CostProfile, FederatedAlgorithm};
+use crate::algorithm::{
+    fedavg_plan, AggWeighting, CostProfile, FederatedAlgorithm, UploadStats, WeightedCombine,
+};
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
 use std::sync::Arc;
@@ -102,13 +104,13 @@ impl FederatedAlgorithm for FedDyn {
         }
     }
 
-    fn aggregate(
+    fn plan_aggregation(
         &mut self,
         global: &[f32],
         updates: &[ClientUpdate],
+        _stats: Option<&UploadStats>,
         hyper: &HyperParams,
-    ) -> Vec<f32> {
-        assert!(!updates.is_empty(), "aggregate with no updates");
+    ) -> Option<WeightedCombine> {
         self.ensure_dim(global.len());
         self.anchor = None;
         // h_i ← h_i + α·Δ_i  (Δ_i = w_t − w_i, i.e. −drift).
@@ -119,12 +121,7 @@ impl FederatedAlgorithm for FedDyn {
             }
         }
         // FedAvg server step (see module docs).
-        let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
-        let mean_delta = ops::mean_of(&deltas);
-        let scale = hyper.eta_g / hyper.k_eta_l();
-        let mut next = global.to_vec();
-        ops::axpy(&mut next, -scale, &mean_delta);
-        next
+        Some(fedavg_plan(updates, hyper, AggWeighting::Uniform))
     }
 
     fn cost_profile(&self) -> CostProfile {

@@ -87,7 +87,7 @@ impl FederatedAlgorithm for FedNova {
             .map(|&x| (tau_eff * x / hyper.eta_l as f64) as f32)
             .collect();
         let mut next = global.to_vec();
-        // η_g/K matches fedavg_step's η_g/(K·η_l) scaling given agg is
+        // η_g/K matches FedAvg's η_g/(K·η_l) scaling given agg is
         // already divided by η_l.
         ops::axpy(&mut next, -hyper.eta_g / hyper.local_steps as f32, &agg);
         next
@@ -104,7 +104,7 @@ impl FederatedAlgorithm for FedNova {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::fedavg_step;
+    use crate::fedavg::FedAvg;
 
     fn upd(client: usize, delta: Vec<f32>, n: usize, steps: usize) -> ClientUpdate {
         ClientUpdate {
@@ -126,7 +126,7 @@ mod tests {
         let updates = vec![upd(0, vec![0.2, 0.0], 5, 10), upd(1, vec![0.0, 0.4], 5, 10)];
         let mut nova = FedNova::new(AggWeighting::Uniform);
         let got = nova.aggregate(&global, &updates, &hyper);
-        let want = fedavg_step(&global, &updates, &hyper, AggWeighting::Uniform);
+        let want = FedAvg::new(AggWeighting::Uniform).aggregate(&global, &updates, &hyper);
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 1e-5, "{g} vs {w}");
         }
@@ -153,7 +153,7 @@ mod tests {
         let n2 = nova2.aggregate(&[0.0, 0.0], &updates2, &hyper);
         // FedNova: per-step dirs (1,0) and (0,1) → balanced components.
         assert!((n2[0] - n2[1]).abs() < 1e-5, "unbalanced: {n2:?}");
-        let f2 = fedavg_step(&[0.0, 0.0], &updates2, &hyper, AggWeighting::Uniform);
+        let f2 = FedAvg::new(AggWeighting::Uniform).aggregate(&[0.0, 0.0], &updates2, &hyper);
         // FedAvg lets the fast client dominate 4:1.
         assert!(f2[0].abs() > 3.0 * f2[1].abs(), "fedavg not biased? {f2:?}");
     }

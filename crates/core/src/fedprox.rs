@@ -107,7 +107,7 @@ mod tests {
         let want = testkit::reference_step(&global, &updates, &plan);
         assert_eq!(
             want,
-            crate::algorithm::fedavg_step(&global, &updates, &hyper, AggWeighting::Uniform)
+            crate::FedAvg::new(AggWeighting::Uniform).aggregate(&global, &updates, &hyper)
         );
         for shards in [1, 3, 8] {
             let mut alg = FedProx::new(0.1);

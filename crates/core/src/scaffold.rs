@@ -1,6 +1,8 @@
 //! SCAFFOLD (Karimireddy et al.) — control-variate correction.
 
-use crate::algorithm::{fedavg_step, AggWeighting, CostProfile, FederatedAlgorithm};
+use crate::algorithm::{
+    fedavg_plan, AggWeighting, CostProfile, FederatedAlgorithm, UploadStats, WeightedCombine,
+};
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
 use taco_tensor::ops;
@@ -101,13 +103,13 @@ impl FederatedAlgorithm for Scaffold {
         LocalRule::Correction { term }
     }
 
-    fn aggregate(
+    fn plan_aggregation(
         &mut self,
         global: &[f32],
         updates: &[ClientUpdate],
+        _stats: Option<&UploadStats>,
         hyper: &HyperParams,
-    ) -> Vec<f32> {
-        let _span = taco_trace::quiet_span!("core.aggregate.scaffold");
+    ) -> Option<WeightedCombine> {
         self.ensure_dim(global.len());
         // Control-variate updates (paper's formulas, Section III-A).
         let mut mean_shift = vec![0.0f32; global.len()];
@@ -141,12 +143,12 @@ impl FederatedAlgorithm for Scaffold {
             self.c_clients[u.client] = new;
         }
         ops::axpy(&mut self.c_global, 1.0, &mean_shift);
-        fedavg_step(global, updates, hyper, self.weighting)
+        Some(fedavg_plan(updates, hyper, self.weighting))
     }
 
     fn client_departed(&mut self, client: usize) {
         // Retire the departed client's control variate; a later rejoin
-        // rematerializes a fresh zero variate in `aggregate`.
+        // rematerializes a fresh zero variate in `plan_aggregation`.
         if let Some(c) = self.c_clients.get_mut(client) {
             *c = Vec::new();
         }

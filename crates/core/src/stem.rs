@@ -85,7 +85,6 @@ impl FederatedAlgorithm for Stem {
         hyper: &HyperParams,
     ) -> Vec<f32> {
         assert!(!updates.is_empty(), "aggregate with no updates");
-        let _span = taco_trace::quiet_span!("core.aggregate.stem");
         let dim = global.len();
         let mut acc = vec![0.0f64; dim];
         for u in updates {

@@ -5,7 +5,8 @@
 //! 1. every client `i` runs `K` local SGD steps with the tailored
 //!    correction `v = g + γ(1−α_i^t)Δ_t` (Eq. 8);
 //! 2. the server computes the next coefficients `α_i^{t+1}` from the
-//!    uploads via Eq. 7 ([`crate::alpha::correction_coefficients`]);
+//!    uploads' norms and cosines ([`crate::UploadStats`]) via Eq. 7
+//!    ([`crate::alpha::coefficients_from_stats`]);
 //! 3. the global gradient is the α-weighted aggregate
 //!    `Δ_{t+1} = Σ α_i^{t+1} Δ_i^t / (K·η_l·Σ α_i^{t+1})` (Eq. 9) and
 //!    `w_{t+1} = w_t − η_g Δ_{t+1}`;
@@ -194,6 +195,15 @@ impl Taco {
             .unwrap_or(self.config.initial_alpha);
         alpha::extrapolated_output(global, &self.prev_global, avg)
     }
+
+    /// Eq. 10: one strike for `client`; past `λ` strikes it is
+    /// expelled.
+    fn strike(&mut self, client: usize) {
+        self.strikes[client] += 1;
+        if self.strikes[client] > self.config.lambda {
+            self.expelled[client] = true;
+        }
+    }
 }
 
 impl FederatedAlgorithm for Taco {
@@ -242,10 +252,7 @@ impl FederatedAlgorithm for Taco {
         if self.config.detect_freeloaders {
             for (u, &a) in updates.iter().zip(&new_alphas) {
                 if a >= self.config.kappa {
-                    self.strikes[u.client] += 1;
-                    if self.strikes[u.client] > self.config.lambda {
-                        self.expelled[u.client] = true;
-                    }
+                    self.strike(u.client);
                 }
             }
         }
@@ -282,16 +289,12 @@ impl FederatedAlgorithm for Taco {
     }
 
     fn output_params(&self, global: &[f32]) -> Vec<f32> {
-        // Eq. 15: z_t = w_t + (1 − α_t)(w_t − w_{t−1}).
-        if !self.config.extrapolated_output || self.prev_global.len() != global.len() {
-            return global.to_vec();
+        // Eq. 15 at every evaluation point, when configured.
+        if self.config.extrapolated_output {
+            self.extrapolated(global)
+        } else {
+            global.to_vec()
         }
-        let avg = self
-            .avg_alpha_history
-            .last()
-            .copied()
-            .unwrap_or(self.config.initial_alpha);
-        alpha::extrapolated_output(global, &self.prev_global, avg)
     }
 
     fn expelled(&self) -> Vec<usize> {
@@ -319,12 +322,8 @@ impl FederatedAlgorithm for Taco {
     fn report_invalid_update(&mut self, client: usize) {
         // A quarantined upload is at least as suspicious as an echoed
         // one: it counts as an Eq. 10 strike toward expulsion.
-        if !self.config.detect_freeloaders || client >= self.strikes.len() {
-            return;
-        }
-        self.strikes[client] += 1;
-        if self.strikes[client] > self.config.lambda {
-            self.expelled[client] = true;
+        if self.config.detect_freeloaders && client < self.strikes.len() {
+            self.strike(client);
         }
     }
 

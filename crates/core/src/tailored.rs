@@ -146,18 +146,24 @@ impl FederatedAlgorithm for TailoredScaffold {
         }
     }
 
-    fn aggregate(
+    fn wants_upload_stats(&self) -> bool {
+        true
+    }
+
+    fn plan_aggregation(
         &mut self,
         global: &[f32],
         updates: &[ClientUpdate],
+        stats: Option<&UploadStats>,
         hyper: &HyperParams,
-    ) -> Vec<f32> {
-        let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
-        let new_alphas = alpha::correction_coefficients(&deltas);
+    ) -> Option<WeightedCombine> {
+        let stats = stats?;
+        let new_alphas =
+            alpha::coefficients_from_stats(&stats.norms, &stats.cosines, AlphaVariant::Full);
         for (u, &a) in updates.iter().zip(&new_alphas) {
             self.alphas[u.client] = a;
         }
-        self.inner.aggregate(global, updates, hyper)
+        self.inner.plan_aggregation(global, updates, None, hyper)
     }
 
     fn alphas(&self) -> Option<&[f32]> {

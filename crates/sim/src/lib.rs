@@ -8,10 +8,9 @@
 //!   and deterministic per-client RNG streams, so results are
 //!   independent of thread scheduling. Each round is planned (private
 //!   `plan` module: drift, churn, participation and fault draws),
-//!   executed (`client`), uploaded and aggregated (`server`), and
-//!   recorded; aggregation is one order-fixed shard fold
-//!   ([`taco_core::aggregate_planned`]), bit-identical at any shard or
-//!   thread count.
+//!   executed (`client`), uploaded (`server`), aggregated by the
+//!   algorithm's [`taco_core::FederatedAlgorithm::aggregate`], and
+//!   recorded.
 //! - [`freeloader`] — ground-truth client behaviours: honest clients
 //!   train; lazy freeloaders (Section IV-A) re-upload the previous
 //!   global update; sign-flippers, boosters, and colluding coalitions
@@ -30,9 +29,6 @@
 //! - [`detection`] — the detection scoreboard: participation-aware
 //!   TPR/FPR scoring (Table VIII) and per-round detection curves with
 //!   time-to-detection.
-//! - [`cost`] — the analytic per-round compute model used to
-//!   cross-check measured timings against each algorithm's
-//!   [`taco_core::CostProfile`].
 //! - [`comm`] — a communication-time model for studying the paper's
 //!   network-dominant regime (Section V-A's discussion).
 //!
@@ -63,7 +59,6 @@ pub mod adversary;
 pub mod churn;
 mod client;
 pub mod comm;
-pub mod cost;
 pub mod detection;
 pub mod fault;
 pub mod freeloader;

@@ -17,8 +17,9 @@ pub const PARTICIPATION: &str = "sim.phase.participation";
 pub const LOCAL: &str = "sim.phase.local";
 /// Lossy upload compression + byte accounting.
 pub const COMPRESS: &str = "sim.phase.compress";
-/// Server-side aggregation: upload statistics, the plan, the shard
-/// fold and the commit (or a plan-less algorithm's own aggregate).
+/// Server-side aggregation: the one `FederatedAlgorithm::aggregate`
+/// call of a round with accepted uploads (for a planning algorithm:
+/// upload statistics, the plan, the shard fold and the commit).
 pub const AGGREGATE: &str = "sim.phase.aggregate";
 /// Global-model evaluation.
 pub const EVAL: &str = "sim.phase.eval";
@@ -39,14 +40,11 @@ pub const ALL: [&str; 7] = [
 /// One client's whole local step (the event-emitting span wrapping
 /// [`CLIENT_COMPUTE`]; per-client, inside [`LOCAL`]).
 pub const CLIENT_STEP: &str = "client_step";
-/// Gradient-norm calibration probe in the cost model (setup-time, not
-/// part of the round loop, hence not in [`ALL`]).
-pub const CALIBRATE: &str = "sim.calibrate_grad";
 
 /// Auxiliary span names reported outside the round-loop phase set:
 /// still contract — renaming one changes the trace schema — but not
 /// part of the per-round `<name>.seconds` trajectory in [`ALL`].
-pub const AUX: [&str; 2] = [CLIENT_STEP, CALIBRATE];
+pub const AUX: [&str; 1] = [CLIENT_STEP];
 
 /// The `<name>.seconds` histogram a phase's span feeds.
 pub fn seconds_histogram(phase: &str) -> String {

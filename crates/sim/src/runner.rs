@@ -3,9 +3,9 @@
 //! [`Simulation::run`] reads as the paper's Algorithm 1: each round is
 //! planned (`plan::plan_round`: drift, churn, participation and fault
 //! draws), executed (local steps, freeloader echoes, attacks), uploaded
-//! (`server::process_uploads`), aggregated (`server::aggregate`) and
-//! recorded as one [`RoundRecord`], from which the JSONL `round` event
-//! is derived.
+//! (`server::process_uploads`), aggregated (the algorithm's
+//! `aggregate`) and recorded as one [`RoundRecord`], from which the
+//! JSONL `round` event is derived.
 
 use crate::adversary::{self, AdversaryPlan};
 use crate::churn::ChurnTrace;
@@ -432,9 +432,11 @@ impl Simulation {
             // and is still recorded, so the trajectory keeps its round
             // indexing.
             let aggregate_span = trace::Span::quiet(crate::phase::AGGREGATE);
-            let next =
-                server::aggregate(self.algorithm.as_mut(), &global, &outcome.accepted, &hyper)
-                    .unwrap_or_else(|| global.clone());
+            let next = if outcome.accepted.is_empty() {
+                global.clone()
+            } else {
+                self.algorithm.aggregate(&global, &outcome.accepted, &hyper)
+            };
             secs.aggregate = aggregate_span.finish();
             prev_global = std::mem::replace(&mut global, next);
             let eval_span = trace::Span::quiet(crate::phase::EVAL);
@@ -911,6 +913,78 @@ mod tests {
         fn expelled(&self) -> Vec<usize> {
             self.expelled.clone()
         }
+    }
+
+    /// TACO behind a decorator that forwards `aggregate` and the plan
+    /// methods, counting the server's `aggregate` calls.
+    struct CountingAggregate {
+        inner: Taco,
+        calls: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl FederatedAlgorithm for CountingAggregate {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn begin_round(&mut self, round: usize, global: &[f32]) {
+            self.inner.begin_round(round, global);
+        }
+        fn local_rule(&self, client: usize, global: &[f32]) -> LocalRule {
+            self.inner.local_rule(client, global)
+        }
+        fn aggregate(
+            &mut self,
+            global: &[f32],
+            updates: &[ClientUpdate],
+            hyper: &HyperParams,
+        ) -> Vec<f32> {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.aggregate(global, updates, hyper)
+        }
+        fn wants_upload_stats(&self) -> bool {
+            self.inner.wants_upload_stats()
+        }
+        fn plan_aggregation(
+            &mut self,
+            global: &[f32],
+            updates: &[ClientUpdate],
+            stats: Option<&taco_core::UploadStats>,
+            hyper: &HyperParams,
+        ) -> Option<taco_core::WeightedCombine> {
+            self.inner.plan_aggregation(global, updates, stats, hyper)
+        }
+        fn commit_aggregation(&mut self, global: &[f32], combined: &[f32]) {
+            self.inner.commit_aggregation(global, combined);
+        }
+    }
+
+    /// The server's one aggregation entry point is the algorithm's
+    /// `aggregate`: a decorator that forwards it sees exactly one call
+    /// per round with surviving uploads and none for an empty round.
+    #[test]
+    fn the_server_calls_aggregate_once_per_non_empty_round() {
+        let hyper = HyperParams::new(3, 4, 0.05, 8);
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let taco = taco_core::taco::TacoConfig {
+            detect_freeloaders: false,
+            ..taco_core::taco::TacoConfig::paper_default(6, 4)
+        };
+        let algorithm = CountingAggregate {
+            inner: Taco::new(3, taco),
+            calls: Arc::clone(&calls),
+        };
+        // Every upload drops from round 3 on, so rounds 3–5 are empty.
+        let plan = FaultPlan::new().with_dropouts(1.0).starting_at(3);
+        let config = SimConfig::new(hyper, 6, 5).with_fault_plan(plan);
+        let history = Simulation::new(small_fed(3, 5), mlp(5), Box::new(algorithm), config).run();
+        let non_empty = history
+            .rounds
+            .iter()
+            .filter(|r| r.participants.len() > r.fault_totals.dropouts + r.updates_rejected)
+            .count();
+        assert_eq!((history.rounds.len(), non_empty), (6, 3));
+        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), non_empty);
     }
 
     /// Regression for the early-exit bug: a partially-expelled

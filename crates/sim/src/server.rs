@@ -1,12 +1,12 @@
 //! The server side of a round: the upload pipeline — straggler
 //! slowdown, the synchronous deadline, lossy compression with byte
 //! accounting, wire corruption, the structure check and decode, and
-//! validation/quarantine — and the aggregation of the uploads that
-//! survive it.
+//! validation/quarantine. The uploads that survive it go to the
+//! algorithm's `aggregate`.
 
 use crate::fault::{self, FaultKind};
 use crate::runner::{note, SimConfig};
-use taco_core::{ClientUpdate, FederatedAlgorithm, HyperParams, ShardFold};
+use taco_core::{ClientUpdate, FederatedAlgorithm};
 use taco_trace as trace;
 
 /// What the pipeline did to a round's uploads.
@@ -144,26 +144,4 @@ pub(crate) fn process_uploads(
         quarantined,
         compress_secs,
     }
-}
-
-/// Aggregates the accepted uploads into the next global model: the one
-/// planned path, [`taco_core::aggregate_planned`] over
-/// [`taco_core::fold_shards`] shards, or the algorithm's own
-/// `aggregate` when it has no plan. `None` for an empty round, which
-/// holds the current model. The round's statistics and combine reuse
-/// one fold table, freed with the round.
-pub(crate) fn aggregate(
-    algorithm: &mut dyn FederatedAlgorithm,
-    global: &[f32],
-    updates: &[ClientUpdate],
-    hyper: &HyperParams,
-) -> Option<Vec<f32>> {
-    if updates.is_empty() {
-        return None;
-    }
-    let shards = taco_core::fold_shards(global.len());
-    let mut fold = ShardFold::default();
-    let planned =
-        taco_core::aggregate_planned(algorithm, global, updates, hyper, &mut fold, shards);
-    Some(planned.unwrap_or_else(|| algorithm.aggregate(global, updates, hyper)))
 }

@@ -6,14 +6,20 @@
 //! Run with: `cargo run --release --example custom_algorithm`
 
 use taco::core::taco::TacoConfig;
-use taco::core::{ClientUpdate, FedAvg, FederatedAlgorithm, HyperParams, LocalRule, Taco};
+use taco::core::{
+    ClientUpdate, FedAvg, FederatedAlgorithm, HyperParams, LocalRule, Taco, UploadStats,
+    WeightedCombine,
+};
 use taco::data::text;
 use taco::nn::CharLstm;
 use taco::sim::{SimConfig, Simulation};
-use taco::tensor::{ops, Prng};
+use taco::tensor::Prng;
 
 /// Drops the client with the largest update norm, then averages the
-/// rest — a toy robust-aggregation rule.
+/// rest — a toy robust-aggregation rule. Its server step is a weighted
+/// mean (weight 0 for the dropped upload), so it only plans the
+/// weights from the round's upload norms; the trait's default
+/// `aggregate` runs the fold.
 struct TrimmedMean;
 
 impl FederatedAlgorithm for TrimmedMean {
@@ -25,31 +31,30 @@ impl FederatedAlgorithm for TrimmedMean {
         LocalRule::PlainSgd
     }
 
-    fn aggregate(
+    fn wants_upload_stats(&self) -> bool {
+        true
+    }
+
+    fn plan_aggregation(
         &mut self,
-        global: &[f32],
-        updates: &[ClientUpdate],
+        _global: &[f32],
+        _updates: &[ClientUpdate],
+        stats: Option<&UploadStats>,
         hyper: &HyperParams,
-    ) -> Vec<f32> {
-        let mut kept: Vec<&ClientUpdate> = updates.iter().collect();
-        if kept.len() > 2 {
-            let largest = kept
-                .iter()
-                .enumerate()
-                .max_by(|(_, a), (_, b)| {
-                    ops::norm(&a.delta)
-                        .partial_cmp(&ops::norm(&b.delta))
-                        .expect("finite norms")
-                })
-                .map(|(i, _)| i)
+    ) -> Option<WeightedCombine> {
+        let norms = &stats?.norms;
+        let mut weights = vec![1.0; norms.len()];
+        if norms.len() > 2 {
+            let largest = (0..norms.len())
+                .max_by(|&a, &b| norms[a].total_cmp(&norms[b]))
                 .expect("non-empty updates");
-            kept.remove(largest);
+            weights[largest] = 0.0;
         }
-        let deltas: Vec<&[f32]> = kept.iter().map(|u| u.delta.as_slice()).collect();
-        let mean = ops::mean_of(&deltas);
-        let mut next = global.to_vec();
-        ops::axpy(&mut next, -hyper.eta_g / hyper.k_eta_l(), &mean);
-        next
+        Some(WeightedCombine {
+            weights,
+            pre_scale: None,
+            step_scale: -hyper.eta_g / hyper.k_eta_l(),
+        })
     }
 }
 

@@ -1,9 +1,8 @@
-//! Aggregation-path differential suite (see
-//! `taco_core::aggregate_planned`).
+//! Shard-fold differential suite (see `taco_core::aggregate_planned`).
 //!
-//! The server aggregates every round through one order-fixed shard
-//! fold whose shard count it derives from the model size and the pool.
-//! The fold's contract: at any shard count and any `TACO_THREADS`,
+//! The server calls the algorithm's `aggregate` once per round; the
+//! default runs one order-fixed shard fold whose shard count it
+//! derives from the model size and the pool. The fold's contract: at any shard count and any `TACO_THREADS`,
 //! every deterministic field of a run is **bit-identical**. This suite
 //! enforces it for every algorithm in `taco_core` over shards
 //! {1, 3, 8} × threads {1, 4} — against the shards = 1 / threads = 1
@@ -37,9 +36,8 @@ const THREAD_COUNTS: [usize; 2] = [1, 4];
 type AlgorithmMaker = fn() -> Box<dyn FederatedAlgorithm>;
 
 /// Every algorithm in `taco_core`, configured for the golden run's
-/// four clients: the planning ones (FedAvg, FedProx, FoolsGold, TACO,
-/// FedProx+TACO) run the shard fold; the rest exercise the fallback to
-/// their own `aggregate`.
+/// four clients: the eight planning ones run the shard fold; FedNova,
+/// STEM and FedACG run their own `aggregate`.
 fn algorithms() -> Vec<(&'static str, AlgorithmMaker)> {
     vec![
         ("FedAvg", || Box::new(FedAvg::new(AggWeighting::Uniform))),

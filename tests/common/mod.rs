@@ -31,13 +31,13 @@ pub fn mlp(seed: u64) -> Box<dyn Model> {
     Box::new(Mlp::new(14, &[16, 8], 2, &mut rng))
 }
 
-/// Runs the server's aggregation path — [`aggregate_planned`], or the
-/// algorithm's own `aggregate` when it has no plan — over a fixed
-/// shard count instead of the one the server derives from the model
-/// size. Every other method forwards to the wrapped algorithm, so a
-/// run sees the same algorithm; the simulation finds no plan on the
-/// wrapper and calls its `aggregate`, where the fold runs with
-/// `shards`.
+/// Runs the default `aggregate` — [`aggregate_planned`] — over a
+/// fixed shard count instead of the one derived from the model size.
+/// The simulation calls the wrapper's `aggregate`: a planning
+/// algorithm is folded over `shards` shards, and one that overrides
+/// `aggregate` (FedNova, STEM, FedACG) runs its own. Every other
+/// method forwards to the wrapped algorithm, so a run sees the same
+/// algorithm.
 pub struct FixedShards {
     inner: Box<dyn FederatedAlgorithm>,
     shards: usize,
