@@ -706,6 +706,7 @@ fn note_faults(plan: &RoundPlan) -> FaultTotals {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use taco_core::{AggWeighting, FedAvg, LocalRule, Taco};
     use taco_data::{partition, tabular};
     use taco_nn::Mlp;
@@ -919,7 +920,7 @@ mod tests {
     /// methods, counting the server's `aggregate` calls.
     struct CountingAggregate {
         inner: Taco,
-        calls: Arc<std::sync::atomic::AtomicUsize>,
+        calls: Arc<AtomicUsize>,
     }
 
     impl FederatedAlgorithm for CountingAggregate {
@@ -938,8 +939,7 @@ mod tests {
             updates: &[ClientUpdate],
             hyper: &HyperParams,
         ) -> Vec<f32> {
-            self.calls
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.calls.fetch_add(1, Ordering::Relaxed);
             self.inner.aggregate(global, updates, hyper)
         }
         fn wants_upload_stats(&self) -> bool {
@@ -965,7 +965,7 @@ mod tests {
     #[test]
     fn the_server_calls_aggregate_once_per_non_empty_round() {
         let hyper = HyperParams::new(3, 4, 0.05, 8);
-        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let calls = Arc::new(AtomicUsize::new(0));
         let taco = taco_core::taco::TacoConfig {
             detect_freeloaders: false,
             ..taco_core::taco::TacoConfig::paper_default(6, 4)
@@ -984,7 +984,7 @@ mod tests {
             .filter(|r| r.participants.len() > r.fault_totals.dropouts + r.updates_rejected)
             .count();
         assert_eq!((history.rounds.len(), non_empty), (6, 3));
-        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), non_empty);
+        assert_eq!(calls.load(Ordering::Relaxed), non_empty);
     }
 
     /// Regression for the early-exit bug: a partially-expelled
