@@ -6,9 +6,10 @@
 //!
 //! Diffs two `BENCH_*.json` reports (see `taco_bench::perf`) and
 //! exits nonzero when any metric regressed past the threshold in its
-//! bad direction by more than its noise floor. Machine-dependent
-//! metrics only gate between matching host fingerprints unless
-//! `--strict`; deterministic metrics (bytes/round) gate everywhere.
+//! bad direction by more than its noise floor, or when a metric is in
+//! only one of the two reports. Machine-dependent metrics only gate
+//! between matching host fingerprints unless `--strict`; deterministic
+//! metrics (wire bytes) gate everywhere.
 //!
 //! Exit codes: `0` pass, `1` regression, `2` usage/parse error.
 

@@ -6,12 +6,16 @@
 //! [`compare`] / the `bench_compare` binary. Two metric classes keep
 //! the gate honest across heterogeneous runners:
 //!
-//! - **deterministic** metrics (bytes/round, schema shape) gate
-//!   everywhere — they must reproduce bit-for-bit on any host;
-//! - **machine-dependent** metrics (GFLOP/s, wall-times, peak RSS)
-//!   gate only when the stored [`HostInfo`] fingerprint matches the
+//! - **deterministic** metrics (wire bytes) gate everywhere — they
+//!   must reproduce bit-for-bit on any host;
+//! - **machine-dependent** metrics (GFLOP/s, GB/s, wall-times) gate
+//!   only when the stored [`HostInfo`] fingerprint matches the
 //!   baseline's; on a different machine they downgrade to warnings
 //!   (pass `--strict` to gate regardless).
+//!
+//! A metric on one side only always gates, whatever the host: one the
+//! current report lost breaks the schema, and one the baseline lacks
+//! would otherwise never be compared at all.
 //!
 //! Every metric additionally carries an absolute `noise_floor`: a
 //! relative regression above the threshold still passes while the
@@ -24,7 +28,7 @@ use std::path::Path;
 use taco_trace::{json, Value};
 
 /// Version of the `BENCH_*.json` schema. Bump on any breaking change
-/// to the report shape or to a reported span/metric name; the
+/// to the report shape or to a reported metric name; the
 /// comparator refuses to diff mismatched versions.
 pub const SCHEMA_VERSION: u64 = 1;
 
@@ -36,17 +40,17 @@ pub const DEFAULT_THRESHOLD: f64 = 0.10;
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfMetric {
     /// Stable metric name (`kernel.matmul.gflops.n256`,
-    /// `round.TACO.wall_ms`, ...).
+    /// `codec.q8.wire_bytes`, ...).
     pub name: String,
     /// Measured value.
     pub value: f64,
     /// Unit label for humans (`gflop/s`, `ms`, `bytes`, ...).
     pub unit: String,
     /// Direction: `true` when bigger is better (throughput), `false`
-    /// when smaller is better (latency, bytes, RSS).
+    /// when smaller is better (latency, bytes).
     pub higher_is_better: bool,
     /// `true` for metrics that only compare meaningfully on the same
-    /// hardware (wall-times, GFLOP/s, RSS); `false` for deterministic
+    /// hardware (wall-times, GFLOP/s, GB/s); `false` for deterministic
     /// quantities that must reproduce anywhere.
     pub machine_dependent: bool,
     /// Absolute change below which a regression never gates, whatever
@@ -110,9 +114,6 @@ pub struct PerfReport {
     pub repeats: u64,
     /// The gated metrics.
     pub metrics: Vec<PerfMetric>,
-    /// Per-span quantile report (`taco_trace::perf::span_stats`
-    /// objects by span name; informational, never gated).
-    pub spans: Value,
 }
 
 impl PerfReport {
@@ -152,7 +153,6 @@ impl PerfReport {
                         .collect(),
                 ),
             ),
-            ("spans".to_string(), self.spans.clone()),
         ])
     }
 
@@ -188,7 +188,6 @@ impl PerfReport {
             host: HostInfo::from_value(v.get("host").ok_or("missing `host`")?)?,
             repeats: num_field(v, "repeats")? as u64,
             metrics,
-            spans: v.get("spans").cloned().unwrap_or(Value::Null),
         })
     }
 
@@ -256,6 +255,10 @@ pub enum DeltaStatus {
     /// Present in the baseline but absent from the current report —
     /// a schema contract break, always gates.
     Missing,
+    /// Present in the current report but absent from the baseline — a
+    /// metric nothing gates yet, so the baseline is stale; always
+    /// gates until the baseline is regenerated.
+    Unbaselined,
 }
 
 /// One row of a comparison.
@@ -263,7 +266,7 @@ pub enum DeltaStatus {
 pub struct MetricDelta {
     /// Metric name.
     pub name: String,
-    /// Baseline value.
+    /// Baseline value (0.0 when [`DeltaStatus::Unbaselined`]).
     pub baseline: f64,
     /// Current value (0.0 when [`DeltaStatus::Missing`]).
     pub current: f64,
@@ -279,7 +282,8 @@ pub struct MetricDelta {
 /// A full baseline-vs-current comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
-    /// Per-metric rows, baseline order.
+    /// Per-metric rows: baseline order, then any unbaselined metrics
+    /// in current-report order.
     pub deltas: Vec<MetricDelta>,
     /// Whether the two reports carry the same host fingerprint.
     pub host_match: bool,
@@ -291,10 +295,10 @@ impl Comparison {
     /// `true` when the gate should fail. Waived rows fail only in
     /// strict mode.
     pub fn failed(&self, strict: bool) -> bool {
-        self.deltas.iter().any(|d| {
-            d.status == DeltaStatus::Regressed
-                || d.status == DeltaStatus::Missing
-                || (strict && d.status == DeltaStatus::Waived)
+        self.deltas.iter().any(|d| match d.status {
+            DeltaStatus::Ok => false,
+            DeltaStatus::Regressed | DeltaStatus::Missing | DeltaStatus::Unbaselined => true,
+            DeltaStatus::Waived => strict,
         })
     }
 
@@ -311,6 +315,7 @@ impl Comparison {
                 DeltaStatus::Regressed => "REGRESSED",
                 DeltaStatus::Waived => "waived (host differs)",
                 DeltaStatus::Missing => "MISSING",
+                DeltaStatus::Unbaselined => "UNBASELINED (not in baseline)",
             };
             out.push_str(&format!(
                 "{:<34} {:>14.4} {:>14.4} {:>+8.1}%  {}\n",
@@ -331,7 +336,9 @@ impl Comparison {
 }
 
 /// Diffs `current` against `baseline` at `threshold` (relative, per
-/// metric, in the metric's bad direction).
+/// metric, in the metric's bad direction). A metric on only one side
+/// gates: [`DeltaStatus::Missing`] when the current report lacks it,
+/// [`DeltaStatus::Unbaselined`] when the baseline does.
 ///
 /// # Errors
 ///
@@ -398,6 +405,18 @@ pub fn compare(
             status,
         });
     }
+    for c in &current.metrics {
+        if !baseline.metrics.iter().any(|b| b.name == c.name) {
+            deltas.push(MetricDelta {
+                name: c.name.clone(),
+                baseline: 0.0,
+                current: c.value,
+                rel_regression: f64::INFINITY,
+                unit: c.unit.clone(),
+                status: DeltaStatus::Unbaselined,
+            });
+        }
+    }
     Ok(Comparison {
         deltas,
         host_match,
@@ -435,7 +454,6 @@ mod tests {
             host: HostInfo::current(),
             repeats: 5,
             metrics,
-            spans: Value::object(vec![]),
         }
     }
 
@@ -453,7 +471,7 @@ mod tests {
     #[test]
     fn schema_round_trips_identically() {
         let original = report(vec![
-            metric("round.FedAvg.wall_ms", 12.5, false),
+            metric("aggregate.TACO.wall_ms", 12.5, false),
             PerfMetric {
                 name: "kernel.matmul.gflops.n256".to_string(),
                 value: 3.75,
@@ -517,6 +535,23 @@ mod tests {
         let mut v2 = base.clone();
         v2.schema_version = SCHEMA_VERSION + 1;
         assert!(compare(&base, &v2, 0.10).is_err());
+    }
+
+    #[test]
+    fn unbaselined_metric_fails_even_when_host_differs() {
+        let base = report(vec![metric("a", 1.0, false)]);
+        let mut fresh = metric("b", 2.0, true);
+        fresh.machine_dependent = true;
+        let mut cur = report(vec![metric("a", 1.0, false), fresh]);
+        cur.host.parallelism += 8;
+        let cmp = compare(&base, &cur, 0.10).unwrap();
+        assert!(cmp.failed(false), "a metric the baseline lacks must gate");
+        assert_eq!(cmp.deltas.len(), 2);
+        assert_eq!(cmp.deltas[0].status, DeltaStatus::Ok);
+        assert_eq!(cmp.deltas[1].name, "b");
+        assert_eq!(cmp.deltas[1].current, 2.0);
+        assert_eq!(cmp.deltas[1].status, DeltaStatus::Unbaselined);
+        assert!(cmp.render_text().contains("UNBASELINED"));
     }
 
     #[test]

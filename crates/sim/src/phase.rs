@@ -1,12 +1,11 @@
 //! Stable names of the round-loop phases — a **reported contract**.
 //!
 //! Each phase of [`crate::Simulation::run`] is timed by a quiet span
-//! feeding the `<name>.seconds` histogram (see `taco_trace::perf` for
-//! the quantile aggregation). The perf-trajectory suite (`perf_suite`
-//! → `BENCH_perf_suite.json`) and the round trace events report these
-//! names verbatim, so renaming one is a telemetry schema change: bump
-//! the BENCH schema version and regenerate the committed trajectory if
-//! you must.
+//! feeding the `<name>.seconds` histogram (exact count, sum, min and
+//! max; see `taco_trace::metrics`). Run manifests report those
+//! histograms under these names verbatim, and each round trace event
+//! carries the same span readings as its own `*_secs` fields, so
+//! renaming a phase is a telemetry schema change.
 
 /// The whole communication round.
 pub const ROUND: &str = "sim.round";

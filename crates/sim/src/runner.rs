@@ -384,8 +384,8 @@ impl Simulation {
         let mut present = vec![true; hyper.num_clients];
         for round in 0..self.config.rounds {
             // Phase spans use the stable names in [`crate::phase`]:
-            // their `.seconds` histograms are a reported contract
-            // consumed by the perf-trajectory suite.
+            // their `.seconds` histograms feed the run manifests, and
+            // the round event carries their readings as `*_secs`.
             let round_span = trace::Span::quiet(crate::phase::ROUND);
             let draw_span = trace::Span::quiet(crate::phase::PARTICIPATION);
             self.algorithm.begin_round(round, &global);

@@ -4,8 +4,8 @@
 //! Three pieces, all process-global and thread-safe:
 //!
 //! - a **metrics registry** ([`metrics`]) of counters, gauges, and
-//!   log-bucket `f64` histograms, always on and lock-free on the hot
-//!   path;
+//!   `f64` histograms (exact count/sum/min/max), always on and
+//!   lock-free on the hot path;
 //! - **spans** ([`span!`] / [`quiet_span!`]) — RAII wall-clock timers
 //!   that feed `<name>.seconds` histograms and, for non-quiet spans,
 //!   the event stream;
@@ -13,9 +13,8 @@
 //!   no-op default, an in-memory sink for tests, and a JSONL file sink
 //!   enabled by setting the `TACO_TRACE` environment variable to a
 //!   file path (see [`init_from_env`]);
-//! - **perf helpers** ([`perf`]) — per-span-name timing aggregation
-//!   with `p50/p90/p99` quantiles, a zero-dependency peak-RSS probe
-//!   (surfaced on every [`Snapshot`]), and the median-of-repeats timer
+//! - **perf helpers** ([`perf`]) — a zero-dependency peak-RSS probe
+//!   (surfaced on every [`Snapshot`]) and the median-of-repeats timer
 //!   behind the `BENCH_*.json` perf trajectory;
 //! - the **`taco_env` registry** ([`env`]) — the declared `TACO_*`
 //!   environment surface with typed accessors; the one place in the
@@ -56,7 +55,7 @@ pub mod value;
 
 pub use event::Event;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot};
-pub use perf::{peak_rss_bytes, span_stats, SpanStats};
+pub use perf::peak_rss_bytes;
 pub use sink::{JsonlSink, MemorySink, NoopSink, Sink};
 pub use span::Span;
 pub use value::Value;

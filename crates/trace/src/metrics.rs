@@ -1,5 +1,9 @@
-//! The global metrics registry: counters, gauges, and log-bucket
-//! histograms.
+//! The global metrics registry: counters, gauges, and histograms.
+//!
+//! A histogram keeps the exact count, sum, min, and max of what it
+//! observed (and so the mean), not a distribution: the benchmark that
+//! gates on medians (`fedbench`) computes them exactly from per-call
+//! samples of its own.
 //!
 //! All metric types are lock-free on the hot path (atomics only); the
 //! registry itself takes a short mutex on first lookup of a name.
@@ -53,38 +57,10 @@ impl Gauge {
     }
 }
 
-/// Number of histogram buckets (fixed, log₂-scale).
-pub const HISTOGRAM_BUCKETS: usize = 64;
-
-/// Bucket `b ∈ 1..63` covers values in `[2^(b−41), 2^(b−40))`; bucket 0
-/// holds non-positive values and underflows, bucket 63 overflows. The
-/// range `2⁻⁴⁰ ≈ 9·10⁻¹³` to `2²² ≈ 4·10⁶` comfortably covers seconds
-/// and byte counts at both harness and paper scale.
-const BUCKET_EXP_OFFSET: i32 = 41;
-
-fn bucket_index(v: f64) -> usize {
-    if v <= 0.0 || !v.is_finite() {
-        return 0;
-    }
-    let e = v.log2().floor() as i32 + BUCKET_EXP_OFFSET;
-    e.clamp(1, HISTOGRAM_BUCKETS as i32 - 1) as usize
-}
-
-/// The inclusive lower bound of bucket `b` (0.0 for the underflow
-/// bucket).
-pub fn bucket_lower_bound(b: usize) -> f64 {
-    if b == 0 {
-        0.0
-    } else {
-        (2.0f64).powi(b as i32 - BUCKET_EXP_OFFSET)
-    }
-}
-
-/// An `f64` histogram with fixed log-scale buckets plus exact count,
-/// sum, min, and max. `observe` is lock-free.
+/// An `f64` histogram keeping exact count, sum, min, and max.
+/// `observe` is lock-free.
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     count: AtomicU64,
     sum_bits: AtomicU64,
     min_bits: AtomicU64,
@@ -94,7 +70,6 @@ pub struct Histogram {
 impl Default for Histogram {
     fn default() -> Self {
         Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0f64.to_bits()),
             min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
@@ -120,7 +95,6 @@ fn atomic_f64_update(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
 impl Histogram {
     /// Records one observation.
     pub fn observe(&self, v: f64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         atomic_f64_update(&self.sum_bits, |s| s + v);
         atomic_f64_update(&self.min_bits, |m| m.min(v));
@@ -130,22 +104,6 @@ impl Histogram {
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
-    }
-
-    /// Median observation so far (see [`HistogramSnapshot::quantile`]
-    /// for resolution: exact to the containing log₂ bucket).
-    pub fn p50(&self) -> f64 {
-        self.snapshot().quantile(0.5)
-    }
-
-    /// 90th percentile so far.
-    pub fn p90(&self) -> f64 {
-        self.snapshot().quantile(0.9)
-    }
-
-    /// 99th percentile so far.
-    pub fn p99(&self) -> f64 {
-        self.snapshot().quantile(0.99)
     }
 
     /// An immutable copy of the current state.
@@ -164,21 +122,11 @@ impl Histogram {
             } else {
                 f64::from_bits(self.max_bits.load(Ordering::Relaxed))
             },
-            buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, c)| {
-                    let n = c.load(Ordering::Relaxed);
-                    (n > 0).then(|| (bucket_lower_bound(i), n))
-                })
-                .collect(),
         }
     }
 }
 
-/// An immutable histogram summary: exact count/sum/min/max plus the
-/// non-empty log-scale buckets as `(lower_bound, count)` pairs.
+/// An immutable histogram summary: exact count/sum/min/max.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Total observations.
@@ -189,8 +137,6 @@ pub struct HistogramSnapshot {
     pub min: f64,
     /// Largest observation (0.0 when empty).
     pub max: f64,
-    /// Non-empty buckets as `(inclusive lower bound, count)`.
-    pub buckets: Vec<(f64, u64)>,
 }
 
 impl HistogramSnapshot {
@@ -203,39 +149,6 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Approximate quantile `q ∈ [0, 1]` from the bucket counts: the
-    /// lower bound of the bucket where the cumulative count crosses
-    /// `q·count`. Exact only to bucket resolution (a factor of 2).
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for &(lower, n) in &self.buckets {
-            seen += n;
-            if seen >= target {
-                return lower;
-            }
-        }
-        self.max
-    }
-
-    /// Median observation.
-    pub fn p50(&self) -> f64 {
-        self.quantile(0.5)
-    }
-
-    /// 90th percentile.
-    pub fn p90(&self) -> f64 {
-        self.quantile(0.9)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> f64 {
-        self.quantile(0.99)
-    }
-
     fn to_value(&self) -> Value {
         Value::object(vec![
             ("count".to_string(), Value::U64(self.count)),
@@ -243,9 +156,6 @@ impl HistogramSnapshot {
             ("min".to_string(), Value::F64(self.min)),
             ("max".to_string(), Value::F64(self.max)),
             ("mean".to_string(), Value::F64(self.mean())),
-            ("p50".to_string(), Value::F64(self.p50())),
-            ("p90".to_string(), Value::F64(self.p90())),
-            ("p99".to_string(), Value::F64(self.p99())),
         ])
     }
 }
@@ -399,20 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_log_scale() {
-        assert_eq!(bucket_index(0.0), 0);
-        assert_eq!(bucket_index(-1.0), 0);
-        assert_eq!(bucket_index(f64::NAN), 0);
-        // 1.0 = 2^0 → bucket 41; 2.0 → 42; 0.5 → 40.
-        assert_eq!(bucket_index(1.0), 41);
-        assert_eq!(bucket_index(2.0), 42);
-        assert_eq!(bucket_index(0.5), 40);
-        assert_eq!(bucket_index(1e300), HISTOGRAM_BUCKETS - 1);
-        assert_eq!(bucket_index(1e-300), 1);
-        assert!((bucket_lower_bound(41) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn histogram_snapshot_stats() {
         let h = Histogram::default();
         for v in [0.5, 1.0, 1.5, 4.0] {
@@ -424,57 +320,6 @@ mod tests {
         assert_eq!(s.min, 0.5);
         assert_eq!(s.max, 4.0);
         assert!((s.mean() - 1.75).abs() < 1e-12);
-        // p50 falls in the bucket containing 1.0/1.5 (lower bound 1.0).
-        assert_eq!(s.quantile(0.5), 1.0);
-        assert!(s.quantile(1.0) <= 4.0);
-    }
-
-    #[test]
-    fn quantiles_are_exact_on_seeded_inputs() {
-        // 90 observations in the [1, 2) bucket, 9 in [8, 16), 1 in
-        // [128, 256): the quantile is the lower bound of the bucket
-        // where the cumulative count crosses the rank, so p50 and p90
-        // land exactly on 1.0 (ranks 50 and 90 of 100), p99 on 8.0
-        // (rank 99), and p100 on the exact max.
-        let h = Histogram::default();
-        for _ in 0..90 {
-            h.observe(1.5);
-        }
-        for _ in 0..9 {
-            h.observe(9.0);
-        }
-        h.observe(130.0);
-        assert_eq!(h.p50(), 1.0);
-        assert_eq!(h.p90(), 1.0);
-        assert_eq!(h.p99(), 8.0);
-        let s = h.snapshot();
-        assert_eq!(s.quantile(0.991), 128.0);
-        assert_eq!(s.quantile(1.0), 128.0);
-        assert_eq!(s.max, 130.0);
-    }
-
-    #[test]
-    fn quantiles_are_monotone_over_seeded_spreads() {
-        let mut x = 0x2545F4914F6CDD1Du64;
-        let mut next = || {
-            // xorshift64*: deterministic spread over ~6 decades.
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            (x.wrapping_mul(0x2545F4914F6CDD1D) >> 40) as f64 / 1e3 + 1e-6
-        };
-        let h = Histogram::default();
-        for _ in 0..500 {
-            h.observe(next());
-        }
-        let s = h.snapshot();
-        assert!(s.p50() <= s.p90(), "p50 {} > p90 {}", s.p50(), s.p90());
-        assert!(s.p90() <= s.p99(), "p90 {} > p99 {}", s.p90(), s.p99());
-        assert!(s.min <= s.p50() && s.p99() <= s.max);
-        // Histogram-level accessors agree with the snapshot's.
-        assert_eq!(h.p50(), s.p50());
-        assert_eq!(h.p90(), s.p90());
-        assert_eq!(h.p99(), s.p99());
     }
 
     #[test]
@@ -494,7 +339,6 @@ mod tests {
         assert_eq!(s.min, 0.0);
         assert_eq!(s.max, 0.0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.quantile(0.5), 0.0);
     }
 
     #[test]
@@ -527,7 +371,9 @@ mod tests {
         });
         let snap = h.snapshot();
         assert_eq!(snap.count, 4000);
-        let bucket_total: u64 = snap.buckets.iter().map(|(_, n)| n).sum();
-        assert_eq!(bucket_total, 4000);
+        // Σ (1 + i mod 7) over i < 1000 is 3997 per thread, exact in f64.
+        assert_eq!(snap.sum, 4.0 * 3997.0);
+        assert_eq!(snap.min, 1.0);
+        assert_eq!(snap.max, 7.0);
     }
 }

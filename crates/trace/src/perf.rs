@@ -1,86 +1,10 @@
-//! Perf-trajectory helpers: per-span-name timing aggregation on top of
-//! the log-bucket histograms, a zero-dependency peak-RSS probe, and the
+//! Perf-trajectory helpers: a zero-dependency peak-RSS probe and the
 //! median-of-repeats timer used by the canonical bench suite.
-//!
-//! Every span (RAII or kernel-level) feeds a `<name>.seconds`
-//! histogram; [`span_stats`] folds a [`Snapshot`] back into one
-//! [`SpanStats`] per span name with count, total, mean, and
-//! `p50/p90/p99` quantiles. `perf_suite` serializes these under the
-//! `spans` key of `BENCH_perf_suite.json`, which makes the span names
-//! (see `taco_sim::phase`) a reported contract.
 //!
 //! The peak-RSS probe reads `VmHWM` from `/proc/self/status` — the
 //! kernel-maintained resident-set high-water mark — so it needs no
 //! allocator hooks and costs one small file read. On platforms without
 //! procfs it degrades to `None` rather than guessing.
-
-use crate::metrics::{HistogramSnapshot, Snapshot};
-use crate::value::Value;
-
-/// Suffix every span-duration histogram shares.
-pub const SECONDS_SUFFIX: &str = ".seconds";
-
-/// Aggregated timing for one span name, derived from its
-/// `<name>.seconds` histogram. Quantiles are exact to bucket
-/// resolution (a factor of 2): each is the lower bound of the bucket
-/// where the cumulative count crosses the rank.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanStats {
-    /// Span name (histogram name minus the `.seconds` suffix).
-    pub name: String,
-    /// Completed span count.
-    pub count: u64,
-    /// Total seconds across all completions.
-    pub total_secs: f64,
-    /// Mean seconds per completion.
-    pub mean_secs: f64,
-    /// Median duration.
-    pub p50_secs: f64,
-    /// 90th-percentile duration.
-    pub p90_secs: f64,
-    /// 99th-percentile duration.
-    pub p99_secs: f64,
-}
-
-impl SpanStats {
-    /// Builds the aggregate for one span from its histogram snapshot.
-    pub fn from_histogram(name: &str, h: &HistogramSnapshot) -> SpanStats {
-        SpanStats {
-            name: name.to_string(),
-            count: h.count,
-            total_secs: h.sum,
-            mean_secs: h.mean(),
-            p50_secs: h.p50(),
-            p90_secs: h.p90(),
-            p99_secs: h.p99(),
-        }
-    }
-
-    /// Serializes as a JSON object (count/total/mean/p50/p90/p99).
-    pub fn to_value(&self) -> Value {
-        Value::object(vec![
-            ("count".to_string(), Value::U64(self.count)),
-            ("total_secs".to_string(), Value::F64(self.total_secs)),
-            ("mean_secs".to_string(), Value::F64(self.mean_secs)),
-            ("p50_secs".to_string(), Value::F64(self.p50_secs)),
-            ("p90_secs".to_string(), Value::F64(self.p90_secs)),
-            ("p99_secs".to_string(), Value::F64(self.p99_secs)),
-        ])
-    }
-}
-
-/// Extracts per-span timing aggregates from `snapshot`: one entry per
-/// `<name>.seconds` histogram, name-sorted (the snapshot already is).
-pub fn span_stats(snapshot: &Snapshot) -> Vec<SpanStats> {
-    snapshot
-        .histograms
-        .iter()
-        .filter_map(|(name, h)| {
-            name.strip_suffix(SECONDS_SUFFIX)
-                .map(|span| SpanStats::from_histogram(span, h))
-        })
-        .collect()
-}
 
 /// Peak resident-set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`), or `None` where procfs is unavailable. The
@@ -150,47 +74,6 @@ pub fn median_of_sorted(sorted: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Registry;
-
-    #[test]
-    fn span_stats_pick_up_only_seconds_histograms() {
-        let r = Registry::default();
-        r.histogram("alpha.seconds").observe(1.0);
-        r.histogram("alpha.seconds").observe(2.0);
-        r.histogram("bytes_per_round").observe(9.0);
-        r.counter("alpha.calls").incr();
-        let stats = span_stats(&r.snapshot());
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].name, "alpha");
-        assert_eq!(stats[0].count, 2);
-        assert!((stats[0].total_secs - 3.0).abs() < 1e-12);
-        assert!((stats[0].mean_secs - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn span_stats_serialize_with_quantiles() {
-        let r = Registry::default();
-        for _ in 0..100 {
-            r.histogram("s.seconds").observe(1.0);
-        }
-        r.histogram("s.seconds").observe(1000.0);
-        let stats = span_stats(&r.snapshot());
-        let v = stats[0].to_value();
-        for key in [
-            "count",
-            "total_secs",
-            "mean_secs",
-            "p50_secs",
-            "p90_secs",
-            "p99_secs",
-        ] {
-            assert!(v.get(key).is_some(), "missing {key}");
-        }
-        // The single outlier sits past p99 of 101 observations... it is
-        // the top 1/101 < 1%, so p99 still lands in the 1.0 bucket.
-        assert_eq!(stats[0].p50_secs, 1.0);
-        assert_eq!(stats[0].p99_secs, 1.0);
-    }
 
     #[test]
     fn vm_hwm_parses_the_procfs_format() {

@@ -1,10 +1,21 @@
 //! Compute vs. communication: the paper evaluates time-to-accuracy on
 //! compute alone and notes that when network transmission dominates,
 //! round count is what matters. This example puts both on one axis
-//! with the `CommModel`, and shows how top-k upload compression shifts
-//! the balance.
+//! with the `CommModel`, and shows how 8-bit and top-k upload
+//! compression shift the balance.
 //!
 //! Run with: `cargo run --release --example communication_tradeoff`
+//!
+//! Accuracy and bytes are deterministic; the times add measured
+//! compute to the modelled link time, so they vary by host. On a
+//! 2-core x86-64 host it printed:
+//!
+//! ```text
+//! upload codec    final acc  MB uploaded  t@50% broadband   t@50% cellular
+//! none                59.6%        6.42M             3.2s            13.7s
+//! uniform-8bit        59.6%        1.61M             2.5s             7.2s
+//! top-k               32.1%        0.64M      not reached      not reached
+//! ```
 
 use std::sync::Arc;
 
@@ -20,7 +31,7 @@ fn main() {
     let seed = 31;
     let clients = 6;
     let rounds = 12;
-    let target = 0.6;
+    let target = 0.5;
 
     let mut rng = Prng::seed_from_u64(seed);
     let spec = vision::VisionSpec::fmnist_like().with_sizes(900, 240);
@@ -39,9 +50,14 @@ fn main() {
         Arc::new(Uniform8Bit),
         Arc::new(TopK::new(0.05)),
     ];
+    let at = format!("t@{:.0}%", target * 100.0);
     println!(
         "{:<14} {:>10} {:>12} {:>16} {:>16}",
-        "upload codec", "final acc", "MB uploaded", "t@60% broadband", "t@60% cellular"
+        "upload codec",
+        "final acc",
+        "MB uploaded",
+        format!("{at} broadband"),
+        format!("{at} cellular")
     );
     for codec in codecs {
         let name = codec.name();
@@ -78,8 +94,9 @@ fn main() {
         );
     }
     println!(
-        "\nOn the constrained link the compressed runs win even if they
-need an extra round or two — the regime the paper's Section V-A
-describes, now measurable end-to-end."
+        "\n8-bit uploads send a quarter of the bytes at the same final
+accuracy and reach the target sooner on both links, by the widest
+margin on the cellular one. Top-k (5%) sends the fewest bytes but
+never reaches the target in {rounds} rounds."
     );
 }

@@ -1,17 +1,27 @@
 //! Implementing your own federated algorithm against the
 //! `FederatedAlgorithm` trait: a "trimmed mean" server that drops the
 //! largest-norm update each round, running next to FedAvg and TACO on
-//! the Shakespeare-equivalent LSTM task.
+//! the paper's CNN over FMNIST-like images split Dir(0.5) across six
+//! clients.
 //!
 //! Run with: `cargo run --release --example custom_algorithm`
+//!
+//! It prints (x86-64; the same at any `TACO_THREADS`), with chance at
+//! 10%:
+//!
+//! ```text
+//!       FedAvg: final 93.7%  best 93.7%
+//!  TrimmedMean: final 75.7%  best 75.7%
+//!         TACO: final 88.7%  best 88.7%
+//! ```
 
 use taco::core::taco::TacoConfig;
 use taco::core::{
     ClientUpdate, FedAvg, FederatedAlgorithm, HyperParams, LocalRule, Taco, UploadStats,
     WeightedCombine,
 };
-use taco::data::text;
-use taco::nn::CharLstm;
+use taco::data::{partition, vision, FederatedDataset};
+use taco::nn::PaperCnn;
 use taco::sim::{SimConfig, Simulation};
 use taco::tensor::Prng;
 
@@ -64,9 +74,11 @@ fn main() {
     let rounds = 10;
 
     let mut rng = Prng::seed_from_u64(seed);
-    let spec = text::TextSpec::shakespeare_like(clients).with_sizes(120, 300);
-    let fed = text::generate(&spec, &mut rng);
-    let hyper = HyperParams::new(clients, 15, 0.3, 16);
+    let spec = vision::VisionSpec::fmnist_like().with_sizes(1200, 300);
+    let data = vision::generate(&spec, &mut rng);
+    let shards = partition::dirichlet(data.train.labels(), clients, 0.5, &mut rng);
+    let fed = FederatedDataset::from_partition(data.train, data.test, &shards);
+    let hyper = HyperParams::new(clients, 15, 0.02, 16);
 
     let algorithms: Vec<Box<dyn FederatedAlgorithm>> = vec![
         Box::new(FedAvg::default()),
@@ -76,7 +88,7 @@ fn main() {
     for alg in algorithms {
         let name = alg.name();
         let mut mrng = Prng::seed_from_u64(seed);
-        let model = CharLstm::new(28, 12, 32, &mut mrng);
+        let model = PaperCnn::for_image(1, 28, 10, &mut mrng);
         let config = SimConfig::new(hyper, rounds, seed);
         let history = Simulation::new(fed.clone(), Box::new(model), alg, config).run();
         println!(
