@@ -9,9 +9,10 @@
 //! - **deterministic** metrics (wire bytes) gate everywhere — they
 //!   must reproduce bit-for-bit on any host;
 //! - **machine-dependent** metrics (GFLOP/s, GB/s, wall-times) gate
-//!   only when the stored [`HostInfo`] fingerprint matches the
-//!   baseline's; on a different machine they downgrade to warnings
-//!   (pass `--strict` to gate regardless).
+//!   only when the stored [`HostInfo`] fingerprint (OS, architecture,
+//!   core count and CPU model) matches the baseline's; on a different
+//!   machine they downgrade to warnings (pass `--strict` to gate
+//!   regardless).
 //!
 //! A metric on one side only always gates, whatever the host: one the
 //! current report lost breaks the schema, and one the baseline lacks
@@ -68,6 +69,9 @@ pub struct HostInfo {
     pub arch: String,
     /// Available hardware parallelism.
     pub parallelism: u64,
+    /// CPU model name (`model name` in `/proc/cpuinfo`); empty where
+    /// the platform does not report one.
+    pub cpu: String,
 }
 
 impl HostInfo {
@@ -77,6 +81,15 @@ impl HostInfo {
             os: std::env::consts::OS.to_string(),
             arch: std::env::consts::ARCH.to_string(),
             parallelism: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
+            cpu: std::fs::read_to_string("/proc/cpuinfo")
+                .ok()
+                .and_then(|info| {
+                    info.lines().find_map(|line| {
+                        let (key, model) = line.split_once(':')?;
+                        (key.trim() == "model name").then(|| model.trim().to_string())
+                    })
+                })
+                .unwrap_or_default(),
         }
     }
 
@@ -85,6 +98,7 @@ impl HostInfo {
             ("os".to_string(), Value::from(self.os.as_str())),
             ("arch".to_string(), Value::from(self.arch.as_str())),
             ("parallelism".to_string(), Value::U64(self.parallelism)),
+            ("cpu".to_string(), Value::from(self.cpu.as_str())),
         ])
     }
 
@@ -93,6 +107,9 @@ impl HostInfo {
             os: str_field(v, "os")?,
             arch: str_field(v, "arch")?,
             parallelism: num_field(v, "parallelism")? as u64,
+            // Reports written before the CPU model joined the
+            // fingerprint match no host that reports one.
+            cpu: str_field(v, "cpu").unwrap_or_default(),
         })
     }
 }

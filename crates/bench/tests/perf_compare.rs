@@ -7,7 +7,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use taco_bench::perf::{compare_files, DeltaStatus, PerfReport, DEFAULT_THRESHOLD};
+use taco_bench::perf::{compare, compare_files, DeltaStatus, PerfReport, DEFAULT_THRESHOLD};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -37,6 +37,37 @@ fn golden_regression_gates_and_wobble_passes() {
         "sub-threshold wobble must pass even strictly: {:?}",
         wobble.deltas
     );
+}
+
+/// Every metric in the committed trajectory must be able to gate: a
+/// 50% move in its bad direction on the baseline's own host is
+/// `Regressed`. A noise floor at or above a metric's value would pass
+/// any drop silently.
+#[test]
+fn every_committed_metric_gates_a_fifty_percent_regression() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_perf_suite.json");
+    let base = PerfReport::read(&path).expect("committed trajectory parses");
+    for m in &base.metrics {
+        let mut cur = base.clone();
+        for c in cur.metrics.iter_mut().filter(|c| c.name == m.name) {
+            c.value = if m.higher_is_better {
+                m.value * 0.5
+            } else {
+                m.value * 1.5
+            };
+        }
+        let cmp = compare(&base, &cur, DEFAULT_THRESHOLD).expect("same schema");
+        let row = cmp.deltas.iter().find(|d| d.name == m.name).unwrap();
+        assert_eq!(
+            row.status,
+            DeltaStatus::Regressed,
+            "{} ({} {}) cannot gate: noise floor {}",
+            m.name,
+            m.value,
+            m.unit,
+            m.noise_floor
+        );
+    }
 }
 
 #[test]

@@ -64,7 +64,7 @@ pub const REGISTRY: [EnvVar; 13] = [
     },
     EnvVar {
         name: "TACO_PERF_REPEATS",
-        doc: "timed repetitions per perf_suite metric (default 5)",
+        doc: "interleaved measurement passes of perf_suite (default 60)",
     },
     EnvVar {
         name: "TACO_BENCH_SMOKE",
@@ -154,8 +154,8 @@ pub fn bench_out() -> Option<PathBuf> {
     raw_os("TACO_BENCH_OUT").map(Into::into)
 }
 
-/// `TACO_PERF_REPEATS`: timed repetitions per perf-suite metric;
-/// `None` when unset, unparseable, or zero.
+/// `TACO_PERF_REPEATS`: interleaved measurement passes of the perf
+/// suite; `None` when unset, unparseable, or zero.
 pub fn perf_repeats() -> Option<usize> {
     raw("TACO_PERF_REPEATS")
         .and_then(|v| v.parse().ok())

@@ -13,9 +13,8 @@
 //!   no-op default, an in-memory sink for tests, and a JSONL file sink
 //!   enabled by setting the `TACO_TRACE` environment variable to a
 //!   file path (see [`init_from_env`]);
-//! - **perf helpers** ([`perf`]) — a zero-dependency peak-RSS probe
-//!   (surfaced on every [`Snapshot`]) and the median-of-repeats timer
-//!   behind the `BENCH_*.json` perf trajectory;
+//! - a zero-dependency **peak-RSS probe** ([`perf`]), surfaced on
+//!   every [`Snapshot`];
 //! - the **`taco_env` registry** ([`env`]) — the declared `TACO_*`
 //!   environment surface with typed accessors; the one place in the
 //!   workspace allowed to read `TACO_*` variables (taco-check rule D8).

@@ -1,7 +1,6 @@
-//! Perf-trajectory helpers: a zero-dependency peak-RSS probe and the
-//! median-of-repeats timer used by the canonical bench suite.
+//! A zero-dependency peak-RSS probe.
 //!
-//! The peak-RSS probe reads `VmHWM` from `/proc/self/status` — the
+//! It reads `VmHWM` from `/proc/self/status` — the
 //! kernel-maintained resident-set high-water mark — so it needs no
 //! allocator hooks and costs one small file read. On platforms without
 //! procfs it degrades to `None` rather than guessing.
@@ -35,40 +34,6 @@ pub fn parse_vm_hwm(status: &str) -> Option<u64> {
         .parse()
         .ok()?;
     Some(kb * 1024)
-}
-
-/// Wall-clock seconds of the median of `repeats` timed runs of `f`
-/// (after one untimed warm-up). The median — not the min or mean —
-/// is the canonical perf-suite statistic: it ignores one-off cache or
-/// scheduler spikes in either direction without rewarding lucky runs.
-///
-/// # Panics
-///
-/// Panics if `repeats` is zero.
-pub fn time_median<F: FnMut()>(repeats: usize, mut f: F) -> f64 {
-    assert!(repeats > 0, "time_median needs at least one repeat");
-    f();
-    let mut samples: Vec<f64> = (0..repeats)
-        .map(|_| {
-            // taco-check: allow(wall-clock, perf-suite repeat timing: readings feed BENCH reports only, never simulated time)
-            let start = std::time::Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    median_of_sorted(&samples)
-}
-
-/// Median of an already-sorted, non-empty sample vector (mean of the
-/// two middle elements when the count is even).
-pub fn median_of_sorted(sorted: &[f64]) -> f64 {
-    let n = sorted.len();
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
-    }
 }
 
 #[cfg(test)]
@@ -106,16 +71,5 @@ mod tests {
         // No post-free assertion: some sandboxed kernels report a
         // VmHWM that tracks the current RSS back down, so only the
         // while-allocated reading is portable.
-    }
-
-    #[test]
-    fn time_median_is_positive_and_median_math_is_exact() {
-        let secs = time_median(3, || {
-            std::hint::black_box(vec![1u8; 4096]);
-        });
-        assert!(secs >= 0.0);
-        assert_eq!(median_of_sorted(&[1.0, 2.0, 50.0]), 2.0);
-        assert_eq!(median_of_sorted(&[1.0, 2.0, 3.0, 50.0]), 2.5);
-        assert_eq!(median_of_sorted(&[7.0]), 7.0);
     }
 }
