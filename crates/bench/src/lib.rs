@@ -398,10 +398,6 @@ fn record_run(
                 ("quarantined".to_string(), Value::from(t.quarantined)),
             ])
         }),
-        (
-            "attacks_applied".to_string(),
-            Value::from(history.total_attacks_applied()),
-        ),
         ("wall_secs".to_string(), Value::from(wall_secs)),
     ]);
     state.runs.push(entry);

@@ -349,23 +349,22 @@ pub trait FederatedAlgorithm: Send {
         self.expelled()
     }
 
-    /// Called when `client` joins (or rejoins) the federation via a
-    /// churn trace. Implementations must (re)initialize any per-client
-    /// state as for a fresh client; the runner never announces a join
-    /// for an expelled client. Default: no-op.
+    /// Lifecycle hook for a client joining the federation. The
+    /// simulator never calls it; it is kept, as a no-op, only because
+    /// fedbench's decorator forwards it, and goes in the next change
+    /// to the benchmark.
     fn client_joined(&mut self, _client: usize) {}
 
-    /// Called when `client` leaves the federation via a churn trace.
-    /// Implementations must retire (drop) any per-client vector state
-    /// so long-running open-participation federations don't leak
-    /// memory for departed clients. Default: no-op.
+    /// Lifecycle hook for a client leaving the federation; a no-op
+    /// the simulator never calls, kept for the same reason as
+    /// [`FederatedAlgorithm::client_joined`].
     fn client_departed(&mut self, _client: usize) {}
 
     /// Number of clients for which the algorithm currently holds
     /// materialized per-client *vector* state (SCAFFOLD control
-    /// variates, FoolsGold delta histories). A peak-RSS-adjacent probe:
-    /// tests assert it shrinks when clients depart. Algorithms with
-    /// only O(1) scalar per-client state (TACO's α/strikes) report 0.
+    /// variates, FoolsGold delta histories), recorded every round.
+    /// Algorithms with only O(1) scalar per-client state (TACO's
+    /// α/strikes) report 0.
     fn tracked_client_states(&self) -> usize {
         0
     }

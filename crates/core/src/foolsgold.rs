@@ -34,7 +34,7 @@ use taco_tensor::ops;
 /// rounds — are flagged as a suspected sybil/colluding pair via
 /// [`FederatedAlgorithm::suspected`]. Honest non-IID clients descend
 /// different local objectives, so their accumulated directions
-/// decorrelate; a colluding coalition pushing one seeded direction
+/// decorrelate; a colluding coalition pushing one common direction
 /// does not. Suspicion is pure diagnostics: it never changes the
 /// aggregation weights, so trajectories are identical with or without
 /// it.
@@ -42,7 +42,7 @@ use taco_tensor::ops;
 pub struct FoolsGold {
     last_weights: Vec<f32>,
     /// Per-client accumulated deltas (the cosine history); empty until
-    /// a client's first aggregated round, cleared when it departs.
+    /// a client's first aggregated round.
     histories: Vec<Vec<f32>>,
     /// Rounds each client has been aggregated (gates suspicion).
     observations: Vec<usize>,
@@ -182,17 +182,6 @@ impl FederatedAlgorithm for FoolsGold {
             .collect()
     }
 
-    fn client_departed(&mut self, client: usize) {
-        // Retire the departed client's history; on rejoin it starts
-        // from scratch like a fresh client.
-        if let Some(h) = self.histories.get_mut(client) {
-            *h = Vec::new();
-        }
-        if let Some(o) = self.observations.get_mut(client) {
-            *o = 0;
-        }
-    }
-
     fn tracked_client_states(&self) -> usize {
         self.histories.iter().filter(|h| !h.is_empty()).count()
     }
@@ -297,23 +286,6 @@ mod tests {
             &hyper,
         );
         assert_eq!(alg.suspected(), vec![0, 1]);
-    }
-
-    #[test]
-    fn departed_client_history_is_dropped() {
-        let mut alg = FoolsGold::new().with_suspicion(0.9, 1);
-        let hyper = HyperParams::new(2, 1, 1.0, 1);
-        let _ = alg.aggregate(
-            &[0.0, 0.0],
-            &[upd(0, vec![1.0, 1.0]), upd(1, vec![1.0, 1.0])],
-            &hyper,
-        );
-        assert_eq!(alg.tracked_client_states(), 2);
-        assert_eq!(alg.suspected(), vec![0, 1]);
-        alg.client_departed(1);
-        assert_eq!(alg.tracked_client_states(), 1);
-        // With client 1's history retired the pair no longer exists.
-        assert!(alg.suspected().is_empty());
     }
 
     #[test]

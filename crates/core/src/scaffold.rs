@@ -66,7 +66,8 @@ impl Scaffold {
             self.c_global = vec![0.0; dim];
             // Per-client variates are materialized lazily on each
             // client's first aggregated round (an empty vec reads as
-            // zeros everywhere), so departed clients hold no memory.
+            // zeros everywhere), so never-aggregated clients hold no
+            // memory.
             for c in &mut self.c_clients {
                 c.clear();
             }
@@ -96,7 +97,7 @@ impl FederatedAlgorithm for Scaffold {
                 .map(|(&c, &ci)| self.alpha * (c - ci))
                 .collect()
         } else {
-            // Unmaterialized variate (fresh or rejoining client):
+            // Unmaterialized variate (a client never aggregated yet):
             // c_i = 0, bit-identical to `α·(c − 0)`.
             self.c_global.iter().map(|&c| self.alpha * c).collect()
         };
@@ -116,8 +117,8 @@ impl FederatedAlgorithm for Scaffold {
         let n = self.c_clients.len() as f32;
         for u in updates {
             if self.c_clients[u.client].len() != global.len() {
-                // First aggregated round for this client (or its first
-                // after rejoining): materialize the zero variate.
+                // First aggregated round for this client: materialize
+                // the zero variate.
                 self.c_clients[u.client] = vec![0.0; global.len()];
             }
             let old = self.c_clients[u.client].clone();
@@ -144,14 +145,6 @@ impl FederatedAlgorithm for Scaffold {
         }
         ops::axpy(&mut self.c_global, 1.0, &mean_shift);
         Some(fedavg_plan(updates, hyper, self.weighting))
-    }
-
-    fn client_departed(&mut self, client: usize) {
-        // Retire the departed client's control variate; a later rejoin
-        // rematerializes a fresh zero variate in `plan_aggregation`.
-        if let Some(c) = self.c_clients.get_mut(client) {
-            *c = Vec::new();
-        }
     }
 
     fn tracked_client_states(&self) -> usize {
@@ -272,37 +265,6 @@ mod tests {
         u.steps = 0; // no step count recorded: falls back to K = 10
         let _ = alg2.aggregate(&[0.0], &[u], &hyper);
         assert!((alg2.client_variate(0)[0] - 1.0 / (10.0 * eta_l)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn departed_variate_is_dropped_and_rejoin_starts_fresh() {
-        let mut alg = Scaffold::new(3, 1.0);
-        let hyper = HyperParams::new(3, 1, 1.0, 1);
-        alg.begin_round(0, &[0.0, 0.0]);
-        let _ = alg.aggregate(
-            &[0.0, 0.0],
-            &[
-                upd(0, vec![1.0, 0.0]),
-                upd(1, vec![0.0, 1.0]),
-                upd(2, vec![0.5, 0.5]),
-            ],
-            &hyper,
-        );
-        assert_eq!(alg.tracked_client_states(), 3);
-        alg.client_departed(1);
-        assert_eq!(alg.tracked_client_states(), 2);
-        assert!(alg.client_variate(1).is_empty(), "variate not retired");
-        // A rejoining client's rule reads its variate as zero:
-        // term = α·(c − 0) = α·c.
-        alg.client_joined(1);
-        let expect: Vec<f32> = alg.c_global.iter().map(|&c| 1.0 * c).collect();
-        match alg.local_rule(1, &[0.0, 0.0]) {
-            LocalRule::Correction { term } => assert_eq!(term, expect),
-            other => panic!("unexpected rule {other:?}"),
-        }
-        // Its next aggregated round rematerializes a fresh variate.
-        let _ = alg.aggregate(&[0.0, 0.0], &[upd(1, vec![0.2, 0.2])], &hyper);
-        assert_eq!(alg.tracked_client_states(), 3);
     }
 
     #[test]

@@ -306,19 +306,6 @@ impl FederatedAlgorithm for Taco {
             .collect()
     }
 
-    fn client_joined(&mut self, client: usize) {
-        // A (re)joining client has no recent uploads, so its stale
-        // coefficient would mis-scale the Eq. 8 correction on its
-        // first round back; reset to the paper's α_i^0. Strikes and
-        // the expulsion flag deliberately persist — an expelled client
-        // must never resurrect through churn (the runner never
-        // announces joins for expelled clients, but the state stays
-        // authoritative regardless).
-        if client < self.alphas.len() && !self.expelled[client] {
-            self.alphas[client] = self.config.initial_alpha;
-        }
-    }
-
     fn report_invalid_update(&mut self, client: usize) {
         // A quarantined upload is at least as suspicious as an echoed
         // one: it counts as an Eq. 10 strike toward expulsion.

@@ -162,36 +162,6 @@ impl Dataset {
         }
     }
 
-    /// Concatenates datasets into one, in the given order (used to
-    /// re-pool a federation's shards before drift re-partitioning).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty or any part's sample shape or class
-    /// count differs from the first's.
-    pub fn concat(parts: &[&Dataset]) -> Dataset {
-        assert!(!parts.is_empty(), "concat needs at least one dataset");
-        let first = parts[0];
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        let mut features = Vec::with_capacity(total * first.sample_len());
-        let mut labels = Vec::with_capacity(total);
-        for (i, p) in parts.iter().enumerate() {
-            assert_eq!(
-                p.sample_dims, first.sample_dims,
-                "part {i} sample shape differs"
-            );
-            assert_eq!(p.classes, first.classes, "part {i} class count differs");
-            features.extend_from_slice(&p.features);
-            labels.extend_from_slice(&p.labels);
-        }
-        Dataset {
-            features,
-            labels,
-            sample_dims: first.sample_dims.clone(),
-            classes: first.classes,
-        }
-    }
-
     /// Per-class sample counts.
     pub fn class_histogram(&self) -> Vec<usize> {
         let mut h = vec![0usize; self.classes];
@@ -218,26 +188,6 @@ mod tests {
             &[2],
             2,
         )
-    }
-
-    #[test]
-    fn concat_rebuilds_a_partitioned_dataset() {
-        let d = four_samples();
-        let a = d.subset(&[0, 2]);
-        let b = d.subset(&[1, 3]);
-        let pooled = Dataset::concat(&[&a, &b]);
-        assert_eq!(pooled.len(), 4);
-        assert_eq!(pooled.classes(), 2);
-        assert_eq!(pooled.class_histogram(), d.class_histogram());
-        // Order follows the parts: a's samples first.
-        assert_eq!(pooled.sample(0), d.sample(0));
-        assert_eq!(pooled.sample(2), d.sample(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one dataset")]
-    fn concat_of_nothing_panics() {
-        let _ = Dataset::concat(&[]);
     }
 
     #[test]

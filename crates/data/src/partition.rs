@@ -200,84 +200,6 @@ pub fn synthetic_groups(
     (shards, groups)
 }
 
-/// A schedule of time-varying non-IID drift: the Dirichlet
-/// concentration `φ` interpolates geometrically from `phi_start` to
-/// `phi_end` over a run, and every `every` rounds the federation's
-/// shards are re-drawn at the current `φ` (temporal label-distribution
-/// drift — clients' local data changes character mid-run).
-///
-/// The schedule is pure data: the simulation runtime calls
-/// [`DriftSchedule::repartition_at`] each round and performs the
-/// re-partition itself with a seeded RNG, so drift is deterministic
-/// and bit-identical at any thread count. `every == 0` makes the
-/// schedule inert (no repartition ever fires).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftSchedule {
-    /// `φ` at round 0.
-    pub phi_start: f64,
-    /// `φ` at the final round.
-    pub phi_end: f64,
-    /// Re-partition cadence in rounds; `0` disables the schedule.
-    pub every: usize,
-    /// Total rounds of the run (fixes the interpolation endpoints).
-    pub total_rounds: usize,
-}
-
-impl DriftSchedule {
-    /// Creates a drift schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either `φ` endpoint is not positive and finite.
-    pub fn new(phi_start: f64, phi_end: f64, every: usize, total_rounds: usize) -> Self {
-        assert!(
-            phi_start > 0.0 && phi_start.is_finite(),
-            "phi_start must be positive and finite, got {phi_start}"
-        );
-        assert!(
-            phi_end > 0.0 && phi_end.is_finite(),
-            "phi_end must be positive and finite, got {phi_end}"
-        );
-        DriftSchedule {
-            phi_start,
-            phi_end,
-            every,
-            total_rounds,
-        }
-    }
-
-    /// An inert schedule: never re-partitions.
-    pub fn inert() -> Self {
-        DriftSchedule::new(1.0, 1.0, 0, 0)
-    }
-
-    /// `true` when the schedule can never fire.
-    pub fn is_inert(&self) -> bool {
-        self.every == 0
-    }
-
-    /// The interpolated `φ` at `round`: geometric (log-space)
-    /// interpolation, since Dirichlet skew responds to `φ`'s order of
-    /// magnitude, clamped to the run's endpoints.
-    pub fn phi_at(&self, round: usize) -> f64 {
-        if self.total_rounds <= 1 {
-            return self.phi_start;
-        }
-        let t = (round as f64 / (self.total_rounds - 1) as f64).clamp(0.0, 1.0);
-        (self.phi_start.ln() * (1.0 - t) + self.phi_end.ln() * t).exp()
-    }
-
-    /// `Some(φ)` when the shards should be re-drawn at the start of
-    /// `round` (never at round 0 — the initial partition stands).
-    pub fn repartition_at(&self, round: usize) -> Option<f64> {
-        if self.is_inert() || round == 0 || !round.is_multiple_of(self.every) {
-            None
-        } else {
-            Some(self.phi_at(round))
-        }
-    }
-}
-
 /// Measures label-distribution skew of a partition: the mean total
 /// variation distance between each shard's label distribution and the
 /// global one. 0 = perfectly IID; approaches 1 under extreme skew.
@@ -440,43 +362,5 @@ mod tests {
     #[should_panic(expected = "phi must be positive")]
     fn zero_phi_panics() {
         let _ = dirichlet(&[0, 1], 2, 0.0, &mut Prng::seed_from_u64(0));
-    }
-
-    #[test]
-    fn drift_schedule_interpolates_geometrically() {
-        let d = DriftSchedule::new(0.5, 0.05, 4, 21);
-        assert!((d.phi_at(0) - 0.5).abs() < 1e-12);
-        assert!((d.phi_at(20) - 0.05).abs() < 1e-12);
-        // Log-space midpoint: sqrt(0.5 · 0.05).
-        let mid = d.phi_at(10);
-        assert!((mid - (0.5f64 * 0.05).sqrt()).abs() < 1e-9, "mid {mid}");
-        // Monotone toward the endpoint, clamped past it.
-        assert!(d.phi_at(5) > d.phi_at(15));
-        assert!((d.phi_at(40) - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
-    fn drift_fires_on_cadence_but_not_round_zero() {
-        let d = DriftSchedule::new(0.5, 0.1, 3, 10);
-        assert!(!d.is_inert());
-        assert_eq!(d.repartition_at(0), None);
-        assert!(d.repartition_at(3).is_some());
-        assert_eq!(d.repartition_at(4), None);
-        assert!(d.repartition_at(6).is_some());
-    }
-
-    #[test]
-    fn inert_drift_never_fires() {
-        let d = DriftSchedule::inert();
-        assert!(d.is_inert());
-        for r in 0..50 {
-            assert_eq!(d.repartition_at(r), None);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "phi_end must be positive")]
-    fn bad_drift_phi_panics() {
-        let _ = DriftSchedule::new(0.5, 0.0, 1, 10);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Scores are computed against the ground-truth behaviour vector the
 //! run was configured with ([`crate::runner::SimConfig::with_behaviors`]).
-//! Scoring is **participation-aware**: a labelled attacker the server
+//! Scoring is **participation-aware**: a labelled freeloader the server
 //! never sampled was never observable, so it belongs in neither the
 //! TPR denominator (not a missed detection) nor the FPR denominator.
 //! [`score`] takes the ever-participated mask for exactly this reason;
@@ -92,20 +92,20 @@ pub fn score(
     let malicious_total = behaviors
         .iter()
         .enumerate()
-        .filter(|&(c, b)| b.is_malicious() && observed(c))
+        .filter(|&(c, b)| b.is_freeloader() && observed(c))
         .count();
     let benign_total = behaviors
         .iter()
         .enumerate()
-        .filter(|&(c, b)| !b.is_malicious() && observed(c))
+        .filter(|&(c, b)| !b.is_freeloader() && observed(c))
         .count();
     let true_positives = flagged
         .iter()
-        .filter(|&&c| behaviors[c].is_malicious() && observed(c))
+        .filter(|&&c| behaviors[c].is_freeloader() && observed(c))
         .count();
     let false_positives = flagged
         .iter()
-        .filter(|&&c| !behaviors[c].is_malicious() && observed(c))
+        .filter(|&&c| !behaviors[c].is_freeloader() && observed(c))
         .count();
     DetectionScore {
         tpr: if malicious_total == 0 {

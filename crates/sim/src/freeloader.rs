@@ -1,8 +1,6 @@
-//! Client behaviours: honest clients, the paper's lazy freeloaders,
-//! and the adversarial behaviours of the scenario suite (sign-flip,
-//! boost, colluding coalitions). The behaviour vector is the ground
-//! truth the detection scoreboard ([`crate::detection`]) scores
-//! against.
+//! Client behaviours: honest clients and the paper's lazy freeloaders.
+//! The behaviour vector is the ground truth the detection scoreboard
+//! ([`crate::detection`]) scores against.
 
 /// What a client actually does when asked to train.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -15,78 +13,14 @@ pub enum ClientBehavior {
     /// local computation. Round 0, with no previous update, uploads
     /// zeros.
     Freeloader,
-    /// A sign-flipping attacker: trains honestly, then uploads
-    /// `−s·Δ_i` (the classic model-poisoning baseline). The norm is
-    /// preserved at `s = 1`, so norm-based validation never fires —
-    /// only directional statistics (Eq. 7 cosines, FoolsGold) see it.
-    SignFlip,
-    /// A scaling/boost attacker: uploads `b·Δ_i` with `b > 1`,
-    /// amplifying its own influence on the aggregate (and tripping
-    /// norm validation when a [`crate::fault::ValidationPolicy`] caps
-    /// delta norms).
-    Boost,
-    /// A member of a colluding coalition (label-flip style): trains
-    /// honestly, then blends its update toward a shared direction
-    /// seeded per `(run seed, coalition)`, as if the whole coalition
-    /// optimized one common wrong objective. The shared direction
-    /// across rounds is exactly what FoolsGold's cosine history is
-    /// built to catch.
-    Colluder {
-        /// Coalition identifier; members with equal ids share one
-        /// seeded direction.
-        coalition: u16,
-    },
 }
 
 impl ClientBehavior {
-    /// `true` for [`ClientBehavior::Freeloader`].
+    /// `true` for [`ClientBehavior::Freeloader`], the detection
+    /// scoreboard's ground-truth positive class.
     pub fn is_freeloader(self) -> bool {
         matches!(self, ClientBehavior::Freeloader)
     }
-
-    /// `true` for every non-honest behaviour (the detection
-    /// scoreboard's ground-truth positive class).
-    pub fn is_malicious(self) -> bool {
-        !matches!(self, ClientBehavior::Honest)
-    }
-
-    /// Stable lower-case label for traces and manifests.
-    pub fn label(self) -> &'static str {
-        match self {
-            ClientBehavior::Honest => "honest",
-            ClientBehavior::Freeloader => "freeloader",
-            ClientBehavior::SignFlip => "sign_flip",
-            ClientBehavior::Boost => "boost",
-            ClientBehavior::Colluder { .. } => "colluder",
-        }
-    }
-}
-
-/// Builds a behaviour vector with the first `n_bad` clients replaced
-/// by `behavior` (generalizes the paper's "8 of 20 freeloaders"
-/// layout to any adversarial behaviour).
-///
-/// # Panics
-///
-/// Panics if `n_bad > n_clients`.
-pub fn with_behavior(
-    n_clients: usize,
-    n_bad: usize,
-    behavior: ClientBehavior,
-) -> Vec<ClientBehavior> {
-    assert!(
-        n_bad <= n_clients,
-        "{n_bad} adversaries exceed {n_clients} clients"
-    );
-    (0..n_clients)
-        .map(|i| {
-            if i < n_bad {
-                behavior
-            } else {
-                ClientBehavior::Honest
-            }
-        })
-        .collect()
 }
 
 /// Builds a behaviour vector with the first `n_freeloaders` clients
@@ -96,7 +30,19 @@ pub fn with_behavior(
 ///
 /// Panics if `n_freeloaders > n_clients`.
 pub fn with_freeloaders(n_clients: usize, n_freeloaders: usize) -> Vec<ClientBehavior> {
-    with_behavior(n_clients, n_freeloaders, ClientBehavior::Freeloader)
+    assert!(
+        n_freeloaders <= n_clients,
+        "{n_freeloaders} freeloaders exceed {n_clients} clients"
+    );
+    (0..n_clients)
+        .map(|i| {
+            if i < n_freeloaders {
+                ClientBehavior::Freeloader
+            } else {
+                ClientBehavior::Honest
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -122,38 +68,5 @@ mod tests {
     #[should_panic(expected = "exceed")]
     fn too_many_freeloaders_panics() {
         let _ = with_freeloaders(3, 4);
-    }
-
-    #[test]
-    fn malicious_covers_every_attacker() {
-        for b in [
-            ClientBehavior::Freeloader,
-            ClientBehavior::SignFlip,
-            ClientBehavior::Boost,
-            ClientBehavior::Colluder { coalition: 0 },
-        ] {
-            assert!(b.is_malicious(), "{} not malicious", b.label());
-        }
-        assert!(!ClientBehavior::Honest.is_malicious());
-        // Attackers that train are not freeloaders.
-        assert!(!ClientBehavior::SignFlip.is_freeloader());
-    }
-
-    #[test]
-    fn with_behavior_generalizes() {
-        let b = with_behavior(4, 2, ClientBehavior::SignFlip);
-        assert_eq!(b[0], ClientBehavior::SignFlip);
-        assert_eq!(b[1], ClientBehavior::SignFlip);
-        assert_eq!(b[2], ClientBehavior::Honest);
-        assert_eq!(b.iter().filter(|x| x.is_malicious()).count(), 2);
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(ClientBehavior::Honest.label(), "honest");
-        assert_eq!(
-            ClientBehavior::Colluder { coalition: 3 }.label(),
-            "colluder"
-        );
     }
 }

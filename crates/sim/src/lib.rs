@@ -7,19 +7,13 @@
 //!   parallel client execution (on the `taco_tensor::pool` workers)
 //!   and deterministic per-client RNG streams, so results are
 //!   independent of thread scheduling. Each round is planned (private
-//!   `plan` module: drift, churn, participation and fault draws),
+//!   `plan` module: expulsion filtering, participation and fault draws),
 //!   executed (`client`), uploaded (`server`), aggregated by the
 //!   algorithm's [`taco_core::FederatedAlgorithm::aggregate`], and
 //!   recorded.
 //! - [`freeloader`] — ground-truth client behaviours: honest clients
 //!   train; lazy freeloaders (Section IV-A) re-upload the previous
-//!   global update; sign-flippers, boosters, and colluding coalitions
-//!   mount the model-update attacks in [`adversary`].
-//! - [`adversary`] — seeded, deterministic model-update attacks
-//!   applied on the device side of the wire ([`adversary::AdversaryPlan`]).
-//! - [`churn`] — deterministic client join/leave schedules
-//!   ([`churn::ChurnTrace`]) driving the algorithm lifecycle hooks;
-//!   composes with data drift ([`taco_data::partition::DriftSchedule`]).
+//!   global update.
 //! - [`metrics`] — per-round records and the paper's two efficiency
 //!   metrics: round-to-accuracy and time-to-accuracy (cumulative
 //!   slowest-client compute time, Figs. 2 and 4).
@@ -55,8 +49,6 @@
 
 #![deny(missing_docs)]
 
-pub mod adversary;
-pub mod churn;
 mod client;
 pub mod comm;
 pub mod detection;
@@ -68,8 +60,6 @@ mod plan;
 pub mod runner;
 mod server;
 
-pub use adversary::AdversaryPlan;
-pub use churn::ChurnTrace;
 pub use fault::{Corruption, Deadline, FaultKind, FaultPlan, RejectReason, ValidationPolicy};
 pub use freeloader::ClientBehavior;
 pub use metrics::{FaultTotals, History, RoundRecord};

@@ -85,14 +85,14 @@ pub struct RoundRecord {
     /// ([`taco_core::FederatedAlgorithm::suspected`], sorted ids).
     /// Suspicion is diagnostic — it never feeds back into aggregation.
     pub suspected: Vec<usize>,
-    /// Model-update attacks applied this round by the configured
-    /// [`crate::adversary::AdversaryPlan`]; `0` when no plan is set.
+    /// Always 0: the simulator mounts no model-update attacks. Kept
+    /// only because fedbench's digest reads it; delete it in the next
+    /// change to the benchmark.
     pub attacks_applied: usize,
     /// Per-kind breakdown of `faults_injected`/`updates_rejected`.
     pub fault_totals: FaultTotals,
     /// Per-client state slots the algorithm holds after this round
-    /// ([`taco_core::FederatedAlgorithm::tracked_client_states`]) — the
-    /// churn probe that departed clients' state was actually dropped.
+    /// ([`taco_core::FederatedAlgorithm::tracked_client_states`]).
     pub tracked_states: usize,
 }
 
@@ -173,11 +173,6 @@ impl History {
             t.accumulate(&r.fault_totals);
         }
         t
-    }
-
-    /// Total model-update attacks applied across the run.
-    pub fn total_attacks_applied(&self) -> usize {
-        self.rounds.iter().map(|r| r.attacks_applied).sum()
     }
 
     /// Which of `n_clients` ever participated in any round — the
@@ -345,14 +340,6 @@ mod tests {
         assert_eq!(t.corruptions, 3);
         assert_eq!(t.injected(), 7);
         assert_eq!(t.rejected(), 3);
-    }
-
-    #[test]
-    fn attacks_sum_over_rounds() {
-        let mut h = history(&[0.1, 0.2, 0.3]);
-        h.rounds[1].attacks_applied = 2;
-        h.rounds[2].attacks_applied = 1;
-        assert_eq!(h.total_attacks_applied(), 3);
     }
 
     #[test]

@@ -1,34 +1,25 @@
 //! The parameter-server round loop.
 //!
 //! [`Simulation::run`] reads as the paper's Algorithm 1: each round is
-//! planned (`plan::plan_round`: drift, churn, participation and fault
-//! draws), executed (local steps, freeloader echoes, attacks), uploaded
+//! planned (`plan::plan_round`: expulsion filtering, participation and
+//! fault draws), executed (local steps and freeloader echoes), uploaded
 //! (`server::process_uploads`), aggregated (the algorithm's
 //! `aggregate`) and recorded as one [`RoundRecord`], from which the
 //! JSONL `round` event is derived.
 
-use crate::adversary::{self, AdversaryPlan};
-use crate::churn::ChurnTrace;
 use crate::client::{self, ClientJob};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::freeloader::ClientBehavior;
 use crate::metrics::{FaultTotals, History, RoundRecord};
-use crate::plan::{plan_round, Churn, RoundPlan};
+use crate::plan::{plan_round, RoundPlan};
 use crate::server::{self, UploadOutcome};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use taco_core::compress::Compressor;
 use taco_core::{ClientUpdate, FederatedAlgorithm, HyperParams};
-use taco_data::partition::{self, DriftSchedule};
-use taco_data::{Dataset, FederatedDataset};
+use taco_data::FederatedDataset;
 use taco_nn::{Batch, Model};
 use taco_tensor::ops;
 use taco_trace as trace;
-
-/// Salt folded into the run seed for drift re-partitioning draws, so
-/// the drift stream never aliases the training, participation, fault,
-/// or coalition streams.
-const DRIFT_SALT: u64 = 0xD81F;
 
 /// Which clients take part in each round.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,18 +78,6 @@ pub struct SimConfig {
     /// `None` disables the subsystem entirely — trajectories are
     /// bit-identical to a plan-free run.
     pub fault_plan: Option<FaultPlan>,
-    /// Parameters of the model-update attacks mounted by non-honest
-    /// behaviours. The plan is inert while every behaviour is honest
-    /// or freeloading; which clients attack is `behaviors`' job.
-    pub adversary: AdversaryPlan,
-    /// Deterministic client join/leave schedule. `None` (and an
-    /// event-free trace) leaves every round's eligible set — and the
-    /// whole trajectory — bit-identical to a churn-free run.
-    pub churn: Option<ChurnTrace>,
-    /// Time-varying non-IID drift: re-partitions the pooled training
-    /// data at a fixed cadence with an interpolated Dirichlet `φ`.
-    /// `None` (and an inert schedule) changes nothing.
-    pub drift: Option<DriftSchedule>,
 }
 
 impl SimConfig {
@@ -118,9 +97,6 @@ impl SimConfig {
             local_steps_per_client: None,
             upload_compressor: None,
             fault_plan: None,
-            adversary: AdversaryPlan::default(),
-            churn: None,
-            drift: None,
         }
     }
 
@@ -154,38 +130,6 @@ impl SimConfig {
                 "participation fraction must be in (0, 1], got {fraction}"
             );
         }
-        if let Some(trace) = &self.churn {
-            assert_eq!(
-                trace.num_clients(),
-                n,
-                "churn trace covers {} clients but hyper says {n}",
-                trace.num_clients()
-            );
-        }
-    }
-
-    /// Builder-style adversary-plan override (attack knobs only; which
-    /// clients attack is set via [`SimConfig::with_behaviors`]).
-    pub fn with_adversary(mut self, plan: AdversaryPlan) -> Self {
-        self.adversary = plan;
-        self
-    }
-
-    /// Builder-style churn-trace override.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace's client count differs from the config's.
-    pub fn with_churn(mut self, trace: ChurnTrace) -> Self {
-        self.churn = Some(trace);
-        self.check();
-        self
-    }
-
-    /// Builder-style drift-schedule override.
-    pub fn with_drift(mut self, schedule: DriftSchedule) -> Self {
-        self.drift = Some(schedule);
-        self
     }
 
     /// Builder-style upload-compression override.
@@ -274,9 +218,6 @@ impl std::fmt::Debug for SimConfig {
                 &self.upload_compressor.as_ref().map(|c| c.name()),
             )
             .field("fault_plan", &self.fault_plan)
-            .field("adversary", &self.adversary)
-            .field("churn", &self.churn)
-            .field("drift", &self.drift)
             .finish()
     }
 }
@@ -289,11 +230,6 @@ pub struct Simulation {
     algorithm: Box<dyn FederatedAlgorithm>,
     config: SimConfig,
     eval_batches: Vec<Batch>,
-    /// The pooled training data, rebuilt from the initial shards, used
-    /// as the re-partitioning source when a drift schedule is active.
-    drift_pool: Option<Dataset>,
-    /// Coalition attack directions, derived lazily per coalition id.
-    coalition_dirs: BTreeMap<u16, Vec<f32>>,
 }
 
 /// Seconds spent in each phase of one round (see [`crate::phase`]).
@@ -345,24 +281,12 @@ impl Simulation {
         );
         config.check();
         let eval_batches = fed.test().eval_batches(config.eval_batch);
-        // Re-pool the shards up front (in client order, so the pool is
-        // a pure function of the initial partition) only when drift
-        // can actually fire; an inert schedule costs nothing.
-        let drift_pool = match &config.drift {
-            Some(schedule) if !schedule.is_inert() => {
-                let parts: Vec<&Dataset> = fed.clients().iter().collect();
-                Some(Dataset::concat(&parts))
-            }
-            _ => None,
-        };
         Simulation {
             fed,
             prototype,
             algorithm,
             config,
             eval_batches,
-            drift_pool,
-            coalition_dirs: BTreeMap::new(),
         }
     }
 
@@ -377,11 +301,6 @@ impl Simulation {
             expelled_clients: Vec::new(),
         };
         let hyper = self.config.hyper;
-        // Presence across rounds, for churn edge detection. Starting
-        // all-present means a round-0 absence is announced as a
-        // departure, so lazily-held per-client state is retired even
-        // for late arrivals.
-        let mut present = vec![true; hyper.num_clients];
         for round in 0..self.config.rounds {
             // Phase spans use the stable names in [`crate::phase`]:
             // their `.seconds` histograms feed the run manifests, and
@@ -389,14 +308,12 @@ impl Simulation {
             let round_span = trace::Span::quiet(crate::phase::ROUND);
             let draw_span = trace::Span::quiet(crate::phase::PARTICIPATION);
             self.algorithm.begin_round(round, &global);
-            let plan = plan_round(&self.config, round, &self.algorithm.expelled(), &present);
-            self.apply_drift_and_churn(&plan);
-            present.clone_from(&plan.present);
+            let plan = plan_round(&self.config, round, &self.algorithm.expelled());
             // Only a fully-expelled federation freezes training; every
-            // other degenerate round (nothing sampled, nobody present,
-            // everyone dropped or quarantined) is recorded as empty
-            // and the run continues.
-            if plan.frozen {
+            // other degenerate round (nothing sampled, everyone dropped
+            // or quarantined) is recorded as empty and the run
+            // continues.
+            if plan.eligible.is_empty() {
                 break;
             }
             let faults = note_faults(&plan);
@@ -419,7 +336,6 @@ impl Simulation {
             updates.append(&mut echoes);
             updates.sort_by_key(|u| u.client);
             secs.local = local_span.finish();
-            let attacks_applied = self.apply_attacks(round, &mut updates);
             let outcome = server::process_uploads(
                 &self.config,
                 &plan.faults,
@@ -446,7 +362,7 @@ impl Simulation {
                 .then(|| self.evaluate(&mut *eval_model, &global));
             secs.eval = eval_span.finish();
             let last = history.rounds.last();
-            let record = self.record(plan, faults, attacks_applied, &outcome, test, last);
+            let record = self.record(plan, faults, &outcome, test, last);
             trace::counter("sim.rounds").incr();
             secs.round = round_span.finish();
             if trace::active() {
@@ -459,42 +375,8 @@ impl Simulation {
         history
     }
 
-    /// Applies the plan's drift re-partition, which every later read of
-    /// the shards this round sees, and announces its churn edges to the
-    /// algorithm.
-    fn apply_drift_and_churn(&mut self, plan: &RoundPlan) {
-        let round = plan.round;
-        if let (Some(phi), Some(pool)) = (plan.drift_phi, &self.drift_pool) {
-            let mut rng = client::client_rng(self.config.seed ^ DRIFT_SALT, round, usize::MAX);
-            let shards =
-                partition::dirichlet(pool.labels(), self.config.hyper.num_clients, phi, &mut rng);
-            let skew = partition::skew_statistic(pool.labels(), &shards);
-            note("sim.drift.repartitions", "drift", round, |e| {
-                e.with("phi", phi).with("skew", skew)
-            });
-            self.fed =
-                FederatedDataset::from_partition(pool.clone(), self.fed.test().clone(), &shards);
-        }
-        for &edge in &plan.churn {
-            let (counter, label, client) = match edge {
-                Churn::Join(c) => {
-                    self.algorithm.client_joined(c);
-                    ("sim.churn.joins", "join", c)
-                }
-                Churn::Depart(c) => {
-                    self.algorithm.client_departed(c);
-                    ("sim.churn.departures", "depart", c)
-                }
-            };
-            note(counter, "churn", round, |e| {
-                e.with("client", client).with("event", label)
-            });
-        }
-    }
-
-    /// This round's work: a local-training job for every participant
-    /// that trains (attackers too; their transform comes after
-    /// training) and the echoed upload of every freeloader. Dropped
+    /// This round's work: a local-training job for every honest
+    /// participant and the echoed upload of every freeloader. Dropped
     /// clients get neither: their update never arrives, so honest
     /// dropouts also skip the wasted computation.
     fn build_jobs(
@@ -510,7 +392,7 @@ impl Simulation {
                 continue;
             }
             let num_samples = self.fed.client(client).len();
-            if self.config.behaviors[client] != ClientBehavior::Freeloader {
+            if !self.config.behaviors[client].is_freeloader() {
                 jobs.push(ClientJob {
                     client,
                     rule: self.algorithm.local_rule(client, global),
@@ -542,37 +424,6 @@ impl Simulation {
         (jobs, echoes)
     }
 
-    /// Applies the model-update attacks in client order, on the device
-    /// side of the wire (upstream of compression, corruption and
-    /// validation), and returns how many fired. Each is a pure
-    /// per-update transform, so attacked runs stay bit-identical across
-    /// thread and shard counts.
-    fn apply_attacks(&mut self, round: usize, updates: &mut [ClientUpdate]) -> usize {
-        let mut applied = 0;
-        for u in updates {
-            let Some(label) = adversary::apply(
-                &self.config.adversary,
-                self.config.behaviors[u.client],
-                self.config.seed,
-                round,
-                &mut u.delta,
-                &mut self.coalition_dirs,
-            ) else {
-                continue;
-            };
-            applied += 1;
-            let counter = match label {
-                "sign_flip" => "sim.attacks.sign_flip",
-                "boost" => "sim.attacks.boost",
-                _ => "sim.attacks.collude",
-            };
-            note(counter, "attack", round, |e| {
-                e.with("client", u.client).with("attack", label)
-            });
-        }
-        applied
-    }
-
     /// Test loss and accuracy of the algorithm's reported parameters.
     fn evaluate(&self, model: &mut dyn Model, global: &[f32]) -> (f64, f64) {
         model.set_params(&self.algorithm.output_params(global));
@@ -588,7 +439,6 @@ impl Simulation {
         &self,
         plan: RoundPlan,
         faults: FaultTotals,
-        attacks_applied: usize,
         outcome: &UploadOutcome,
         test: Option<(f64, f64)>,
         last: Option<&RoundRecord>,
@@ -629,7 +479,7 @@ impl Simulation {
             updates_rejected: outcome.updates_rejected(),
             participants: plan.participants,
             suspected,
-            attacks_applied,
+            attacks_applied: 0,
             fault_totals: FaultTotals {
                 deadline_cuts: outcome.deadline_cuts,
                 quarantined: outcome.quarantined,
@@ -657,7 +507,6 @@ impl Simulation {
             .with("expelled", r.expelled)
             .with("faults_injected", r.faults_injected)
             .with("updates_rejected", r.updates_rejected)
-            .with("attacks_applied", r.attacks_applied)
             .with("suspected", r.suspected.len())
             .with("tracked_states", r.tracked_states)
             .with("upload_bytes", r.upload_bytes)
@@ -1296,191 +1145,6 @@ mod tests {
             .run()
         };
         assert_eq!(zero_timing(history), zero_timing(h2));
-    }
-
-    #[test]
-    fn inert_adversary_churn_and_drift_match_a_plain_run() {
-        let hyper = HyperParams::new(4, 5, 0.05, 16);
-        let plain = SimConfig::new(hyper, 4, 13);
-        let decorated = SimConfig::new(hyper, 4, 13)
-            .with_adversary(AdversaryPlan::new())
-            .with_churn(ChurnTrace::new(4))
-            .with_drift(DriftSchedule::inert());
-        let h_plain = zero_timing(
-            Simulation::new(
-                small_fed(4, 33),
-                mlp(33),
-                Box::new(FedAvg::default()),
-                plain,
-            )
-            .run(),
-        );
-        let h_deco = zero_timing(
-            Simulation::new(
-                small_fed(4, 33),
-                mlp(33),
-                Box::new(FedAvg::default()),
-                decorated,
-            )
-            .run(),
-        );
-        assert_eq!(h_plain, h_deco);
-        assert_eq!(h_deco.total_attacks_applied(), 0);
-    }
-
-    #[test]
-    fn attacked_histories_are_bit_identical_parallel_or_not() {
-        let hyper = HyperParams::new(5, 4, 0.05, 16);
-        let behaviors = vec![
-            ClientBehavior::SignFlip,
-            ClientBehavior::Colluder { coalition: 0 },
-            ClientBehavior::Colluder { coalition: 0 },
-            ClientBehavior::Honest,
-            ClientBehavior::Honest,
-        ];
-        let run = |sequential: bool| {
-            let config = SimConfig::new(hyper, 5, 61).with_behaviors(behaviors.clone());
-            let config = if sequential {
-                config.sequential()
-            } else {
-                config
-            };
-            Simulation::new(
-                small_fed(5, 34),
-                mlp(34),
-                Box::new(FedAvg::default()),
-                config,
-            )
-            .run()
-        };
-        let parallel_a = zero_timing(run(false));
-        let parallel_b = zero_timing(run(false));
-        let sequential = zero_timing(run(true));
-        assert_eq!(
-            parallel_a.total_attacks_applied(),
-            3 * 5,
-            "every attacker attacks every round"
-        );
-        assert_eq!(parallel_a, parallel_b);
-        assert_eq!(parallel_a, sequential);
-    }
-
-    #[test]
-    fn sleeper_attacks_start_on_schedule() {
-        let hyper = HyperParams::new(3, 3, 0.05, 8);
-        let config = SimConfig::new(hyper, 4, 15)
-            .with_behaviors(vec![
-                ClientBehavior::Boost,
-                ClientBehavior::Honest,
-                ClientBehavior::Honest,
-            ])
-            .with_adversary(AdversaryPlan::new().starting_at(2));
-        let history = Simulation::new(
-            small_fed(3, 35),
-            mlp(35),
-            Box::new(FedAvg::default()),
-            config,
-        )
-        .run();
-        assert_eq!(history.rounds[0].attacks_applied, 0);
-        assert_eq!(history.rounds[1].attacks_applied, 0);
-        assert_eq!(history.rounds[2].attacks_applied, 1);
-        assert_eq!(history.rounds[3].attacks_applied, 1);
-    }
-
-    #[test]
-    fn churn_drives_the_lifecycle_hooks_and_state_probe() {
-        // SCAFFOLD materializes a client's variate on first
-        // aggregation and drops it on departure, which the
-        // tracked-states probe observes round by round.
-        let hyper = HyperParams::new(3, 3, 0.05, 8);
-        let trace = ChurnTrace::new(3).departs(2, 2).joins(2, 4);
-        let config = SimConfig::new(hyper, 6, 23).with_churn(trace);
-        let history = Simulation::new(
-            small_fed(3, 36),
-            mlp(36),
-            Box::new(taco_core::Scaffold::new(3, 1.0)),
-            config,
-        )
-        .run();
-        assert_eq!(history.rounds.len(), 6);
-        // Rounds 0-1: all three trained, three variates held.
-        assert_eq!(history.rounds[1].tracked_states, 3);
-        // Rounds 2-3: client 2 departed, its variate dropped.
-        assert_eq!(history.rounds[2].tracked_states, 2);
-        assert_eq!(history.rounds[3].tracked_states, 2);
-        // Round 4: rejoined and re-materialized from scratch.
-        assert_eq!(history.rounds[4].tracked_states, 3);
-        assert_eq!(history.rounds[2].participants, vec![0, 1]);
-        assert_eq!(history.rounds[4].participants, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn all_absent_round_holds_the_model_and_training_continues() {
-        let hyper = HyperParams::new(2, 3, 0.05, 8);
-        let trace = ChurnTrace::new(2)
-            .departs(0, 1)
-            .departs(1, 1)
-            .joins(0, 2)
-            .joins(1, 2);
-        let config = SimConfig::new(hyper, 4, 27).with_churn(trace);
-        let history = Simulation::new(
-            small_fed(2, 37),
-            mlp(37),
-            Box::new(FedAvg::default()),
-            config,
-        )
-        .run();
-        assert_eq!(history.rounds.len(), 4, "absent round ended the run");
-        assert!(history.rounds[1].participants.is_empty());
-        assert_eq!(
-            history.rounds[1].test_accuracy,
-            history.rounds[0].test_accuracy
-        );
-        assert!(history.rounds[1].train_loss_carried);
-        assert_eq!(history.rounds[2].participants, vec![0, 1]);
-    }
-
-    #[test]
-    fn drift_repartitions_stay_deterministic() {
-        let hyper = HyperParams::new(4, 4, 0.05, 16);
-        let schedule = DriftSchedule::new(0.5, 0.1, 2, 8);
-        let run = || {
-            Simulation::new(
-                small_fed(4, 38),
-                mlp(38),
-                Box::new(FedAvg::default()),
-                SimConfig::new(hyper, 8, 29).with_drift(schedule),
-            )
-            .run()
-        };
-        let h1 = zero_timing(run());
-        let h2 = zero_timing(run());
-        assert_eq!(h1, h2);
-        assert_eq!(h1.rounds.len(), 8);
-        // The re-partitioned shards change what the clients train on.
-        let plain = zero_timing(
-            Simulation::new(
-                small_fed(4, 38),
-                mlp(38),
-                Box::new(FedAvg::default()),
-                SimConfig::new(hyper, 8, 29),
-            )
-            .run(),
-        );
-        assert_eq!(
-            h1.rounds[..2],
-            plain.rounds[..2],
-            "drift fired before round 2"
-        );
-        assert_ne!(h1.rounds[2..], plain.rounds[2..], "drift never fired");
-    }
-
-    #[test]
-    #[should_panic(expected = "churn trace covers")]
-    fn churn_client_count_mismatch_panics() {
-        let hyper = HyperParams::new(3, 1, 0.1, 1);
-        let _ = SimConfig::new(hyper, 1, 1).with_churn(ChurnTrace::new(2));
     }
 
     #[test]

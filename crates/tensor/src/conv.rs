@@ -272,8 +272,12 @@ pub fn maxpool2d_forward(
     let per_channel = |c: usize, out_c: &mut [f32], arg_c: &mut [usize]| {
         for oy in 0..oh {
             for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_idx = 0;
+                // Start from the window's own first element, so the
+                // argmax stays in this channel's plane even when no
+                // element compares greater (an all-NaN or all -inf
+                // window); for finite input the pick is unchanged.
+                let mut best_idx = c * h * w + oy * stride * w + ox * stride;
+                let mut best = input[best_idx];
                 for ky in 0..window {
                     for kx in 0..window {
                         let iy = oy * stride + ky;
@@ -574,6 +578,29 @@ mod tests {
         assert_eq!(grad[13], 3.0);
         assert_eq!(grad[15], 4.0);
         assert_eq!(grad.iter().sum::<f32>(), 10.0);
+    }
+
+    #[test]
+    fn maxpool_argmax_stays_in_channel_for_non_finite_windows() {
+        // 2 channels of 2x4, 2x2 windows stride 2: channel 0 is finite;
+        // channel 1 has an all-NaN window, then an all -inf one.
+        let nan = f32::NAN;
+        let ninf = f32::NEG_INFINITY;
+        let input: Vec<f32> = vec![
+            1.0, 2.0, 5.0, 6.0, //
+            3.0, 4.0, 7.0, 8.0, //
+            nan, nan, ninf, ninf, //
+            nan, nan, ninf, ninf,
+        ];
+        let (out, arg) = maxpool2d_forward(&input, 2, 2, 4, 2, 2);
+        let grad = maxpool2d_backward(&[1.0, 2.0, 3.0, 4.0], &arg, 2, input.len());
+        assert_eq!(&out[..2], &[4.0, 8.0]);
+        assert!(out[2].is_nan());
+        assert_eq!(out[3], ninf);
+        // Each argmax is the window's first element, inside channel 1.
+        assert_eq!(arg, vec![5, 7, 8, 10]);
+        assert_eq!(grad[8], 3.0);
+        assert_eq!(grad[10], 4.0);
     }
 
     #[test]

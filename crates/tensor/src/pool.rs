@@ -35,9 +35,18 @@
 //! in the queue (important when client jobs and kernels share the
 //! pool), and a dispatch from a saturated pool degrades to an inline
 //! loop rather than deadlocking.
+//!
+//! # Panics
+//!
+//! A panic in a task, on a helper or on the caller, does not escape
+//! early: the dispatch still cancels the helpers that never started
+//! and waits for the ones that did, then re-raises the caller's own
+//! panic, or else the first helper's. Workers survive a panicking task.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -47,6 +56,9 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 const MAX_THREADS: usize = 512;
 
 type Job = Box<dyn FnOnce() + Send>;
+
+/// What a panicking task unwound with.
+type Payload = Box<dyn Any + Send>;
 
 struct Queued {
     batch: u64,
@@ -139,6 +151,12 @@ impl Pool {
     /// *placement* are scheduling-dependent, so `f` must only perform
     /// work whose result is independent of both (disjoint writes keyed
     /// by index).
+    ///
+    /// # Panics
+    ///
+    /// If `f` panics, re-raises that panic once every started helper
+    /// has finished: the caller's own panic if it had one, else the
+    /// first helper's.
     pub fn for_each_index<F: Fn(usize) + Sync>(&self, tasks: usize, f: F) {
         if tasks == 0 {
             return;
@@ -162,9 +180,14 @@ impl Pool {
         // helper jobs is only dereferenced by jobs of this batch, and
         // this function does not return until every such job has either
         // been cancelled (removed from the queue before starting) or
-        // has finished its claim loop — `ctx` outlives all uses. The
-        // completion signal lives behind an `Arc` each helper holds, so
-        // a helper may still touch it after this function returned.
+        // has finished its claim loop — `ctx` outlives all uses. That
+        // holds when `f` panics too: a helper catches its own unwind
+        // and signals completion anyway, and the caller's claim loop
+        // runs under `catch_unwind`, so neither side can unwind past
+        // the cancel-and-wait below while a helper still holds the
+        // pointer. The completion signal lives behind an `Arc` each
+        // helper holds, so a helper may still touch it after this
+        // function returned.
         let raw = RawCtx(&ctx as *const DispatchCtx<'_, F> as usize);
         {
             let mut st = lock(&self.shared.state);
@@ -174,11 +197,13 @@ impl Pool {
                 st.jobs.push_back(Queued {
                     batch,
                     job: Box::new(move || {
-                        // SAFETY: per the lifetime-erasure argument
-                        // above, `ctx` outlives every job queued for
-                        // this batch until it signals completion.
-                        unsafe { helper_entry::<F>(raw) };
-                        completion.signal();
+                        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                            // SAFETY: per the lifetime-erasure argument
+                            // above, `ctx` outlives every job queued for
+                            // this batch until it signals completion.
+                            unsafe { helper_entry::<F>(raw) }
+                        }));
+                        completion.signal(outcome.err());
                     }),
                 });
             }
@@ -186,7 +211,7 @@ impl Pool {
         self.shared.available.notify_all();
         // The caller claims chunks too: dispatch makes progress even if
         // every worker is busy with unrelated jobs.
-        ctx.claim_loop();
+        let caller = panic::catch_unwind(AssertUnwindSafe(|| ctx.claim_loop()));
         // Cancel helpers that never started; wait for the ones that did.
         let removed = {
             let mut st = lock(&self.shared.state);
@@ -194,7 +219,13 @@ impl Pool {
             st.jobs.retain(|q| q.batch != batch);
             before - st.jobs.len()
         };
-        completion.wait_for(helpers - removed);
+        let helper_panic = completion.wait_for(helpers - removed);
+        if let Err(payload) = caller {
+            panic::resume_unwind(payload);
+        }
+        if let Some(payload) = helper_panic {
+            panic::resume_unwind(payload);
+        }
     }
 
     /// Splits `data` into consecutive chunks of `chunk_len` elements
@@ -245,7 +276,8 @@ struct DispatchCtx<'a, F> {
     run: &'a F,
 }
 
-/// How many of a dispatch's helpers have finished their claim loop.
+/// How many of a dispatch's helpers have finished their claim loop,
+/// and the first panic one of them unwound with.
 ///
 /// Shared through an `Arc` rather than kept in the caller's
 /// [`DispatchCtx`]: a helper signals and notifies after the caller may
@@ -253,24 +285,39 @@ struct DispatchCtx<'a, F> {
 /// not live on the caller's stack frame.
 #[derive(Default)]
 struct Completion {
-    finished: Mutex<usize>,
+    state: Mutex<Finished>,
     changed: Condvar,
 }
 
+#[derive(Default)]
+struct Finished {
+    helpers: usize,
+    panic: Option<Payload>,
+}
+
 impl Completion {
-    fn signal(&self) {
-        *lock(&self.finished) += 1;
+    /// Counts one finished helper, keeping the first panic payload.
+    fn signal(&self, panic: Option<Payload>) {
+        let mut st = lock(&self.state);
+        st.helpers += 1;
+        if st.panic.is_none() {
+            st.panic = panic;
+        }
+        drop(st);
         self.changed.notify_all();
     }
 
-    fn wait_for(&self, helpers: usize) {
-        let mut finished = lock(&self.finished);
-        while *finished < helpers {
-            finished = self
+    /// Blocks until `helpers` helpers have signalled, then returns the
+    /// first panic payload among them.
+    fn wait_for(&self, helpers: usize) -> Option<Payload> {
+        let mut st = lock(&self.state);
+        while st.helpers < helpers {
+            st = self
                 .changed
-                .wait(finished)
+                .wait(st)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
+        st.panic.take()
     }
 }
 
@@ -434,7 +481,7 @@ pub fn for_each_index<F: Fn(usize) + Sync>(tasks: usize, f: F) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicBool, AtomicU32};
 
     #[test]
     fn inline_when_single_threaded() {
@@ -511,6 +558,79 @@ mod tests {
         pool.for_each_chunk(&mut data, 10, |_, c| c.fill(1));
         drop(pool);
         assert!(data.iter().all(|&x| x == 1));
+    }
+
+    /// `dispatch` on a fresh two-thread pool, run on its own thread so
+    /// a hang fails the test instead of stalling it; returns whether
+    /// the dispatch unwound, and with which message.
+    fn dispatch_bounded(dispatch: fn(&Pool)) -> Result<(), String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let pool = Pool::new(2);
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| dispatch(&pool)));
+            let _ = tx.send(outcome.map_err(|p| {
+                p.downcast_ref::<&str>()
+                    .map_or_else(String::new, |m| (*m).to_string())
+            }));
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("dispatch hung after a task panicked");
+        runner.join().expect("dispatch thread");
+        outcome
+    }
+
+    #[test]
+    fn a_helper_panic_reaches_the_caller() {
+        let outcome = dispatch_bounded(|pool| {
+            // The barrier holds the caller inside task 0 until the
+            // helper has claimed task 1, so the helper is the one that
+            // panics.
+            let both = std::sync::Barrier::new(2);
+            pool.for_each_index(2, |_| {
+                both.wait();
+                if on_worker_thread() {
+                    panic!("helper task failed");
+                }
+            });
+        });
+        assert_eq!(outcome, Err("helper task failed".to_string()));
+        // The worker survived its task's panic: the pool still runs.
+        let pool = Pool::new(2);
+        let hits = AtomicU32::new(0);
+        pool.for_each_index(4, |_| {
+            hits.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn a_caller_panic_returns_after_the_started_helpers_finish() {
+        // A static, so the helper's late store touches no memory of
+        // the dispatching frame.
+        static HELPER_DONE: AtomicBool = AtomicBool::new(false);
+        let outcome = dispatch_bounded(|pool| {
+            let both = std::sync::Barrier::new(2);
+            let dispatched = panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.for_each_index(2, |_| {
+                    both.wait();
+                    if on_worker_thread() {
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                        HELPER_DONE.store(true, Ordering::SeqCst);
+                    } else {
+                        panic!("caller task failed");
+                    }
+                });
+            }));
+            assert!(
+                HELPER_DONE.load(Ordering::SeqCst),
+                "dispatch returned while a helper was still running"
+            );
+            if let Err(payload) = dispatched {
+                panic::resume_unwind(payload);
+            }
+        });
+        assert_eq!(outcome, Err("caller task failed".to_string()));
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub struct EnvVar {
 /// Every `TACO_*` variable the workspace recognizes. taco-check D8
 /// cross-checks this registry against all use sites and against the
 /// README/EXPERIMENTS docs in both directions.
-pub const REGISTRY: [EnvVar; 13] = [
+pub const REGISTRY: [EnvVar; 12] = [
     EnvVar {
         name: "TACO_TRACE",
         doc: "JSONL trace sink file path; unset/empty disables tracing",
@@ -69,10 +69,6 @@ pub const REGISTRY: [EnvVar; 13] = [
     EnvVar {
         name: "TACO_BENCH_SMOKE",
         doc: "truthy: single-pass tensor_ops bench for CI smoke runs",
-    },
-    EnvVar {
-        name: "TACO_SCENARIO_SMOKE",
-        doc: "`1`/`true`: scenario_sweep runs the reduced smoke grid",
     },
     EnvVar {
         name: "TACO_REGEN_GOLDEN",
@@ -167,12 +163,6 @@ pub fn bench_smoke() -> bool {
     raw("TACO_BENCH_SMOKE").is_some_and(|v| v != "0" && !v.is_empty())
 }
 
-/// `TACO_SCENARIO_SMOKE`: exactly `1` or `true` shrinks the sweep grid
-/// (the historical scenario_sweep parse).
-pub fn scenario_smoke() -> bool {
-    matches!(raw("TACO_SCENARIO_SMOKE").as_deref(), Some("1" | "true"))
-}
-
 /// `TACO_REGEN_GOLDEN`: truthy when set to anything but `""`/`"0"`.
 pub fn regen_golden() -> bool {
     raw("TACO_REGEN_GOLDEN").is_some_and(|v| v != "0" && !v.is_empty())
@@ -228,7 +218,6 @@ mod tests {
         let _ = bench_out();
         let _ = perf_repeats();
         let _ = bench_smoke();
-        let _ = scenario_smoke();
         let _ = regen_golden();
         let _ = golden_tol();
     }

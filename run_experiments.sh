@@ -29,7 +29,7 @@ run_exp() {
 
 for exp in table1 fig7 table8 table2 fig5 table3 fig6 ablation_alpha \
            ext_baselines ext_compression ext_comm_regimes fault_sweep \
-           scenario_sweep fig2 fig4 table6 table5; do
+           fig2 fig4 table6 table5; do
   run_exp "$exp"
 done
 run_exp table7 env TACO_CLIENTS=40

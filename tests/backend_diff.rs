@@ -7,7 +7,8 @@
 //! enforces it for every algorithm in `taco_core` over shards
 //! {1, 3, 8} × threads {1, 4} — against the shards = 1 / threads = 1
 //! run, against the committed golden fixtures, and under fault
-//! injection, where quarantine strikes must expel the same clients —
+//! injection and freeloading, where detection strikes must expel the
+//! same clients —
 //! and writes a machine-readable report to
 //! `results/backend_diff_report.json` (archived by CI).
 //!
@@ -26,6 +27,7 @@ use taco::core::{
     AggWeighting, FedAcg, FedAvg, FedDyn, FedNova, FedProx, FederatedAlgorithm, FoolsGold,
     HyperParams, Scaffold, Stem, Taco, TailoredProx, TailoredScaffold,
 };
+use taco::sim::freeloader::with_freeloaders;
 use taco::sim::{FaultPlan, History, SimConfig, Simulation};
 use taco::tensor::pool::{self, Pool};
 use taco::trace::Value;
@@ -150,25 +152,49 @@ fn faulted_run(shards: usize) -> History {
     Simulation::new(fed, mlp(13), alg, config).run()
 }
 
+/// A TACO run where the first two of six clients freeload (echo the
+/// previous global update), with detection enabled so Eq. 10 strikes
+/// can expel them.
+fn freeloader_run(shards: usize) -> History {
+    let clients = 6;
+    let fed = tabular_fed(clients, 14, 0.4);
+    let hyper = HyperParams::new(clients, 6, 0.05, 16);
+    let config = SimConfig::new(hyper, 8, 14).with_behaviors(with_freeloaders(clients, 2));
+    let alg = Taco::new(
+        clients,
+        TacoConfig::paper_default(8, 6).with_detection(0.6, 1),
+    );
+    let alg = fixed_shards(Box::new(alg), shards);
+    Simulation::new(fed, mlp(14), alg, config).run()
+}
+
 #[test]
 fn fault_injection_interacts_identically_across_shard_counts() {
-    let reference = on_pool(1, || faulted_run(1));
+    let faulted = on_pool(1, || faulted_run(1));
     assert!(
-        reference.rounds.iter().any(|r| r.updates_rejected > 0),
+        faulted.rounds.iter().any(|r| r.updates_rejected > 0),
         "fault plan must reject uploads for this test to bite"
     );
+    compare_across_shard_counts("faulted", &faulted, faulted_run);
+    let freeloading = on_pool(1, || freeloader_run(1));
+    assert!(
+        !freeloading.expelled_clients.is_empty(),
+        "detection must expel a client for this test to bite"
+    );
+    compare_across_shard_counts("freeloaders", &freeloading, freeloader_run);
+}
+
+/// Runs `run` at every shard × thread count and requires every field
+/// the detector touches to match `reference` bit for bit.
+fn compare_across_shard_counts(name: &str, reference: &History, run: fn(usize) -> History) {
     for shards in SHARD_COUNTS {
         for threads in THREAD_COUNTS {
-            let got = on_pool(threads, || faulted_run(shards));
-            let label = format!("faulted.shards{shards}.t{threads}");
-            assert_values_close(
-                &history_value(&reference),
-                &history_value(&got),
-                0.0,
-                &label,
-            );
-            // Fault accounting and the strike/expulsion sequence are
-            // not part of history_value; compare them field by field.
+            let got = on_pool(threads, || run(shards));
+            let label = format!("{name}.shards{shards}.t{threads}");
+            assert_values_close(&history_value(reference), &history_value(&got), 0.0, &label);
+            // Fault accounting, suspicion and the strike/expulsion
+            // sequence are not part of history_value; compare them
+            // field by field.
             for (ra, rb) in reference.rounds.iter().zip(&got.rounds) {
                 let r = ra.round;
                 assert_eq!(
@@ -179,6 +205,7 @@ fn fault_injection_interacts_identically_across_shard_counts() {
                     ra.updates_rejected, rb.updates_rejected,
                     "{label}: updates_rejected @ round {r}"
                 );
+                assert_eq!(ra.suspected, rb.suspected, "{label}: suspected @ round {r}");
             }
             assert_eq!(
                 reference.expelled_clients, got.expelled_clients,

@@ -85,12 +85,6 @@ impl FederatedAlgorithm for FixedShards {
     fn suspected(&self) -> Vec<usize> {
         self.inner.suspected()
     }
-    fn client_joined(&mut self, client: usize) {
-        self.inner.client_joined(client);
-    }
-    fn client_departed(&mut self, client: usize) {
-        self.inner.client_departed(client);
-    }
     fn tracked_client_states(&self) -> usize {
         self.inner.tracked_client_states()
     }
@@ -113,9 +107,8 @@ pub fn golden_run(alg: Box<dyn FederatedAlgorithm>, parallel: bool) -> History {
     golden_run_configured(alg, parallel, |c| c)
 }
 
-/// [`golden_run`] with a config decorator, for suites that must prove
-/// an addition (adversary plan, churn trace, drift schedule) is inert
-/// against the committed fixtures.
+/// [`golden_run`] with a config decorator, for suites that run the
+/// golden workload with a codec, a fault plan or freeloaders.
 pub fn golden_run_configured(
     alg: Box<dyn FederatedAlgorithm>,
     parallel: bool,
