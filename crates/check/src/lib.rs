@@ -24,19 +24,15 @@
 //! ([`workspace_rules`]) checks the model's global invariants. Both
 //! passes share one tree walk.
 //!
-//! Escape hatches: an inline `// taco-check: allow(rule, reason)`
-//! pragma on the finding's line (or the line above) — for a cross-file
-//! finding, a pragma at either anchor suppresses it — and a committed
-//! baseline file (`taco-check.baseline`) for legacy findings being
-//! burned down (the baseline matches a finding's primary location).
-//! Run as `cargo run -p taco-check` or via the workspace test;
-//! diagnostics print `file:line` and a JSON report is available with
-//! `--json`.
+//! The one escape hatch is an inline `// taco-check: allow(rule,
+//! reason)` pragma on the finding's line (or the line above); for a
+//! cross-file finding, a pragma at either anchor suppresses it. Run as
+//! `cargo run -p taco-check` or via the workspace test; diagnostics
+//! print `file:line`.
 //!
 //! The crate has zero dependencies and a hand-rolled lexer
 //! ([`lexer`]), so it builds instantly anywhere the workspace builds.
 
-pub mod baseline;
 pub mod lexer;
 pub mod model;
 pub mod report;
@@ -47,21 +43,13 @@ pub mod workspace_rules;
 use report::Report;
 use std::path::{Path, PathBuf};
 
-/// Configuration for one checker run.
-pub struct Config {
-    /// Workspace root to scan.
-    pub root: PathBuf,
-    /// Baseline text (already read; empty string = empty baseline).
-    pub baseline: String,
-}
-
 /// Directory names never descended into. `fixtures` keeps seeded-
 /// violation test fixtures (and golden-trajectory JSON) out of the
 /// real scan; the fixture tests point the checker *at* a fixture tree
 /// instead.
 const SKIP_DIRS: [&str; 5] = ["target", ".git", "fixtures", "results", "node_modules"];
 
-/// Scans every `.rs` file under `config.root` (plus the README/
+/// Scans every `.rs` file under `root` (plus the README/
 /// EXPERIMENTS docs for the env cross-check) and returns the report.
 ///
 /// Phase 1 walks each file once: the per-file rules run and the
@@ -70,9 +58,9 @@ const SKIP_DIRS: [&str; 5] = ["target", ".git", "fixtures", "results", "node_mod
 /// a workspace finding can be suppressed at either of its anchors.
 /// Files that cannot be read (I/O error, non-UTF-8) are never
 /// silently skipped: they are reported and fail the run.
-pub fn run(config: &Config) -> Report {
+pub fn run(root: &Path) -> Report {
     let mut files = Vec::new();
-    collect_rs_files(&config.root, &mut files);
+    collect_rs_files(root, &mut files);
     files.sort();
 
     let mut findings = Vec::new();
@@ -83,7 +71,7 @@ pub fn run(config: &Config) -> Report {
         Vec::new();
 
     for path in &files {
-        let rel = rel_path(&config.root, path);
+        let rel = rel_path(root, path);
         let src = match std::fs::read_to_string(path) {
             Ok(src) => src,
             Err(e) => {
@@ -99,7 +87,7 @@ pub fn run(config: &Config) -> Report {
     }
 
     for doc in model::DOC_FILES {
-        if let Ok(text) = std::fs::read_to_string(config.root.join(doc)) {
+        if let Ok(text) = std::fs::read_to_string(root.join(doc)) {
             builder.add_doc(doc, &text);
         }
     }
@@ -126,15 +114,9 @@ pub fn run(config: &Config) -> Report {
     findings.extend(ws_findings);
 
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    let (entries, malformed) = baseline::parse(&config.baseline);
-    let (kept, baselined, stale) = baseline::apply(findings, &entries);
     Report {
-        root: config.root.display().to_string(),
-        findings: kept,
+        findings,
         suppressed_by_pragma: suppressed,
-        suppressed_by_baseline: baselined,
-        stale_baseline: stale,
-        malformed_baseline: malformed,
         files_scanned: files.len(),
         unreadable,
     }
@@ -176,11 +158,4 @@ pub fn workspace_root_from_manifest(manifest_dir: &str) -> PathBuf {
         .nth(2)
         .unwrap_or(Path::new("."))
         .to_path_buf()
-}
-
-/// Reads the baseline file at the conventional location
-/// (`<root>/taco-check.baseline`); a missing file is an empty
-/// baseline.
-pub fn read_baseline(root: &Path) -> String {
-    std::fs::read_to_string(root.join("taco-check.baseline")).unwrap_or_default()
 }

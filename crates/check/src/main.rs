@@ -2,8 +2,6 @@
 //!
 //! Flags:
 //! * `--root <dir>`      — tree to scan (default: the workspace root)
-//! * `--baseline <file>` — baseline file (default: `<root>/taco-check.baseline`)
-//! * `--json <file>`     — also write the machine-readable report
 //! * `--quiet`           — suppress per-finding lines, print the summary only
 //!
 //! Exit status: 0 when no unsuppressed findings remain, 1 otherwise,
@@ -15,21 +13,15 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut json_path: Option<PathBuf> = None;
     let mut quiet = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
-            "--baseline" => baseline_path = args.next().map(PathBuf::from),
-            "--json" => json_path = args.next().map(PathBuf::from),
             "--quiet" => quiet = true,
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: taco-check [--root DIR] [--baseline FILE] [--json FILE] [--quiet]"
-                );
+                eprintln!("usage: taco-check [--root DIR] [--quiet]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -41,25 +33,8 @@ fn main() -> ExitCode {
 
     let root = root
         .unwrap_or_else(|| taco_check::workspace_root_from_manifest(env!("CARGO_MANIFEST_DIR")));
-    let baseline = match &baseline_path {
-        Some(p) => match std::fs::read_to_string(p) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("taco-check: cannot read baseline {}: {e}", p.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => taco_check::read_baseline(&root),
-    };
+    let report = taco_check::run(&root);
 
-    let report = taco_check::run(&taco_check::Config { root, baseline });
-
-    if let Some(p) = &json_path {
-        if let Err(e) = std::fs::write(p, report.to_json()) {
-            eprintln!("taco-check: cannot write JSON report {}: {e}", p.display());
-            return ExitCode::from(2);
-        }
-    }
     let text = report.render_text();
     if quiet {
         if let Some(summary) = text.lines().last() {

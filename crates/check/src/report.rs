@@ -1,25 +1,14 @@
-//! Machine-readable JSON report, hand-serialized (the crate is
-//! zero-dependency by design). The schema is consumed by the CI
-//! artifact step and any dashboard that wants to chart burn-down.
+//! The outcome of one checker run and its text diagnostics.
 
-use crate::baseline::BaselineEntry;
 use crate::rules::Finding;
 
 /// The outcome of one checker run over a tree.
 #[derive(Debug)]
 pub struct Report {
-    /// Root the scan ran over (workspace-relative paths hang off it).
-    pub root: String,
-    /// Unsuppressed, non-baselined findings. Non-empty ⇒ exit 1.
+    /// Unsuppressed findings. Non-empty ⇒ exit 1.
     pub findings: Vec<Finding>,
     /// Findings silenced by inline pragmas.
     pub suppressed_by_pragma: usize,
-    /// Findings silenced by the baseline file.
-    pub suppressed_by_baseline: usize,
-    /// Baseline entries that matched nothing (candidates for removal).
-    pub stale_baseline: Vec<BaselineEntry>,
-    /// Baseline lines that failed to parse.
-    pub malformed_baseline: Vec<String>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
     /// Files that could not be read (`path: error`). Non-empty ⇒ the
@@ -39,75 +28,9 @@ impl Report {
         !self.unreadable.is_empty()
     }
 
-    /// Renders the JSON document.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n");
-        s.push_str("  \"version\": 2,\n");
-        s.push_str(&format!("  \"root\": {},\n", json_str(&self.root)));
-        s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        s.push_str(&format!(
-            "  \"suppressed_by_pragma\": {},\n",
-            self.suppressed_by_pragma
-        ));
-        s.push_str(&format!(
-            "  \"suppressed_by_baseline\": {},\n",
-            self.suppressed_by_baseline
-        ));
-        s.push_str("  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let related = match &f.related {
-                Some((file, line)) => format!(
-                    ", \"related\": {{\"file\": {}, \"line\": {line}}}",
-                    json_str(file)
-                ),
-                None => String::new(),
-            };
-            s.push_str(&format!(
-                "\n    {{\"rule\": {}, \"slug\": {}, \"file\": {}, \"line\": {}, \"message\": {}{related}}}",
-                json_str(f.rule.id()),
-                json_str(f.rule.slug()),
-                json_str(&f.file),
-                f.line,
-                json_str(&f.message)
-            ));
-        }
-        if !self.findings.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("],\n");
-        s.push_str("  \"stale_baseline\": [");
-        for (i, e) in self.stale_baseline.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&json_str(&e.render()));
-        }
-        s.push_str("],\n");
-        s.push_str("  \"malformed_baseline\": [");
-        for (i, e) in self.malformed_baseline.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&json_str(e));
-        }
-        s.push_str("],\n");
-        s.push_str("  \"unreadable\": [");
-        for (i, e) in self.unreadable.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&json_str(e));
-        }
-        s.push_str("]\n}\n");
-        s
-    }
-
-    /// Renders the human diagnostics, one `file:line: [Dx] message`
-    /// per finding, plus baseline hygiene notes.
+    /// Renders the human diagnostics, one `file:line: [Dx/slug] message`
+    /// per finding (plus a `related:` line for a cross-file finding's
+    /// second anchor), the unreadable files, and a summary line.
     pub fn render_text(&self) -> String {
         let mut s = String::new();
         for f in &self.findings {
@@ -126,43 +49,14 @@ impl Report {
         for e in &self.unreadable {
             s.push_str(&format!("error: could not read {e}\n"));
         }
-        for e in &self.stale_baseline {
-            s.push_str(&format!(
-                "note: stale baseline entry `{}` matches nothing — remove it\n",
-                e.render()
-            ));
-        }
-        for e in &self.malformed_baseline {
-            s.push_str(&format!("note: unparseable baseline line `{e}`\n"));
-        }
         s.push_str(&format!(
-            "taco-check: {} finding(s), {} pragma-suppressed, {} baselined, {} file(s) scanned\n",
+            "taco-check: {} finding(s), {} pragma-suppressed, {} file(s) scanned\n",
             self.findings.len(),
             self.suppressed_by_pragma,
-            self.suppressed_by_baseline,
             self.files_scanned
         ));
         s
     }
-}
-
-/// Minimal JSON string escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -171,36 +65,8 @@ mod tests {
     use crate::rules::RuleId;
 
     #[test]
-    fn json_escapes_and_shapes() {
+    fn related_and_unreadable_render_in_text() {
         let report = Report {
-            root: "/tmp/ws".to_string(),
-            findings: vec![Finding::new(
-                RuleId::D2WallClock,
-                "crates/sim/src/x.rs",
-                7,
-                "a \"quoted\"\nmessage".to_string(),
-            )],
-            suppressed_by_pragma: 2,
-            suppressed_by_baseline: 1,
-            stale_baseline: vec![],
-            malformed_baseline: vec![],
-            files_scanned: 3,
-            unreadable: vec![],
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"rule\": \"D2\""));
-        assert!(json.contains("\\\"quoted\\\"\\nmessage"));
-        assert!(json.contains("\"files_scanned\": 3"));
-        assert!(json.contains("\"unreadable\": []"));
-        assert!(!json.contains("\"related\""));
-        assert!(report.failed());
-        assert!(!report.incomplete());
-    }
-
-    #[test]
-    fn related_and_unreadable_render_in_both_formats() {
-        let report = Report {
-            root: "/tmp/ws".to_string(),
             findings: vec![Finding::new(
                 RuleId::D7SaltDiscipline,
                 "crates/bench/src/lib.rs",
@@ -209,20 +75,13 @@ mod tests {
             )
             .with_related("crates/sim/src/runner.rs", 23)],
             suppressed_by_pragma: 0,
-            suppressed_by_baseline: 0,
-            stale_baseline: vec![],
-            malformed_baseline: vec![],
             files_scanned: 2,
             unreadable: vec!["crates/sim/src/bad.rs: stream did not contain valid UTF-8".into()],
         };
-        let json = report.to_json();
-        assert!(
-            json.contains("\"related\": {\"file\": \"crates/sim/src/runner.rs\", \"line\": 23}")
-        );
-        assert!(json.contains("\"unreadable\": [\"crates/sim/src/bad.rs"));
         let text = report.render_text();
         assert!(text.contains("related: crates/sim/src/runner.rs:23"));
         assert!(text.contains("error: could not read crates/sim/src/bad.rs"));
+        assert!(report.failed());
         assert!(report.incomplete());
     }
 }

@@ -3,8 +3,8 @@
 //! pragma that suppresses a finding at its own line or the line below.
 //! The cross-file rules D7–D9 live in [`crate::workspace_rules`] and
 //! run over the model built by [`crate::model`]; their identifiers and
-//! the [`Finding`] type are defined here so pragmas, baselines, and
-//! reports treat all nine rules uniformly.
+//! the [`Finding`] type are defined here so pragmas and reports treat
+//! all nine rules uniformly.
 //!
 //! Per-file rules pattern-match on code-token sequences, so
 //! occurrences inside strings, raw strings, and comments never fire
@@ -15,7 +15,7 @@ use crate::lexer::TokenKind;
 use crate::walker::{FileCtx, FileIndex, FileKind};
 use std::collections::BTreeMap;
 
-/// The rule identifiers. Stable: baselines and pragmas refer to these.
+/// The rule identifiers. Stable: pragmas refer to these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
     /// No `std::thread::{spawn, scope, Builder}` outside the tensor
@@ -78,7 +78,7 @@ pub const ALL_RULES: [RuleId; 9] = [
 ];
 
 impl RuleId {
-    /// Short stable id used in terminal output and baselines.
+    /// Short stable id used in terminal output and pragmas.
     pub fn id(self) -> &'static str {
         match self {
             RuleId::D1ThreadSpawn => "D1",
@@ -108,8 +108,7 @@ impl RuleId {
         }
     }
 
-    /// Parses an id (`D4`) or slug (`unwrap`) as written in pragmas
-    /// and baselines.
+    /// Parses an id (`D4`) or slug (`unwrap`) as written in pragmas.
     pub fn parse(s: &str) -> Option<RuleId> {
         ALL_RULES
             .iter()
@@ -128,7 +127,7 @@ pub struct Finding {
     /// Second anchor for cross-file findings (e.g. the *other* salt
     /// declaration sharing the value, or the registry the env var is
     /// missing from). A pragma at either anchor suppresses the
-    /// finding; the baseline matches the primary location only.
+    /// finding.
     pub related: Option<(String, u32)>,
 }
 
@@ -167,9 +166,8 @@ const WALL_CLOCK_FILES: [&str; 2] = ["crates/trace/src/span.rs", "crates/trace/s
 const POOL_FILE: &str = "crates/tensor/src/pool.rs";
 
 /// Runs every rule over one lexed file and returns *unsuppressed*
-/// findings: pragma suppression is applied here, baseline suppression
-/// later (the baseline is a workspace-level artifact). `suppressed`
-/// counts findings silenced by a pragma.
+/// findings: pragma suppression is applied here. `suppressed` counts
+/// findings silenced by a pragma.
 pub fn check_file(ctx: &FileCtx, idx: &FileIndex, suppressed: &mut usize) -> Vec<Finding> {
     let pragmas = collect_pragmas(idx);
     let mut raw = Vec::new();

@@ -1,12 +1,12 @@
 //! Runs the checker over the seeded-violation fixture tree
 //! (`tests/fixtures/ws`), which mimics the workspace layout and
-//! violates every rule D1–D9. Also exercises baseline and pragma
-//! semantics for two-location findings, the unreadable-file exit
-//! path, and the CLI's exit codes end to end.
+//! violates every rule D1–D9. Also exercises pragma semantics for
+//! two-location findings, the unreadable-file exit path, and the CLI's
+//! exit codes end to end.
 
 use std::path::PathBuf;
 use taco_check::rules::{RuleId, ALL_RULES};
-use taco_check::{run, Config};
+use taco_check::run;
 
 fn fixture_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -17,10 +17,7 @@ fn fixture_root() -> PathBuf {
 
 #[test]
 fn every_rule_fires_on_the_seeded_fixture() {
-    let report = run(&Config {
-        root: fixture_root(),
-        baseline: String::new(),
-    });
+    let report = run(&fixture_root());
     assert!(report.failed());
     for rule in ALL_RULES {
         assert!(
@@ -55,10 +52,7 @@ fn every_rule_fires_on_the_seeded_fixture() {
 
 #[test]
 fn cross_file_findings_carry_both_anchors() {
-    let report = run(&Config {
-        root: fixture_root(),
-        baseline: String::new(),
-    });
+    let report = run(&fixture_root());
     // The duplicate-salt finding anchors at sim's SELECT_SALT (later
     // in collection order) and points back at core's REUSED_SALT.
     let dup = report
@@ -121,10 +115,7 @@ fn pragmas_suppress_two_location_findings_at_either_anchor() {
         .join("tests")
         .join("fixtures")
         .join("pragma_ws");
-    let report = run(&Config {
-        root,
-        baseline: String::new(),
-    });
+    let report = run(&root);
     // Two duplicate-salt pairs: one suppressed by a pragma at the
     // finding's related anchor (core), one at its primary anchor
     // (sim). Nothing may survive.
@@ -146,10 +137,7 @@ fn unreadable_files_fail_the_run_with_exit_2() {
     std::fs::write(src_dir.join("ok.rs"), "pub fn f() {}\n").expect("write ok.rs");
     std::fs::write(src_dir.join("bad.rs"), [0xFFu8, 0xFE, 0x00, 0x9F]).expect("write bad.rs");
 
-    let report = run(&Config {
-        root: root.clone(),
-        baseline: String::new(),
-    });
+    let report = run(&root);
     assert!(report.incomplete());
     assert_eq!(report.unreadable.len(), 1);
     assert!(report.unreadable[0].starts_with("crates/core/src/bad.rs:"));
@@ -164,58 +152,11 @@ fn unreadable_files_fail_the_run_with_exit_2() {
 }
 
 #[test]
-fn baseline_suppresses_exactly_and_reports_stale() {
-    let clean = run(&Config {
-        root: fixture_root(),
-        baseline: String::new(),
-    });
-    // Baseline every current finding: the run becomes green. The set
-    // includes two-location findings (D7–D9), which a baseline entry
-    // matches by primary location alone.
-    assert!(clean.findings.iter().any(|f| f.related.is_some()));
-    let baseline: String = clean
-        .findings
-        .iter()
-        .map(|f| format!("{} {}:{}\n", f.rule.id(), f.file, f.line))
-        .collect();
-    let report = run(&Config {
-        root: fixture_root(),
-        baseline,
-    });
-    assert!(
-        !report.failed(),
-        "fully-baselined run must be green:\n{}",
-        report.render_text()
-    );
-    assert_eq!(report.suppressed_by_baseline, clean.findings.len());
-    assert!(report.stale_baseline.is_empty());
-
-    // A baseline naming a fixed finding goes stale, visibly.
-    let report = run(&Config {
-        root: fixture_root(),
-        baseline: "D4 crates/core/src/no_longer_exists.rs:1\n".to_string(),
-    });
-    assert_eq!(report.stale_baseline.len(), 1);
-    assert!(report.failed(), "stale entries must not hide live findings");
-
-    // Unparseable lines are surfaced, not silently ignored.
-    let report = run(&Config {
-        root: fixture_root(),
-        baseline: "this is not an entry\n".to_string(),
-    });
-    assert_eq!(report.malformed_baseline.len(), 1);
-}
-
-#[test]
 fn cli_exit_codes_match_findings() {
-    // Green on the real workspace with the committed baseline…
+    // Green on the real workspace…
     let root = taco_check::workspace_root_from_manifest(env!("CARGO_MANIFEST_DIR"));
     let ok = std::process::Command::new(env!("CARGO_BIN_EXE_taco-check"))
         .args(["--root".as_ref(), root.as_os_str()])
-        .args([
-            "--baseline".as_ref(),
-            root.join("taco-check.baseline").as_os_str(),
-        ])
         .arg("--quiet")
         .output()
         .expect("spawn taco-check");
@@ -226,21 +167,19 @@ fn cli_exit_codes_match_findings() {
         String::from_utf8_lossy(&ok.stderr)
     );
 
-    // …and red on the seeded fixture, with a JSON report on request.
-    let json_path = std::env::temp_dir().join("taco-check-fixture-report.json");
+    // …and red on the seeded fixture, with every rule in the text
+    // diagnostics.
     let bad = std::process::Command::new(env!("CARGO_BIN_EXE_taco-check"))
         .args(["--root".as_ref(), fixture_root().as_os_str()])
-        .args(["--json".as_ref(), json_path.as_os_str()])
         .output()
         .expect("spawn taco-check");
-    assert!(!bad.status.success(), "fixture run must exit non-zero");
-    let json = std::fs::read_to_string(&json_path).expect("JSON report written");
+    assert_eq!(bad.status.code(), Some(1), "fixture run must exit 1");
+    let text = String::from_utf8_lossy(&bad.stdout);
     for rule in ALL_RULES {
         assert!(
-            json.contains(&format!("\"rule\": \"{}\"", rule.id())),
-            "JSON report missing rule {}: {json}",
+            text.contains(&format!("[{}/", rule.id())),
+            "diagnostics missing rule {}:\n{text}",
             rule.id()
         );
     }
-    let _ = std::fs::remove_file(&json_path);
 }

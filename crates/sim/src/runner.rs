@@ -21,6 +21,10 @@ use taco_nn::{Batch, Model};
 use taco_tensor::ops;
 use taco_trace as trace;
 
+/// Batch size of the global model's test-set evaluation, which runs
+/// after every round.
+const EVAL_BATCH: usize = 64;
+
 /// Which clients take part in each round.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Participation {
@@ -59,11 +63,6 @@ pub struct SimConfig {
     /// Histories are bit-identical whatever this flag or the thread
     /// count — see the pool module docs.
     pub parallel: bool,
-    /// Evaluate the global model every `eval_every` rounds (always
-    /// including the last).
-    pub eval_every: usize,
-    /// Evaluation batch size.
-    pub eval_batch: usize,
     /// Client participation scheme.
     pub participation: Participation,
     /// Per-client local step counts `τ_i` (system heterogeneity; used
@@ -82,8 +81,8 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// Creates a config with the defaults used throughout the
-    /// experiment harness: parallel clients, evaluation every round,
-    /// evaluation batch 64, all clients honest.
+    /// experiment harness: parallel clients, full participation, all
+    /// clients honest.
     pub fn new(hyper: HyperParams, rounds: usize, seed: u64) -> Self {
         SimConfig {
             hyper,
@@ -91,8 +90,6 @@ impl SimConfig {
             seed,
             behaviors: vec![ClientBehavior::Honest; hyper.num_clients],
             parallel: true,
-            eval_every: 1,
-            eval_batch: 64,
             participation: Participation::Full,
             local_steps_per_client: None,
             upload_compressor: None,
@@ -123,7 +120,6 @@ impl SimConfig {
                 "local_steps_per_client entries must be positive"
             );
         }
-        assert!(self.eval_every > 0, "eval_every must be positive");
         if let Participation::Sample { fraction } = self.participation {
             assert!(
                 fraction > 0.0 && fraction <= 1.0,
@@ -183,23 +179,6 @@ impl SimConfig {
         self.parallel = false;
         self
     }
-
-    /// Builder-style evaluation cadence override.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eval_every` is zero.
-    pub fn with_eval_every(mut self, eval_every: usize) -> Self {
-        self.eval_every = eval_every;
-        self.check();
-        self
-    }
-
-    /// Whether round `round` evaluates the global model: every
-    /// `eval_every` rounds, and always the last.
-    fn evaluates(&self, round: usize) -> bool {
-        round.is_multiple_of(self.eval_every) || round + 1 == self.rounds
-    }
 }
 impl std::fmt::Debug for SimConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -209,8 +188,6 @@ impl std::fmt::Debug for SimConfig {
             .field("seed", &self.seed)
             .field("behaviors", &self.behaviors)
             .field("parallel", &self.parallel)
-            .field("eval_every", &self.eval_every)
-            .field("eval_batch", &self.eval_batch)
             .field("participation", &self.participation)
             .field("local_steps_per_client", &self.local_steps_per_client)
             .field(
@@ -280,7 +257,7 @@ impl Simulation {
             config.hyper.num_clients
         );
         config.check();
-        let eval_batches = fed.test().eval_batches(config.eval_batch);
+        let eval_batches = fed.test().eval_batches(EVAL_BATCH);
         Simulation {
             fed,
             prototype,
@@ -356,10 +333,7 @@ impl Simulation {
             secs.aggregate = aggregate_span.finish();
             prev_global = std::mem::replace(&mut global, next);
             let eval_span = trace::Span::quiet(crate::phase::EVAL);
-            let test = self
-                .config
-                .evaluates(round)
-                .then(|| self.evaluate(&mut *eval_model, &global));
+            let test = self.evaluate(&mut *eval_model, &global);
             secs.eval = eval_span.finish();
             let last = history.rounds.last();
             let record = self.record(plan, faults, &outcome, test, last);
@@ -433,14 +407,13 @@ impl Simulation {
 
     /// The round's record. A round without an honest upload carries the
     /// previous train loss forward (a 0.0 would plot as a perfect loss)
-    /// and marks it carried; a round that did not evaluate carries the
-    /// previous test metrics.
+    /// and marks it carried.
     fn record(
         &self,
         plan: RoundPlan,
         faults: FaultTotals,
         outcome: &UploadOutcome,
-        test: Option<(f64, f64)>,
+        (test_loss, test_accuracy): (f64, f64),
         last: Option<&RoundRecord>,
     ) -> RoundRecord {
         let accepted = &outcome.accepted;
@@ -455,9 +428,6 @@ impl Simulation {
         } else {
             honest.iter().sum::<f64>() / honest.len() as f64
         };
-        let (test_loss, test_accuracy) = test
-            .or_else(|| last.map(|r| (r.test_loss, r.test_accuracy)))
-            .unwrap_or((0.0, 0.0));
         let mut suspected = self.algorithm.suspected();
         suspected.sort_unstable();
         suspected.dedup();
@@ -512,7 +482,6 @@ impl Simulation {
             .with("upload_bytes", r.upload_bytes)
             .with("train_loss", r.train_loss)
             .with("train_loss_carried", r.train_loss_carried)
-            .with("evaluated", self.config.evaluates(r.round))
             .with("test_accuracy", r.test_accuracy)
             .with("test_loss", r.test_loss)
             .with("secs", secs.round)
@@ -651,20 +620,6 @@ mod tests {
         let alphas = history.rounds.last().unwrap().alphas.as_ref().unwrap();
         assert_eq!(alphas.len(), 5);
         let _ = AggWeighting::Uniform; // silence unused import in cfg(test)
-    }
-
-    #[test]
-    fn eval_every_carries_last_value_forward() {
-        let fed = small_fed(3, 5);
-        let hyper = HyperParams::new(3, 3, 0.05, 8);
-        let config = SimConfig::new(hyper, 5, 1).with_eval_every(2);
-        let history = Simulation::new(fed, mlp(5), Box::new(FedAvg::default()), config).run();
-        // Rounds 1 and 3 (0-based) are carried forward.
-        assert_eq!(
-            history.rounds[1].test_accuracy,
-            history.rounds[0].test_accuracy
-        );
-        assert_eq!(history.rounds.len(), 5);
     }
 
     #[test]
@@ -1176,12 +1131,6 @@ mod tests {
 
     fn simulate(config: SimConfig) -> History {
         Simulation::new(small_fed(3, 6), mlp(6), Box::new(FedAvg::default()), config).run()
-    }
-
-    #[test]
-    #[should_panic(expected = "eval_every must be positive")]
-    fn direct_zero_eval_every_panics_in_new() {
-        simulate(direct_config(|c| c.eval_every = 0));
     }
 
     #[test]

@@ -61,15 +61,13 @@
 //! difference is on non-finite data (`0·∞ = NaN` now propagates
 //! instead of being skipped), which no caller feeds the kernels.
 //!
-//! Measured on the `benches/tensor_ops.rs` sweep (256³, single
-//! thread): the blocked kernel is ~3× faster than the skipping naive
-//! kernel on dense inputs, while the skip only pulls ahead once A is
-//! more than ~⅔ zeros (at 90% zeros the naive kernel wins ~3×, since
-//! it touches a tenth of the work). The workspace's hot matmuls have
+//! On a 256³ single-thread sweep the blocked kernel was ~3× faster
+//! than the skipping naive kernel on dense inputs, while the skip only
+//! pulls ahead once A is more than ~⅔ zeros (at 90% zeros the naive
+//! kernel wins ~3×, since it touches a tenth of the work). The workspace's hot matmuls have
 //! dense A operands — batches, im2col patch matrices, and upstream
 //! gradients that are at ReLU-level (~50%) sparsity at most — which is
-//! below the crossover, so the blocked kernel keeps no zero test and
-//! the sparse case is covered by the benchmark instead.
+//! below the crossover, so the blocked kernel keeps no zero test.
 //!
 //! [`matvec`] and [`outer`] are small enough that the naive loops are
 //! already memory-bound; they are unchanged.

@@ -29,7 +29,7 @@ pub struct EnvVar {
 /// Every `TACO_*` variable the workspace recognizes. taco-check D8
 /// cross-checks this registry against all use sites and against the
 /// README/EXPERIMENTS docs in both directions.
-pub const REGISTRY: [EnvVar; 12] = [
+pub const REGISTRY: [EnvVar; 11] = [
     EnvVar {
         name: "TACO_TRACE",
         doc: "JSONL trace sink file path; unset/empty disables tracing",
@@ -65,10 +65,6 @@ pub const REGISTRY: [EnvVar; 12] = [
     EnvVar {
         name: "TACO_PERF_REPEATS",
         doc: "interleaved measurement passes of perf_suite (default 60)",
-    },
-    EnvVar {
-        name: "TACO_BENCH_SMOKE",
-        doc: "truthy: single-pass tensor_ops bench for CI smoke runs",
     },
     EnvVar {
         name: "TACO_REGEN_GOLDEN",
@@ -158,11 +154,6 @@ pub fn perf_repeats() -> Option<usize> {
         .filter(|&n| n > 0)
 }
 
-/// `TACO_BENCH_SMOKE`: truthy when set to anything but `""`/`"0"`.
-pub fn bench_smoke() -> bool {
-    raw("TACO_BENCH_SMOKE").is_some_and(|v| v != "0" && !v.is_empty())
-}
-
 /// `TACO_REGEN_GOLDEN`: truthy when set to anything but `""`/`"0"`.
 pub fn regen_golden() -> bool {
     raw("TACO_REGEN_GOLDEN").is_some_and(|v| v != "0" && !v.is_empty())
@@ -217,7 +208,6 @@ mod tests {
         let _ = results_dir();
         let _ = bench_out();
         let _ = perf_repeats();
-        let _ = bench_smoke();
         let _ = regen_golden();
         let _ = golden_tol();
     }

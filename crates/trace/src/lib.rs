@@ -1,10 +1,10 @@
 //! `taco-trace` — structured tracing, metrics, and JSONL event streams
 //! for the TACO reproduction. Zero external dependencies.
 //!
-//! Three pieces, all process-global and thread-safe:
+//! Five pieces, all process-global and thread-safe:
 //!
-//! - a **metrics registry** ([`metrics`]) of counters, gauges, and
-//!   `f64` histograms (exact count/sum/min/max), always on and
+//! - a **metrics registry** ([`metrics`]) of counters and `f64`
+//!   histograms (exact count/sum/min/max), always on and
 //!   lock-free on the hot path;
 //! - **spans** ([`span!`] / [`quiet_span!`]) — RAII wall-clock timers
 //!   that feed `<name>.seconds` histograms and, for non-quiet spans,
@@ -53,7 +53,7 @@ pub mod span;
 pub mod value;
 
 pub use event::Event;
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot};
+pub use metrics::{Counter, Histogram, HistogramSnapshot, Registry, Snapshot};
 pub use perf::peak_rss_bytes;
 pub use sink::{JsonlSink, MemorySink, NoopSink, Sink};
 pub use span::Span;
@@ -76,11 +76,6 @@ pub fn registry() -> &'static Registry {
 /// The global counter registered under `name` (created on first use).
 pub fn counter(name: &str) -> Arc<Counter> {
     registry().counter(name)
-}
-
-/// The global gauge registered under `name` (created on first use).
-pub fn gauge(name: &str) -> Arc<Gauge> {
-    registry().gauge(name)
 }
 
 /// The global histogram registered under `name` (created on first use).

@@ -1,4 +1,4 @@
-//! The global metrics registry: counters, gauges, and histograms.
+//! The global metrics registry: counters and histograms.
 //!
 //! A histogram keeps the exact count, sum, min, and max of what it
 //! observed (and so the mean), not a distribution: the benchmark that
@@ -32,28 +32,6 @@ impl Counter {
     /// The current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins `f64` gauge.
-#[derive(Debug)]
-pub struct Gauge(AtomicU64);
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge(AtomicU64::new(0f64.to_bits()))
-    }
-}
-
-impl Gauge {
-    /// Sets the gauge.
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
@@ -160,15 +138,13 @@ impl HistogramSnapshot {
     }
 }
 
-/// A named collection of counters, gauges, and histograms.
+/// A named collection of counters and histograms.
 ///
 /// Use the free functions in the crate root ([`crate::counter`],
-/// [`crate::gauge`], [`crate::histogram`]) for the process-global
-/// instance.
+/// [`crate::histogram`]) for the process-global instance.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
@@ -193,11 +169,6 @@ impl Registry {
         intern(&self.counters, name)
     }
 
-    /// The gauge registered under `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        intern(&self.gauges, name)
-    }
-
     /// The histogram registered under `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         intern(&self.histograms, name)
@@ -208,10 +179,6 @@ impl Registry {
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             counters: lock(&self.counters)
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: lock(&self.gauges)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
@@ -228,7 +195,6 @@ impl Registry {
     /// are no longer reachable from the registry.
     pub fn reset(&self) {
         lock(&self.counters).clear();
-        lock(&self.gauges).clear();
         lock(&self.histograms).clear();
     }
 }
@@ -238,8 +204,6 @@ impl Registry {
 pub struct Snapshot {
     /// Counter values by name.
     pub counters: Vec<(String, u64)>,
-    /// Gauge values by name.
-    pub gauges: Vec<(String, f64)>,
     /// Histogram summaries by name.
     pub histograms: Vec<(String, HistogramSnapshot)>,
     /// Peak resident-set size of the process when the snapshot was
@@ -252,11 +216,11 @@ impl Snapshot {
     /// `true` when no metric of any kind was recorded (the peak-RSS
     /// stamp does not count: it is always present on linux).
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
-    /// Serializes the snapshot as a JSON object with `counters`,
-    /// `gauges`, and `histograms` sub-objects.
+    /// Serializes the snapshot as a JSON object with `counters` and
+    /// `histograms` sub-objects plus the `peak_rss_bytes` stamp.
     pub fn to_value(&self) -> Value {
         Value::object(vec![
             (
@@ -265,15 +229,6 @@ impl Snapshot {
                     self.counters
                         .iter()
                         .map(|(k, v)| (k.clone(), Value::U64(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges".to_string(),
-                Value::Object(
-                    self.gauges
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::F64(*v)))
                         .collect(),
                 ),
             ),
@@ -299,13 +254,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let r = Registry::default();
         r.counter("a").add(2);
         r.counter("a").incr();
         assert_eq!(r.counter("a").get(), 3);
-        r.gauge("g").set(1.5);
-        assert_eq!(r.gauge("g").get(), 1.5);
     }
 
     #[test]

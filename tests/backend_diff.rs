@@ -8,9 +8,7 @@
 //! {1, 3, 8} × threads {1, 4} — against the shards = 1 / threads = 1
 //! run, against the committed golden fixtures, and under fault
 //! injection and freeloading, where detection strikes must expel the
-//! same clients —
-//! and writes a machine-readable report to
-//! `results/backend_diff_report.json` (archived by CI).
+//! same clients.
 //!
 //! The shard count goes through the fold's argument:
 //! [`common::fixed_shards`] wraps an algorithm so its aggregation folds
@@ -30,7 +28,6 @@ use taco::core::{
 use taco::sim::freeloader::with_freeloaders;
 use taco::sim::{FaultPlan, History, SimConfig, Simulation};
 use taco::tensor::pool::{self, Pool};
-use taco::trace::Value;
 
 const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
 const THREAD_COUNTS: [usize; 2] = [1, 4];
@@ -65,7 +62,6 @@ fn on_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 
 #[test]
 fn trajectories_are_bit_identical_across_the_shard_thread_matrix() {
-    let mut rows = Vec::new();
     for (name, make) in algorithms() {
         let reference = on_pool(1, || golden_run(fixed_shards(make(), 1), false));
         let reference_value = history_value(&reference);
@@ -82,28 +78,9 @@ fn trajectories_are_bit_identical_across_the_shard_thread_matrix() {
                 let got = on_pool(threads, || golden_run(fixed_shards(make(), shards), true));
                 let label = format!("{name}.shards{shards}.t{threads}");
                 assert_values_close(&reference_value, &history_value(&got), 0.0, &label);
-                rows.push(Value::object(vec![
-                    ("algorithm".to_string(), Value::from(name)),
-                    ("shards".to_string(), Value::from(shards)),
-                    ("threads".to_string(), Value::from(threads)),
-                    ("rounds".to_string(), Value::from(got.rounds.len())),
-                    ("bit_identical".to_string(), Value::Bool(true)),
-                ]));
             }
         }
     }
-    let report = Value::object(vec![
-        ("suite".to_string(), Value::from("backend_diff")),
-        ("reference".to_string(), Value::from("shards1.t1")),
-        ("comparisons".to_string(), Value::Array(rows)),
-    ]);
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    std::fs::write(
-        dir.join("backend_diff_report.json"),
-        report.to_json() + "\n",
-    )
-    .expect("write backend diff report");
 }
 
 #[test]

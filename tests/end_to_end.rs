@@ -108,6 +108,34 @@ fn cnn_federation_trains_end_to_end() {
 }
 
 #[test]
+fn diverging_clients_are_quarantined_not_a_panic() {
+    // At η_l = 1e3 local SGD overflows within its K steps. The step
+    // itself never panics: the client uploads a non-finite Δ, the
+    // server quarantines it and counts it, and the run records every
+    // round — with no fault plan installed.
+    let clients = 4;
+    let rounds = 3;
+    let mut rng = Prng::seed_from_u64(5);
+    let spec = vision::VisionSpec::fmnist_like().with_sizes(240, 60);
+    let data = vision::generate(&spec, &mut rng);
+    let shards = partition::dirichlet(data.train.labels(), clients, 0.5, &mut rng);
+    let fed = FederatedDataset::from_partition(data.train, data.test, &shards);
+    let model = PaperCnn::for_image(1, 28, 10, &mut Prng::seed_from_u64(5));
+    let hyper = HyperParams::new(clients, 4, 1e3, 8);
+    let history = Simulation::new(
+        fed,
+        Box::new(model),
+        Box::new(FedAvg::default()),
+        SimConfig::new(hyper, rounds, 5),
+    )
+    .run();
+    assert_eq!(history.rounds.len(), rounds);
+    let rejected = history.total_updates_rejected();
+    assert!(rejected > 0, "no diverging upload was quarantined");
+    assert_eq!(rejected, history.fault_totals().quarantined);
+}
+
+#[test]
 fn determinism_across_identical_runs() {
     let clients = 4;
     let make = || {
