@@ -247,8 +247,9 @@ pub trait Compressor: Send + Sync {
     }
 }
 
-/// Finite-only (min, max) of a slice; `(∞, −∞)` when no coordinate is
-/// finite. Unlike [`ops::min_max`], an `∞` input cannot poison the
+/// Finite-only (min, max) of a slice, folded left to right with
+/// `f32::min` / `f32::max`; `(∞, −∞)` when no coordinate is finite.
+/// Unlike [`ops::min_max`], an `∞` input cannot poison the
 /// quantization range — non-finite coordinates travel as escape
 /// entries instead.
 fn finite_min_max(xs: &[f32]) -> (f32, f32) {
@@ -261,6 +262,109 @@ fn finite_min_max(xs: &[f32]) -> (f32, f32) {
         }
     }
     (min, max)
+}
+
+/// Lanes of the fused range scan: wide enough for one AVX register of
+/// `f32`, and a plain array the compiler maps onto SSE pairs too.
+const LANES: usize = 8;
+
+/// One fused pass over `xs`: the finite (min, max) of
+/// [`finite_min_max`] and whether every coordinate is finite.
+///
+/// The scan keeps [`LANES`] independent strict-compare accumulators,
+/// which the compiler vectorises, and combines them at the end. Any
+/// two equal finite values have equal bits except `+0` and `−0`, so
+/// the lane split can only change the result's sign of zero; when
+/// either extreme is zero the range is re-folded by
+/// [`finite_min_max`] itself, which keeps the bits identical to the
+/// sequential fold on every target.
+fn scan_range(xs: &[f32]) -> (f32, f32, bool) {
+    let mut lo = [f32::INFINITY; LANES];
+    let mut hi = [f32::NEG_INFINITY; LANES];
+    let mut finite = [true; LANES];
+    let mut fold = |l: usize, x: f32| {
+        let ok = x.is_finite();
+        finite[l] &= ok;
+        lo[l] = if ok && x < lo[l] { x } else { lo[l] };
+        hi[l] = if ok && x > hi[l] { x } else { hi[l] };
+    };
+    let mut chunks = xs.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (l, &x) in chunk.iter().enumerate() {
+            fold(l, x);
+        }
+    }
+    for (l, &x) in chunks.remainder().iter().enumerate() {
+        fold(l, x);
+    }
+    let all_finite = finite.iter().all(|&ok| ok);
+    let mut min = lo[0];
+    let mut max = hi[0];
+    for l in 1..LANES {
+        min = if lo[l] < min { lo[l] } else { min };
+        max = if hi[l] > max { hi[l] } else { max };
+    }
+    if min == 0.0 || max == 0.0 {
+        (min, max) = finite_min_max(xs);
+    }
+    (min, max, all_finite)
+}
+
+/// The affine grid of a quantizer with `steps` steps over a finite range:
+/// `(min, scale)`, or `(0, 0)` when `lo > hi` (no finite coordinate,
+/// so every entry is an escape). The step is computed in f64: `hi −
+/// lo` can overflow f32 for extreme-range inputs (coords near
+/// ±2e38), and an infinite scale would decode every level to NaN.
+fn affine_grid(lo: f32, hi: f32, steps: f64) -> (f32, f32) {
+    if lo > hi {
+        (0.0, 0.0)
+    } else {
+        (lo, ((f64::from(hi) - f64::from(lo)) / steps) as f32)
+    }
+}
+
+/// The escapes of a quantized vector, ascending: every non-finite
+/// input, and every finite one whose f32 reconstruction
+/// `min + level·scale` overflows (`255·scale` can exceed `f32::MAX` on
+/// extreme ranges), so the codec never fabricates a non-finite value.
+/// `level_of(i)` reads coordinate `i`'s level; the caller zeroes the
+/// escaped levels.
+fn escapes(input: &[f32], min: f32, scale: f32, level_of: impl Fn(usize) -> u8) -> Vec<(u32, f32)> {
+    input
+        .iter()
+        .enumerate()
+        .filter(|&(i, &x)| !x.is_finite() || !(min + f32::from(level_of(i)) * scale).is_finite())
+        .map(|(i, &x)| (i as u32, x))
+        .collect()
+}
+
+/// `2²³`: adding it to an `f32` in `[0, 2²³)` rounds to an integer,
+/// held in the low mantissa bits.
+const MAGIC: f32 = 8_388_608.0;
+
+/// The Q8 level of the grid coordinate `v = (x − min) / scale`,
+/// rounded half away from zero and clamped to `[0, 255]` — exactly
+/// `v.round().clamp(0.0, 255.0) as u8` for every `v` in `[−0, +∞]`,
+/// without a libm call or a branch, so the quantize loop vectorises:
+///
+/// 1. `v ← min(v, 256)`; levels above 255 clamp to 255 either way.
+/// 2. `r = (v + 2²³) − 2²³` is `v` rounded half to even (`v + 2²³`
+///    lands in `[2²³, 2²⁴)`, where the f32 spacing is 1).
+/// 3. `f = r − [r > v]` is `⌊v⌋`.
+/// 4. `v − f` is the exact fraction: `f` is an integer with
+///    `f ≤ v < f + 1`, so the difference is a multiple of `v`'s ulp
+///    below 1. Hence `f + [v − f ≥ 0.5]` rounds half away.
+/// 5. `min(·, 255)` clamps, and the integer sits in the low mantissa
+///    byte of `level + 2²³`.
+///
+/// Non-finite `x` (so NaN or `−∞` here) yield an arbitrary byte; the
+/// escape pass overwrites it.
+fn q8_level(v: f32) -> u8 {
+    let v = v.min(256.0);
+    let r = (v + MAGIC) - MAGIC;
+    let f = r - if r > v { 1.0 } else { 0.0 };
+    let level = (f + if v - f >= 0.5 { 1.0 } else { 0.0 }).min(255.0);
+    (level + MAGIC).to_bits() as u8
 }
 
 /// Keeps the `k` largest-magnitude coordinates (ties broken by index).
@@ -351,37 +455,33 @@ impl Compressor for Uniform8Bit {
         "uniform-8bit"
     }
 
+    /// One fused range scan ([`scan_range`]), one branch-free quantize
+    /// loop ([`q8_level`], vectorised by the compiler), and — only
+    /// when some input is non-finite or the top level's
+    /// reconstruction `min + 255·scale` overflows — one escape pass.
+    /// The reconstruction is monotone in the level, so the top level
+    /// decides whether any level can overflow. A zero `scale`
+    /// (constant input) leaves every level 0, which decodes to `min`.
     fn encode(&self, input: &[f32], _stream: &mut Prng) -> EncodedDelta {
-        let (lo, hi) = finite_min_max(input);
-        let (min, scale) = if lo > hi {
-            // No finite coordinate at all: every entry is an escape.
-            (0.0, 0.0)
-        } else {
-            // The step is computed in f64: `hi - lo` can overflow f32
-            // for extreme-range inputs (coords near ±2e38), and an
-            // infinite scale would decode every level to NaN.
-            (lo, ((f64::from(hi) - f64::from(lo)) / 255.0) as f32)
-        };
-        let mut levels = Vec::with_capacity(input.len());
-        let mut exceptions = Vec::new();
-        for (i, &x) in input.iter().enumerate() {
-            let mut level = 0u8;
-            if x.is_finite() && scale > 0.0 {
-                // `x - min` may overflow to +∞ on extreme ranges; the
-                // clamp maps that to the top level.
-                level = ((x - min) / scale).round().clamp(0.0, 255.0) as u8;
+        let (lo, hi, all_finite) = scan_range(input);
+        let (min, scale) = affine_grid(lo, hi, 255.0);
+        let mut levels = vec![0u8; input.len()];
+        if scale > 0.0 {
+            // `x − min` may overflow to +∞ on extreme ranges; the
+            // clamp in `q8_level` maps that to the top level.
+            for (level, &x) in levels.iter_mut().zip(input) {
+                *level = q8_level((x - min) / scale);
             }
-            // A finite step can still overflow the f32 reconstruction
-            // at high levels (255·scale > f32::MAX); such coordinates
-            // ride as escapes so the codec never fabricates a
-            // non-finite value. Constant vectors keep level 0, which
-            // decodes to `min` exactly.
-            if !x.is_finite() || !(min + f32::from(level) * scale).is_finite() {
-                exceptions.push((i as u32, x));
-                level = 0;
-            }
-            levels.push(level);
         }
+        let exceptions = if all_finite && (min + 255.0 * scale).is_finite() {
+            Vec::new()
+        } else {
+            let exceptions = escapes(input, min, scale, |i| levels[i]);
+            for &(i, _) in &exceptions {
+                levels[i as usize] = 0;
+            }
+            exceptions
+        };
         EncodedDelta::Q8 {
             min,
             scale,
@@ -406,39 +506,40 @@ impl Compressor for Stochastic4Bit {
         "stochastic-4bit"
     }
 
+    /// The fused range scan of [`Uniform8Bit`], then one rounding
+    /// loop. `t = (x − min)/scale` is clamped to `[0, 15]`, so a
+    /// truncating cast is its floor.
     fn encode(&self, input: &[f32], stream: &mut Prng) -> EncodedDelta {
         let dim = input.len();
-        let (lo, hi) = finite_min_max(input);
-        let (min, scale) = if lo > hi {
-            (0.0, 0.0)
-        } else {
-            // f64 step: `hi - lo` can overflow f32 (see Uniform8Bit).
-            (lo, ((f64::from(hi) - f64::from(lo)) / 15.0) as f32)
-        };
+        let (lo, hi, all_finite) = scan_range(input);
+        let (min, scale) = affine_grid(lo, hi, 15.0);
         let mut packed = vec![0u8; dim.div_ceil(2)];
-        let mut exceptions = Vec::new();
-        for (i, &x) in input.iter().enumerate() {
-            let mut level = 0u8;
-            if x.is_finite() && scale > 0.0 {
-                let t = ((x - min) / scale).clamp(0.0, 15.0);
-                let floor = t.floor();
-                // One draw per finite coordinate, in index order — the
-                // stream position is a pure function of the input, so
-                // the encoding is deterministic given (seed, round,
-                // client, input).
-                let up = stream.uniform_f32() < t - floor;
-                level = (floor as u8 + u8::from(up)).min(15);
+        if scale > 0.0 {
+            for (i, &x) in input.iter().enumerate() {
+                if x.is_finite() {
+                    let t = ((x - min) / scale).clamp(0.0, 15.0);
+                    let floor = t as u8;
+                    // One draw per finite coordinate, in index order —
+                    // the stream position is a pure function of the
+                    // input, so the encoding is deterministic given
+                    // (seed, round, client, input).
+                    let up = stream.uniform_f32() < t - f32::from(floor);
+                    packed[i / 2] |= (floor + u8::from(up)).min(15) << ((i % 2) * 4);
+                }
             }
-            // Escape non-finite coordinates, and finite ones whose f32
-            // reconstruction overflows at extreme ranges (15·scale can
-            // exceed f32::MAX) — the codec never fabricates non-finite
-            // values.
-            if !x.is_finite() || !(min + f32::from(level) * scale).is_finite() {
-                exceptions.push((i as u32, x));
-                level = 0;
-            }
-            packed[i / 2] |= level << ((i % 2) * 4);
         }
+        let exceptions = if all_finite && (min + 15.0 * scale).is_finite() {
+            Vec::new()
+        } else {
+            let exceptions = escapes(input, min, scale, |i| {
+                (packed[i / 2] >> ((i % 2) * 4)) & 0x0F
+            });
+            for &(i, _) in &exceptions {
+                let i = i as usize;
+                packed[i / 2] &= !(0x0F << ((i % 2) * 4));
+            }
+            exceptions
+        };
         EncodedDelta::Q4 {
             dim,
             min,
@@ -535,6 +636,218 @@ mod tests {
             out[i] = input[i];
         }
         out
+    }
+
+    /// The scalar `Uniform8Bit::encode` that preceded the fused scan
+    /// and the branch-free rounding, frozen verbatim as the
+    /// differential reference.
+    fn q8_reference(input: &[f32]) -> EncodedDelta {
+        let (lo, hi) = finite_min_max(input);
+        let (min, scale) = if lo > hi {
+            (0.0, 0.0)
+        } else {
+            (lo, ((f64::from(hi) - f64::from(lo)) / 255.0) as f32)
+        };
+        let mut levels = Vec::with_capacity(input.len());
+        let mut exceptions = Vec::new();
+        for (i, &x) in input.iter().enumerate() {
+            let mut level = 0u8;
+            if x.is_finite() && scale > 0.0 {
+                level = ((x - min) / scale).round().clamp(0.0, 255.0) as u8;
+            }
+            if !x.is_finite() || !(min + f32::from(level) * scale).is_finite() {
+                exceptions.push((i as u32, x));
+                level = 0;
+            }
+            levels.push(level);
+        }
+        EncodedDelta::Q8 {
+            min,
+            scale,
+            levels,
+            exceptions,
+        }
+    }
+
+    /// The scalar `Stochastic4Bit::encode` that preceded the fused
+    /// scan and the truncating floor, frozen verbatim as the
+    /// differential reference.
+    fn q4_reference(input: &[f32], stream: &mut Prng) -> EncodedDelta {
+        let dim = input.len();
+        let (lo, hi) = finite_min_max(input);
+        let (min, scale) = if lo > hi {
+            (0.0, 0.0)
+        } else {
+            (lo, ((f64::from(hi) - f64::from(lo)) / 15.0) as f32)
+        };
+        let mut packed = vec![0u8; dim.div_ceil(2)];
+        let mut exceptions = Vec::new();
+        for (i, &x) in input.iter().enumerate() {
+            let mut level = 0u8;
+            if x.is_finite() && scale > 0.0 {
+                let t = ((x - min) / scale).clamp(0.0, 15.0);
+                let floor = t.floor();
+                let up = stream.uniform_f32() < t - floor;
+                level = (floor as u8 + u8::from(up)).min(15);
+            }
+            if !x.is_finite() || !(min + f32::from(level) * scale).is_finite() {
+                exceptions.push((i as u32, x));
+                level = 0;
+            }
+            packed[i / 2] |= level << ((i % 2) * 4);
+        }
+        EncodedDelta::Q4 {
+            dim,
+            min,
+            scale,
+            packed,
+            exceptions,
+        }
+    }
+
+    /// Bit-level view of a quantized encoding: `min` and `scale` as
+    /// bits, the level bytes, and the escapes with raw value bits —
+    /// `PartialEq` on the floats would equate `±0` and reject `NaN`.
+    fn quantized_bits(enc: &EncodedDelta) -> (usize, u32, u32, Vec<u8>, Vec<(u32, u32)>) {
+        let bits = |exceptions: &[(u32, f32)]| {
+            exceptions
+                .iter()
+                .map(|&(i, x)| (i, x.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        match enc {
+            EncodedDelta::Q8 {
+                min,
+                scale,
+                levels,
+                exceptions,
+            } => (
+                levels.len(),
+                min.to_bits(),
+                scale.to_bits(),
+                levels.clone(),
+                bits(exceptions),
+            ),
+            EncodedDelta::Q4 {
+                dim,
+                min,
+                scale,
+                packed,
+                exceptions,
+            } => (
+                *dim,
+                min.to_bits(),
+                scale.to_bits(),
+                packed.clone(),
+                bits(exceptions),
+            ),
+            other => panic!("not a quantized encoding: {other:?}"),
+        }
+    }
+
+    /// Inputs where a rounding, range or escape shortcut could part
+    /// from the scalar references.
+    fn quantizer_edge_cases() -> Vec<Vec<f32>> {
+        let mut rng = Prng::seed_from_u64(0x0DD5);
+        let mut cases: Vec<Vec<f32>> = Vec::new();
+        let mut random_magnitudes = |len: usize| -> Vec<f32> {
+            (0..len)
+                .map(|_| {
+                    // Log-uniform magnitude in [1e-30, 1e30], random sign.
+                    let mag = 10f64.powf(rng.uniform_f64() * 60.0 - 30.0) as f32;
+                    if rng.below(2) == 0 {
+                        mag
+                    } else {
+                        -mag
+                    }
+                })
+                .collect()
+        };
+        // Lengths off the 8- and 16-wide chunk grid.
+        for len in [1, 2, 7, 9, 15, 16, 17, 31, 33, 255, 1003] {
+            cases.push(random_magnitudes(len));
+        }
+        // Exact half levels and the f32 just below each, on a unit grid
+        // (min 0, max 255) and on a fractional one (min −1, max 1).
+        for (lo, hi) in [(0.0f32, 255.0f32), (-1.0, 1.0)] {
+            let step = (hi - lo) / 255.0;
+            let mut halves = vec![lo, hi];
+            for k in 0..255 {
+                let half = lo + (k as f32 + 0.5) * step;
+                halves.push(half);
+                halves.push(half.next_down());
+                halves.push(lo + (k as f32 + 0.499_999_97) * step);
+            }
+            cases.push(halves);
+        }
+        // A ±0 minimum (or maximum), with the two zeros in different
+        // scan lanes and in both orders.
+        for (first, second) in [(0.0f32, -0.0f32), (-0.0, 0.0)] {
+            let mut pos = vec![3.0f32; 40];
+            pos[2] = first;
+            pos[9] = second;
+            pos[30] = second;
+            cases.push(pos.clone());
+            cases.push(pos.iter().map(|&x| if x == 0.0 { x } else { -x }).collect());
+            let mut zeros = vec![first; 19];
+            zeros[11] = second;
+            cases.push(zeros);
+        }
+        // Subnormal and vanishing scales.
+        cases.push(vec![
+            0.0, 1e-40, 5e-41, 2e-40, 0.0, 1e-40, 3e-41, 7e-41, 1e-45,
+        ]);
+        cases.push(vec![1e-45, 3e-45, 2e-45, 1e-45, 3e-45]);
+        cases.push(vec![-1e-39, 1e-39, 0.5e-39, -0.25e-39, 0.0, 1e-39]);
+        cases.push(vec![1.0, f32::from_bits(1.0f32.to_bits() + 1), 1.0]);
+        // ±3e38 extremes: `x − min` and the top level overflow f32.
+        cases.push(vec![
+            3e38, -3e38, 0.0, 1.0, -2.5e38, 2.9e38, 1e38, -1e-3, 7.0,
+        ]);
+        cases.push(vec![f32::MAX, f32::MIN, 0.0, 1.0e38, -2.0e38]);
+        cases.push(vec![f32::MAX, 0.0, 1.0, 3e38]);
+        // NaN / ±∞ escapes, alone and among finite values.
+        let mut poisoned = random_magnitudes(37);
+        poisoned[0] = f32::NAN;
+        poisoned[8] = f32::INFINITY;
+        poisoned[21] = f32::NEG_INFINITY;
+        poisoned[36] = -f32::NAN;
+        cases.push(poisoned);
+        cases.push(vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
+        cases.push(vec![f32::NEG_INFINITY, 2.0, f32::INFINITY, 2.0, 2.0]);
+        // Delta-like Gaussian vectors, the codec's everyday input.
+        for std in [1e-3, 1.0] {
+            cases.push(Tensor::randn([4099], std, &mut rng).into_vec());
+        }
+        // Constant and empty vectors.
+        cases.push(vec![0.7; 13]);
+        cases.push(vec![-0.0; 8]);
+        cases.push(Vec::new());
+        cases
+    }
+
+    #[test]
+    fn q8_matches_the_frozen_scalar_encoder_bit_for_bit() {
+        for input in quantizer_edge_cases() {
+            let got = Uniform8Bit.encode(&input, &mut stream());
+            assert_eq!(
+                quantized_bits(&got),
+                quantized_bits(&q8_reference(&input)),
+                "{input:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn q4_matches_the_frozen_scalar_encoder_bit_for_bit() {
+        for input in quantizer_edge_cases() {
+            let (mut got_stream, mut want_stream) = (stream(), stream());
+            let got = Stochastic4Bit.encode(&input, &mut got_stream);
+            let want = q4_reference(&input, &mut want_stream);
+            assert_eq!(quantized_bits(&got), quantized_bits(&want), "{input:?}");
+            // Same number of draws: one per finite coordinate.
+            assert_eq!(got_stream, want_stream, "{input:?}");
+        }
     }
 
     #[test]

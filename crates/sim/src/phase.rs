@@ -14,7 +14,9 @@ pub const ROUND: &str = "sim.round";
 pub const PARTICIPATION: &str = "sim.phase.participation";
 /// Local client training (all clients of the round).
 pub const LOCAL: &str = "sim.phase.local";
-/// Lossy upload compression + byte accounting.
+/// The server's per-upload stage, on the worker pool: lossy
+/// compression, wire corruption, byte accounting, the structure check,
+/// decode and validation (`server::receive`), plus the byte sum.
 pub const COMPRESS: &str = "sim.phase.compress";
 /// Server-side aggregation: the one `FederatedAlgorithm::aggregate`
 /// call of a round with accepted uploads (for a planning algorithm:

@@ -3,9 +3,25 @@
 //! accounting, wire corruption, the structure check and decode, and
 //! validation/quarantine. The uploads that survive it go to the
 //! algorithm's `aggregate`.
+//!
+//! Where each step runs:
+//!
+//! - On the round thread, in client order, before the stage: the
+//!   straggler inflation and the deadline cut (with their events).
+//! - On the shared worker pool ([`taco_tensor::pool`]), one task per
+//!   upload: [`receive`] — encode, wire corruption, wire bytes, the
+//!   structure check, decode and validation. Each step is a pure
+//!   function of the upload, its fault and its
+//!   `codec_stream(seed, round, client)`, so the result is the same
+//!   whichever thread runs it. Under [`SimConfig::sequential`] (or a
+//!   one-thread pool) the stage runs inline on the round thread.
+//! - On the round thread, in client order, after the stage: the byte
+//!   sum, the quarantine events and the algorithm's
+//!   `report_invalid_update` strikes.
 
-use crate::fault::{self, FaultKind};
+use crate::fault::{self, Corruption, FaultKind, RejectReason};
 use crate::runner::{note, SimConfig};
+use taco_core::compress::codec_stream;
 use taco_core::{ClientUpdate, FederatedAlgorithm};
 use taco_trace as trace;
 
@@ -19,7 +35,8 @@ pub(crate) struct UploadOutcome {
     pub(crate) deadline_cuts: usize,
     /// Uploads quarantined by validation.
     pub(crate) quarantined: usize,
-    /// Seconds spent in the compression phase span.
+    /// Seconds spent in the upload stage's span
+    /// ([`crate::phase::COMPRESS`]).
     pub(crate) compress_secs: f64,
 }
 
@@ -46,7 +63,6 @@ pub(crate) fn process_uploads(
     // clock is only inflated for the timing metrics. Late uploads
     // never arrive, so they cost no accounted bytes.
     let mut deadline_cuts = 0usize;
-    let mut quarantined = 0usize;
     if let Some(plan) = &config.fault_plan {
         for u in &mut updates {
             if let Some(FaultKind::Straggler { factor }) = fault_of[u.client] {
@@ -71,59 +87,41 @@ pub(crate) fn process_uploads(
             });
         }
     }
-    // Lossy upload compression + byte accounting. Each client encodes
-    // with a salted per-(round, client) rounding stream, wire bytes
-    // are measured from the actual encoding, and — when a fault plan
-    // is active — wire corruption is applied to the *encoded* payload
-    // (an index, a value slot, or the scale header), since that is
-    // what travels. The server then checks the encoding's structure:
-    // a well-formed one is decoded once into the delta and dropped; a
-    // malformed one is never decoded and is quarantined below.
+    // The per-upload stage, on the pool: see [`receive`]. Each slot
+    // carries one upload in and its verdict and wire bytes out.
     let compress_span = trace::Span::quiet(crate::phase::COMPRESS);
-    let mut structure = vec![Ok(()); updates.len()];
-    let upload_bytes: usize = match &config.upload_compressor {
-        Some(c) => {
-            let mut bytes = 0;
-            for (u, verdict) in updates.iter_mut().zip(&mut structure) {
-                let mut stream = taco_core::compress::codec_stream(config.seed, round, u.client);
-                let mut enc = c.encode(&u.delta, &mut stream);
-                if config.fault_plan.is_some() {
-                    if let Some(FaultKind::Corrupt(corruption)) = fault_of[u.client] {
-                        fault::apply_corruption_encoded(&mut enc, corruption);
-                    }
-                }
-                bytes += enc.wire_bytes();
-                *verdict = fault::check_encoding(&enc, u.delta.len());
-                if verdict.is_ok() {
-                    u.delta = enc.decode();
-                }
-            }
-            bytes
-        }
-        None => updates.iter().map(|u| u.delta.len() * 4).sum(),
+    let mut received: Vec<Received> = updates
+        .into_iter()
+        .map(|update| Received {
+            update,
+            verdict: Ok(()),
+            bytes: 0,
+        })
+        .collect();
+    let stage = |r: &mut Received| {
+        let corruption = match fault_of[r.update.client] {
+            Some(FaultKind::Corrupt(c)) if config.fault_plan.is_some() => Some(c),
+            _ => None,
+        };
+        (r.verdict, r.bytes) = receive(config, round, corruption, &mut r.update);
     };
-    let compress_secs = compress_span.finish();
-    trace::counter("sim.upload_bytes").add(upload_bytes as u64);
-    // Uncompressed runs corrupt the dense floats directly (there is no
-    // other wire representation to damage).
-    if config.fault_plan.is_some() && config.upload_compressor.is_none() {
-        for u in &mut updates {
-            if let Some(FaultKind::Corrupt(corruption)) = fault_of[u.client] {
-                fault::apply_corruption(&mut u.delta, corruption);
-            }
-        }
+    if config.parallel {
+        taco_tensor::pool::for_each_chunk(&mut received, 1, |_, r| stage(&mut r[0]));
+    } else {
+        received.iter_mut().for_each(stage);
     }
-    // The server quarantines anything malformed or non-finite — and,
-    // under a fault plan, anything norm-exploded — before it reaches
-    // aggregation, and reports the offender to the algorithm's
-    // freeloader-detection machinery. Quarantined uploads did arrive,
-    // so their bytes stay counted.
-    let mut accepted = Vec::with_capacity(updates.len());
-    for (u, structure) in updates.into_iter().zip(structure) {
-        let verdict = structure.and_then(|()| match &config.fault_plan {
-            Some(plan) => plan.validation.validate(&u),
-            None => fault::check_finite(&u),
-        });
+    let compress_secs = compress_span.finish();
+    let upload_bytes: usize = received.iter().map(|r| r.bytes).sum();
+    trace::counter("sim.upload_bytes").add(upload_bytes as u64);
+    // Quarantined uploads are reported to the algorithm's
+    // freeloader-detection machinery, in client order. They did
+    // arrive, so their bytes stay counted.
+    let mut accepted = Vec::with_capacity(received.len());
+    let mut quarantined = 0usize;
+    for Received {
+        update: u, verdict, ..
+    } in received
+    {
         match verdict {
             Ok(()) => accepted.push(u),
             Err(reason) => {
@@ -144,4 +142,59 @@ pub(crate) fn process_uploads(
         quarantined,
         compress_secs,
     }
+}
+
+/// One upload in the pooled stage: the update, replaced in place by
+/// what the server decoded, its verdict and its accounted wire bytes.
+struct Received {
+    update: ClientUpdate,
+    verdict: Result<(), RejectReason>,
+    bytes: usize,
+}
+
+/// What the server makes of one arrived upload; pure in its arguments.
+///
+/// With a codec, the client encodes with its salted per-`(round,
+/// client)` rounding stream, and a wire `corruption` lands on the
+/// *encoded* payload (an index, a value slot, or the scale header),
+/// since that is what travels. Wire bytes are measured from that
+/// encoding. The server then checks its structure: a well-formed one
+/// is decoded once into `update.delta`, a malformed one is never
+/// decoded. Without a codec, the corruption hits the dense floats (no
+/// other wire representation exists to damage).
+///
+/// The decoded upload is then validated: anything malformed or
+/// non-finite — and, under a fault plan, anything norm-exploded — gets
+/// an `Err` and is quarantined before it reaches aggregation.
+fn receive(
+    config: &SimConfig,
+    round: usize,
+    corruption: Option<Corruption>,
+    update: &mut ClientUpdate,
+) -> (Result<(), RejectReason>, usize) {
+    let (structure, bytes) = match &config.upload_compressor {
+        Some(c) => {
+            let mut stream = codec_stream(config.seed, round, update.client);
+            let mut enc = c.encode(&update.delta, &mut stream);
+            if let Some(corruption) = corruption {
+                fault::apply_corruption_encoded(&mut enc, corruption);
+            }
+            let structure = fault::check_encoding(&enc, update.delta.len());
+            if structure.is_ok() {
+                update.delta = enc.decode();
+            }
+            (structure, enc.wire_bytes())
+        }
+        None => {
+            if let Some(corruption) = corruption {
+                fault::apply_corruption(&mut update.delta, corruption);
+            }
+            (Ok(()), update.delta.len() * 4)
+        }
+    };
+    let verdict = structure.and_then(|()| match &config.fault_plan {
+        Some(plan) => plan.validation.validate(update),
+        None => fault::check_finite(update),
+    });
+    (verdict, bytes)
 }

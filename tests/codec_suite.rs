@@ -1,11 +1,15 @@
 //! Codec differential suite (see `taco_core::compress`).
 //!
 //! The server checks each encoded upload's structure, decodes it once
-//! and folds only dense deltas. This suite checks that pipeline four
+//! and folds only dense deltas. This suite checks that pipeline five
 //! ways:
 //!
 //! - end-to-end simulations per codec over shards {1, 3, 8} × threads
 //!   {1, 4}, with bit-identical histories;
+//! - faulted runs per codec (dropouts, corruption, stragglers and a
+//!   deadline) at pool threads {1, 4} and sequentially, with identical
+//!   histories, wire bytes and fault tallies — the pooled upload stage
+//!   is thread-invariant;
 //! - fault-pipeline runs proving corrupted *encodings* (a poisoned
 //!   value, a broken index, a damaged scale header) are quarantined
 //!   and counted in `updates_rejected`;
@@ -83,6 +87,62 @@ fn codec_histories_agree_across_shard_and_thread_counts() {
                     );
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn faulted_upload_stage_is_thread_invariant() {
+    // The server's per-upload stage (encode, wire corruption, byte
+    // accounting, structure check, decode, validation) runs on the
+    // pool. Under a plan with every fault kind, its outcome — the
+    // trajectory, each round's wire bytes and the fault tallies —
+    // must not depend on the pool width, nor differ from the inline
+    // stage of a sequential run.
+    let plan = FaultPlan::new()
+        .with_dropouts(0.15)
+        .with_corruption(0.25, 1e6)
+        .with_stragglers(0.3, 3.0)
+        .with_deadline(10.0, 1.0)
+        .with_max_delta_norm(50.0);
+    for codec in codecs_under_test() {
+        let run = |threads: usize, parallel: bool| {
+            let history = pool::with_pool(&Pool::new(threads), || {
+                golden_run_configured(
+                    Box::new(Taco::new(4, TacoConfig::paper_default(8, 6))),
+                    parallel,
+                    |c| {
+                        c.with_compressor(codec.clone())
+                            .with_fault_plan(plan.clone())
+                    },
+                )
+            });
+            let tallies: Vec<_> = history
+                .rounds
+                .iter()
+                .map(|r| {
+                    (
+                        r.upload_bytes,
+                        r.faults_injected,
+                        r.updates_rejected,
+                        r.fault_totals,
+                        r.participants.clone(),
+                    )
+                })
+                .collect();
+            (history_value(&history), tallies, history.fault_totals())
+        };
+        let (reference, reference_tallies, kinds) = run(4, false);
+        let name = codec.name();
+        assert!(
+            kinds.dropouts > 0 && kinds.corruptions > 0 && kinds.deadline_cuts > 0,
+            "{name}: the plan must exercise every fault kind: {kinds:?}"
+        );
+        assert!(kinds.quarantined > 0, "{name}: nothing quarantined");
+        for threads in THREAD_COUNTS {
+            let (got, got_tallies, _) = run(threads, true);
+            assert_values_close(&reference, &got, 0.0, &format!("{name}.faulted.t{threads}"));
+            assert_eq!(reference_tallies, got_tallies, "{name}.faulted.t{threads}");
         }
     }
 }
