@@ -78,7 +78,7 @@ struct Probe<'a> {
 /// from the kernel's own trace deltas (seconds histogram + elems
 /// counter) so the gate measures exactly what the telemetry reports.
 /// Each reading is the best of [`WINDOWS`] windows of `iters` square
-/// multiplies, each under a millisecond: far above the timer's
+/// multiplies, each a millisecond or two at most: far above the timer's
 /// resolution, and short enough that some windows run while other
 /// tenants of a shared host idle.
 fn kernel_probe<'a>(single: &'a Pool, kernel: &'static str, n: usize, iters: usize) -> Probe<'a> {
@@ -99,6 +99,7 @@ fn kernel_probe<'a>(single: &'a Pool, kernel: &'static str, n: usize, iters: usi
                     std::hint::black_box(match kernel {
                         "matmul" => linalg::matmul(&a, &b),
                         "matmul_tn" => linalg::matmul_tn(&a, &b),
+                        "matmul_nt" => linalg::matmul_nt(&a, &b),
                         other => panic!("unknown kernel {other}"),
                     });
                 }
@@ -224,12 +225,14 @@ fn main() {
     let single = Pool::new(1);
     let workers = Pool::new(HostInfo::current().parallelism.clamp(1, 4) as usize);
     // Iteration counts put each kernel window at about half a
-    // millisecond at the ~45 GFLOP/s this substrate reaches.
+    // millisecond at the ~45 GFLOP/s the `f32` kernels reach, and the
+    // `f64`-accumulating `matmul_nt` window at about 1.5 ms.
     let mut probes = [
         kernel_probe(&single, "matmul", 64, 40),
         kernel_probe(&single, "matmul", 128, 5),
         kernel_probe(&single, "matmul", 256, 1),
         kernel_probe(&single, "matmul_tn", 256, 1),
+        kernel_probe(&single, "matmul_nt", 256, 1),
         aggregate_probe(&workers),
         encode_probe(&codec_delta),
     ];

@@ -34,12 +34,17 @@ pub struct UploadStats {
     pub cosines: Vec<f32>,
 }
 
+/// Uploads whose norms and dot products with the mean one pass folds
+/// together.
+const STATS_GROUP: usize = 4;
+
 impl UploadStats {
     /// Computes the statistics: the mean is a [`ShardFold`] with unit
-    /// weights over `shards` dimension shards; norms and cosines are
-    /// whole-vector reductions, one pool task per upload when
-    /// `shards > 1`. No cross-client float fold runs in parallel, so
-    /// the result is the same at any `shards` and any pool size.
+    /// weights over `shards` dimension shards; norms and cosines come
+    /// from one pass per group of [`STATS_GROUP`] uploads, one pool
+    /// task per group. Each upload's two reductions stay whole-vector
+    /// ascending folds and no cross-client float fold runs in parallel,
+    /// so the result is the same at any `shards` and any pool size.
     ///
     /// # Panics
     ///
@@ -47,19 +52,19 @@ impl UploadStats {
     pub fn compute(updates: &[ClientUpdate], fold: &mut ShardFold, shards: usize) -> Self {
         let ones = vec![1.0f32; updates.len()];
         let mean_delta = fold.weighted_mean(updates, &ones, shards);
-        // `cosine_with_norms` reuses each upload's norm and the mean's
-        // norm, computed once — bit-identical to `cosine_similarity`.
         let mean_norm = ops::norm(&mean_delta);
-        let per_task = if shards > 1 { 1 } else { updates.len() };
         let mut scalars = vec![(0.0f32, 0.0f32); updates.len()];
-        pool::for_each_chunk(&mut scalars, per_task, |task, slots| {
-            for (j, slot) in slots.iter_mut().enumerate() {
-                let d = &updates[task * per_task + j].delta;
-                let norm = ops::norm(d);
-                *slot = (
-                    norm,
-                    ops::cosine_with_norms(d, &mean_delta, norm, mean_norm),
-                );
+        pool::for_each_chunk(&mut scalars, STATS_GROUP, |group, slots| {
+            let first = group * STATS_GROUP;
+            // A short last group re-reads its last upload and discards
+            // the copies.
+            let deltas = std::array::from_fn(|u| {
+                updates[(first + u).min(updates.len() - 1)].delta.as_slice()
+            });
+            let (squares, dots) = squares_and_dots(deltas, &mean_delta);
+            for ((slot, square), dot) in slots.iter_mut().zip(squares).zip(dots) {
+                let norm = square.sqrt() as f32;
+                *slot = (norm, ops::cosine_from_dot(dot as f32, norm, mean_norm));
             }
         });
         let (norms, cosines) = scalars.into_iter().unzip();
@@ -69,6 +74,27 @@ impl UploadStats {
             cosines,
         }
     }
+}
+
+/// `Σ x²` and `Σ x·m` of each delta against `mean`, as the ascending
+/// `f64` folds of `ops::norm` and `ops::dot`: one pass over the
+/// dimensions keeps 8 independent accumulator chains in flight.
+fn squares_and_dots(
+    deltas: [&[f32]; STATS_GROUP],
+    mean: &[f32],
+) -> ([f64; STATS_GROUP], [f64; STATS_GROUP]) {
+    let deltas = deltas.map(|d| &d[..mean.len()]);
+    let mut squares = [0.0f64; STATS_GROUP];
+    let mut dots = [0.0f64; STATS_GROUP];
+    for (i, &m) in mean.iter().enumerate() {
+        let m = f64::from(m);
+        for ((square, dot), d) in squares.iter_mut().zip(&mut dots).zip(deltas) {
+            let x = f64::from(d[i]);
+            *square += x * x;
+            *dot += x * m;
+        }
+    }
+    (squares, dots)
 }
 
 /// A declarative aggregation plan: how this round's deltas combine into
@@ -556,22 +582,35 @@ mod tests {
 
     #[test]
     fn upload_stats_match_their_sequential_definitions() {
-        let (_, updates) = testkit::random_round(6, 257, 5);
-        let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
-        let mean = taco_tensor::ops::mean_of(&deltas);
-        let norms: Vec<f32> = deltas.iter().map(|d| taco_tensor::ops::norm(d)).collect();
-        let cosines: Vec<f32> = deltas
-            .iter()
-            .map(|d| taco_tensor::ops::cosine_similarity(d, &mean))
-            .collect();
-        let pool = taco_tensor::pool::Pool::new(4);
-        for shards in [1, 3, 8] {
-            let stats = taco_tensor::pool::with_pool(&pool, || {
-                UploadStats::compute(&updates, &mut ShardFold::default(), shards)
-            });
-            testkit::assert_bits_eq(&stats.mean_delta, &mean, "mean");
-            testkit::assert_bits_eq(&stats.norms, &norms, "norms");
-            testkit::assert_bits_eq(&stats.cosines, &cosines, "cosines");
+        let pools = [
+            taco_tensor::pool::Pool::new(1),
+            taco_tensor::pool::Pool::new(4),
+        ];
+        // Every remainder of the 4-upload group, an odd dimension, and
+        // an all-zero delta for the cosine's zero-norm branch.
+        for n in 1..=9 {
+            let (_, mut updates) = testkit::random_round(n, 261, 5 + n as u64);
+            if n >= 3 {
+                updates[2].delta.fill(0.0);
+            }
+            let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
+            let mean = taco_tensor::ops::mean_of(&deltas);
+            let norms: Vec<f32> = deltas.iter().map(|d| taco_tensor::ops::norm(d)).collect();
+            let cosines: Vec<f32> = deltas
+                .iter()
+                .map(|d| taco_tensor::ops::cosine_similarity(d, &mean))
+                .collect();
+            for pool in &pools {
+                for shards in [1, 3, 8] {
+                    let stats = taco_tensor::pool::with_pool(pool, || {
+                        UploadStats::compute(&updates, &mut ShardFold::default(), shards)
+                    });
+                    let what = format!("{n} uploads, {} threads, {shards} shards", pool.threads());
+                    testkit::assert_bits_eq(&stats.mean_delta, &mean, &format!("mean, {what}"));
+                    testkit::assert_bits_eq(&stats.norms, &norms, &format!("norms, {what}"));
+                    testkit::assert_bits_eq(&stats.cosines, &cosines, &format!("cosines, {what}"));
+                }
+            }
         }
     }
 

@@ -162,12 +162,8 @@ impl FederatedAlgorithm for FoolsGold {
                 if norms[a] <= 0.0 || norms[b] <= 0.0 {
                     continue;
                 }
-                let cos = ops::cosine_with_norms(
-                    &self.histories[i],
-                    &self.histories[j],
-                    norms[a],
-                    norms[b],
-                );
+                let dot = ops::dot(&self.histories[i], &self.histories[j]);
+                let cos = ops::cosine_from_dot(dot, norms[a], norms[b]);
                 if cos >= self.suspicion_threshold {
                     flagged[i] = true;
                     flagged[j] = true;

@@ -6,7 +6,7 @@
 //!
 //! - [`matmul`]       — `C = A · B`
 //! - [`matmul_tn`]    — `C = Aᵀ · B` (weight gradients)
-//! - [`matmul_nt`]    — `C = A · Bᵀ` (input gradients)
+//! - [`matmul_nt`]    — `C = A · Bᵀ` (forward passes: `X · Wᵀ`)
 //!
 //! # Kernel structure
 //!
@@ -18,8 +18,9 @@
 //! the whole accumulator tile in registers. On x86-64 the blocked body
 //! is additionally compiled under `target_feature(avx)` and selected
 //! at runtime. `matmul_nt` keeps its historical `f64` accumulation
-//! (see below) and instead blocks B rows in transposed `f64` panels
-//! with a 2×4 unrolled dot kernel.
+//! (see below) and instead packs each 8 B rows as a transposed `f64`
+//! panel, streaming A rows against it in a 4×8 register tile of 8
+//! independent `f64` accumulator vectors.
 //!
 //! Work is split across the worker pool ([`crate::pool`]) along the M
 //! dimension in fixed [`MC`]-row chunks. Chunk boundaries depend only
@@ -94,6 +95,14 @@ const MC: usize = 32;
 /// Below this many multiply-adds a kernel runs inline on the caller —
 /// pool dispatch overhead would dominate.
 const PAR_MIN_MACS: usize = 1 << 18;
+/// `matmul_nt` register tile: A rows per tile.
+const NT_ROWS: usize = 4;
+/// `matmul_nt` register tile: B rows (output columns) per tile, and
+/// the width of a packed B panel.
+const NT_COLS: usize = 8;
+/// K steps per `f64` widening block of the A rows in a `matmul_nt`
+/// tile.
+const NT_KB: usize = 128;
 
 static K_MATMUL: ktrace::Kernel = ktrace::Kernel::new("kernel.matmul");
 static K_MATMUL_TN: ktrace::Kernel = ktrace::Kernel::new("kernel.matmul_tn");
@@ -135,12 +144,12 @@ fn cpu_has_avx() -> bool {
 struct Scratch {
     a: Vec<f32>,
     b: Vec<f32>,
-    bt: Vec<f64>,
+    panel: Vec<f64>,
 }
 
 thread_local! {
     static SCRATCH: std::cell::RefCell<Scratch> = const {
-        std::cell::RefCell::new(Scratch { a: Vec::new(), b: Vec::new(), bt: Vec::new() })
+        std::cell::RefCell::new(Scratch { a: Vec::new(), b: Vec::new(), panel: Vec::new() })
     };
 }
 
@@ -232,7 +241,8 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
 /// Computes `C = A · Bᵀ` where `A` is `m × k` and `B` is `n × k`.
 ///
 /// Equivalent to `matmul(a, &b.transpose())` without allocating the
-/// transpose. Used for input gradients (`∂L/∂X = ∂L/∂Y · Wᵀ`).
+/// transpose. Used for forward passes (`Y = X · Wᵀ` with `W` stored
+/// `out × in`, and im2col patches against conv filters).
 ///
 /// Accumulates in `f64` per element (like [`crate::ops::dot`], which
 /// the pre-blocking kernel delegated to) — see the module docs.
@@ -451,10 +461,10 @@ fn nt_dispatch(a: &[f32], b: &[f32], c: &mut [f32], rows: usize, k: usize, n: us
         #[cfg(target_arch = "x86_64")]
         if cpu_has_avx() {
             // SAFETY: AVX support was just verified at runtime.
-            unsafe { nt_avx(a, b, c, rows, k, n, &mut s.bt) };
+            unsafe { nt_avx(a, b, c, rows, k, n, &mut s.panel) };
             return;
         }
-        nt_body(a, b, c, rows, k, n, &mut s.bt);
+        nt_body(a, b, c, rows, k, n, &mut s.panel);
     });
 }
 
@@ -472,17 +482,21 @@ unsafe fn nt_avx(
     rows: usize,
     k: usize,
     n: usize,
-    bt: &mut Vec<f64>,
+    panel: &mut Vec<f64>,
 ) {
-    nt_body(a, b, c, rows, k, n, bt);
+    nt_body(a, b, c, rows, k, n, panel);
 }
 
-/// One row chunk of `C = A·Bᵀ` with per-element `f64` accumulation.
-/// Groups of 4 B rows are packed as a transposed `f64` panel (so the
-/// inner loop loads one contiguous 4-vector per k step) and consumed by
-/// a 2-row unrolled kernel — 8 independent accumulator chains, each an
-/// ascending-k `f64` fold identical to [`crate::ops::dot`]. K is never
-/// blocked here: the `f64` accumulator must span all of it.
+/// One row chunk of `C = A·Bᵀ` with per-element `f64` accumulation:
+/// every output is an ascending-k `f64` fold identical to
+/// [`crate::ops::dot`]. K is never blocked across tiles: the `f64`
+/// accumulator must span all of it.
+///
+/// Each group of [`NT_COLS`] B rows is packed once as a transposed
+/// `[k][8]` `f64` panel, and [`nt_tile`] runs the chunk's A rows
+/// against it [`NT_ROWS`] at a time. Tiles past the last row or column
+/// re-read the last valid one and discard those outputs, so every tile
+/// runs the full-width kernel.
 #[inline(always)]
 fn nt_body(
     a: &[f32],
@@ -491,49 +505,61 @@ fn nt_body(
     rows: usize,
     k: usize,
     n: usize,
-    bt: &mut Vec<f64>,
+    panel: &mut Vec<f64>,
 ) {
-    const JB: usize = 4;
-    bt.resize(JB * k, 0.0);
-    let mut jj = 0;
-    while jj < n {
-        let jb = JB.min(n - jj);
-        if jb == JB {
-            for t in 0..k {
-                for j in 0..JB {
-                    bt[t * JB + j] = f64::from(b[(jj + j) * k + t]);
-                }
+    let a_row = |i: usize| &a[i.min(rows - 1) * k..][..k];
+    let b_row = |j: usize| &b[j.min(n - 1) * k..][..k];
+    let mut wide = [[0.0f64; NT_KB]; NT_ROWS];
+    panel.resize(NT_COLS * k, 0.0);
+    for jj in (0..n).step_by(NT_COLS) {
+        let lanes: [&[f32]; NT_COLS] = std::array::from_fn(|j| b_row(jj + j));
+        for (t, slot) in panel.chunks_exact_mut(NT_COLS).enumerate() {
+            for (p, lane) in slot.iter_mut().zip(lanes) {
+                *p = f64::from(lane[t]);
             }
-            let mut i = 0;
-            while i < rows {
-                let ib = 2.min(rows - i);
-                let mut acc = [[0.0f64; JB]; 2];
-                for t in 0..k {
-                    let bv = &bt[t * JB..(t + 1) * JB];
-                    for (r, row) in acc.iter_mut().take(ib).enumerate() {
-                        let av = f64::from(a[(i + r) * k + t]);
-                        for (j, slot) in row.iter_mut().enumerate() {
-                            *slot += av * bv[j];
-                        }
-                    }
-                }
-                for (r, row) in acc.iter().take(ib).enumerate() {
-                    for (j, &v) in row.iter().enumerate() {
-                        c[(i + r) * n + jj + j] = v as f32;
-                    }
-                }
-                i += ib;
-            }
-        } else {
-            for i in 0..rows {
-                let arow = &a[i * k..(i + 1) * k];
-                for j in 0..jb {
-                    c[i * n + jj + j] = crate::ops::dot(arow, &b[(jj + j) * k..(jj + j + 1) * k]);
+        }
+        for i in (0..rows).step_by(NT_ROWS) {
+            let acc = nt_tile(std::array::from_fn(|r| a_row(i + r)), panel, &mut wide);
+            for (r, row) in acc.iter().enumerate().take(rows - i) {
+                let out = &mut c[(i + r) * n + jj..][..NT_COLS.min(n - jj)];
+                for (o, &v) in out.iter_mut().zip(row) {
+                    *o = v as f32;
                 }
             }
         }
-        jj += jb;
     }
+}
+
+/// The [`NT_ROWS`]`×`[`NT_COLS`] register tile of `matmul_nt`:
+/// `acc[r][j] = Σ_t a[r][t] · panel[t][j]`, each an ascending-t `f64`
+/// fold — 8 independent accumulator vectors under AVX. The A rows are
+/// widened to `f64` in [`NT_KB`]-step blocks through `wide`, so the
+/// inner loop broadcasts each A value with a plain load instead of a
+/// per-step convert and shuffle.
+#[inline(always)]
+fn nt_tile(
+    a: [&[f32]; NT_ROWS],
+    panel: &[f64],
+    wide: &mut [[f64; NT_KB]; NT_ROWS],
+) -> [[f64; NT_COLS]; NT_ROWS] {
+    let mut acc = [[0.0f64; NT_COLS]; NT_ROWS];
+    for (kb, block) in panel.chunks(NT_COLS * NT_KB).enumerate() {
+        let kc = block.len() / NT_COLS;
+        for (w, a) in wide.iter_mut().zip(a) {
+            for (d, &s) in w.iter_mut().zip(&a[kb * NT_KB..][..kc]) {
+                *d = f64::from(s);
+            }
+        }
+        for (t, bv) in block.chunks_exact(NT_COLS).enumerate() {
+            for (row, w) in acc.iter_mut().zip(wide.iter()) {
+                let av = w[t];
+                for (slot, &bv) in row.iter_mut().zip(bv) {
+                    *slot += av * bv;
+                }
+            }
+        }
+    }
+    acc
 }
 
 /// The pre-blocking `C = A · B` kernel (k-outer AXPY with the
@@ -757,7 +783,18 @@ mod tests {
     #[test]
     fn matmul_nt_matches_naive_bitwise() {
         let mut rng = Prng::seed_from_u64(4);
-        for &(m, n, k) in &[(1, 1, 1), (3, 5, 7), (13, 11, 17), (40, 33, 9)] {
+        // Row and column tails of the 4×8 tile, and k past one
+        // widening block (`NT_KB`).
+        for &(m, n, k) in &[
+            (1, 1, 1),
+            (3, 5, 7),
+            (4, 9, 5),
+            (2, 17, 3),
+            (9, 16, 7),
+            (13, 11, 17),
+            (40, 33, 9),
+            (5, 9, NT_KB + 3),
+        ] {
             let a = Tensor::randn(&[m, k][..], 1.0, &mut rng);
             let b = Tensor::randn(&[n, k][..], 1.0, &mut rng);
             assert_bits_equal(

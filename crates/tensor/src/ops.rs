@@ -57,34 +57,25 @@ pub fn norm_sq(a: &[f32]) -> f32 {
 ///
 /// Panics if the lengths differ.
 pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
-    let na = norm(a) as f64;
-    let nb = norm(b) as f64;
-    if na < 1e-12 || nb < 1e-12 {
-        return 0.0;
-    }
-    let cos = dot(a, b) as f64 / (na * nb);
-    cos.clamp(-1.0, 1.0) as f32
+    cosine_from_dot(dot(a, b), norm(a), norm(b))
 }
 
-/// [`cosine_similarity`] with both norms supplied by the caller.
+/// [`cosine_similarity`] from a dot product and both norms computed by
+/// the caller.
 ///
 /// Bit-identical to `cosine_similarity(a, b)` whenever
-/// `na == norm(a)` and `nb == norm(b)`: the degenerate-norm guard,
-/// the widening `f64` division, and the clamp are the same arithmetic
-/// in the same order — only the redundant norm recomputations are
-/// hoisted. Lets aggregation paths that already hold per-vector norms
-/// (e.g. upload statistics) skip two extra passes per pair.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn cosine_with_norms(a: &[f32], b: &[f32], na: f32, nb: f32) -> f32 {
+/// `dot == dot(a, b)`, `na == norm(a)` and `nb == norm(b)`: the
+/// degenerate-norm guard, the widening `f64` division and the clamp are
+/// the same arithmetic in the same order. Lets aggregation paths that
+/// fold several reductions in one pass (e.g. upload statistics) skip
+/// the separate passes.
+pub fn cosine_from_dot(dot: f32, na: f32, nb: f32) -> f32 {
     let na = na as f64;
     let nb = nb as f64;
     if na < 1e-12 || nb < 1e-12 {
         return 0.0;
     }
-    let cos = dot(a, b) as f64 / (na * nb);
+    let cos = dot as f64 / (na * nb);
     cos.clamp(-1.0, 1.0) as f32
 }
 
@@ -275,16 +266,16 @@ mod tests {
     }
 
     #[test]
-    fn cosine_with_norms_is_bit_identical_to_cosine_similarity() {
+    fn cosine_from_dot_is_bit_identical_to_cosine_similarity() {
         let mut rng = crate::rng::Prng::seed_from_u64(3);
         let a: Vec<f32> = (0..257).map(|_| rng.normal_f32()).collect();
         let b: Vec<f32> = (0..257).map(|_| rng.normal_f32()).collect();
         let reference = cosine_similarity(&a, &b);
-        let hoisted = cosine_with_norms(&a, &b, norm(&a), norm(&b));
+        let hoisted = cosine_from_dot(dot(&a, &b), norm(&a), norm(&b));
         assert_eq!(reference.to_bits(), hoisted.to_bits());
         // Degenerate-norm guard matches too.
         let z = vec![0.0f32; 257];
-        assert_eq!(cosine_with_norms(&z, &b, norm(&z), norm(&b)), 0.0);
+        assert_eq!(cosine_from_dot(dot(&z, &b), norm(&z), norm(&b)), 0.0);
     }
 
     #[test]

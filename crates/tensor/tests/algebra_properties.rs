@@ -247,6 +247,47 @@ fn blocked_kernels_match_naive_bitwise_across_ragged_shapes() {
     }
 }
 
+/// `matmul_nt` on the workloads' real layer shapes (`m × k × n`): the
+/// batch-4 dense forward of the wide MLP and its 200-row evaluation,
+/// the CNN's batch-8 dense layers and its im2col convolutions, plus
+/// every row count 1–9 against column counts around the 8-wide tile.
+/// Exact to the bit against the naive reference on 1 and 8 threads.
+#[test]
+fn matmul_nt_matches_naive_bitwise_on_layer_shapes() {
+    let one = Pool::new(1);
+    let eight = Pool::new(8);
+    let mut shapes = vec![
+        (4, 128, 1024),
+        (4, 1024, 256),
+        (4, 256, 2),
+        (200, 128, 1024),
+        (8, 256, 64),
+        (8, 32, 10),
+        (576, 25, 8),
+        (64, 200, 16),
+    ];
+    for m in 1..=9 {
+        for n in [7, 8, 9, 17] {
+            shapes.push((m, 131, n));
+        }
+    }
+    for (case, &(m, k, n)) in shapes.iter().enumerate() {
+        let mut rng = Prng::seed_from_u64(0x1A7E ^ case as u64);
+        let a = ragged(m, k, &mut rng);
+        let bt = ragged(n, k, &mut rng);
+        let want = linalg::matmul_nt_naive(&a, &bt);
+        for (pool, label) in [(&one, "1t"), (&eight, "8t")] {
+            pool::with_pool(pool, || {
+                assert_bits(
+                    &linalg::matmul_nt(&a, &bt),
+                    &want,
+                    &format!("matmul_nt {m}x{k}x{n} {label}"),
+                );
+            });
+        }
+    }
+}
+
 /// One deliberately pool-heavy shape: many chunks, uneven tail rows.
 #[test]
 fn parallel_chunking_is_bit_identical_on_uneven_tails() {
