@@ -197,7 +197,8 @@ impl PaperCnn {
                     *v = 0.0;
                 }
             }
-            let _ = self.conv1.backward_sample(i, &ga1, g.side, g.side);
+            // Nothing reads the gradient with respect to the image.
+            self.conv1.backward_sample_weights(i, &ga1, g.side, g.side);
         }
     }
 

@@ -1,7 +1,7 @@
 //! A single 2-D convolution layer applied per sample.
 
 use crate::params::{HasParams, ParamBlock};
-use taco_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dSpec};
+use taco_tensor::conv::{conv2d_forward, conv2d_input_grad, conv2d_weight_grad, Conv2dSpec};
 use taco_tensor::{Prng, Tensor};
 
 /// One convolutional layer (weights `[out_ch, in_ch·k·k]`) applied to
@@ -10,7 +10,9 @@ use taco_tensor::{Prng, Tensor};
 ///
 /// The owning model drives the per-sample loop: call
 /// [`ConvLayer::begin_batch`], then `forward_sample` for each sample in
-/// order, then `backward_sample` with matching indices.
+/// order, then `backward_sample` with matching indices — or, for a
+/// first layer, `backward_sample_weights`, which skips the input
+/// gradient.
 #[derive(Debug, Clone)]
 pub struct ConvLayer {
     weight: ParamBlock,
@@ -74,12 +76,30 @@ impl ConvLayer {
         h: usize,
         w: usize,
     ) -> Vec<f32> {
+        let g = self.weight_grad(idx, grad_out, h, w);
+        conv2d_input_grad(&g, h, w, &self.weight.value, &self.spec)
+    }
+
+    /// Weights-only backward pass for forward sample `idx`: accumulates
+    /// the same weight/bias gradients as [`ConvLayer::backward_sample`]
+    /// but computes no input gradient. A model's first layer calls it,
+    /// since nothing reads the gradient with respect to the data.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` was not forwarded this batch.
+    pub fn backward_sample_weights(&mut self, idx: usize, grad_out: &[f32], h: usize, w: usize) {
+        self.weight_grad(idx, grad_out, h, w);
+    }
+
+    /// Consumes sample `idx`'s patch matrix, accumulates the weight/bias
+    /// gradients and returns the repacked output gradient.
+    fn weight_grad(&mut self, idx: usize, grad_out: &[f32], h: usize, w: usize) -> Tensor {
         let cols = std::mem::take(&mut self.cols[idx]);
-        conv2d_backward(
+        conv2d_weight_grad(
             grad_out,
             h,
             w,
-            &self.weight.value,
             &cols,
             &self.spec,
             &mut self.weight.grad,
@@ -119,5 +139,42 @@ mod tests {
         let gin = layer.backward_sample(0, &vec![1.0; y.len()], 4, 4);
         assert_eq!(gin.len(), x.len());
         assert!(flatten_grads(&mut layer).iter().any(|&g| g != 0.0));
+    }
+
+    #[test]
+    fn weights_only_backward_matches_the_full_backward_bitwise() {
+        let mut rng = Prng::seed_from_u64(2);
+        let spec = Conv2dSpec {
+            in_channels: 3,
+            out_channels: 4,
+            kernel: 3,
+            stride: 2,
+            padding: 1,
+        };
+        let (h, w) = (9, 7);
+        let mut full = ConvLayer::new(spec, &mut rng);
+        let mut weights_only = full.clone();
+        let xs: Vec<Vec<f32>> = (0..2)
+            .map(|_| Tensor::randn([3 * h * w], 1.0, &mut rng).data().to_vec())
+            .collect();
+        let (oh, ow) = spec.output_hw(h, w);
+        let gs: Vec<Vec<f32>> = (0..2)
+            .map(|_| Tensor::randn([4 * oh * ow], 1.0, &mut rng).data().to_vec())
+            .collect();
+        for layer in [&mut full, &mut weights_only] {
+            layer.begin_batch();
+            for x in &xs {
+                layer.forward_sample(x, h, w);
+            }
+        }
+        for (i, g) in gs.iter().enumerate() {
+            assert_eq!(full.backward_sample(i, g, h, w).len(), 3 * h * w);
+            weights_only.backward_sample_weights(i, g, h, w);
+        }
+        let want = flatten_grads(&mut full);
+        let got = flatten_grads(&mut weights_only);
+        assert!(want.iter().any(|&g| g != 0.0));
+        let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 }

@@ -7,7 +7,9 @@ use taco_tensor::{linalg, Prng, Tensor};
 ///
 /// Weights are `[out, in]`, inputs `[batch, in]`, outputs
 /// `[batch, out]`. The forward pass caches the input for the backward
-/// pass; gradients accumulate into the layer's [`ParamBlock`]s.
+/// pass; gradients accumulate into the layer's [`ParamBlock`]s. A first
+/// layer calls [`Dense::backward_weights`], which skips the input
+/// gradient.
 #[derive(Debug, Clone)]
 pub struct Dense {
     weight: ParamBlock,
@@ -74,12 +76,26 @@ impl Dense {
     ///
     /// Panics if called before [`Dense::forward`].
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_weights(grad_out);
+        // dX = g · W.
+        linalg::matmul(grad_out, &self.weight.value)
+    }
+
+    /// Weights-only backward pass: accumulates the same weight/bias
+    /// gradients as [`Dense::backward`] but computes no input gradient.
+    /// A model's first layer calls it, since nothing reads the gradient
+    /// with respect to the data.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`Dense::forward`].
+    pub fn backward_weights(&mut self, grad_out: &Tensor) {
         let x = self
             .cached_input
             .as_ref()
             // taco-check: allow(unwrap, documented `# Panics` contract — backward before forward is a caller bug the message names)
             .expect("Dense::backward called before forward");
-        // dW = gᵀ · x, dB = column sums of g, dX = g · W.
+        // dW = gᵀ · x, dB = column sums of g.
         let dw = linalg::matmul_tn(grad_out, x);
         self.weight.grad += &dw;
         let (b, out) = (grad_out.dims()[0], self.out_features());
@@ -90,7 +106,6 @@ impl Dense {
             }
             self.bias.grad.data_mut()[j] += s;
         }
-        linalg::matmul(grad_out, &self.weight.value)
     }
 }
 
@@ -177,6 +192,26 @@ mod tests {
         for (a, b) in once.iter().zip(&twice) {
             assert!((2.0 * a - b).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn weights_only_backward_matches_the_full_backward_bitwise() {
+        let mut rng = Prng::seed_from_u64(5);
+        let mut full = Dense::new(7, 5, &mut rng);
+        let mut weights_only = full.clone();
+        for _ in 0..2 {
+            let x = Tensor::randn([3, 7], 1.0, &mut rng);
+            let g = Tensor::randn([3, 5], 1.0, &mut rng);
+            full.forward(&x);
+            assert_eq!(full.backward(&g).dims(), &[3, 7]);
+            weights_only.forward(&x);
+            weights_only.backward_weights(&g);
+        }
+        let want = flatten_grads(&mut full);
+        let got = flatten_grads(&mut weights_only);
+        assert!(want.iter().any(|&g| g != 0.0));
+        let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -73,11 +73,18 @@ impl Mlp {
 
     fn backward(&mut self, grad_logits: &Tensor) {
         let n = self.layers.len();
+        if n == 1 {
+            self.layers[0].backward_weights(grad_logits);
+            return;
+        }
         let mut g = self.layers[n - 1].backward(grad_logits);
-        for i in (0..n - 1).rev() {
+        for i in (1..n - 1).rev() {
             g = self.relus[i].backward(&g);
             g = self.layers[i].backward(&g);
         }
+        // Nothing reads the gradient with respect to the features.
+        g = self.relus[0].backward(&g);
+        self.layers[0].backward_weights(&g);
     }
 }
 

@@ -297,7 +297,9 @@ impl TinyResNet {
                 }
             }
             self.stem_gn.backward_sample(i, &mut g);
-            let _ = self.stem.backward_sample(i, &g, self.side, self.side);
+            // Nothing reads the gradient with respect to the image.
+            self.stem
+                .backward_sample_weights(i, &g, self.side, self.side);
         }
     }
 }

@@ -9,13 +9,30 @@
 //! width]` (NCHW) flattened row-major; kernels are `[out_ch, in_ch,
 //! kh, kw]`.
 //!
+//! `im2col` and `col2im` have one body generic over the kernel width
+//! `K`, instantiated for the widths the models use (5 for `PaperCnn`,
+//! 3 and 1 for `TinyResNet`). A window row that lies wholly inside the
+//! input moves `K` contiguous floats at once, a fixed-size copy (or
+//! add) with no per-element bounds checks; a border row keeps them.
+//! Any other width runs the runtime-width loop, which also stays as
+//! the differential-testing reference ([`im2col_naive`],
+//! [`col2im_naive`]). Both bodies visit windows in the same order, so
+//! `col2im` adds each pixel's contributions in the same ascending
+//! `(oy, ox)` order and its f32 sums are unchanged.
+//!
+//! The backward convolution is split in two: [`conv2d_weight_grad`]
+//! (weight and bias gradients) and [`conv2d_input_grad`] (`g · W`,
+//! then `col2im`). A first layer runs only the first half, since
+//! nothing reads the gradient with respect to the data.
+//!
 //! The patch-matrix and pooling loops here run on the worker pool
 //! ([`crate::pool`]) when the problem is large enough: `im2col` is
 //! split over output-row blocks and `col2im` / max-pooling over
 //! channels — partitions whose writes are disjoint and whose
 //! per-element accumulation order matches the sequential loops, so
-//! results are bit-identical at any thread count. Each kernel reports
-//! `kernel.*` time/call/element metrics via `taco-trace`.
+//! results are bit-identical at any thread count. The fixed-width
+//! bodies keep these partitions. Each kernel reports `kernel.*`
+//! time/call/element metrics via `taco-trace`.
 
 use crate::ktrace;
 use crate::linalg;
@@ -67,7 +84,7 @@ impl Conv2dSpec {
         match (oh, ow) {
             (Some(oh), Some(ow)) if oh > 0 && ow > 0 => (oh, ow),
             _ => panic!(
-                "conv window {}x{} stride {} pad {} does not fit input {h}x{w}",
+                "window {}x{} stride {} pad {} does not fit input {h}x{w}",
                 self.kernel, self.kernel, self.stride, self.padding
             ),
         }
@@ -77,7 +94,9 @@ impl Conv2dSpec {
 /// Unrolls input patches into a `[oh*ow, in_ch*k*k]` matrix for one
 /// image of shape `[in_ch, h, w]` (flattened).
 ///
-/// Out-of-bounds (padding) positions contribute zeros.
+/// Out-of-bounds (padding) positions contribute zeros. Kernel widths
+/// 1, 3 and 5 run the fixed-width body; any other width runs the
+/// runtime-width loop of [`im2col_naive`]. Both are pure copies.
 pub fn im2col(input: &[f32], h: usize, w: usize, spec: &Conv2dSpec) -> Tensor {
     let (oh, ow) = spec.output_hw(h, w);
     let k = spec.kernel;
@@ -97,36 +116,116 @@ pub fn im2col(input: &[f32], h: usize, w: usize, spec: &Conv2dSpec) -> Tensor {
     };
     pool::for_each_chunk(&mut out, rows_per_chunk * row_elems, |ci, chunk| {
         let oy0 = ci * rows_per_chunk;
-        let oys = chunk.len() / row_elems;
-        for dy in 0..oys {
-            let oy = oy0 + dy;
-            for ox in 0..ow {
-                let base = (dy * ow + ox) * cols;
-                for c in 0..spec.in_channels {
-                    for ky in 0..k {
-                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let src = c * h * w + iy as usize * w + ix as usize;
-                            let dst = base + c * k * k + ky * k + kx;
-                            chunk[dst] = input[src];
-                        }
-                    }
-                }
-            }
+        match k {
+            1 => im2col_rows::<1>(input, h, w, ow, spec, oy0, chunk),
+            3 => im2col_rows::<3>(input, h, w, ow, spec, oy0, chunk),
+            5 => im2col_rows::<5>(input, h, w, ow, spec, oy0, chunk),
+            _ => im2col_rows_any(input, h, w, ow, spec, oy0, chunk),
         }
     });
     Tensor::from_vec(out, &[oh * ow, cols][..])
 }
 
+/// The runtime-width `im2col` loop over the whole output, kept as the
+/// differential-testing reference for the fixed-width bodies.
+/// Single-threaded and untraced.
+pub fn im2col_naive(input: &[f32], h: usize, w: usize, spec: &Conv2dSpec) -> Tensor {
+    let (oh, ow) = spec.output_hw(h, w);
+    let cols = spec.in_channels * spec.kernel * spec.kernel;
+    let mut out = vec![0.0f32; oh * ow * cols];
+    im2col_rows_any(input, h, w, ow, spec, 0, &mut out);
+    Tensor::from_vec(out, &[oh * ow, cols][..])
+}
+
+/// Fills the patch-matrix rows of output rows `oy0..` held in `chunk`
+/// (a whole number of `ow * cols` rows), for any kernel width.
+fn im2col_rows_any(
+    input: &[f32],
+    h: usize,
+    w: usize,
+    ow: usize,
+    spec: &Conv2dSpec,
+    oy0: usize,
+    chunk: &mut [f32],
+) {
+    let k = spec.kernel;
+    let cols = spec.in_channels * k * k;
+    let oys = chunk.len() / (ow * cols);
+    for dy in 0..oys {
+        let oy = oy0 + dy;
+        for ox in 0..ow {
+            let base = (dy * ow + ox) * cols;
+            for c in 0..spec.in_channels {
+                for ky in 0..k {
+                    let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                    if iy < 0 || iy >= h as isize {
+                        continue;
+                    }
+                    for kx in 0..k {
+                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                        if ix < 0 || ix >= w as isize {
+                            continue;
+                        }
+                        let src = c * h * w + iy as usize * w + ix as usize;
+                        let dst = base + c * k * k + ky * k + kx;
+                        chunk[dst] = input[src];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`im2col_rows_any`] for kernel width `K`: a window row that lies
+/// wholly inside the input row is one fixed-size `K`-float move; a
+/// border row keeps the per-element bounds checks.
+fn im2col_rows<const K: usize>(
+    input: &[f32],
+    h: usize,
+    w: usize,
+    ow: usize,
+    spec: &Conv2dSpec,
+    oy0: usize,
+    chunk: &mut [f32],
+) {
+    let cols = spec.in_channels * K * K;
+    let pad = spec.padding as isize;
+    for (dy, rows) in chunk.chunks_exact_mut(ow * cols).enumerate() {
+        let oy = oy0 + dy;
+        for (ox, patch) in rows.chunks_exact_mut(cols).enumerate() {
+            let ix0 = (ox * spec.stride) as isize - pad;
+            let inside = ix0 >= 0 && ix0 as usize + K <= w;
+            for (c, pc) in patch.chunks_exact_mut(K * K).enumerate() {
+                let plane = &input[c * h * w..(c + 1) * h * w];
+                for (ky, dst) in pc.chunks_exact_mut(K).enumerate() {
+                    let iy = (oy * spec.stride + ky) as isize - pad;
+                    if iy < 0 || iy >= h as isize {
+                        continue;
+                    }
+                    let src = &plane[iy as usize * w..(iy as usize + 1) * w];
+                    if inside {
+                        let x0 = ix0 as usize;
+                        dst.copy_from_slice(&src[x0..x0 + K]);
+                    } else {
+                        for (kx, d) in dst.iter_mut().enumerate() {
+                            let ix = ix0 + kx as isize;
+                            if ix >= 0 && ix < w as isize {
+                                *d = src[ix as usize];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Scatters a `[oh*ow, in_ch*k*k]` column matrix back into an image
 /// gradient of shape `[in_ch, h, w]` (the adjoint of [`im2col`]).
+///
+/// Kernel widths 1, 3 and 5 run the fixed-width body; any other width
+/// runs the runtime-width loop of [`col2im_naive`]. Both add each
+/// pixel's contributions in ascending `(oy, ox)` order.
 pub fn col2im(cols_t: &Tensor, h: usize, w: usize, spec: &Conv2dSpec) -> Vec<f32> {
     let (oh, ow) = spec.output_hw(h, w);
     let k = spec.kernel;
@@ -141,8 +240,8 @@ pub fn col2im(cols_t: &Tensor, h: usize, w: usize, spec: &Conv2dSpec) -> Vec<f32
     let chw = h * w;
     // Scatter is parallel over channels: every destination belongs to
     // exactly one channel, and within a channel the (oy, ox, ky, kx)
-    // accumulation order below is the same as the sequential loop's, so
-    // the f32 sums are bit-identical.
+    // accumulation order is the same as the sequential loop's, so the
+    // f32 sums are bit-identical.
     let chunk_len = if oh * ow * cols < MIN_PAR_ELEMS || pool::threads() <= 1 {
         out.len()
     } else {
@@ -150,32 +249,123 @@ pub fn col2im(cols_t: &Tensor, h: usize, w: usize, spec: &Conv2dSpec) -> Vec<f32
     };
     pool::for_each_chunk(&mut out, chunk_len, |ci, chunk| {
         let c0 = ci * chunk_len / chw;
-        let nch = chunk.len() / chw;
-        for dc in 0..nch {
-            let c = c0 + dc;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let base = (oy * ow + ox) * cols;
-                    for ky in 0..k {
-                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                        if iy < 0 || iy >= h as isize {
+        match k {
+            1 => col2im_planes::<1>(data, h, w, oh, ow, spec, c0, chunk),
+            3 => col2im_planes::<3>(data, h, w, oh, ow, spec, c0, chunk),
+            5 => col2im_planes::<5>(data, h, w, oh, ow, spec, c0, chunk),
+            _ => col2im_planes_any(data, h, w, oh, ow, spec, c0, chunk),
+        }
+    });
+    out
+}
+
+/// The runtime-width `col2im` loop over every channel, kept as the
+/// differential-testing reference for the fixed-width bodies.
+/// Single-threaded and untraced.
+///
+/// # Panics
+///
+/// Panics if `cols_t` is not `[oh*ow, in_ch*k*k]`.
+pub fn col2im_naive(cols_t: &Tensor, h: usize, w: usize, spec: &Conv2dSpec) -> Vec<f32> {
+    let (oh, ow) = spec.output_hw(h, w);
+    let cols = spec.in_channels * spec.kernel * spec.kernel;
+    assert_eq!(cols_t.dims(), &[oh * ow, cols], "col2im shape mismatch");
+    let mut out = vec![0.0f32; spec.in_channels * h * w];
+    col2im_planes_any(cols_t.data(), h, w, oh, ow, spec, 0, &mut out);
+    out
+}
+
+/// Accumulates the image-gradient planes of channels `c0..` held in
+/// `chunk` (a whole number of `h * w` planes), for any kernel width.
+#[allow(clippy::too_many_arguments)]
+fn col2im_planes_any(
+    data: &[f32],
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    spec: &Conv2dSpec,
+    c0: usize,
+    chunk: &mut [f32],
+) {
+    let k = spec.kernel;
+    let cols = spec.in_channels * k * k;
+    let chw = h * w;
+    let nch = chunk.len() / chw;
+    for dc in 0..nch {
+        let c = c0 + dc;
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let base = (oy * ow + ox) * cols;
+                for ky in 0..k {
+                    let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                    if iy < 0 || iy >= h as isize {
+                        continue;
+                    }
+                    for kx in 0..k {
+                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                        if ix < 0 || ix >= w as isize {
                             continue;
                         }
-                        for kx in 0..k {
-                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
+                        let dst = dc * chw + iy as usize * w + ix as usize;
+                        let src = base + c * k * k + ky * k + kx;
+                        chunk[dst] += data[src];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`col2im_planes_any`] for kernel width `K`: a window row that lies
+/// wholly inside the input row adds `K` contiguous floats at once; a
+/// border row keeps the per-element bounds checks. The loop order, and
+/// so every pixel's `(oy, ox)` accumulation order, is unchanged.
+#[allow(clippy::too_many_arguments)]
+fn col2im_planes<const K: usize>(
+    data: &[f32],
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    spec: &Conv2dSpec,
+    c0: usize,
+    chunk: &mut [f32],
+) {
+    let kk = K * K;
+    let cols = spec.in_channels * kk;
+    let pad = spec.padding as isize;
+    for (dc, plane) in chunk.chunks_exact_mut(h * w).enumerate() {
+        let c = c0 + dc;
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let base = (oy * ow + ox) * cols + c * kk;
+                let patch = &data[base..base + kk];
+                let ix0 = (ox * spec.stride) as isize - pad;
+                let inside = ix0 >= 0 && ix0 as usize + K <= w;
+                for (ky, src) in patch.chunks_exact(K).enumerate() {
+                    let iy = (oy * spec.stride + ky) as isize - pad;
+                    if iy < 0 || iy >= h as isize {
+                        continue;
+                    }
+                    let dst = &mut plane[iy as usize * w..(iy as usize + 1) * w];
+                    if inside {
+                        let x0 = ix0 as usize;
+                        for (d, s) in dst[x0..x0 + K].iter_mut().zip(src) {
+                            *d += s;
+                        }
+                    } else {
+                        for (kx, s) in src.iter().enumerate() {
+                            let ix = ix0 + kx as isize;
+                            if ix >= 0 && ix < w as isize {
+                                dst[ix as usize] += s;
                             }
-                            let dst = dc * chw + iy as usize * w + ix as usize;
-                            let src = base + c * k * k + ky * k + kx;
-                            chunk[dst] += data[src];
                         }
                     }
                 }
             }
         }
-    });
-    out
+    }
 }
 
 /// Forward 2-D convolution for one image.
@@ -206,12 +396,14 @@ pub fn conv2d_forward(
     (out, cols)
 }
 
-/// Backward 2-D convolution for one image.
+/// Backward 2-D convolution for one image: [`conv2d_weight_grad`]
+/// then [`conv2d_input_grad`].
 ///
 /// `grad_out` is `[out_ch, oh, ow]` flattened, `cols` is the `im2col`
 /// matrix saved by [`conv2d_forward`]. Accumulates into `grad_weight`
 /// (`[out_ch, in_ch*k*k]`) and `grad_bias`, and returns the input
-/// gradient `[in_ch, h, w]` flattened.
+/// gradient `[in_ch, h, w]` flattened. A first layer, whose input
+/// gradient nothing reads, calls only [`conv2d_weight_grad`].
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_backward(
     grad_out: &[f32],
@@ -223,6 +415,25 @@ pub fn conv2d_backward(
     grad_weight: &mut Tensor,
     grad_bias: &mut [f32],
 ) -> Vec<f32> {
+    let g = conv2d_weight_grad(grad_out, h, w, cols, spec, grad_weight, grad_bias);
+    conv2d_input_grad(&g, h, w, weight, spec)
+}
+
+/// Weight and bias half of the backward convolution: accumulates
+/// `dW = gᵀ · cols` into `grad_weight` and the per-channel sums of
+/// `grad_out` into `grad_bias`.
+///
+/// Returns `grad_out` repacked position-major as `[oh*ow, out_ch]`,
+/// the form [`conv2d_input_grad`] takes.
+pub fn conv2d_weight_grad(
+    grad_out: &[f32],
+    h: usize,
+    w: usize,
+    cols: &Tensor,
+    spec: &Conv2dSpec,
+    grad_weight: &mut Tensor,
+    grad_bias: &mut [f32],
+) -> Tensor {
     let (oh, ow) = spec.output_hw(h, w);
     // Repack grad_out to [oh*ow, out_ch].
     let mut g = vec![0.0f32; oh * ow * spec.out_channels];
@@ -242,8 +453,21 @@ pub fn conv2d_backward(
         }
         *gb += s;
     }
+    g
+}
+
+/// Input half of the backward convolution: `dcols = g · W`, scattered
+/// back by [`col2im`] into the input gradient `[in_ch, h, w]`. `g` is
+/// the repacked output gradient [`conv2d_weight_grad`] returns.
+pub fn conv2d_input_grad(
+    g: &Tensor,
+    h: usize,
+    w: usize,
+    weight: &Tensor,
+    spec: &Conv2dSpec,
+) -> Vec<f32> {
     // dcols = g · W -> [oh*ow, in_ch*k*k]
-    let dcols = linalg::matmul(&g, weight);
+    let dcols = linalg::matmul(g, weight);
     col2im(&dcols, h, w, spec)
 }
 
@@ -251,6 +475,11 @@ pub fn conv2d_backward(
 ///
 /// Returns the pooled output `[ch, oh, ow]` and the flat argmax indices
 /// used by [`maxpool2d_backward`].
+///
+/// # Panics
+///
+/// Panics if `window` or `stride` is zero, or if the window does not
+/// fit the `h × w` input.
 pub fn maxpool2d_forward(
     input: &[f32],
     channels: usize,
@@ -263,8 +492,14 @@ pub fn maxpool2d_forward(
         window > 0 && stride > 0,
         "pool window/stride must be positive"
     );
-    let oh = (h - window) / stride + 1;
-    let ow = (w - window) / stride + 1;
+    let (oh, ow) = Conv2dSpec {
+        in_channels: channels,
+        out_channels: channels,
+        kernel: window,
+        stride,
+        padding: 0,
+    }
+    .output_hw(h, w);
     let plane = oh * ow;
     let mut out = vec![0.0f32; channels * plane];
     let mut arg = vec![0usize; channels * plane];
@@ -601,6 +836,39 @@ mod tests {
         assert_eq!(arg, vec![5, 7, 8, 10]);
         assert_eq!(grad[8], 3.0);
         assert_eq!(grad[10], 4.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn maxpool_window_taller_than_the_input_panics() {
+        // A 1x4 input under a 2x2 window, stride 1.
+        let _ = maxpool2d_forward(&[1.0; 4], 1, 1, 4, 2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn maxpool_window_taller_than_the_input_panics_at_stride_two() {
+        // A 1x3 input under a 2x2 window, stride 2.
+        let _ = maxpool2d_forward(&[1.0; 3], 1, 1, 3, 2, 2);
+    }
+
+    #[test]
+    fn maxpool_pooled_branch_matches_the_caller_loop() {
+        // 2 channels of 20x20 under an 8x8 window, stride 1: a 13x13
+        // plane, so channels * plane * window^2 = 21,632 reaches
+        // MIN_PAR_ELEMS and a 2-thread pool writes through `SendPtr`.
+        let mut rng = Prng::seed_from_u64(40);
+        let (channels, side, window) = (2, 20, 8);
+        assert!(channels * 13 * 13 * window * window >= MIN_PAR_ELEMS);
+        let input = Tensor::randn(&[channels * side * side][..], 1.0, &mut rng);
+        let run = |threads| {
+            pool::with_pool(&pool::Pool::new(threads), || {
+                maxpool2d_forward(input.data(), channels, side, side, window, 1)
+            })
+        };
+        let (out, arg) = run(2);
+        assert_eq!(out.len(), channels * 13 * 13);
+        assert_eq!((out, arg), run(1));
     }
 
     #[test]

@@ -308,6 +308,84 @@ fn parallel_chunking_is_bit_identical_on_uneven_tails() {
     }
 }
 
+/// `im2col` / `col2im` (fixed-width bodies for k = 1, 3, 5, the
+/// runtime-width loop otherwise) vs the frozen runtime-width loops,
+/// exact to the bit on 1 and 4 pool threads. The grid covers every
+/// k in 1..=7 × stride 1..=3 × padding 0..=2 on a non-square input
+/// with 1–9 channels, plus shapes past `MIN_PAR_ELEMS` (16,384 moved
+/// elements), where the pool splits `im2col` into row blocks and
+/// `col2im` into channels.
+#[test]
+fn patch_kernels_match_the_runtime_width_loops_bitwise() {
+    let one = Pool::new(1);
+    let four = Pool::new(4);
+    let mut cases = Vec::new();
+    for kernel in 1..=7 {
+        for stride in 1..=3 {
+            for padding in 0..=2 {
+                let mut rng = Prng::seed_from_u64((kernel * 100 + stride * 10 + padding) as u64);
+                let channels = 1 + rng.below(9);
+                let h = kernel + rng.below(9);
+                let w = h + 1 + rng.below(6);
+                cases.push((channels, h, w, kernel, stride, padding));
+            }
+        }
+    }
+    // Past the parallel threshold: the CNN's 5×5 shapes at a larger
+    // side, the ResNet's 3×3 and 1×1 shapes, and a fallback width.
+    let big = [
+        (3, 30, 26, 5, 1, 2),
+        (8, 21, 17, 5, 1, 0),
+        (9, 24, 20, 3, 1, 1),
+        (8, 33, 29, 3, 2, 1),
+        (9, 44, 42, 1, 1, 0),
+        (9, 91, 85, 1, 2, 0),
+        (2, 25, 31, 7, 1, 0),
+    ];
+    for &(channels, h, w, kernel, stride, padding) in &big {
+        let (oh, ow) = conv::Conv2dSpec {
+            in_channels: channels,
+            out_channels: 1,
+            kernel,
+            stride,
+            padding,
+        }
+        .output_hw(h, w);
+        assert!(oh * ow * channels * kernel * kernel >= 1 << 14);
+    }
+    cases.extend(big);
+    for (case, &(channels, h, w, kernel, stride, padding)) in cases.iter().enumerate() {
+        let spec = conv::Conv2dSpec {
+            in_channels: channels,
+            out_channels: 1,
+            kernel,
+            stride,
+            padding,
+        };
+        let mut rng = Prng::seed_from_u64(0xC0_17 ^ case as u64);
+        let x = ragged(1, channels * h * w, &mut rng);
+        let want_cols = conv::im2col_naive(x.data(), h, w, &spec);
+        let y = ragged(want_cols.dims()[0], want_cols.dims()[1], &mut rng);
+        let want_img = conv::col2im_naive(&y, h, w, &spec);
+        let what = format!("{channels}x{h}x{w} k{kernel} s{stride} p{padding}");
+        for (pool, label) in [(&one, "1t"), (&four, "4t")] {
+            pool::with_pool(pool, || {
+                let cols = conv::im2col(x.data(), h, w, &spec);
+                assert_bits(&cols, &want_cols, &format!("im2col {what} {label}"));
+                let img = conv::col2im(&y, h, w, &spec);
+                assert_eq!(img.len(), want_img.len(), "col2im {what}: length");
+                for (i, (g, e)) in img.iter().zip(&want_img).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        e.to_bits(),
+                        "col2im {what} {label}: element {i} differs ({g} vs {e})"
+                    );
+                }
+            });
+        }
+    }
+}
+
 // --- TACO_THREADS determinism across processes --------------------
 
 /// Hashes every kernel output (matmul family + conv/pool paths) for a
