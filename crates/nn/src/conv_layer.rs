@@ -63,8 +63,9 @@ impl ConvLayer {
     }
 
     /// Backward pass for forward sample `idx`; accumulates weight/bias
-    /// gradients and returns the input gradient. Each index may be used
-    /// once per batch (the cached patch matrix is consumed).
+    /// gradients ([`conv2d_weight_grad`]) and returns the input gradient
+    /// ([`conv2d_input_grad`]). Each index may be used once per batch
+    /// (the cached patch matrix is consumed).
     ///
     /// # Panics
     ///
@@ -82,7 +83,7 @@ impl ConvLayer {
 
     /// Weights-only backward pass for forward sample `idx`: accumulates
     /// the same weight/bias gradients as [`ConvLayer::backward_sample`]
-    /// but computes no input gradient. A model's first layer calls it,
+    /// but skips [`conv2d_input_grad`]. A model's first layer calls it,
     /// since nothing reads the gradient with respect to the data.
     ///
     /// # Panics

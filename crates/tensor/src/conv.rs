@@ -10,8 +10,8 @@
 //! kh, kw]`.
 //!
 //! `im2col` and `col2im` have one body generic over the kernel width
-//! `K`, instantiated for the widths the models use (5 for `PaperCnn`,
-//! 3 and 1 for `TinyResNet`). A window row that lies wholly inside the
+//! `K`, instantiated for `PaperCnn`'s width 5, the only width whose
+//! gain has been measured. A window row that lies wholly inside the
 //! input moves `K` contiguous floats at once, a fixed-size copy (or
 //! add) with no per-element bounds checks; a border row keeps them.
 //! Any other width runs the runtime-width loop, which also stays as
@@ -94,8 +94,8 @@ impl Conv2dSpec {
 /// Unrolls input patches into a `[oh*ow, in_ch*k*k]` matrix for one
 /// image of shape `[in_ch, h, w]` (flattened).
 ///
-/// Out-of-bounds (padding) positions contribute zeros. Kernel widths
-/// 1, 3 and 5 run the fixed-width body; any other width runs the
+/// Out-of-bounds (padding) positions contribute zeros. Kernel width
+/// 5 runs the fixed-width body; any other width runs the
 /// runtime-width loop of [`im2col_naive`]. Both are pure copies.
 pub fn im2col(input: &[f32], h: usize, w: usize, spec: &Conv2dSpec) -> Tensor {
     let (oh, ow) = spec.output_hw(h, w);
@@ -117,8 +117,6 @@ pub fn im2col(input: &[f32], h: usize, w: usize, spec: &Conv2dSpec) -> Tensor {
     pool::for_each_chunk(&mut out, rows_per_chunk * row_elems, |ci, chunk| {
         let oy0 = ci * rows_per_chunk;
         match k {
-            1 => im2col_rows::<1>(input, h, w, ow, spec, oy0, chunk),
-            3 => im2col_rows::<3>(input, h, w, ow, spec, oy0, chunk),
             5 => im2col_rows::<5>(input, h, w, ow, spec, oy0, chunk),
             _ => im2col_rows_any(input, h, w, ow, spec, oy0, chunk),
         }
@@ -223,7 +221,7 @@ fn im2col_rows<const K: usize>(
 /// Scatters a `[oh*ow, in_ch*k*k]` column matrix back into an image
 /// gradient of shape `[in_ch, h, w]` (the adjoint of [`im2col`]).
 ///
-/// Kernel widths 1, 3 and 5 run the fixed-width body; any other width
+/// Kernel width 5 runs the fixed-width body; any other width
 /// runs the runtime-width loop of [`col2im_naive`]. Both add each
 /// pixel's contributions in ascending `(oy, ox)` order.
 pub fn col2im(cols_t: &Tensor, h: usize, w: usize, spec: &Conv2dSpec) -> Vec<f32> {
@@ -250,8 +248,6 @@ pub fn col2im(cols_t: &Tensor, h: usize, w: usize, spec: &Conv2dSpec) -> Vec<f32
     pool::for_each_chunk(&mut out, chunk_len, |ci, chunk| {
         let c0 = ci * chunk_len / chw;
         match k {
-            1 => col2im_planes::<1>(data, h, w, oh, ow, spec, c0, chunk),
-            3 => col2im_planes::<3>(data, h, w, oh, ow, spec, c0, chunk),
             5 => col2im_planes::<5>(data, h, w, oh, ow, spec, c0, chunk),
             _ => col2im_planes_any(data, h, w, oh, ow, spec, c0, chunk),
         }
@@ -394,29 +390,6 @@ pub fn conv2d_forward(
         }
     }
     (out, cols)
-}
-
-/// Backward 2-D convolution for one image: [`conv2d_weight_grad`]
-/// then [`conv2d_input_grad`].
-///
-/// `grad_out` is `[out_ch, oh, ow]` flattened, `cols` is the `im2col`
-/// matrix saved by [`conv2d_forward`]. Accumulates into `grad_weight`
-/// (`[out_ch, in_ch*k*k]`) and `grad_bias`, and returns the input
-/// gradient `[in_ch, h, w]` flattened. A first layer, whose input
-/// gradient nothing reads, calls only [`conv2d_weight_grad`].
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_backward(
-    grad_out: &[f32],
-    h: usize,
-    w: usize,
-    weight: &Tensor,
-    cols: &Tensor,
-    spec: &Conv2dSpec,
-    grad_weight: &mut Tensor,
-    grad_bias: &mut [f32],
-) -> Vec<f32> {
-    let g = conv2d_weight_grad(grad_out, h, w, cols, spec, grad_weight, grad_bias);
-    conv2d_input_grad(&g, h, w, weight, spec)
 }
 
 /// Weight and bias half of the backward convolution: accumulates
@@ -747,7 +720,8 @@ mod tests {
         let grad_out = vec![1.0f32; out.len()];
         let mut gw = Tensor::zeros(weight.shape().clone());
         let mut gb = vec![0.0f32; 2];
-        let gin = conv2d_backward(&grad_out, h, w, &weight, &cols, &s, &mut gw, &mut gb);
+        let g = conv2d_weight_grad(&grad_out, h, w, &cols, &s, &mut gw, &mut gb);
+        let gin = conv2d_input_grad(&g, h, w, &weight, &s);
 
         let eps = 1e-2f32;
         // Check a few input coordinates.

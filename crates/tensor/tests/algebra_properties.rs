@@ -308,7 +308,7 @@ fn parallel_chunking_is_bit_identical_on_uneven_tails() {
     }
 }
 
-/// `im2col` / `col2im` (fixed-width bodies for k = 1, 3, 5, the
+/// `im2col` / `col2im` (the fixed-width body for k = 5, the
 /// runtime-width loop otherwise) vs the frozen runtime-width loops,
 /// exact to the bit on 1 and 4 pool threads. The grid covers every
 /// k in 1..=7 × stride 1..=3 × padding 0..=2 on a non-square input
@@ -332,7 +332,8 @@ fn patch_kernels_match_the_runtime_width_loops_bitwise() {
         }
     }
     // Past the parallel threshold: the CNN's 5×5 shapes at a larger
-    // side, the ResNet's 3×3 and 1×1 shapes, and a fallback width.
+    // side, and the ResNet's 3×3 and 1×1 shapes and a width of 7 on
+    // the pooled runtime-width path.
     let big = [
         (3, 30, 26, 5, 1, 2),
         (8, 21, 17, 5, 1, 0),
@@ -421,7 +422,8 @@ fn kernel_digest() -> u64 {
     let (out, cols) = conv::conv2d_forward(img.data(), 24, 24, &weight, &[0.0; 8], &spec);
     let mut gw = Tensor::zeros(&[8, 3 * 9][..]);
     let mut gb = [0.0f32; 8];
-    let gin = conv::conv2d_backward(&out, 24, 24, &weight, &cols, &spec, &mut gw, &mut gb);
+    let g = conv::conv2d_weight_grad(&out, 24, 24, &cols, &spec, &mut gw, &mut gb);
+    let gin = conv::conv2d_input_grad(&g, 24, 24, &weight, &spec);
     let (pooled, arg) = conv::maxpool2d_forward(&out, 8, 24, 24, 2, 2);
     let gpool = conv::maxpool2d_backward(&pooled, &arg, 8, out.len());
     for series in [&out[..], &gin, gw.data(), &pooled, &gpool] {
