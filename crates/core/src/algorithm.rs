@@ -41,7 +41,7 @@ const STATS_GROUP: usize = 4;
 impl UploadStats {
     /// Computes the statistics: the mean is a [`ShardFold`] with unit
     /// weights over `shards` dimension shards; norms and cosines come
-    /// from one pass per group of [`STATS_GROUP`] uploads, one pool
+    /// from one pass per group of `STATS_GROUP` uploads, one pool
     /// task per group. Each upload's two reductions stay whole-vector
     /// ascending folds and no cross-client float fold runs in parallel,
     /// so the result is the same at any `shards` and any pool size.
@@ -120,7 +120,7 @@ pub struct WeightedCombine {
 const PARALLEL_DIM_FLOOR: usize = 16_384;
 
 /// The shard count the server folds a `dim`-parameter model with: one
-/// below [`PARALLEL_DIM_FLOOR`], otherwise the pool's
+/// below `PARALLEL_DIM_FLOOR`, otherwise the pool's
 /// [`pool::effective_parallelism`]. Every count gives the same bits;
 /// this only picks the fastest.
 pub fn fold_shards(dim: usize) -> usize {

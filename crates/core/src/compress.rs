@@ -53,7 +53,7 @@ const CODEC_SALT: u64 = 0xC0DEC;
 
 /// Deterministic per-`(round, client)` RNG for codec rounding draws —
 /// the same derivation as the fault and client training streams,
-/// salted with [`CODEC_SALT`]. Pure in its arguments, so parallel and
+/// salted with `CODEC_SALT`. Pure in its arguments, so parallel and
 /// sequential encodes are bit-identical.
 pub fn codec_stream(seed: u64, round: usize, client: usize) -> Prng {
     let mixed = (seed ^ CODEC_SALT)
@@ -455,8 +455,8 @@ impl Compressor for Uniform8Bit {
         "uniform-8bit"
     }
 
-    /// One fused range scan ([`scan_range`]), one branch-free quantize
-    /// loop ([`q8_level`], vectorised by the compiler), and — only
+    /// One fused range scan (`scan_range`), one branch-free quantize
+    /// loop (`q8_level`, vectorised by the compiler), and — only
     /// when some input is non-finite or the top level's
     /// reconstruction `min + 255·scale` overflows — one escape pass.
     /// The reconstruction is monotone in the level, so the top level

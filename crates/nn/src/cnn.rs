@@ -123,46 +123,61 @@ impl PaperCnn {
     }
 
     /// Runs the convolutional trunk for every sample and returns the
-    /// flattened features `[batch, flat]`, populating per-sample caches.
-    fn forward_trunk(&mut self, batch: &Batch) -> Tensor {
+    /// flattened features `[batch, flat]`. With `train` set it keeps
+    /// what the backward pass reads: each conv's patch matrices and
+    /// each sample's ReLU masks and pool indices. Without it nothing is
+    /// kept, so an evaluation leaves no cache behind.
+    fn forward_trunk(&mut self, batch: &Batch, train: bool) -> Tensor {
         let g = self.image;
         let b = batch.len();
         let flat = g.c2_out * g.p2_side * g.p2_side;
         self.sample_caches.clear();
         self.conv1.begin_batch();
         self.conv2.begin_batch();
+        let conv = |layer: &mut ConvLayer, x: &[f32], side: usize| {
+            if train {
+                layer.forward_sample(x, side, side)
+            } else {
+                layer.infer_sample(x, side, side)
+            }
+        };
+        let relu = |a: &mut [f32]| {
+            let mask = if train {
+                a.iter().map(|&v| v > 0.0).collect()
+            } else {
+                Vec::new()
+            };
+            for v in a.iter_mut() {
+                if *v < 0.0 {
+                    *v = 0.0;
+                }
+            }
+            mask
+        };
         let mut features = Tensor::zeros([b, flat]);
         for i in 0..b {
             let x = batch.sample(i);
-            let mut a1 = self.conv1.forward_sample(x, g.side, g.side);
-            let relu1_mask: Vec<bool> = a1.iter().map(|&v| v > 0.0).collect();
-            for v in &mut a1 {
-                if *v < 0.0 {
-                    *v = 0.0;
-                }
-            }
+            let mut a1 = conv(&mut self.conv1, x, g.side);
+            let relu1_mask = relu(&mut a1);
             let (p1, pool1_arg) = maxpool2d_forward(&a1, g.c1_out, g.c1_side, g.c1_side, 2, 2);
-            let mut a2 = self.conv2.forward_sample(&p1, g.p1_side, g.p1_side);
-            let relu2_mask: Vec<bool> = a2.iter().map(|&v| v > 0.0).collect();
-            for v in &mut a2 {
-                if *v < 0.0 {
-                    *v = 0.0;
-                }
-            }
+            let mut a2 = conv(&mut self.conv2, &p1, g.p1_side);
+            let relu2_mask = relu(&mut a2);
             let (p2, pool2_arg) = maxpool2d_forward(&a2, g.c2_out, g.c2_side, g.c2_side, 2, 2);
             features.row_mut(i).copy_from_slice(&p2);
-            self.sample_caches.push(SampleCache {
-                relu1_mask,
-                pool1_arg,
-                relu2_mask,
-                pool2_arg,
-            });
+            if train {
+                self.sample_caches.push(SampleCache {
+                    relu1_mask,
+                    pool1_arg,
+                    relu2_mask,
+                    pool2_arg,
+                });
+            }
         }
         features
     }
 
-    fn forward_logits(&mut self, batch: &Batch) -> Tensor {
-        let features = self.forward_trunk(batch);
+    fn forward_logits(&mut self, batch: &Batch, train: bool) -> Tensor {
+        let features = self.forward_trunk(batch, train);
         let h1 = self.fc1.forward(&features);
         let h1 = self.relu_fc1.forward(&h1);
         let h2 = self.fc2.forward(&h1);
@@ -244,7 +259,7 @@ impl Model for PaperCnn {
     fn loss_and_grad(&mut self, batch: &Batch) -> (f32, Vec<f32>) {
         params::zero_grads(self);
         let fwd = taco_trace::quiet_span!("nn.forward");
-        let logits = self.forward_logits(batch);
+        let logits = self.forward_logits(batch, true);
         fwd.finish();
         let (loss, grad_logits) = softmax_cross_entropy(&logits, batch.targets());
         let bwd = taco_trace::quiet_span!("nn.backward");
@@ -254,7 +269,7 @@ impl Model for PaperCnn {
     }
 
     fn loss_and_accuracy(&mut self, batch: &Batch) -> (f32, f32) {
-        let logits = self.forward_logits(batch);
+        let logits = self.forward_logits(batch, false);
         let (loss, _) = softmax_cross_entropy(&logits, batch.targets());
         let acc = count_correct(&logits, batch.targets()) as f32 / batch.len() as f32;
         (loss, acc)
@@ -279,7 +294,7 @@ mod tests {
     #[test]
     fn forward_shapes() {
         let (mut m, batch) = tiny();
-        let logits = m.forward_logits(&batch);
+        let logits = m.forward_logits(&batch, true);
         assert_eq!(logits.dims(), &[2, 3]);
     }
 
@@ -316,6 +331,23 @@ mod tests {
                 grad[i]
             );
         }
+    }
+
+    #[test]
+    fn evaluation_leaves_no_state_behind() {
+        let (mut fresh, batch) = tiny();
+        let mut evaluated = fresh.clone_cnn();
+        let other = Batch::new(
+            Tensor::randn([3, 1, 16, 16], 1.0, &mut Prng::seed_from_u64(8)),
+            vec![1, 0, 2],
+        );
+        evaluated.loss_and_accuracy(&other);
+        assert!(evaluated.sample_caches.is_empty());
+        let (want_loss, want) = fresh.loss_and_grad(&batch);
+        let (got_loss, got) = evaluated.loss_and_grad(&batch);
+        let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got_loss.to_bits(), want_loss.to_bits());
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -12,7 +12,8 @@ use taco_tensor::{Prng, Tensor};
 /// [`ConvLayer::begin_batch`], then `forward_sample` for each sample in
 /// order, then `backward_sample` with matching indices — or, for a
 /// first layer, `backward_sample_weights`, which skips the input
-/// gradient.
+/// gradient. [`ConvLayer::infer_sample`] convolves without caching,
+/// for evaluation.
 #[derive(Debug, Clone)]
 pub struct ConvLayer {
     weight: ParamBlock,
@@ -62,6 +63,21 @@ impl ConvLayer {
         out
     }
 
+    /// Convolves one `[in_ch, h, w]` sample for inference: the same
+    /// output as [`ConvLayer::forward_sample`], but the patch matrix is
+    /// dropped, so nothing is kept for a backward pass.
+    pub fn infer_sample(&self, input: &[f32], h: usize, w: usize) -> Vec<f32> {
+        conv2d_forward(
+            input,
+            h,
+            w,
+            &self.weight.value,
+            self.bias.value.data(),
+            &self.spec,
+        )
+        .0
+    }
+
     /// Backward pass for forward sample `idx`; accumulates weight/bias
     /// gradients ([`conv2d_weight_grad`]) and returns the input gradient
     /// ([`conv2d_input_grad`]). Each index may be used once per batch
@@ -77,8 +93,8 @@ impl ConvLayer {
         h: usize,
         w: usize,
     ) -> Vec<f32> {
-        let g = self.weight_grad(idx, grad_out, h, w);
-        conv2d_input_grad(&g, h, w, &self.weight.value, &self.spec)
+        self.backward_sample_weights(idx, grad_out, h, w);
+        conv2d_input_grad(grad_out, h, w, &self.weight.value, &self.spec)
     }
 
     /// Weights-only backward pass for forward sample `idx`: accumulates
@@ -90,12 +106,6 @@ impl ConvLayer {
     ///
     /// Panics if `idx` was not forwarded this batch.
     pub fn backward_sample_weights(&mut self, idx: usize, grad_out: &[f32], h: usize, w: usize) {
-        self.weight_grad(idx, grad_out, h, w);
-    }
-
-    /// Consumes sample `idx`'s patch matrix, accumulates the weight/bias
-    /// gradients and returns the repacked output gradient.
-    fn weight_grad(&mut self, idx: usize, grad_out: &[f32], h: usize, w: usize) -> Tensor {
         let cols = std::mem::take(&mut self.cols[idx]);
         conv2d_weight_grad(
             grad_out,
@@ -105,7 +115,7 @@ impl ConvLayer {
             &self.spec,
             &mut self.weight.grad,
             self.bias.grad.data_mut(),
-        )
+        );
     }
 }
 

@@ -21,9 +21,11 @@
 //! `(oy, ox)` order and its f32 sums are unchanged.
 //!
 //! The backward convolution is split in two: [`conv2d_weight_grad`]
-//! (weight and bias gradients) and [`conv2d_input_grad`] (`g · W`,
-//! then `col2im`). A first layer runs only the first half, since
-//! nothing reads the gradient with respect to the data.
+//! (weight and bias gradients, `dW = g · cols`) and
+//! [`conv2d_input_grad`] (`gᵀ · W`, then `col2im`). Both read the
+//! output gradient `g` in the `[out_ch, oh*ow]` layout it is stored
+//! in, so neither repacks it. A first layer runs only the first half,
+//! since nothing reads the gradient with respect to the data.
 //!
 //! The patch-matrix and pooling loops here run on the worker pool
 //! ([`crate::pool`]) when the problem is large enough: `im2col` is
@@ -393,11 +395,11 @@ pub fn conv2d_forward(
 }
 
 /// Weight and bias half of the backward convolution: accumulates
-/// `dW = gᵀ · cols` into `grad_weight` and the per-channel sums of
-/// `grad_out` into `grad_bias`.
+/// `dW = grad_out · cols` into `grad_weight` and the per-channel sums
+/// of `grad_out` into `grad_bias`.
 ///
-/// Returns `grad_out` repacked position-major as `[oh*ow, out_ch]`,
-/// the form [`conv2d_input_grad`] takes.
+/// `grad_out` is read as stored, `[out_ch, oh*ow]`, so each element of
+/// `dW` is an ascending-position f32 fold; no layout is shuffled.
 pub fn conv2d_weight_grad(
     grad_out: &[f32],
     h: usize,
@@ -406,42 +408,38 @@ pub fn conv2d_weight_grad(
     spec: &Conv2dSpec,
     grad_weight: &mut Tensor,
     grad_bias: &mut [f32],
-) -> Tensor {
+) {
     let (oh, ow) = spec.output_hw(h, w);
-    // Repack grad_out to [oh*ow, out_ch].
-    let mut g = vec![0.0f32; oh * ow * spec.out_channels];
-    for oc in 0..spec.out_channels {
-        for pos in 0..oh * ow {
-            g[pos * spec.out_channels + oc] = grad_out[oc * oh * ow + pos];
-        }
-    }
-    let g = Tensor::from_vec(g, &[oh * ow, spec.out_channels][..]);
-    // dW = gᵀ · cols  -> [out_ch, in_ch*k*k]
-    let dw = linalg::matmul_tn(&g, cols);
-    *grad_weight += &dw;
-    for (oc, gb) in grad_bias.iter_mut().enumerate().take(spec.out_channels) {
+    let positions = oh * ow;
+    let patch = cols.dims()[1];
+    // [out_ch, oh*ow] x [oh*ow, in_ch*k*k] -> [out_ch, in_ch*k*k]
+    let dw = linalg::matmul_slices(grad_out, cols.data(), spec.out_channels, positions, patch);
+    *grad_weight += &Tensor::from_vec(dw, &[spec.out_channels, patch][..]);
+    for (gb, g) in grad_bias.iter_mut().zip(grad_out.chunks_exact(positions)) {
         let mut s = 0.0;
-        for pos in 0..oh * ow {
-            s += g.data()[pos * spec.out_channels + oc];
+        for &v in g {
+            s += v;
         }
         *gb += s;
     }
-    g
 }
 
-/// Input half of the backward convolution: `dcols = g · W`, scattered
-/// back by [`col2im`] into the input gradient `[in_ch, h, w]`. `g` is
-/// the repacked output gradient [`conv2d_weight_grad`] returns.
+/// Input half of the backward convolution: `dcols = grad_outᵀ · W`,
+/// scattered back by [`col2im`] into the input gradient `[in_ch, h, w]`.
+/// `grad_out` is the `[out_ch, oh*ow]` output gradient as stored.
 pub fn conv2d_input_grad(
-    g: &Tensor,
+    grad_out: &[f32],
     h: usize,
     w: usize,
     weight: &Tensor,
     spec: &Conv2dSpec,
 ) -> Vec<f32> {
-    // dcols = g · W -> [oh*ow, in_ch*k*k]
-    let dcols = linalg::matmul(g, weight);
-    col2im(&dcols, h, w, spec)
+    let (oh, ow) = spec.output_hw(h, w);
+    let patch = weight.dims()[1];
+    // [oh*ow, out_ch] x [out_ch, in_ch*k*k] -> [oh*ow, in_ch*k*k]
+    let dcols =
+        linalg::matmul_tn_slices(grad_out, weight.data(), spec.out_channels, oh * ow, patch);
+    col2im(&Tensor::from_vec(dcols, &[oh * ow, patch][..]), h, w, spec)
 }
 
 /// Forward 2×2 (or general square) max pooling for one image.
@@ -720,8 +718,8 @@ mod tests {
         let grad_out = vec![1.0f32; out.len()];
         let mut gw = Tensor::zeros(weight.shape().clone());
         let mut gb = vec![0.0f32; 2];
-        let g = conv2d_weight_grad(&grad_out, h, w, &cols, &s, &mut gw, &mut gb);
-        let gin = conv2d_input_grad(&g, h, w, &weight, &s);
+        conv2d_weight_grad(&grad_out, h, w, &cols, &s, &mut gw, &mut gb);
+        let gin = conv2d_input_grad(&grad_out, h, w, &weight, &s);
 
         let eps = 1e-2f32;
         // Check a few input coordinates.
@@ -753,6 +751,74 @@ mod tests {
         // Bias gradient is just the count of output positions.
         let (oh, ow) = s.output_hw(h, w);
         assert!((gb[0] - (oh * ow) as f32).abs() < 1e-3);
+    }
+
+    /// The backward convolution as it ran before the gradient was read
+    /// in its stored layout: repack `grad_out` position-major, then
+    /// `dW = gᵀ · cols` and `dcols = g · W`. Kept only as an oracle.
+    fn repacked_backward(
+        grad_out: &[f32],
+        positions: usize,
+        cols: &Tensor,
+        weight: &Tensor,
+        s: &Conv2dSpec,
+    ) -> (Tensor, Vec<f32>, Tensor) {
+        let oc = s.out_channels;
+        let mut g = vec![0.0f32; positions * oc];
+        for c in 0..oc {
+            for pos in 0..positions {
+                g[pos * oc + c] = grad_out[c * positions + pos];
+            }
+        }
+        let g = Tensor::from_vec(g, &[positions, oc][..]);
+        let bias = (0..oc)
+            .map(|c| {
+                let mut s = 0.0;
+                for pos in 0..positions {
+                    s += g.data()[pos * oc + c];
+                }
+                s
+            })
+            .collect();
+        (
+            linalg::matmul_tn(&g, cols),
+            bias,
+            linalg::matmul(&g, weight),
+        )
+    }
+
+    #[test]
+    fn backward_in_stored_layout_matches_the_repacked_oracle_bitwise() {
+        let mut rng = Prng::seed_from_u64(21);
+        // PaperCnn's conv1 and conv2 shapes at a small side, and a
+        // strided, padded 3x3.
+        for (s, h, w) in [
+            (spec(1, 8, 5, 1, 0), 12, 12),
+            (spec(8, 16, 5, 1, 0), 9, 9),
+            (spec(3, 5, 3, 2, 1), 9, 7),
+        ] {
+            let patch = s.in_channels * s.kernel * s.kernel;
+            let input = Tensor::randn(&[s.in_channels * h * w][..], 1.0, &mut rng);
+            let weight = Tensor::randn(&[s.out_channels, patch][..], 0.5, &mut rng);
+            let (_, cols) =
+                conv2d_forward(input.data(), h, w, &weight, &vec![0.0; s.out_channels], &s);
+            let (oh, ow) = s.output_hw(h, w);
+            let grad_out = Tensor::randn(&[s.out_channels * oh * ow][..], 1.0, &mut rng);
+            let (want_w, want_b, want_dcols) =
+                repacked_backward(grad_out.data(), oh * ow, &cols, &weight, &s);
+            let mut gw = Tensor::zeros(weight.shape().clone());
+            let mut gb = vec![0.0f32; s.out_channels];
+            conv2d_weight_grad(grad_out.data(), h, w, &cols, &s, &mut gw, &mut gb);
+            let gin = conv2d_input_grad(grad_out.data(), h, w, &weight, &s);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(gw.data()), bits(want_w.data()), "weight grad {s:?}");
+            assert_eq!(bits(&gb), bits(&want_b), "bias grad {s:?}");
+            assert_eq!(
+                bits(&gin),
+                bits(&col2im(&want_dcols, h, w, &s)),
+                "input grad {s:?}"
+            );
+        }
     }
 
     #[test]

@@ -11,19 +11,21 @@
 //! # Kernel structure
 //!
 //! `matmul` and `matmul_tn` are GEBP-style blocked kernels: the K
-//! dimension is split into [`KC`]-deep slabs, columns into [`NC`]-wide
-//! blocks whose full [`NR`]-column panels are packed contiguously, and
-//! rows into [`MR`]-row groups packed k-major, so the inner
-//! [`MR`]`×`[`NR`] microkernel streams both packs linearly and keeps
-//! the whole accumulator tile in registers. On x86-64 the blocked body
-//! is additionally compiled under `target_feature(avx)` and selected
-//! at runtime. `matmul_nt` keeps its historical `f64` accumulation
+//! dimension is split into `KC`-deep slabs, columns into `NC`-wide
+//! blocks whose `NR`-column panels are packed contiguously, and rows
+//! into `MR`-row groups packed k-major, so the inner `MR×NR`
+//! microkernel streams both packs linearly and keeps the whole
+//! accumulator tile in registers. A ragged last panel or row group is
+//! zero-padded in its pack and runs the same microkernel on a stack
+//! tile, of which only the valid part is copied back. On x86-64 the
+//! blocked body is additionally compiled under `target_feature(avx)`
+//! and selected at runtime. `matmul_nt` keeps its historical `f64` accumulation
 //! (see below) and instead packs each 8 B rows as a transposed `f64`
 //! panel, streaming A rows against it in a 4×8 register tile of 8
 //! independent `f64` accumulator vectors.
 //!
 //! Work is split across the worker pool ([`crate::pool`]) along the M
-//! dimension in fixed [`MC`]-row chunks. Chunk boundaries depend only
+//! dimension in fixed `MC`-row chunks. Chunk boundaries depend only
 //! on the output shape — never on the thread count — so results are
 //! identical for any `TACO_THREADS` setting.
 //!
@@ -176,13 +178,21 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, ka) = dims2(a, "matmul lhs");
     let (kb, n) = dims2(b, "matmul rhs");
     assert_eq!(ka, kb, "matmul inner dimension mismatch: {ka} vs {kb}");
+    Tensor::from_vec(matmul_slices(a.data(), b.data(), m, ka, n), &[m, n][..])
+}
+
+/// [`matmul`] on row-major slices: `ad` is `m × k`, `bd` is `k × n`.
+/// Lets a caller holding a plain buffer (a conv output gradient) skip
+/// building a `Tensor` around it.
+pub(crate) fn matmul_slices(ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    assert_eq!(ad.len(), m * k, "matmul lhs length");
+    assert_eq!(bd.len(), k * n, "matmul rhs length");
     let mut out = vec![0.0f32; m * n];
     if m == 0 || n == 0 {
-        return Tensor::from_vec(out, &[m, n][..]);
+        return out;
     }
-    let _t = K_MATMUL.record((m * ka * n) as u64);
-    let (ad, bd) = (a.data(), b.data());
-    let chunk_rows = par_chunk_rows(m, m * ka * n);
+    let _t = K_MATMUL.record((m * k * n) as u64);
+    let chunk_rows = par_chunk_rows(m, m * k * n);
     pool::for_each_chunk(&mut out, chunk_rows * n, |ci, c_chunk| {
         let r0 = ci * chunk_rows;
         let rows = c_chunk.len() / n;
@@ -190,15 +200,15 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
         // of the slab is A column `kk + t` (contiguous in memory).
         let pack_a = |dst: &mut [f32], row0: usize, mb: usize, kk: usize, kc: usize| {
             for r in 0..mb {
-                let arow = &ad[(row0 + r) * ka + kk..];
+                let arow = &ad[(row0 + r) * k + kk..];
                 for t in 0..kc {
                     dst[t * MR + r] = arow[t];
                 }
             }
         };
-        gebp_dispatch(&pack_a, bd, c_chunk, r0, rows, ka, n);
+        gebp_dispatch(&pack_a, bd, c_chunk, r0, rows, k, n);
     });
-    Tensor::from_vec(out, &[m, n][..])
+    out
 }
 
 /// Computes `C = Aᵀ · B` where `A` is `k × m` and `B` is `k × n`.
@@ -213,13 +223,19 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     let (ka, m) = dims2(a, "matmul_tn lhs");
     let (kb, n) = dims2(b, "matmul_tn rhs");
     assert_eq!(ka, kb, "matmul_tn leading dimension mismatch: {ka} vs {kb}");
+    Tensor::from_vec(matmul_tn_slices(a.data(), b.data(), ka, m, n), &[m, n][..])
+}
+
+/// [`matmul_tn`] on row-major slices: `ad` is `k × m`, `bd` is `k × n`.
+pub(crate) fn matmul_tn_slices(ad: &[f32], bd: &[f32], k: usize, m: usize, n: usize) -> Vec<f32> {
+    assert_eq!(ad.len(), k * m, "matmul_tn lhs length");
+    assert_eq!(bd.len(), k * n, "matmul_tn rhs length");
     let mut out = vec![0.0f32; m * n];
     if m == 0 || n == 0 {
-        return Tensor::from_vec(out, &[m, n][..]);
+        return out;
     }
-    let _t = K_MATMUL_TN.record((m * ka * n) as u64);
-    let (ad, bd) = (a.data(), b.data());
-    let chunk_rows = par_chunk_rows(m, m * ka * n);
+    let _t = K_MATMUL_TN.record((m * k * n) as u64);
+    let chunk_rows = par_chunk_rows(m, m * k * n);
     pool::for_each_chunk(&mut out, chunk_rows * n, |ci, c_chunk| {
         let r0 = ci * chunk_rows;
         let rows = c_chunk.len() / n;
@@ -233,9 +249,9 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
                 }
             }
         };
-        gebp_dispatch(&pack_a, bd, c_chunk, r0, rows, ka, n);
+        gebp_dispatch(&pack_a, bd, c_chunk, r0, rows, k, n);
     });
-    Tensor::from_vec(out, &[m, n][..])
+    out
 }
 
 /// Computes `C = A · Bᵀ` where `A` is `m × k` and `B` is `n × k`.
@@ -322,6 +338,12 @@ unsafe fn gebp_avx<PA: Fn(&mut [f32], usize, usize, usize, usize)>(
 /// One row chunk of the blocked kernel. `c` is the chunk's slice of the
 /// output (rows `r0 .. r0 + rows`, full width `n`); `pack_a` writes the
 /// k-major `MR`-row pack for a given global row group and K slab.
+///
+/// A ragged last B panel (fewer than [`NR`] columns) and a ragged last
+/// A row group (fewer than [`MR`] rows) are zero-padded in their packs
+/// and run through the same [`micro`] on a stack tile; only the valid
+/// part of the tile is copied back. Each lane of the tile folds only
+/// its own row and column, so the padding never reaches a valid output.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn gebp_body<PA: Fn(&mut [f32], usize, usize, usize, usize)>(
@@ -341,37 +363,55 @@ fn gebp_body<PA: Fn(&mut [f32], usize, usize, usize, usize)>(
         let mut jj = 0;
         while jj < n {
             let nc = NC.min(n - jj);
-            let panels = nc / NR;
+            // `NC` is a multiple of `NR`, so even a padded last panel
+            // fits the `KC · NC` pack.
+            let panels = nc.div_ceil(NR);
             for p in 0..panels {
+                let nw = NR.min(nc - p * NR);
                 for t in 0..kc {
-                    let src = &b[(kk + t) * n + jj + p * NR..][..NR];
-                    bp_buf[p * (kc * NR) + t * NR..][..NR].copy_from_slice(src);
+                    let src = &b[(kk + t) * n + jj + p * NR..];
+                    let dst = &mut bp_buf[p * (kc * NR) + t * NR..][..NR];
+                    if nw == NR {
+                        dst.copy_from_slice(&src[..NR]);
+                    } else {
+                        for (j, d) in dst.iter_mut().enumerate() {
+                            *d = if j < nw { src[j] } else { 0.0 };
+                        }
+                    }
                 }
             }
             let mut ii = 0;
             while ii < rows {
                 let mb = MR.min(rows - ii);
                 pack_a(ap_buf, r0 + ii, mb, kk, kc);
-                if mb == MR {
-                    for p in 0..panels {
+                if mb < MR {
+                    for t in 0..kc {
+                        ap_buf[t * MR + mb..(t + 1) * MR].fill(0.0);
+                    }
+                }
+                for p in 0..panels {
+                    let j0 = jj + p * NR;
+                    let nw = NR.min(nc - p * NR);
+                    let bp = bp_buf[p * (kc * NR)..][..kc * NR].as_ptr();
+                    if mb == MR && nw == NR {
                         // SAFETY: rows `ii..ii+MR` < rows and columns
-                        // `jj + p*NR .. + NR` ≤ jj + nc ≤ n are in
-                        // bounds of the chunk; packs hold `kc` slabs.
+                        // `j0 .. j0 + NR` ≤ jj + nc ≤ n are in bounds of
+                        // the chunk; the packs hold `kc` slab steps.
                         unsafe {
-                            micro(
-                                kc,
-                                ap_buf.as_ptr(),
-                                bp_buf.as_ptr().add(p * (kc * NR)),
-                                c.as_mut_ptr().add(ii * n + jj + p * NR),
-                                n,
-                            );
-                        }
+                            micro(kc, ap_buf.as_ptr(), bp, c.as_mut_ptr().add(ii * n + j0), n)
+                        };
+                        continue;
                     }
-                    if panels * NR < nc {
-                        scalar_tail(ap_buf, MR, kc, b, kk, n, jj + panels * NR, jj + nc, c, ii);
+                    let mut tile = [0.0f32; MR * NR];
+                    for r in 0..mb {
+                        tile[r * NR..][..nw].copy_from_slice(&c[(ii + r) * n + j0..][..nw]);
                     }
-                } else {
-                    scalar_tail(ap_buf, mb, kc, b, kk, n, jj, jj + nc, c, ii);
+                    // SAFETY: `tile` is a whole `MR×NR` tile with row
+                    // stride `NR`; the packs hold `kc` slab steps.
+                    unsafe { micro(kc, ap_buf.as_ptr(), bp, tile.as_mut_ptr(), NR) };
+                    for r in 0..mb {
+                        c[(ii + r) * n + j0..][..nw].copy_from_slice(&tile[r * NR..][..nw]);
+                    }
                 }
                 ii += MR;
             }
@@ -420,35 +460,6 @@ unsafe fn micro(kc: usize, ap: *const f32, bp: *const f32, c: *mut f32, ldc: usi
             let crow = c.add(r * ldc);
             for (j, &v) in row.iter().enumerate() {
                 *crow.add(j) = v;
-            }
-        }
-    }
-}
-
-/// Fallback for row groups shorter than [`MR`] and column tails
-/// narrower than [`NR`]: same ascending-k fold, reading A from the pack
-/// and B rows in place.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn scalar_tail(
-    ap: &[f32],
-    mb: usize,
-    kc: usize,
-    b: &[f32],
-    kk: usize,
-    n: usize,
-    js: usize,
-    je: usize,
-    c: &mut [f32],
-    ii: usize,
-) {
-    for r in 0..mb {
-        let crow = &mut c[(ii + r) * n..(ii + r + 1) * n];
-        for t in 0..kc {
-            let av = ap[t * MR + r];
-            let brow = &b[(kk + t) * n..(kk + t + 1) * n];
-            for j in js..je {
-                crow[j] += av * brow[j];
             }
         }
     }
@@ -775,6 +786,39 @@ mod tests {
             assert_bits_equal(
                 &matmul_tn(&a, &b),
                 &matmul_tn_naive(&a, &b),
+                &format!("matmul_tn {k}x{m}x{n}"),
+            );
+        }
+    }
+
+    #[test]
+    fn ragged_tiles_match_naive_bitwise() {
+        // Every column tail `n mod NR` and row tail `m mod MR` runs the
+        // padded stack tile; `k = 576` spans three K slabs, so the tile
+        // reloads C between slabs. `NC + 5` puts the ragged panel in a
+        // second column block.
+        let mut rng = Prng::seed_from_u64(12);
+        let mut shapes = Vec::new();
+        for m in [MR + 1, MR + 2, MR + 3] {
+            for n in NR + 1..2 * NR {
+                for k in [5, 576] {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+        shapes.extend([(MR, 576, NR), (MR + 3, 9, NC + 5), (1, 300, 1)]);
+        for (m, k, n) in shapes {
+            let a = Tensor::randn(&[m, k][..], 1.0, &mut rng);
+            let at = Tensor::randn(&[k, m][..], 1.0, &mut rng);
+            let b = Tensor::randn(&[k, n][..], 1.0, &mut rng);
+            assert_bits_equal(
+                &matmul(&a, &b),
+                &matmul_naive(&a, &b),
+                &format!("matmul {m}x{k}x{n}"),
+            );
+            assert_bits_equal(
+                &matmul_tn(&at, &b),
+                &matmul_tn_naive(&at, &b),
                 &format!("matmul_tn {k}x{m}x{n}"),
             );
         }

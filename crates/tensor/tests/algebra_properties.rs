@@ -422,8 +422,8 @@ fn kernel_digest() -> u64 {
     let (out, cols) = conv::conv2d_forward(img.data(), 24, 24, &weight, &[0.0; 8], &spec);
     let mut gw = Tensor::zeros(&[8, 3 * 9][..]);
     let mut gb = [0.0f32; 8];
-    let g = conv::conv2d_weight_grad(&out, 24, 24, &cols, &spec, &mut gw, &mut gb);
-    let gin = conv::conv2d_input_grad(&g, 24, 24, &weight, &spec);
+    conv::conv2d_weight_grad(&out, 24, 24, &cols, &spec, &mut gw, &mut gb);
+    let gin = conv::conv2d_input_grad(&out, 24, 24, &weight, &spec);
     let (pooled, arg) = conv::maxpool2d_forward(&out, 8, 24, 24, 2, 2);
     let gpool = conv::maxpool2d_backward(&pooled, &arg, 8, out.len());
     for series in [&out[..], &gin, gw.data(), &pooled, &gpool] {

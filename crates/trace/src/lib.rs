@@ -15,7 +15,7 @@
 //!   file path (see [`init_from_env`]);
 //! - a zero-dependency **peak-RSS probe** ([`perf`]), surfaced on
 //!   every [`Snapshot`];
-//! - the **`taco_env` registry** ([`env`]) — the declared `TACO_*`
+//! - the **`taco_env` registry** ([`env`](mod@env)) — the declared `TACO_*`
 //!   environment surface with typed accessors; the one place in the
 //!   workspace allowed to read `TACO_*` variables (taco-check rule D8).
 //!
