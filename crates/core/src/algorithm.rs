@@ -131,21 +131,33 @@ pub fn fold_shards(dim: usize) -> usize {
     }
 }
 
+/// Dimensions per tile of the shard fold: its `f64` accumulators
+/// (16 KiB) stay in L1 while every upload streams through them.
+const FOLD_TILE: usize = 2048;
+
+/// Uploads one pass of the shard fold adds into a tile.
+const FOLD_GROUP: usize = 4;
+
 /// The order-fixed shard fold behind every weighted combine.
 ///
-/// The model's dimensions are split into `shards` contiguous chunks of
-/// one reused `f64` table; the pool folds the chunks in parallel, and
-/// each chunk folds the uploads **in client order** with the widening
-/// `acc += w as f64 · x as f64` of [`ops::weighted_mean`]. Chunks are
-/// disjoint, so their schedule cannot reorder any dimension's sum, and
-/// the result is bit-identical to `ops::weighted_mean` over the deltas
-/// at any shard count and any pool size. `shards = 1` is the
-/// sequential reference. Encoded uploads arrive here already decoded:
-/// the fold only ever reads dense deltas.
+/// The model's dimensions are split into `shards` contiguous chunks,
+/// which the pool folds in parallel. Each chunk walks its dimensions in
+/// tiles of `FOLD_TILE` `f64` accumulators on the task's stack, adds
+/// the uploads into a tile `FOLD_GROUP` at a time **in client order**
+/// ([`linalg::fold_weighted`]) with the widening
+/// `acc += w as f64 · x as f64` of [`ops::weighted_mean`], and writes
+/// the tile's mean straight out. Every dimension belongs to one tile of
+/// one chunk and starts its sum at zero, so neither the chunk nor the
+/// tile boundaries nor the schedule reorder any sum, and the result is
+/// bit-identical to `ops::weighted_mean` over the deltas at any shard
+/// count and any pool size. `shards = 1` is the sequential reference.
+/// Encoded uploads arrive here already decoded: the fold only ever
+/// reads dense deltas.
+///
+/// The fold keeps no state between calls; the type is the handle the
+/// statistics and the combine of a round share.
 #[derive(Debug, Default)]
-pub struct ShardFold {
-    sums: Vec<f64>,
-}
+pub struct ShardFold;
 
 impl ShardFold {
     /// `Σ_i w_i·Δ_i / Σ_i w_i` per dimension, rounded to `f32`.
@@ -175,19 +187,26 @@ impl ShardFold {
             "delta length mismatch"
         );
         let chunk = dim.div_ceil(shards.max(1)).max(1);
-        self.sums.clear();
-        self.sums.resize(dim, 0.0);
-        pool::for_each_chunk(&mut self.sums, chunk, |s, acc| {
-            let range = s * chunk..s * chunk + acc.len();
-            for (u, &w) in updates.iter().zip(weights) {
-                linalg::scale_accumulate(acc, &u.delta[range.clone()], f64::from(w));
-            }
-        });
         let mut mean = vec![0.0f32; dim];
-        let sums = &self.sums;
         pool::for_each_chunk(&mut mean, chunk, |s, out| {
-            for (o, &a) in out.iter_mut().zip(&sums[s * chunk..]) {
-                *o = (a / total) as f32;
+            let mut tile = [0.0f64; FOLD_TILE];
+            for (t, out) in out.chunks_mut(FOLD_TILE).enumerate() {
+                let lo = s * chunk + t * FOLD_TILE;
+                let delta = |u: usize| &updates[u].delta[lo..lo + out.len()];
+                let acc = &mut tile[..out.len()];
+                acc.fill(0.0);
+                let mut first = 0;
+                while first + FOLD_GROUP <= updates.len() {
+                    let xs: [&[f32]; FOLD_GROUP] = std::array::from_fn(|u| delta(first + u));
+                    linalg::fold_weighted(acc, xs, std::array::from_fn(|u| wide[first + u]));
+                    first += FOLD_GROUP;
+                }
+                for (u, &w) in wide.iter().enumerate().skip(first) {
+                    linalg::fold_weighted(acc, [delta(u)], [w]);
+                }
+                for (o, &a) in out.iter_mut().zip(acc.iter()) {
+                    *o = (a / total) as f32;
+                }
             }
         });
         mean
@@ -267,9 +286,10 @@ pub struct CostProfile {
 ///    parameters;
 /// 2. [`FederatedAlgorithm::local_rule`] for every participating
 ///    client, with the same global parameters, whose result is
-///    interpreted by [`crate::update::run_local_steps`] on the
-///    client's model/shard (a round-constant vector such as a proximal
-///    anchor can therefore be built once in `begin_round` and shared);
+///    interpreted by [`crate::update::run_local_steps`] from those
+///    global parameters on the client's shard (a round-constant vector
+///    such as a proximal anchor can therefore be built once in
+///    `begin_round` and shared);
 /// 3. [`FederatedAlgorithm::aggregate`] with the round's accepted
 ///    uploads, once per round that has any.
 ///
@@ -308,15 +328,8 @@ pub trait FederatedAlgorithm: Send {
     ) -> Vec<f32> {
         assert!(!updates.is_empty(), "aggregate with no updates");
         let shards = fold_shards(global.len());
-        aggregate_planned(
-            self,
-            global,
-            updates,
-            hyper,
-            &mut ShardFold::default(),
-            shards,
-        )
-        .unwrap_or_else(|| panic!("{} has no aggregation plan", self.name()))
+        aggregate_planned(self, global, updates, hyper, &mut ShardFold, shards)
+            .unwrap_or_else(|| panic!("{} has no aggregation plan", self.name()))
     }
 
     /// Whether [`FederatedAlgorithm::plan_aggregation`] needs
@@ -503,7 +516,7 @@ pub(crate) mod testkit {
         hyper: &HyperParams,
         shards: usize,
     ) -> Vec<f32> {
-        let mut fold = ShardFold::default();
+        let mut fold = ShardFold;
         aggregate_planned(algorithm, global, updates, hyper, &mut fold, shards)
             .expect("the algorithm plans")
     }
@@ -558,24 +571,47 @@ mod tests {
     #[test]
     fn shard_fold_matches_the_weighted_mean_at_any_shard_and_thread_count() {
         use crate::compress::{codec_stream, Compressor, TopK, Uniform8Bit};
-        let dim = 1001; // odd, so chunk boundaries cross Q8/sparse runs
-        let (_, mut updates) = testkit::random_round(5, dim, 23);
-        // Two uploads carry decoded lossy deltas, as under a codec.
-        for (i, codec) in [(1, &Uniform8Bit as &dyn Compressor), (3, &TopK::new(0.1))] {
-            let enc = codec.encode(&updates[i].delta, &mut codec_stream(23, 0, i));
-            updates[i].delta = enc.decode();
-        }
-        let weights = [0.3f32, 1.7, 0.01, 2.5, 0.9];
-        let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
-        let want = taco_tensor::ops::weighted_mean(&deltas, &weights);
-        let mut fold = ShardFold::default();
-        for threads in [1, 4] {
-            let pool = taco_tensor::pool::Pool::new(threads);
-            for shards in [1, 3, 8, 64, 5000] {
-                let got = taco_tensor::pool::with_pool(&pool, || {
-                    fold.weighted_mean(&updates, &weights, shards)
-                });
-                testkit::assert_bits_eq(&got, &want, &format!("shards={shards} t{threads}"));
+        let pools = [
+            taco_tensor::pool::Pool::new(1),
+            taco_tensor::pool::Pool::new(4),
+        ];
+        let weights = [0.3f32, 1.7, 0.01, 2.5, 0.9, 1.0, 0.05, 3.25, 0.6];
+        // Every remainder of the upload group, and dimensions on both
+        // sides of a tile and past three tiles, so shard and tile
+        // boundaries cross Q8/sparse runs.
+        for n in 1..=weights.len() {
+            for dim in [1001, FOLD_TILE - 1, FOLD_TILE + 1, 3 * FOLD_TILE + 5] {
+                let (_, mut updates) = testkit::random_round(n, dim, 23 + n as u64);
+                // Two uploads carry decoded lossy deltas, as under a codec.
+                for (i, codec) in [(1, &Uniform8Bit as &dyn Compressor), (3, &TopK::new(0.1))] {
+                    if let Some(u) = updates.get_mut(i) {
+                        u.delta = codec.encode(&u.delta, &mut codec_stream(23, 0, i)).decode();
+                    }
+                }
+                // Exactly cancelling first and last terms around small
+                // ones: any reordering of these dimensions' sums shows.
+                if n >= 3 {
+                    let big = 2f32.powi(60);
+                    for j in [0, dim / 2, dim - 1] {
+                        updates[0].delta[j] = weights[n - 1] * big;
+                        updates[n - 1].delta[j] = -weights[0] * big;
+                    }
+                }
+                let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
+                let want = taco_tensor::ops::weighted_mean(&deltas, &weights[..n]);
+                for pool in &pools {
+                    for shards in [1, 3, 8, 5000] {
+                        let got = taco_tensor::pool::with_pool(pool, || {
+                            ShardFold.weighted_mean(&updates, &weights[..n], shards)
+                        });
+                        let what = format!("{n} uploads, dim {dim}, shards={shards}");
+                        testkit::assert_bits_eq(
+                            &got,
+                            &want,
+                            &format!("{what}, t{}", pool.threads()),
+                        );
+                    }
+                }
             }
         }
     }
@@ -603,7 +639,7 @@ mod tests {
             for pool in &pools {
                 for shards in [1, 3, 8] {
                     let stats = taco_tensor::pool::with_pool(pool, || {
-                        UploadStats::compute(&updates, &mut ShardFold::default(), shards)
+                        UploadStats::compute(&updates, &mut ShardFold, shards)
                     });
                     let what = format!("{n} uploads, {} threads, {shards} shards", pool.threads());
                     testkit::assert_bits_eq(&stats.mean_delta, &mean, &format!("mean, {what}"));

@@ -175,20 +175,35 @@ impl EncodedDelta {
     /// skipped): [`EncodedDelta::check_integrity`] is the rejection
     /// path, decode must not panic on hostile input.
     pub fn decode(&self) -> Vec<f32> {
-        match self {
-            EncodedDelta::Dense(v) => v.clone(),
+        let mut out = vec![0.0f32; self.dim()];
+        self.decode_into(&mut out);
+        out
+    }
+
+    /// [`EncodedDelta::decode`] into a caller's buffer, overwriting
+    /// every coordinate: the server decodes an accepted upload into the
+    /// buffer its dense delta arrived in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` differs from [`EncodedDelta::dim`].
+    pub fn decode_into(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.dim(), "decode_into length mismatch");
+        let exceptions = match self {
+            EncodedDelta::Dense(v) => {
+                out.copy_from_slice(v);
+                return;
+            }
             EncodedDelta::Sparse {
-                dim,
-                indices,
-                values,
+                indices, values, ..
             } => {
-                let mut out = vec![0.0f32; *dim];
+                out.fill(0.0);
                 for (&i, &v) in indices.iter().zip(values) {
                     if let Some(slot) = out.get_mut(i as usize) {
                         *slot = v;
                     }
                 }
-                out
+                return;
             }
             EncodedDelta::Q8 {
                 min,
@@ -196,33 +211,28 @@ impl EncodedDelta {
                 levels,
                 exceptions,
             } => {
-                let mut out: Vec<f32> =
-                    levels.iter().map(|&l| min + f32::from(l) * scale).collect();
-                for &(i, raw) in exceptions {
-                    if let Some(slot) = out.get_mut(i as usize) {
-                        *slot = raw;
-                    }
+                for (slot, &l) in out.iter_mut().zip(levels) {
+                    *slot = min + f32::from(l) * scale;
                 }
-                out
+                exceptions
             }
             EncodedDelta::Q4 {
-                dim,
                 min,
                 scale,
                 packed,
                 exceptions,
+                ..
             } => {
-                let mut out = vec![0.0f32; *dim];
                 for (i, slot) in out.iter_mut().enumerate() {
                     let level = (packed.get(i / 2).copied().unwrap_or(0) >> ((i % 2) * 4)) & 0x0F;
                     *slot = min + f32::from(level) * scale;
                 }
-                for &(i, raw) in exceptions {
-                    if let Some(slot) = out.get_mut(i as usize) {
-                        *slot = raw;
-                    }
-                }
-                out
+                exceptions
+            }
+        };
+        for &(i, raw) in exceptions {
+            if let Some(slot) = out.get_mut(i as usize) {
+                *slot = raw;
             }
         }
     }
@@ -1108,6 +1118,27 @@ mod tests {
         let x = Tensor::randn([64], 1.0, &mut rng).into_vec();
         assert_eq!(rt(&NoCompression, &x), x);
         assert_eq!(relative_error(&NoCompression, &x), 0.0);
+    }
+
+    #[test]
+    fn decode_into_overwrites_a_used_buffer_with_the_decoded_bits() {
+        let mut rng = Prng::seed_from_u64(31);
+        let mut x = Tensor::randn([301], 1.0, &mut rng).into_vec();
+        x[7] = f32::NAN;
+        x[200] = f32::NEG_INFINITY;
+        for c in [
+            &TopK::new(0.1) as &dyn Compressor,
+            &Uniform8Bit,
+            &Stochastic4Bit,
+            &NoCompression,
+        ] {
+            let enc = c.encode(&x, &mut stream());
+            let want: Vec<u32> = enc.decode().iter().map(|v| v.to_bits()).collect();
+            let mut out = vec![3.5f32; x.len()];
+            enc.decode_into(&mut out);
+            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{}", c.name());
+        }
     }
 
     #[test]

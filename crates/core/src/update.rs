@@ -153,18 +153,30 @@ impl ClientUpdate {
     }
 }
 
-/// Runs `K` local mini-batch SGD steps under `rule`, starting from the
-/// model's current parameters, and returns the accumulated local
-/// gradient (Eq. 4–5 of the paper).
+/// Runs `K` local mini-batch SGD steps under `rule` from the start
+/// point `start` (`w_{i,0}`, the round's global parameters) and
+/// returns the accumulated local gradient (Eq. 4–5 of the paper).
+///
+/// Loads `start` into the model itself, so a model reused across
+/// clients needs no reset first. The function keeps one iterate: each
+/// step forms `v_{i,k}` and takes the SGD step `w += −η_l·v` in one
+/// pass per element, the same two rounded operations as forming `v`
+/// and then running [`ops::axpy`]. After the last step the iterate
+/// becomes the delta in place (`Δ_j = start_j − w_j`). STEM keeps its
+/// previous iterate and momentum as separate buffers, since its next
+/// step reads them.
 ///
 /// The model is left at the post-training parameters `w_{i,K}`.
 ///
 /// # Panics
 ///
-/// Panics if `steps`, `batch_size` are zero, the dataset is empty, or
-/// a rule vector's length differs from the model's parameter count.
+/// Panics if `steps`, `batch_size` are zero, the dataset is empty,
+/// `start` or a rule vector's length differs from the model's
+/// parameter count.
+#[allow(clippy::too_many_arguments)]
 pub fn run_local_steps(
     model: &mut dyn Model,
+    start: &[f32],
     data: &Dataset,
     rule: &LocalRule,
     steps: usize,
@@ -173,8 +185,7 @@ pub fn run_local_steps(
     rng: &mut Prng,
 ) -> LocalOutcome {
     assert!(steps > 0, "need at least one local step");
-    let mut w = model.params();
-    let dim = w.len();
+    let dim = start.len();
     if let LocalRule::Prox { anchor, .. } = rule {
         assert_eq!(anchor.len(), dim, "prox anchor length mismatch");
     }
@@ -188,8 +199,10 @@ pub fn run_local_steps(
         assert_eq!(anchor.len(), dim, "prox anchor length mismatch");
         assert_eq!(term.len(), dim, "correction term length mismatch");
     }
-    // `w_{i,0}`; overwritten in place with the delta at the end.
-    let mut delta = w.clone();
+    model.set_params(start);
+    // `w_{i,k}`; overwritten in place with the delta at the end.
+    let mut w = start.to_vec();
+    let step = -eta_l;
     let mut loss_sum = 0.0f64;
     let mut grad_evals = 0usize;
     let mut prev_w: Vec<f32> = Vec::new();
@@ -199,70 +212,66 @@ pub fn run_local_steps(
         let (loss, g) = model.loss_and_grad(&batch);
         grad_evals += 1;
         loss_sum += loss as f64;
-        let v = match rule {
-            LocalRule::PlainSgd => g,
-            LocalRule::Prox { lambda, anchor } => {
-                let mut v = g;
-                for i in 0..dim {
-                    v[i] += lambda * (w[i] - anchor[i]);
+        match rule {
+            LocalRule::PlainSgd => {
+                for (w, &g) in w.iter_mut().zip(&g) {
+                    *w += step * g;
                 }
-                v
             }
+            LocalRule::Prox { lambda, anchor } => {
+                for ((w, &g), &a) in w.iter_mut().zip(&g).zip(anchor.iter()) {
+                    let v = g + lambda * (*w - a);
+                    *w += step * v;
+                }
+            }
+            // `g + 1·t`: `1·t` is exact, so the product is dropped.
             LocalRule::Correction { term } => {
-                let mut v = g;
-                ops::axpy(&mut v, 1.0, term);
-                v
+                for ((w, &g), &t) in w.iter_mut().zip(&g).zip(term) {
+                    let v = g + t;
+                    *w += step * v;
+                }
             }
             LocalRule::ScaledCorrection { direction, factor } => {
-                let mut v = g;
-                ops::axpy(&mut v, *factor, direction);
-                v
+                for ((w, &g), &d) in w.iter_mut().zip(&g).zip(direction.iter()) {
+                    let v = g + factor * d;
+                    *w += step * v;
+                }
             }
             LocalRule::ProxCorrection {
                 lambda,
                 anchor,
                 term,
             } => {
-                let mut v = g;
-                for i in 0..dim {
-                    v[i] += lambda * (w[i] - anchor[i]) + term[i];
+                for (((w, &g), &a), &t) in w.iter_mut().zip(&g).zip(anchor.iter()).zip(term) {
+                    let v = g + (lambda * (*w - a) + t);
+                    *w += step * v;
                 }
-                v
             }
             LocalRule::StemMomentum { alpha } => {
-                if k == 0 {
-                    g
-                } else {
+                let mut v = g;
+                if k > 0 {
                     // Second gradient: same batch, previous iterate.
                     model.set_params(&prev_w);
                     let (_, g_prev) = model.loss_and_grad(&batch);
                     model.set_params(&w);
                     grad_evals += 1;
-                    let mut v = g;
-                    for i in 0..dim {
-                        v[i] += (1.0 - alpha) * (prev_v[i] - g_prev[i]);
+                    for ((v, &pv), &gp) in v.iter_mut().zip(&prev_v).zip(&g_prev) {
+                        *v += (1.0 - alpha) * (pv - gp);
                     }
-                    v
                 }
+                prev_w.clone_from(&w);
+                ops::axpy(&mut w, step, &v);
+                prev_v = v;
             }
-        };
-        if matches!(rule, LocalRule::StemMomentum { .. }) {
-            prev_w = w.clone();
-            prev_v = v.clone();
         }
-        ops::axpy(&mut w, -eta_l, &v);
         model.set_params(&w);
     }
-    for (d, &wk) in delta.iter_mut().zip(&w) {
-        *d -= wk;
+    for (w, &s) in w.iter_mut().zip(start) {
+        *w = s - *w;
     }
     LocalOutcome {
-        delta,
-        final_v: if matches!(rule, LocalRule::StemMomentum { .. }) {
-            Some(prev_v)
-        } else {
-            None
-        },
+        delta: w,
+        final_v: matches!(rule, LocalRule::StemMomentum { .. }).then_some(prev_v),
         mean_loss: (loss_sum / steps as f64) as f32,
         grad_evals,
         steps,
@@ -291,11 +300,228 @@ mod tests {
         (model, data, rng)
     }
 
+    /// [`run_local_steps`] from the model's current parameters.
+    fn from_current(
+        model: &mut dyn Model,
+        data: &Dataset,
+        rule: &LocalRule,
+        steps: usize,
+        eta_l: f32,
+        batch_size: usize,
+        rng: &mut Prng,
+    ) -> LocalOutcome {
+        let start = model.params();
+        run_local_steps(model, &start, data, rule, steps, eta_l, batch_size, rng)
+    }
+
+    /// The loop before start-point steps, kept as the oracle: it reads
+    /// the start from the model, forms `v` as its own vector, steps
+    /// with [`ops::axpy`] and subtracts the final iterate from a copy
+    /// of the start.
+    fn reference_local_steps(
+        model: &mut dyn Model,
+        data: &Dataset,
+        rule: &LocalRule,
+        steps: usize,
+        eta_l: f32,
+        batch_size: usize,
+        rng: &mut Prng,
+    ) -> LocalOutcome {
+        let mut w = model.params();
+        let dim = w.len();
+        let mut delta = w.clone();
+        let mut loss_sum = 0.0f64;
+        let mut grad_evals = 0usize;
+        let mut prev_w: Vec<f32> = Vec::new();
+        let mut prev_v: Vec<f32> = Vec::new();
+        for k in 0..steps {
+            let batch = data.sample_batch(batch_size, rng);
+            let (loss, g) = model.loss_and_grad(&batch);
+            grad_evals += 1;
+            loss_sum += loss as f64;
+            let v = match rule {
+                LocalRule::PlainSgd => g,
+                LocalRule::Prox { lambda, anchor } => {
+                    let mut v = g;
+                    for i in 0..dim {
+                        v[i] += lambda * (w[i] - anchor[i]);
+                    }
+                    v
+                }
+                LocalRule::Correction { term } => {
+                    let mut v = g;
+                    ops::axpy(&mut v, 1.0, term);
+                    v
+                }
+                LocalRule::ScaledCorrection { direction, factor } => {
+                    let mut v = g;
+                    ops::axpy(&mut v, *factor, direction);
+                    v
+                }
+                LocalRule::ProxCorrection {
+                    lambda,
+                    anchor,
+                    term,
+                } => {
+                    let mut v = g;
+                    for i in 0..dim {
+                        v[i] += lambda * (w[i] - anchor[i]) + term[i];
+                    }
+                    v
+                }
+                LocalRule::StemMomentum { alpha } => {
+                    if k == 0 {
+                        g
+                    } else {
+                        model.set_params(&prev_w);
+                        let (_, g_prev) = model.loss_and_grad(&batch);
+                        model.set_params(&w);
+                        grad_evals += 1;
+                        let mut v = g;
+                        for i in 0..dim {
+                            v[i] += (1.0 - alpha) * (prev_v[i] - g_prev[i]);
+                        }
+                        v
+                    }
+                }
+            };
+            if matches!(rule, LocalRule::StemMomentum { .. }) {
+                prev_w = w.clone();
+                prev_v = v.clone();
+            }
+            ops::axpy(&mut w, -eta_l, &v);
+            model.set_params(&w);
+        }
+        for (d, &wk) in delta.iter_mut().zip(&w) {
+            *d -= wk;
+        }
+        LocalOutcome {
+            delta,
+            final_v: if matches!(rule, LocalRule::StemMomentum { .. }) {
+                Some(prev_v)
+            } else {
+                None
+            },
+            mean_loss: (loss_sum / steps as f64) as f32,
+            grad_evals,
+            steps,
+        }
+    }
+
+    /// One rule of each kind, with vectors drawn for `dim` parameters
+    /// around `start`.
+    fn every_rule(start: &[f32], seed: u64) -> Vec<LocalRule> {
+        let mut rng = Prng::seed_from_u64(seed);
+        let mut draw = |scale: f32| -> Vec<f32> {
+            (0..start.len()).map(|_| scale * rng.normal_f32()).collect()
+        };
+        let anchor: Arc<[f32]> = start
+            .iter()
+            .zip(draw(0.1))
+            .map(|(s, n)| s + n)
+            .collect::<Vec<_>>()
+            .into();
+        let term = draw(0.05);
+        let direction: Arc<[f32]> = draw(0.2).into();
+        vec![
+            LocalRule::PlainSgd,
+            LocalRule::Prox {
+                lambda: 0.3,
+                anchor: Arc::clone(&anchor),
+            },
+            LocalRule::Correction { term: term.clone() },
+            LocalRule::ScaledCorrection {
+                direction,
+                factor: -0.7,
+            },
+            LocalRule::StemMomentum { alpha: 0.2 },
+            LocalRule::ProxCorrection {
+                lambda: 0.1,
+                anchor,
+                term,
+            },
+        ]
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs every rule for K ∈ {1, 3} through both loops on clones of
+    /// `model` and compares the outcomes and final parameters bitwise.
+    fn assert_matches_reference(model: &dyn Model, data: &Dataset, what: &str) {
+        let start = model.clone_model().params();
+        for rule in every_rule(&start, 17) {
+            for steps in [1, 3] {
+                let case = format!("{what}, {rule:?}, K = {steps}");
+                let mut oracle = model.clone_model();
+                let want = reference_local_steps(
+                    &mut *oracle,
+                    data,
+                    &rule,
+                    steps,
+                    0.05,
+                    4,
+                    &mut Prng::seed_from_u64(9),
+                );
+                // A model left elsewhere: the start point must not
+                // depend on what the model held before.
+                let mut reused = model.clone_model();
+                let elsewhere = vec![0.25f32; start.len()];
+                reused.set_params(&elsewhere);
+                let got = run_local_steps(
+                    &mut *reused,
+                    &start,
+                    data,
+                    &rule,
+                    steps,
+                    0.05,
+                    4,
+                    &mut Prng::seed_from_u64(9),
+                );
+                assert_eq!(bits(&got.delta), bits(&want.delta), "delta, {case}");
+                assert_eq!(
+                    got.final_v.as_deref().map(bits),
+                    want.final_v.as_deref().map(bits),
+                    "final_v, {case}"
+                );
+                assert_eq!(
+                    got.mean_loss.to_bits(),
+                    want.mean_loss.to_bits(),
+                    "loss, {case}"
+                );
+                assert_eq!(
+                    (got.grad_evals, got.steps),
+                    (want.grad_evals, want.steps),
+                    "{case}"
+                );
+                assert_eq!(
+                    bits(&reused.params()),
+                    bits(&oracle.params()),
+                    "params, {case}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn start_point_steps_match_the_reference_loop_bitwise() {
+        let (mlp, data, _) = fixture();
+        assert_matches_reference(&mlp, &data, "Mlp");
+        let mut rng = Prng::seed_from_u64(21);
+        let cnn = taco_nn::PaperCnn::new(1, 16, 3, 2, 8, &mut rng);
+        let n = 12;
+        let features = (0..n * 256).map(|_| rng.normal_f32()).collect();
+        let labels = (0..n).map(|i| i % 3).collect();
+        let images = Dataset::new(features, labels, &[1, 16, 16], 3);
+        assert_matches_reference(&cnn, &images, "PaperCnn");
+    }
+
     #[test]
     fn delta_is_w0_minus_wk() {
         let (mut model, data, mut rng) = fixture();
         let w0 = model.params();
-        let out = run_local_steps(
+        let out = from_current(
             &mut model,
             &data,
             &LocalRule::PlainSgd,
@@ -317,7 +543,7 @@ mod tests {
         let (mut model, data, mut rng) = fixture();
         let anchor = model.params();
         // A huge lambda should keep the iterate glued to the anchor.
-        let out = run_local_steps(
+        let out = from_current(
             &mut model,
             &data,
             &LocalRule::Prox {
@@ -331,7 +557,7 @@ mod tests {
         );
         let free_drift = {
             let (mut m2, data, mut rng) = fixture();
-            let o = run_local_steps(
+            let o = from_current(
                 &mut m2,
                 &data,
                 &LocalRule::PlainSgd,
@@ -355,7 +581,7 @@ mod tests {
         // A large constant correction dominates the tiny gradient of a
         // 1-step run; Δ should align with it.
         let term = vec![10.0f32; dim];
-        let out = run_local_steps(
+        let out = from_current(
             &mut model,
             &data,
             &LocalRule::Correction { term: term.clone() },
@@ -393,7 +619,7 @@ mod tests {
         for factor in [0.37f32, -0.81, 0.0, -0.0, 1.0, -1.0, 1e-30] {
             let run = |rule: &LocalRule| {
                 let (mut m, data, mut rng) = fixture();
-                run_local_steps(&mut m, &data, rule, 6, 0.05, 4, &mut rng)
+                from_current(&mut m, &data, rule, 6, 0.05, 4, &mut rng)
             };
             let shared = run(&LocalRule::ScaledCorrection {
                 direction: Arc::clone(&direction),
@@ -414,7 +640,7 @@ mod tests {
     #[test]
     fn stem_costs_two_grads_per_step_after_first() {
         let (mut model, data, mut rng) = fixture();
-        let out = run_local_steps(
+        let out = from_current(
             &mut model,
             &data,
             &LocalRule::StemMomentum { alpha: 0.2 },
@@ -433,7 +659,7 @@ mod tests {
         // α = 1 kills the momentum term, so STEM degenerates to SGD
         // (same batches via the same seed).
         let (mut m1, data, mut r1) = fixture();
-        let o1 = run_local_steps(
+        let o1 = from_current(
             &mut m1,
             &data,
             &LocalRule::StemMomentum { alpha: 1.0 },
@@ -443,7 +669,7 @@ mod tests {
             &mut r1,
         );
         let (mut m2, data2, mut r2) = fixture();
-        let o2 = run_local_steps(&mut m2, &data2, &LocalRule::PlainSgd, 4, 0.05, 4, &mut r2);
+        let o2 = from_current(&mut m2, &data2, &LocalRule::PlainSgd, 4, 0.05, 4, &mut r2);
         for (a, b) in o1.delta.iter().zip(&o2.delta) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
@@ -454,7 +680,7 @@ mod tests {
         let (mut model, data, mut rng) = fixture();
         let eval = data.eval_batches(16);
         let (l0, _) = taco_nn::evaluate(&mut model, &eval);
-        let _ = run_local_steps(
+        let _ = from_current(
             &mut model,
             &data,
             &LocalRule::PlainSgd,
@@ -477,7 +703,7 @@ mod tests {
     #[should_panic(expected = "anchor length mismatch")]
     fn bad_anchor_length_panics() {
         let (mut model, data, mut rng) = fixture();
-        let _ = run_local_steps(
+        let _ = from_current(
             &mut model,
             &data,
             &LocalRule::Prox {

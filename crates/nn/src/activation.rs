@@ -23,6 +23,14 @@ impl Relu {
         x.map(|v| v.max(0.0))
     }
 
+    /// Inference forward pass, in place: the values of
+    /// [`Relu::forward`] with no mask kept, so no backward may follow.
+    pub fn infer_in_place(x: &mut [f32]) {
+        for v in x.iter_mut() {
+            *v = v.max(0.0);
+        }
+    }
+
     /// In-place flat-slice variant used by the CNN/ResNet inner loops.
     pub fn forward_flat(&mut self, x: &mut [f32]) {
         self.mask = x.iter().map(|&v| v > 0.0).collect();

@@ -176,8 +176,17 @@ impl PaperCnn {
         features
     }
 
+    /// The logits; with `train` unset neither the trunk nor the FC head
+    /// keeps a backward cache.
     fn forward_logits(&mut self, batch: &Batch, train: bool) -> Tensor {
         let features = self.forward_trunk(batch, train);
+        if !train {
+            let mut h1 = self.fc1.infer(&features);
+            Relu::infer_in_place(h1.data_mut());
+            let mut h2 = self.fc2.infer(&h1);
+            Relu::infer_in_place(h2.data_mut());
+            return self.fc3.infer(&h2);
+        }
         let h1 = self.fc1.forward(&features);
         let h1 = self.relu_fc1.forward(&h1);
         let h2 = self.fc2.forward(&h1);

@@ -7,9 +7,10 @@ use taco_tensor::{linalg, Prng, Tensor};
 ///
 /// Weights are `[out, in]`, inputs `[batch, in]`, outputs
 /// `[batch, out]`. The forward pass caches the input for the backward
-/// pass; gradients accumulate into the layer's [`ParamBlock`]s. A first
-/// layer calls [`Dense::backward_weights`], which skips the input
-/// gradient.
+/// pass; [`Dense::infer`] caches nothing, for evaluation. Gradients
+/// accumulate into the layer's [`ParamBlock`]s, the weight gradient
+/// straight into its buffer. A first layer calls
+/// [`Dense::backward_weights`], which skips the input gradient.
 #[derive(Debug, Clone)]
 pub struct Dense {
     weight: ParamBlock,
@@ -50,6 +51,18 @@ impl Dense {
     ///
     /// Panics if `x` is not `[batch, in_features]`.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
+        let y = self.infer(x);
+        self.cached_input = Some(x.clone());
+        y
+    }
+
+    /// Inference forward pass: the same output as [`Dense::forward`],
+    /// but nothing is cached, so no backward pass may follow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `[batch, in_features]`.
+    pub fn infer(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.dims().len(), 2, "dense input must be 2-D");
         assert_eq!(
             x.dims()[1],
@@ -65,7 +78,6 @@ impl Dense {
                 *v += bj;
             }
         }
-        self.cached_input = Some(x.clone());
         y
     }
 
@@ -95,9 +107,8 @@ impl Dense {
             .as_ref()
             // taco-check: allow(unwrap, documented `# Panics` contract — backward before forward is a caller bug the message names)
             .expect("Dense::backward called before forward");
-        // dW = gᵀ · x, dB = column sums of g.
-        let dw = linalg::matmul_tn(grad_out, x);
-        self.weight.grad += &dw;
+        // dW += gᵀ · x, dB += column sums of g.
+        linalg::matmul_tn_acc(grad_out, x, &mut self.weight.grad);
         let (b, out) = (grad_out.dims()[0], self.out_features());
         for j in 0..out {
             let mut s = 0.0;
@@ -106,6 +117,12 @@ impl Dense {
             }
             self.bias.grad.data_mut()[j] += s;
         }
+    }
+
+    /// Whether a forward pass left its input cached.
+    #[cfg(test)]
+    pub(crate) fn has_cached_input(&self) -> bool {
+        self.cached_input.is_some()
     }
 }
 

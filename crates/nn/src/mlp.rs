@@ -71,6 +71,19 @@ impl Mlp {
         self.layers[n - 1].forward(&h)
     }
 
+    /// The logits of [`Mlp::forward`] without its backward caches:
+    /// [`Dense::infer`] and an in-place ReLU, for evaluation.
+    fn infer(&self, x: &Tensor) -> Tensor {
+        let n = self.layers.len();
+        let mut h: Option<Tensor> = None;
+        for layer in &self.layers[..n - 1] {
+            let mut y = layer.infer(h.as_ref().unwrap_or(x));
+            Relu::infer_in_place(y.data_mut());
+            h = Some(y);
+        }
+        self.layers[n - 1].infer(h.as_ref().unwrap_or(x))
+    }
+
     fn backward(&mut self, grad_logits: &Tensor) {
         let n = self.layers.len();
         if n == 1 {
@@ -122,7 +135,7 @@ impl Model for Mlp {
     }
 
     fn loss_and_accuracy(&mut self, batch: &Batch) -> (f32, f32) {
-        let logits = self.forward(batch.inputs());
+        let logits = self.infer(batch.inputs());
         let (loss, _) = softmax_cross_entropy(&logits, batch.targets());
         let acc = count_correct(&logits, batch.targets()) as f32 / batch.len() as f32;
         (loss, acc)
@@ -197,6 +210,28 @@ mod tests {
                 grad[i]
             );
         }
+    }
+
+    #[test]
+    fn evaluation_keeps_no_cache_and_matches_the_training_forward_bitwise() {
+        let mut rng = Prng::seed_from_u64(12);
+        let mut fresh = Mlp::new(6, &[9, 7], 4, &mut rng);
+        let x = Tensor::randn([16, 6], 1.0, &mut rng);
+        let batch = Batch::new(x, (0..16).map(|i| i % 4).collect());
+        let mut evaluated = fresh.clone_mlp();
+        let (loss, acc) = evaluated.loss_and_accuracy(&batch);
+        assert!(evaluated.layers.iter().all(|l| !l.has_cached_input()));
+        let logits = fresh.clone_mlp().forward(batch.inputs());
+        let (want_loss, _) = softmax_cross_entropy(&logits, batch.targets());
+        let want_acc = count_correct(&logits, batch.targets()) as f32 / batch.len() as f32;
+        assert_eq!(loss.to_bits(), want_loss.to_bits());
+        assert_eq!(acc.to_bits(), want_acc.to_bits());
+        // An evaluated model trains exactly like a fresh one.
+        let (want_loss, want) = fresh.loss_and_grad(&batch);
+        let (got_loss, got) = evaluated.loss_and_grad(&batch);
+        let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got_loss.to_bits(), want_loss.to_bits());
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

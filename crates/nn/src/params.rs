@@ -61,16 +61,18 @@ pub fn param_count(target: &mut dyn HasParams) -> usize {
     n
 }
 
-/// Flattens all parameter values into one vector.
+/// Flattens all parameter values into one vector, allocated once at
+/// its final length.
 pub fn flatten_params(target: &mut dyn HasParams) -> Vec<f32> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(param_count(target));
     target.visit_params(&mut |b| out.extend_from_slice(b.value.data()));
     out
 }
 
-/// Flattens all accumulated gradients into one vector.
+/// Flattens all accumulated gradients into one vector, allocated once
+/// at its final length.
 pub fn flatten_grads(target: &mut dyn HasParams) -> Vec<f32> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(param_count(target));
     target.visit_params(&mut |b| out.extend_from_slice(b.grad.data()));
     out
 }

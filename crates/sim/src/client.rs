@@ -31,9 +31,11 @@ pub(crate) fn client_rng(seed: u64, round: usize, client: usize) -> Prng {
 /// pool ([`taco_tensor::pool`]). The pool runs at most
 /// `pool::threads()` tasks; each clones the prototype once, on its
 /// first job, and then claims jobs one at a time from a shared
-/// counter, resetting its model with `set_params(global)` before every
-/// client. Claiming one job at a time keeps the threads busy until the
-/// last client finishes. Tensor kernels invoked inside a pooled task
+/// counter. Each client's [`update::run_local_steps`] starts from
+/// `global` and loads it into the task's model itself, so the model
+/// needs no reset between clients. Claiming one job at a time keeps
+/// the threads busy until the last client finishes. Tensor kernels
+/// invoked inside a pooled task
 /// detect they're on a worker thread and run inline, so clients and
 /// kernels share the same `TACO_THREADS` budget instead of
 /// oversubscribing. With `TACO_THREADS=1` (or
@@ -58,7 +60,6 @@ pub(crate) fn execute_jobs(
             client = job.client,
             steps = job.steps
         );
-        model.set_params(global);
         let mut rng = client_rng(seed, round, job.client);
         // Wall-clock time is read only through taco-trace spans
         // (D2): the span both feeds the `client_compute.seconds`
@@ -66,6 +67,7 @@ pub(crate) fn execute_jobs(
         let compute_span = trace::Span::quiet(crate::phase::CLIENT_COMPUTE);
         let outcome = update::run_local_steps(
             model,
+            global,
             fed.client(job.client),
             &job.rule,
             job.steps,

@@ -197,14 +197,30 @@ pub(crate) fn check_finite(update: &ClientUpdate) -> Result<(), RejectReason> {
 impl ValidationPolicy {
     /// Validates one received (decoded) upload: finiteness of the delta
     /// and momentum buffer, then the norm cap. `Err` names the
-    /// quarantine reason.
+    /// quarantine reason. The delta is read once, for its finiteness
+    /// and its norm together; the norm has the bits of [`ops::norm`].
     pub fn validate(&self, update: &ClientUpdate) -> Result<(), RejectReason> {
-        check_finite(update)?;
-        if ops::norm(&update.delta) > self.max_delta_norm {
+        let (finite, squares) = finite_and_squares(&update.delta);
+        if !finite || !update.final_v.as_deref().is_none_or(ops::all_finite) {
+            return Err(RejectReason::NonFinite);
+        }
+        if squares.sqrt() as f32 > self.max_delta_norm {
             return Err(RejectReason::NormExploded);
         }
         Ok(())
     }
+}
+
+/// Whether every value is finite, and `Σ x²` as the ascending `f64`
+/// fold of [`ops::norm`], in one pass.
+fn finite_and_squares(xs: &[f32]) -> (bool, f64) {
+    let mut finite = true;
+    let mut squares = 0.0f64;
+    for &x in xs {
+        finite &= x.is_finite();
+        squares += f64::from(x) * f64::from(x);
+    }
+    (finite, squares)
 }
 
 /// A deterministic, seeded fault-injection plan.
@@ -579,6 +595,38 @@ mod tests {
         let mut with_v = upd(vec![1.0]);
         with_v.final_v = Some(vec![f32::NAN]);
         assert_eq!(policy.validate(&with_v), Err(RejectReason::NonFinite));
+    }
+
+    #[test]
+    fn one_pass_validation_keeps_the_norm_bits_and_the_reject_precedence() {
+        let mut rng = taco_tensor::Prng::seed_from_u64(4);
+        let delta: Vec<f32> = (0..5000).map(|_| rng.normal_f32()).collect();
+        let norm = ops::norm(&delta);
+        // A cap at exactly `ops::norm` accepts; one ulp below rejects.
+        let at = ValidationPolicy {
+            max_delta_norm: norm,
+        };
+        let below = ValidationPolicy {
+            max_delta_norm: f32::from_bits(norm.to_bits() - 1),
+        };
+        assert_eq!(at.validate(&upd(delta.clone())), Ok(()));
+        assert_eq!(
+            below.validate(&upd(delta.clone())),
+            Err(RejectReason::NormExploded)
+        );
+        // A NaN delta is non-finite, even when its other values
+        // explode the norm.
+        let mut nan = delta.iter().map(|x| x * 1e30).collect::<Vec<_>>();
+        nan[4321] = f32::NAN;
+        assert_eq!(at.validate(&upd(nan)), Err(RejectReason::NonFinite));
+        // So is a finite, norm-exploded delta with a non-finite final_v.
+        let mut bad_v = upd(delta.iter().map(|x| x * 1e6).collect());
+        let mut v = delta.clone();
+        v[17] = f32::NEG_INFINITY;
+        bad_v.final_v = Some(v);
+        assert_eq!(at.validate(&bad_v), Err(RejectReason::NonFinite));
+        bad_v.final_v = Some(delta);
+        assert_eq!(at.validate(&bad_v), Err(RejectReason::NormExploded));
     }
 
     #[test]

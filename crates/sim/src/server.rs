@@ -159,9 +159,10 @@ struct Received {
 /// *encoded* payload (an index, a value slot, or the scale header),
 /// since that is what travels. Wire bytes are measured from that
 /// encoding. The server then checks its structure: a well-formed one
-/// is decoded once into `update.delta`, a malformed one is never
-/// decoded. Without a codec, the corruption hits the dense floats (no
-/// other wire representation exists to damage).
+/// is decoded once, in place, into `update.delta`'s own buffer, a
+/// malformed one is never decoded. Without a codec, the corruption
+/// hits the dense floats (no other wire representation exists to
+/// damage).
 ///
 /// The decoded upload is then validated: anything malformed or
 /// non-finite — and, under a fault plan, anything norm-exploded — gets
@@ -181,7 +182,7 @@ fn receive(
             }
             let structure = fault::check_encoding(&enc, update.delta.len());
             if structure.is_ok() {
-                update.delta = enc.decode();
+                enc.decode_into(&mut update.delta);
             }
             (structure, enc.wire_bytes())
         }

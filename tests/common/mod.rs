@@ -52,7 +52,7 @@ pub fn fixed_shards(
     Box::new(FixedShards {
         inner,
         shards,
-        fold: ShardFold::default(),
+        fold: ShardFold,
     })
 }
 
