@@ -122,7 +122,7 @@ fn kernel_probe<'a>(single: &'a Pool, kernel: &'static str, n: usize, iters: usi
 
 /// Wall-ms of TACO server-side aggregation alone at parameter-server
 /// scale (32 uploads × 256 Ki dims, 6 rounds) through `Taco::aggregate`,
-/// the entry point the server calls: statistics, plan, shard fold and
+/// the entry point the server calls: statistics, plan, tiled fold and
 /// commit. Each round is one segment. Runs on `workers`, a pool no
 /// wider than the host, so the reading is not a measure of
 /// oversubscription. Client compute is

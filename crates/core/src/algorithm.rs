@@ -19,8 +19,7 @@ pub enum AggWeighting {
 ///
 /// The fields are defined *operationally* — each one names the exact
 /// `taco_tensor::ops` arithmetic that produces it — so that
-/// [`UploadStats::compute`] is bit-identical at any shard count and
-/// any pool size.
+/// [`UploadStats::compute`] is bit-identical at any pool size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UploadStats {
     /// The unweighted mean delta `Δ̄` — `taco_tensor::ops::mean_of`
@@ -39,19 +38,19 @@ pub struct UploadStats {
 const STATS_GROUP: usize = 4;
 
 impl UploadStats {
-    /// Computes the statistics: the mean is a [`ShardFold`] with unit
-    /// weights over `shards` dimension shards; norms and cosines come
-    /// from one pass per group of `STATS_GROUP` uploads, one pool
-    /// task per group. Each upload's two reductions stay whole-vector
-    /// ascending folds and no cross-client float fold runs in parallel,
-    /// so the result is the same at any `shards` and any pool size.
+    /// Computes the statistics: the mean is a [`weighted_mean`] with
+    /// unit weights; norms and cosines come from one pass per group of
+    /// `STATS_GROUP` uploads, one pool task per group. Each upload's
+    /// two reductions stay whole-vector ascending folds and no
+    /// cross-client float fold runs in parallel, so the result is the
+    /// same at any pool size.
     ///
     /// # Panics
     ///
     /// Panics if `updates` is empty or delta lengths are inconsistent.
-    pub fn compute(updates: &[ClientUpdate], fold: &mut ShardFold, shards: usize) -> Self {
+    pub fn compute(updates: &[ClientUpdate]) -> Self {
         let ones = vec![1.0f32; updates.len()];
-        let mean_delta = fold.weighted_mean(updates, &ones, shards);
+        let mean_delta = weighted_mean(updates, &ones);
         let mean_norm = ops::norm(&mean_delta);
         let mut scalars = vec![(0.0f32, 0.0f32); updates.len()];
         pool::for_each_chunk(&mut scalars, STATS_GROUP, |group, slots| {
@@ -115,120 +114,82 @@ pub struct WeightedCombine {
     pub step_scale: f32,
 }
 
-/// Models smaller than this fold on one shard: below it a pool
-/// dispatch costs more than the fold saves.
-const PARALLEL_DIM_FLOOR: usize = 16_384;
-
-/// The shard count the server folds a `dim`-parameter model with: one
-/// below `PARALLEL_DIM_FLOOR`, otherwise the pool's
-/// [`pool::effective_parallelism`]. Every count gives the same bits;
-/// this only picks the fastest.
-pub fn fold_shards(dim: usize) -> usize {
-    if dim < PARALLEL_DIM_FLOOR {
-        1
-    } else {
-        pool::effective_parallelism()
-    }
-}
-
-/// Dimensions per tile of the shard fold: its `f64` accumulators
-/// (16 KiB) stay in L1 while every upload streams through them.
+/// Dimensions per tile of the fold: its `f64` accumulators (16 KiB)
+/// stay in L1 while every upload streams through them.
 const FOLD_TILE: usize = 2048;
 
-/// Uploads one pass of the shard fold adds into a tile.
+/// Uploads one pass of the fold adds into a tile.
 const FOLD_GROUP: usize = 4;
 
-/// The order-fixed shard fold behind every weighted combine.
+/// `Σ_i w_i·Δ_i / Σ_i w_i` per dimension, rounded to `f32`: the
+/// order-fixed fold behind every weighted combine.
 ///
-/// The model's dimensions are split into `shards` contiguous chunks,
-/// which the pool folds in parallel. Each chunk walks its dimensions in
-/// tiles of `FOLD_TILE` `f64` accumulators on the task's stack, adds
-/// the uploads into a tile `FOLD_GROUP` at a time **in client order**
-/// ([`linalg::fold_weighted`]) with the widening
+/// The model's dimensions are split into tiles of `FOLD_TILE`, one
+/// pool task per tile. Each task keeps the tile's `f64` accumulators on
+/// its stack, adds the uploads into them `FOLD_GROUP` at a time **in
+/// client order** ([`linalg::fold_weighted`]) with the widening
 /// `acc += w as f64 · x as f64` of [`ops::weighted_mean`], and writes
-/// the tile's mean straight out. Every dimension belongs to one tile of
-/// one chunk and starts its sum at zero, so neither the chunk nor the
-/// tile boundaries nor the schedule reorder any sum, and the result is
-/// bit-identical to `ops::weighted_mean` over the deltas at any shard
-/// count and any pool size. `shards = 1` is the sequential reference.
-/// Encoded uploads arrive here already decoded: the fold only ever
-/// reads dense deltas.
+/// the tile's mean straight out. Every dimension belongs to one tile
+/// and starts its sum at zero, and the tiles depend only on the model's
+/// size, so neither the partition nor the schedule reorders any sum:
+/// the result is bit-identical to `ops::weighted_mean` over the deltas
+/// at any pool size. Encoded uploads arrive here already decoded: the
+/// fold only ever reads dense deltas.
 ///
-/// The fold keeps no state between calls; the type is the handle the
-/// statistics and the combine of a round share.
-#[derive(Debug, Default)]
-pub struct ShardFold;
-
-impl ShardFold {
-    /// `Σ_i w_i·Δ_i / Σ_i w_i` per dimension, rounded to `f32`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `updates` is empty, the weight count or delta lengths
-    /// are inconsistent, or the weights do not sum to a positive finite
-    /// value.
-    pub fn weighted_mean(
-        &mut self,
-        updates: &[ClientUpdate],
-        weights: &[f32],
-        shards: usize,
-    ) -> Vec<f32> {
-        assert!(!updates.is_empty(), "weighted mean of no updates");
-        assert_eq!(updates.len(), weights.len(), "weight count mismatch");
-        let wide: Vec<f64> = weights.iter().map(|&w| f64::from(w)).collect();
-        let total = ops::sum_f64(&wide);
-        assert!(
-            total.is_finite() && total > 0.0,
-            "weights must sum to a positive finite value, got {total}"
-        );
-        let dim = updates[0].delta.len();
-        assert!(
-            updates.iter().all(|u| u.delta.len() == dim),
-            "delta length mismatch"
-        );
-        let chunk = dim.div_ceil(shards.max(1)).max(1);
-        let mut mean = vec![0.0f32; dim];
-        pool::for_each_chunk(&mut mean, chunk, |s, out| {
-            let mut tile = [0.0f64; FOLD_TILE];
-            for (t, out) in out.chunks_mut(FOLD_TILE).enumerate() {
-                let lo = s * chunk + t * FOLD_TILE;
-                let delta = |u: usize| &updates[u].delta[lo..lo + out.len()];
-                let acc = &mut tile[..out.len()];
-                acc.fill(0.0);
-                let mut first = 0;
-                while first + FOLD_GROUP <= updates.len() {
-                    let xs: [&[f32]; FOLD_GROUP] = std::array::from_fn(|u| delta(first + u));
-                    linalg::fold_weighted(acc, xs, std::array::from_fn(|u| wide[first + u]));
-                    first += FOLD_GROUP;
-                }
-                for (u, &w) in wide.iter().enumerate().skip(first) {
-                    linalg::fold_weighted(acc, [delta(u)], [w]);
-                }
-                for (o, &a) in out.iter_mut().zip(acc.iter()) {
-                    *o = (a / total) as f32;
-                }
-            }
-        });
-        mean
-    }
+/// # Panics
+///
+/// Panics if `updates` is empty, the weight count or delta lengths are
+/// inconsistent, or the weights do not sum to a positive finite value.
+pub fn weighted_mean(updates: &[ClientUpdate], weights: &[f32]) -> Vec<f32> {
+    assert!(!updates.is_empty(), "weighted mean of no updates");
+    assert_eq!(updates.len(), weights.len(), "weight count mismatch");
+    let wide: Vec<f64> = weights.iter().map(|&w| f64::from(w)).collect();
+    let total = ops::sum_f64(&wide);
+    assert!(
+        total.is_finite() && total > 0.0,
+        "weights must sum to a positive finite value, got {total}"
+    );
+    let dim = updates[0].delta.len();
+    assert!(
+        updates.iter().all(|u| u.delta.len() == dim),
+        "delta length mismatch"
+    );
+    let mut mean = vec![0.0f32; dim];
+    pool::for_each_chunk(&mut mean, FOLD_TILE, |t, out| {
+        let lo = t * FOLD_TILE;
+        let delta = |u: usize| &updates[u].delta[lo..lo + out.len()];
+        let mut tile = [0.0f64; FOLD_TILE];
+        let acc = &mut tile[..out.len()];
+        let mut first = 0;
+        while first + FOLD_GROUP <= updates.len() {
+            let xs: [&[f32]; FOLD_GROUP] = std::array::from_fn(|u| delta(first + u));
+            linalg::fold_weighted(acc, xs, std::array::from_fn(|u| wide[first + u]));
+            first += FOLD_GROUP;
+        }
+        for (u, &w) in wide.iter().enumerate().skip(first) {
+            linalg::fold_weighted(acc, [delta(u)], [w]);
+        }
+        for (o, &a) in out.iter_mut().zip(acc.iter()) {
+            *o = (a / total) as f32;
+        }
+    });
+    mean
 }
 
-/// Executes a [`WeightedCombine`] plan: the shard-folded weighted mean
-/// → optional pre-scale → AXPY step. Returns `(combined, next_global)`
+/// Executes a [`WeightedCombine`] plan: the [`weighted_mean`] →
+/// optional pre-scale → AXPY step. Returns `(combined, next_global)`
 /// where `combined` is the post-scale aggregate (what TACO stores as
 /// `Δ_{t+1}`) and `next_global` the stepped parameters.
 ///
 /// # Panics
 ///
-/// Panics as [`ShardFold::weighted_mean`] does.
+/// Panics as [`weighted_mean`] does.
 pub fn combine_weighted(
     global: &[f32],
     updates: &[ClientUpdate],
     plan: &WeightedCombine,
-    fold: &mut ShardFold,
-    shards: usize,
 ) -> (Vec<f32>, Vec<f32>) {
-    let mut combined = fold.weighted_mean(updates, &plan.weights, shards);
+    let mut combined = weighted_mean(updates, &plan.weights);
     if let Some(s) = plan.pre_scale {
         ops::scale(&mut combined, s);
     }
@@ -240,7 +201,7 @@ pub fn combine_weighted(
 /// The planned server step behind the default
 /// [`FederatedAlgorithm::aggregate`]: [`UploadStats`] if the algorithm
 /// wants them, then its [`FederatedAlgorithm::plan_aggregation`], the
-/// [`combine_weighted`] fold over `shards` shards, and
+/// [`combine_weighted`] fold, and
 /// [`FederatedAlgorithm::commit_aggregation`]. Returns `None`, having
 /// folded nothing, when the algorithm has no plan.
 ///
@@ -252,14 +213,12 @@ pub fn aggregate_planned<A: FederatedAlgorithm + ?Sized>(
     global: &[f32],
     updates: &[ClientUpdate],
     hyper: &HyperParams,
-    fold: &mut ShardFold,
-    shards: usize,
 ) -> Option<Vec<f32>> {
     let stats = algorithm
         .wants_upload_stats()
-        .then(|| UploadStats::compute(updates, fold, shards));
+        .then(|| UploadStats::compute(updates));
     let plan = algorithm.plan_aggregation(global, updates, stats.as_ref(), hyper)?;
-    let (combined, next) = combine_weighted(global, updates, &plan, fold, shards);
+    let (combined, next) = combine_weighted(global, updates, &plan);
     algorithm.commit_aggregation(global, &combined);
     Some(next)
 }
@@ -313,8 +272,7 @@ pub trait FederatedAlgorithm: Send {
 
     /// Aggregates the round's uploads and returns the next global
     /// parameter vector: the server's one aggregation entry point. The
-    /// default runs [`aggregate_planned`] with a fresh [`ShardFold`]
-    /// over [`fold_shards`] shards.
+    /// default runs [`aggregate_planned`].
     ///
     /// # Panics
     ///
@@ -327,8 +285,7 @@ pub trait FederatedAlgorithm: Send {
         hyper: &HyperParams,
     ) -> Vec<f32> {
         assert!(!updates.is_empty(), "aggregate with no updates");
-        let shards = fold_shards(global.len());
-        aggregate_planned(self, global, updates, hyper, &mut ShardFold, shards)
+        aggregate_planned(self, global, updates, hyper)
             .unwrap_or_else(|| panic!("{} has no aggregation plan", self.name()))
     }
 
@@ -508,17 +465,14 @@ pub(crate) mod testkit {
         next
     }
 
-    /// One [`aggregate_planned`] round over `shards` shards.
+    /// One [`aggregate_planned`] round.
     pub(crate) fn planned(
         algorithm: &mut dyn FederatedAlgorithm,
         global: &[f32],
         updates: &[ClientUpdate],
         hyper: &HyperParams,
-        shards: usize,
     ) -> Vec<f32> {
-        let mut fold = ShardFold;
-        aggregate_planned(algorithm, global, updates, hyper, &mut fold, shards)
-            .expect("the algorithm plans")
+        aggregate_planned(algorithm, global, updates, hyper).expect("the algorithm plans")
     }
 
     pub(crate) fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
@@ -569,7 +523,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_fold_matches_the_weighted_mean_at_any_shard_and_thread_count() {
+    fn fold_matches_the_weighted_mean_at_any_thread_count() {
         use crate::compress::{codec_stream, Compressor, TopK, Uniform8Bit};
         let pools = [
             taco_tensor::pool::Pool::new(1),
@@ -577,8 +531,8 @@ mod tests {
         ];
         let weights = [0.3f32, 1.7, 0.01, 2.5, 0.9, 1.0, 0.05, 3.25, 0.6];
         // Every remainder of the upload group, and dimensions on both
-        // sides of a tile and past three tiles, so shard and tile
-        // boundaries cross Q8/sparse runs.
+        // sides of a tile and past three tiles, so tile boundaries
+        // cross Q8/sparse runs.
         for n in 1..=weights.len() {
             for dim in [1001, FOLD_TILE - 1, FOLD_TILE + 1, 3 * FOLD_TILE + 5] {
                 let (_, mut updates) = testkit::random_round(n, dim, 23 + n as u64);
@@ -600,17 +554,11 @@ mod tests {
                 let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
                 let want = taco_tensor::ops::weighted_mean(&deltas, &weights[..n]);
                 for pool in &pools {
-                    for shards in [1, 3, 8, 5000] {
-                        let got = taco_tensor::pool::with_pool(pool, || {
-                            ShardFold.weighted_mean(&updates, &weights[..n], shards)
-                        });
-                        let what = format!("{n} uploads, dim {dim}, shards={shards}");
-                        testkit::assert_bits_eq(
-                            &got,
-                            &want,
-                            &format!("{what}, t{}", pool.threads()),
-                        );
-                    }
+                    let got = taco_tensor::pool::with_pool(pool, || {
+                        weighted_mean(&updates, &weights[..n])
+                    });
+                    let what = format!("{n} uploads, dim {dim}, t{}", pool.threads());
+                    testkit::assert_bits_eq(&got, &want, &what);
                 }
             }
         }
@@ -637,24 +585,13 @@ mod tests {
                 .map(|d| taco_tensor::ops::cosine_similarity(d, &mean))
                 .collect();
             for pool in &pools {
-                for shards in [1, 3, 8] {
-                    let stats = taco_tensor::pool::with_pool(pool, || {
-                        UploadStats::compute(&updates, &mut ShardFold, shards)
-                    });
-                    let what = format!("{n} uploads, {} threads, {shards} shards", pool.threads());
-                    testkit::assert_bits_eq(&stats.mean_delta, &mean, &format!("mean, {what}"));
-                    testkit::assert_bits_eq(&stats.norms, &norms, &format!("norms, {what}"));
-                    testkit::assert_bits_eq(&stats.cosines, &cosines, &format!("cosines, {what}"));
-                }
+                let stats = taco_tensor::pool::with_pool(pool, || UploadStats::compute(&updates));
+                let what = format!("{n} uploads, {} threads", pool.threads());
+                testkit::assert_bits_eq(&stats.mean_delta, &mean, &format!("mean, {what}"));
+                testkit::assert_bits_eq(&stats.norms, &norms, &format!("norms, {what}"));
+                testkit::assert_bits_eq(&stats.cosines, &cosines, &format!("cosines, {what}"));
             }
         }
-    }
-
-    #[test]
-    fn small_models_fold_on_one_shard() {
-        assert_eq!(fold_shards(0), 1);
-        assert_eq!(fold_shards(PARALLEL_DIM_FLOOR - 1), 1);
-        assert!(fold_shards(PARALLEL_DIM_FLOOR) >= 1);
     }
 
     #[test]

@@ -314,14 +314,12 @@ mod tests {
             step_scale: -(hyper.eta_g / hyper.k_eta_l()),
         };
         let want = testkit::reference_step(&global, &updates, &plan);
-        for shards in [1, 3, 8] {
-            let mut alg = FoolsGold::new();
-            let got = testkit::planned(&mut alg, &global, &updates, &hyper, shards);
-            testkit::assert_bits_eq(&got, &want, &format!("shards={shards}"));
-            testkit::assert_bits_eq(alg.last_weights(), &weights, "weights");
-            assert_eq!(alg.tracked_client_states(), 5, "history updated");
-            testkit::assert_bits_eq(&alg.histories[3], &updates[3].delta, "history");
-        }
+        let mut alg = FoolsGold::new();
+        let got = testkit::planned(&mut alg, &global, &updates, &hyper);
+        testkit::assert_bits_eq(&got, &want, "planned");
+        testkit::assert_bits_eq(alg.last_weights(), &weights, "weights");
+        assert_eq!(alg.tracked_client_states(), 5, "history updated");
+        testkit::assert_bits_eq(&alg.histories[3], &updates[3].delta, "history");
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub mod tailored;
 pub mod update;
 
 pub use algorithm::{
-    aggregate_planned, combine_weighted, fold_shards, AggWeighting, CostProfile,
-    FederatedAlgorithm, ShardFold, UploadStats, WeightedCombine,
+    aggregate_planned, combine_weighted, weighted_mean, AggWeighting, CostProfile,
+    FederatedAlgorithm, UploadStats, WeightedCombine,
 };
 pub use fedacg::FedAcg;
 pub use fedavg::FedAvg;

@@ -226,12 +226,10 @@ mod tests {
         let want_alphas = alpha::correction_coefficients(&deltas);
         let plan = fedavg_plan(&updates, &hyper, AggWeighting::Uniform);
         let want = testkit::reference_step(&global, &updates, &plan);
-        for shards in [1, 3, 8] {
-            let mut alg = TailoredProx::new(5, 0.1);
-            let got = testkit::planned(&mut alg, &global, &updates, &hyper, shards);
-            testkit::assert_bits_eq(&got, &want, &format!("shards={shards}"));
-            testkit::assert_bits_eq(&alg.alphas, &want_alphas, "alphas");
-        }
+        let mut alg = TailoredProx::new(5, 0.1);
+        let got = testkit::planned(&mut alg, &global, &updates, &hyper);
+        testkit::assert_bits_eq(&got, &want, "planned");
+        testkit::assert_bits_eq(&alg.alphas, &want_alphas, "alphas");
     }
 
     #[test]

@@ -54,6 +54,6 @@ pub use batch::Batch;
 pub use cnn::PaperCnn;
 pub use lstm::CharLstm;
 pub use mlp::Mlp;
-pub use model::{evaluate, Model};
+pub use model::{evaluate, map_with_models, Model};
 pub use params::ParamBlock;
 pub use resnet::TinyResNet;

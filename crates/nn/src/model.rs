@@ -55,8 +55,8 @@ pub trait Model: Send + Sync {
     fn loss_and_accuracy(&mut self, batch: &Batch) -> (f32, f32);
 
     /// Creates a fresh boxed clone of this model (same architecture and
-    /// parameters). Used by the simulator to hand each pool task its
-    /// own instance, which then serves that task's clients in turn.
+    /// parameters). Used by [`map_with_models`] to give each pool lane
+    /// its own instance, which then serves that lane's items in turn.
     fn clone_model(&self) -> Box<dyn Model>;
 }
 
@@ -86,48 +86,64 @@ impl Model for Box<dyn Model> {
     }
 }
 
+/// Maps `f(model, item)` over `items` on the worker pool
+/// ([`taco_tensor::pool`]), one model per lane, and returns the results
+/// in item order.
+///
+/// `model` serves lane 0 and one [`Model::clone_model`] serves each
+/// further pool thread; the clones are dropped on return. Each lane
+/// claims items one at a time from a shared counter, so the threads
+/// stay busy until the last item finishes. Runs inline on `model` when
+/// the pool has one thread, there is one item, or the caller is itself
+/// a pool worker. Which lane runs an item is scheduling-dependent, so
+/// `f` must give the same result on any model of the same
+/// architecture, whatever it ran before (e.g. by loading its
+/// parameters first, see [`Model::set_params`]).
+pub fn map_with_models<T, R, F>(model: &mut dyn Model, items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&mut dyn Model, &T) -> R + Sync,
+{
+    let width = pool::threads().min(items.len());
+    if width <= 1 || pool::on_worker_thread() {
+        return items.iter().map(|item| f(&mut *model, item)).collect();
+    }
+    let mut clones: Vec<Box<dyn Model>> = (1..width).map(|_| model.clone_model()).collect();
+    // Each lane is a model and the `(item index, result)` pairs it
+    // produced.
+    type Lane<'a, 'm, R> = (&'a mut (dyn Model + 'm), Vec<(usize, R)>);
+    let mut lanes: Vec<Lane<R>> = std::iter::once(model)
+        .chain(clones.iter_mut().map(|m| &mut **m))
+        .map(|m| (m, Vec::new()))
+        .collect();
+    // The claim counter publishes nothing: results travel back through
+    // each lane's own list, which the pool hands over on completion.
+    let next = AtomicUsize::new(0);
+    pool::for_each_chunk(&mut lanes, 1, |_, lane| {
+        let (model, done) = &mut lane[0];
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            done.push((i, f(&mut **model, item)));
+        }
+    });
+    let mut done: Vec<(usize, R)> = lanes.into_iter().flat_map(|(_, done)| done).collect();
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
 /// Evaluates a model over a list of batches, returning `(mean loss,
 /// accuracy)` weighted by batch size.
 ///
-/// The batches run on the worker pool ([`taco_tensor::pool`]): `model`
-/// and one [`Model::clone_model`] per further pool thread each claim
-/// whole batches, and the clones are dropped on return. The per-batch
+/// The batches run through [`map_with_models`]: `model` and one clone
+/// per further pool thread each claim whole batches. The per-batch
 /// `(loss, accuracy)` pairs are folded in batch order, so the result is
 /// bit-identical at any thread count.
 ///
 /// Returns `(0.0, 0.0)` for an empty batch list.
 pub fn evaluate(model: &mut dyn Model, batches: &[Batch]) -> (f32, f32) {
-    let threads = pool::threads().min(batches.len());
-    let mut scores = vec![(0.0f32, 0.0f32); batches.len()];
-    if threads <= 1 || pool::on_worker_thread() {
-        for (score, b) in scores.iter_mut().zip(batches) {
-            *score = model.loss_and_accuracy(b);
-        }
-    } else {
-        let mut helpers: Vec<Box<dyn Model>> = (1..threads).map(|_| model.clone_model()).collect();
-        // Each lane is a model and the `(batch index, score)` pairs it
-        // produced.
-        type Lane<'a, 'm> = (&'a mut (dyn Model + 'm), Vec<(usize, (f32, f32))>);
-        let mut lanes: Vec<Lane> = std::iter::once(model)
-            .chain(helpers.iter_mut().map(|m| &mut **m))
-            .map(|m| (m, Vec::new()))
-            .collect();
-        // The claim counter publishes nothing: scores travel back
-        // through each lane's own list, which the pool hands over on
-        // completion.
-        let next = AtomicUsize::new(0);
-        pool::for_each_chunk(&mut lanes, 1, |_, lane| {
-            let (model, done) = &mut lane[0];
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(b) = batches.get(i) else { break };
-                done.push((i, model.loss_and_accuracy(b)));
-            }
-        });
-        for (i, score) in lanes.into_iter().flat_map(|(_, done)| done) {
-            scores[i] = score;
-        }
-    }
+    let scores = map_with_models(model, batches, |m, b| m.loss_and_accuracy(b));
     let mut total = 0usize;
     let mut loss_sum = 0.0f64;
     let mut acc_sum = 0.0f64;
@@ -202,6 +218,56 @@ mod tests {
                     pool.threads()
                 );
             }
+        }
+    }
+
+    /// A parameter-free model that counts how often it was cloned.
+    struct CloneCounter(std::sync::Arc<AtomicUsize>);
+
+    impl Model for CloneCounter {
+        fn param_count(&mut self) -> usize {
+            0
+        }
+        fn params(&mut self) -> Vec<f32> {
+            Vec::new()
+        }
+        fn set_params(&mut self, _params: &[f32]) {}
+        fn loss_and_grad(&mut self, _batch: &Batch) -> (f32, Vec<f32>) {
+            (0.0, Vec::new())
+        }
+        fn loss_and_accuracy(&mut self, _batch: &Batch) -> (f32, f32) {
+            (0.0, 0.0)
+        }
+        fn clone_model(&self) -> Box<dyn Model> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Box::new(CloneCounter(std::sync::Arc::clone(&self.0)))
+        }
+    }
+
+    #[test]
+    fn pooled_map_returns_item_order_with_one_model_per_lane() {
+        // 12 items split evenly over 1, 2 or 3 lanes.
+        let items: Vec<usize> = (0..12).collect();
+        for threads in 1..=3 {
+            let pool = taco_tensor::pool::Pool::new(threads);
+            let clones = std::sync::Arc::new(AtomicUsize::new(0));
+            let mut model = CloneCounter(std::sync::Arc::clone(&clones));
+            // Every lane holds one item at the barrier before any moves
+            // on, so each lane's items interleave with the others'.
+            let barrier = std::sync::Barrier::new(threads);
+            let got = taco_tensor::pool::with_pool(&pool, || {
+                map_with_models(&mut model, &items, |_, &i| {
+                    barrier.wait();
+                    3 * i + 1
+                })
+            });
+            let want: Vec<usize> = items.iter().map(|&i| 3 * i + 1).collect();
+            assert_eq!(got, want, "{threads} threads");
+            assert_eq!(
+                clones.load(Ordering::Relaxed),
+                threads - 1,
+                "{threads} threads: one clone per further lane"
+            );
         }
     }
 

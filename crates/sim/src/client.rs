@@ -1,8 +1,6 @@
 //! Client-side execution: deterministic per-client RNG derivation and
 //! local-step jobs run sequentially or on the shared worker pool.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use crate::runner::SimConfig;
 use taco_core::{update, ClientUpdate, LocalRule};
 use taco_data::FederatedDataset;
@@ -28,24 +26,21 @@ pub(crate) fn client_rng(seed: u64, round: usize, client: usize) -> Prng {
 }
 
 /// Executes honest-client jobs, sequentially or on the shared worker
-/// pool ([`taco_tensor::pool`]). The pool runs at most
-/// `pool::threads()` tasks; each clones the prototype once, on its
-/// first job, and then claims jobs one at a time from a shared
-/// counter. Each client's [`update::run_local_steps`] starts from
-/// `global` and loads it into the task's model itself, so the model
-/// needs no reset between clients. Claiming one job at a time keeps
-/// the threads busy until the last client finishes. Tensor kernels
-/// invoked inside a pooled task
-/// detect they're on a worker thread and run inline, so clients and
-/// kernels share the same `TACO_THREADS` budget instead of
-/// oversubscribing. With `TACO_THREADS=1` (or
-/// [`crate::SimConfig::sequential`]) everything runs on the caller.
-/// Results come back in job order and are bit-identical whichever task
-/// ran a job: each client re-seeds its RNG from [`client_rng`] and
-/// starts from `global`, and a model's parameters fully determine its
-/// behaviour ([`Model::set_params`]).
+/// pool through [`taco_nn::map_with_models`]: `model` serves one lane
+/// and a clone each further pool thread, and every lane claims one
+/// job at a time, which keeps the threads busy until the last client
+/// finishes. Each client's [`update::run_local_steps`] loads its
+/// iterate into the lane's model itself, so the model needs no reset
+/// between clients. Tensor kernels invoked inside a pooled job detect
+/// they're on a worker thread and run inline, so clients and kernels
+/// share the same `TACO_THREADS` budget instead of oversubscribing.
+/// With `TACO_THREADS=1` (or [`crate::SimConfig::sequential`])
+/// everything runs on the caller. Results come back in job order and
+/// are bit-identical whichever lane ran a job: each client re-seeds its
+/// RNG from [`client_rng`] and starts from `global`, and a model's
+/// parameters fully determine its behaviour ([`Model::set_params`]).
 pub(crate) fn execute_jobs(
-    prototype: &dyn Model,
+    model: &mut dyn Model,
     fed: &FederatedDataset,
     global: &[f32],
     jobs: Vec<ClientJob>,
@@ -81,26 +76,9 @@ pub(crate) fn execute_jobs(
         drop(span);
         u
     };
-    let threads = taco_tensor::pool::threads();
-    if !config.parallel || jobs.len() <= 1 || threads <= 1 {
-        let mut model = prototype.clone_model();
-        return jobs.iter().map(|job| run_one(&mut *model, job)).collect();
+    if config.parallel {
+        taco_nn::map_with_models(model, &jobs, run_one)
+    } else {
+        jobs.iter().map(|job| run_one(&mut *model, job)).collect()
     }
-    // The claim counter publishes nothing: results travel back through
-    // each task's own slot, which the pool hands over on completion.
-    let next = AtomicUsize::new(0);
-    let mut done: Vec<Vec<(usize, ClientUpdate)>> = Vec::new();
-    done.resize_with(threads.min(jobs.len()), Vec::new);
-    taco_tensor::pool::for_each_chunk(&mut done, 1, |_, slot| {
-        let mut model: Option<Box<dyn Model>> = None;
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(job) = jobs.get(i) else { break };
-            let model = model.get_or_insert_with(|| prototype.clone_model());
-            slot[0].push((i, run_one(&mut **model, job)));
-        }
-    });
-    let mut done: Vec<(usize, ClientUpdate)> = done.into_iter().flatten().collect();
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, u)| u).collect()
 }

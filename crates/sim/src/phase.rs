@@ -20,7 +20,7 @@ pub const LOCAL: &str = "sim.phase.local";
 pub const COMPRESS: &str = "sim.phase.compress";
 /// Server-side aggregation: the one `FederatedAlgorithm::aggregate`
 /// call of a round with accepted uploads (for a planning algorithm:
-/// upload statistics, the plan, the shard fold and the commit).
+/// upload statistics, the plan, the tiled fold and the commit).
 pub const AGGREGATE: &str = "sim.phase.aggregate";
 /// Global-model evaluation.
 pub const EVAL: &str = "sim.phase.eval";

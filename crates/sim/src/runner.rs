@@ -54,14 +54,16 @@ pub struct SimConfig {
     pub seed: u64,
     /// Per-client behaviours; defaults to all-honest.
     pub behaviors: Vec<ClientBehavior>,
-    /// Run clients as parallel tasks on the shared worker pool
+    /// Run client jobs as parallel tasks on the shared worker pool
     /// ([`taco_tensor::pool`], sized by `TACO_THREADS`). Kernels inside
     /// a pooled client run inline, so total concurrency never exceeds
     /// the pool size; when the pool has one thread this flag is a
-    /// no-op. Timing experiments (Table I, Fig. 5) should disable it so
-    /// per-client wall-clock measurements don't contend for cores.
-    /// Histories are bit-identical whatever this flag or the thread
-    /// count — see the pool module docs.
+    /// no-op. It governs the client jobs only: the server's upload
+    /// stage and its kernels use the pool either way. Timing
+    /// experiments (Table I, Fig. 5) should disable it so per-client
+    /// wall-clock measurements don't contend for cores. Histories are
+    /// bit-identical whatever this flag or the thread count — see the
+    /// pool module docs.
     pub parallel: bool,
     /// Client participation scheme.
     pub participation: Participation,
@@ -174,7 +176,8 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style sequential-execution override (for timing runs).
+    /// Builder-style override that runs client jobs sequentially (for
+    /// timing runs).
     pub fn sequential(mut self) -> Self {
         self.parallel = false;
         self
@@ -303,7 +306,7 @@ impl Simulation {
             };
             let local_span = trace::Span::quiet(crate::phase::LOCAL);
             let mut updates = client::execute_jobs(
-                &*self.prototype,
+                &mut *self.prototype,
                 &self.fed,
                 &global,
                 jobs,

@@ -13,8 +13,8 @@
 //!   structure check, decode and validation. Each step is a pure
 //!   function of the upload, its fault and its
 //!   `codec_stream(seed, round, client)`, so the result is the same
-//!   whichever thread runs it. Under [`SimConfig::sequential`] (or a
-//!   one-thread pool) the stage runs inline on the round thread.
+//!   whichever thread runs it. On a one-thread pool the stage runs
+//!   inline on the round thread.
 //! - On the round thread, in client order, after the stage: the byte
 //!   sum, the quarantine events and the algorithm's
 //!   `report_invalid_update` strikes.
@@ -98,18 +98,14 @@ pub(crate) fn process_uploads(
             bytes: 0,
         })
         .collect();
-    let stage = |r: &mut Received| {
+    taco_tensor::pool::for_each_chunk(&mut received, 1, |_, r| {
+        let r = &mut r[0];
         let corruption = match fault_of[r.update.client] {
             Some(FaultKind::Corrupt(c)) if config.fault_plan.is_some() => Some(c),
             _ => None,
         };
         (r.verdict, r.bytes) = receive(config, round, corruption, &mut r.update);
-    };
-    if config.parallel {
-        taco_tensor::pool::for_each_chunk(&mut received, 1, |_, r| stage(&mut r[0]));
-    } else {
-        received.iter_mut().for_each(stage);
-    }
+    });
     let compress_secs = compress_span.finish();
     let upload_bytes: usize = received.iter().map(|r| r.bytes).sum();
     trace::counter("sim.upload_bytes").add(upload_bytes as u64);

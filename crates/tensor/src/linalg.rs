@@ -691,14 +691,14 @@ pub fn matvec(a: &Tensor, x: &[f32]) -> Vec<f32> {
 
 // --- Weighted fold kernel --------------------------------------------------
 //
-// The server's shard fold (`taco-core::ShardFold`) adds the uploads into
+// The server's fold (`taco-core::weighted_mean`) adds the uploads into
 // a tile of `f64` accumulators with this kernel, several uploads per
 // pass. It is purely elementwise — no cross-lane reduction — so the AVX
 // build is bit-identical to the scalar body lane for lane (the
 // differential test below pins this), and the widening arithmetic is
 // exactly the `acc += weight as f64 * x as f64` of
 // [`crate::ops::weighted_mean`]. On a 2-core Xeon host the AVX build
-// made `ShardFold::weighted_mean` over 64 uploads × 395k dims on two
+// made the server fold over 64 uploads × 395k dims on two
 // threads 4.2–5.0 ms against 5.2–7.1 ms for the SSE2 build (medians of
 // 60 folds, three alternating runs each).
 

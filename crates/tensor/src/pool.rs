@@ -453,17 +453,6 @@ pub fn threads() -> usize {
     dispatch(Pool::threads)
 }
 
-/// Dispatch width of the current target clamped by the host's
-/// available hardware parallelism. An oversubscribed pool (more
-/// workers than cores) still computes bit-identical results, but its
-/// tasks merely time-slice; callers deciding whether a parallel
-/// dispatch is *worthwhile* should consult this instead of
-/// [`threads`].
-pub fn effective_parallelism() -> usize {
-    let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    threads().min(hw)
-}
-
 /// [`Pool::for_each_chunk`] on the current dispatch target.
 pub fn for_each_chunk<T, F>(data: &mut [T], chunk_len: usize, f: F)
 where

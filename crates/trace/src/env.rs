@@ -29,7 +29,7 @@ pub struct EnvVar {
 /// Every `TACO_*` variable the workspace recognizes. taco-check D8
 /// cross-checks this registry against all use sites and against the
 /// README/EXPERIMENTS docs in both directions.
-pub const REGISTRY: [EnvVar; 11] = [
+pub const REGISTRY: [EnvVar; 10] = [
     EnvVar {
         name: "TACO_TRACE",
         doc: "JSONL trace sink file path; unset/empty disables tracing",
@@ -69,10 +69,6 @@ pub const REGISTRY: [EnvVar; 11] = [
     EnvVar {
         name: "TACO_REGEN_GOLDEN",
         doc: "truthy: rewrite golden trajectory fixtures instead of comparing",
-    },
-    EnvVar {
-        name: "TACO_GOLDEN_TOL",
-        doc: "absolute tolerance for golden comparisons (default 0.0, exact)",
     },
 ];
 
@@ -159,12 +155,6 @@ pub fn regen_golden() -> bool {
     raw("TACO_REGEN_GOLDEN").is_some_and(|v| v != "0" && !v.is_empty())
 }
 
-/// `TACO_GOLDEN_TOL`: golden-comparison tolerance; `None` when unset
-/// or unparseable.
-pub fn golden_tol() -> Option<f64> {
-    raw("TACO_GOLDEN_TOL").and_then(|s| s.parse().ok())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,6 +199,5 @@ mod tests {
         let _ = bench_out();
         let _ = perf_repeats();
         let _ = regen_golden();
-        let _ = golden_tol();
     }
 }

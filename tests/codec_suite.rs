@@ -4,12 +4,12 @@
 //! and folds only dense deltas. This suite checks that pipeline five
 //! ways:
 //!
-//! - end-to-end simulations per codec over shards {1, 3, 8} × threads
-//!   {1, 4}, with bit-identical histories;
+//! - end-to-end simulations per codec over threads {1, 4}, with
+//!   histories bit-identical to the threads = 1 sequential run;
 //! - faulted runs per codec (dropouts, corruption, stragglers and a
-//!   deadline) at pool threads {1, 4} and sequentially, with identical
-//!   histories, wire bytes and fault tallies — the pooled upload stage
-//!   is thread-invariant;
+//!   deadline) at pool threads {1, 4} against the inline stage of a
+//!   one-thread sequential run, with identical histories, wire bytes
+//!   and fault tallies — the pooled upload stage is thread-invariant;
 //! - fault-pipeline runs proving corrupted *encodings* (a poisoned
 //!   value, a broken index, a damaged scale header) are quarantined
 //!   and counted in `updates_rejected`;
@@ -30,7 +30,7 @@ mod common;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use common::{assert_values_close, fixed_shards, golden_run, golden_run_configured, history_value};
+use common::{assert_values_eq, golden_run, golden_run_configured, history_value};
 use taco::core::compress::{
     codec_by_name, codec_from_env, Compressor, EncodedDelta, NoCompression, Uniform8Bit,
 };
@@ -41,7 +41,6 @@ use taco::sim::{FaultPlan, History, RejectReason};
 use taco::tensor::pool::{self, Pool};
 use taco::tensor::Prng;
 
-const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
 const THREAD_COUNTS: [usize; 2] = [1, 4];
 
 /// The codecs this run exercises: the one pinned by `TACO_CODEC` when
@@ -57,7 +56,7 @@ fn codecs_under_test() -> Vec<Arc<dyn Compressor>> {
 }
 
 #[test]
-fn codec_histories_agree_across_shard_and_thread_counts() {
+fn codec_histories_agree_across_thread_counts() {
     type Maker = fn() -> Box<dyn FederatedAlgorithm>;
     let algorithms: [Maker; 2] = [
         || Box::new(FedAvg::new(AggWeighting::Uniform)),
@@ -65,27 +64,18 @@ fn codec_histories_agree_across_shard_and_thread_counts() {
     ];
     for codec in codecs_under_test() {
         for alg in algorithms {
-            let run = |shards: usize, parallel: bool| {
-                golden_run_configured(fixed_shards(alg(), shards), parallel, |c| {
-                    c.with_compressor(codec.clone())
-                })
+            let run = |parallel: bool| {
+                golden_run_configured(alg(), parallel, |c| c.with_compressor(codec.clone()))
             };
-            let reference = pool::with_pool(&Pool::new(1), || run(1, false));
+            let reference = pool::with_pool(&Pool::new(1), || run(false));
             let reference_value = history_value(&reference);
-            for shards in SHARD_COUNTS {
-                for threads in THREAD_COUNTS {
-                    let got = pool::with_pool(&Pool::new(threads), || run(shards, true));
-                    assert_values_close(
-                        &reference_value,
-                        &history_value(&got),
-                        0.0,
-                        &format!(
-                            "{}.{}.shards{shards}.t{threads}",
-                            codec.name(),
-                            reference.algorithm
-                        ),
-                    );
-                }
+            for threads in THREAD_COUNTS {
+                let got = pool::with_pool(&Pool::new(threads), || run(true));
+                assert_values_eq(
+                    &reference_value,
+                    &history_value(&got),
+                    &format!("{}.{}.t{threads}", codec.name(), reference.algorithm),
+                );
             }
         }
     }
@@ -98,7 +88,7 @@ fn faulted_upload_stage_is_thread_invariant() {
     // pool. Under a plan with every fault kind, its outcome — the
     // trajectory, each round's wire bytes and the fault tallies —
     // must not depend on the pool width, nor differ from the inline
-    // stage of a sequential run.
+    // stage of a one-thread sequential run.
     let plan = FaultPlan::new()
         .with_dropouts(0.15)
         .with_corruption(0.25, 1e6)
@@ -132,7 +122,7 @@ fn faulted_upload_stage_is_thread_invariant() {
                 .collect();
             (history_value(&history), tallies, history.fault_totals())
         };
-        let (reference, reference_tallies, kinds) = run(4, false);
+        let (reference, reference_tallies, kinds) = run(1, false);
         let name = codec.name();
         assert!(
             kinds.dropouts > 0 && kinds.corruptions > 0 && kinds.deadline_cuts > 0,
@@ -141,7 +131,7 @@ fn faulted_upload_stage_is_thread_invariant() {
         assert!(kinds.quarantined > 0, "{name}: nothing quarantined");
         for threads in THREAD_COUNTS {
             let (got, got_tallies, _) = run(threads, true);
-            assert_values_close(&reference, &got, 0.0, &format!("{name}.faulted.t{threads}"));
+            assert_values_eq(&reference, &got, &format!("{name}.faulted.t{threads}"));
             assert_eq!(reference_tallies, got_tallies, "{name}.faulted.t{threads}");
         }
     }
@@ -158,10 +148,9 @@ fn no_compression_codec_is_inert_against_the_codec_free_run() {
         golden_run_configured(Box::new(FedAvg::new(AggWeighting::Uniform)), false, |c| {
             c.with_compressor(Arc::new(NoCompression))
         });
-    assert_values_close(
+    assert_values_eq(
         &history_value(&plain),
         &history_value(&with_codec),
-        0.0,
         "no_compression_inert",
     );
 }
@@ -305,7 +294,7 @@ fn broken_index(enc: EncodedDelta) -> EncodedDelta {
 
 #[test]
 fn malformed_encodings_are_quarantined_without_a_fault_plan() {
-    // No fault plan: the shard fold must still never see an encoding
+    // No fault plan: the fold must still never see an encoding
     // that failed `check_integrity()`. Clients 1 and 3 send one every
     // round.
     let history = fedavg_with_codec(damaging(|c| c % 2 == 1, broken_index));

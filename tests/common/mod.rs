@@ -1,14 +1,11 @@
 //! Shared harness for the integration suites: fixed-seed federated
-//! workloads, a fixed-shard-count algorithm wrapper, deterministic
-//! history serialization, and the golden fixture comparison used by
-//! `end_to_end.rs` (trajectory regression) and `backend_diff.rs`
-//! (shard/thread equivalence of the aggregation path).
+//! workloads, deterministic history serialization, and the golden
+//! fixture comparison used by `end_to_end.rs` (trajectory regression)
+//! and `backend_diff.rs` (thread equivalence of the aggregation
+//! path).
 #![allow(dead_code)] // each test binary uses a subset
 
-use taco::core::{
-    aggregate_planned, ClientUpdate, CostProfile, FederatedAlgorithm, HyperParams, LocalRule,
-    ShardFold,
-};
+use taco::core::{FederatedAlgorithm, HyperParams};
 use taco::data::{partition, tabular, FederatedDataset};
 use taco::nn::{Mlp, Model};
 use taco::sim::{History, SimConfig, Simulation};
@@ -29,77 +26,6 @@ pub fn tabular_fed(clients: usize, seed: u64, phi: f64) -> FederatedDataset {
 pub fn mlp(seed: u64) -> Box<dyn Model> {
     let mut rng = Prng::seed_from_u64(seed);
     Box::new(Mlp::new(14, &[16, 8], 2, &mut rng))
-}
-
-/// Runs the default `aggregate` — [`aggregate_planned`] — over a
-/// fixed shard count instead of the one derived from the model size.
-/// The simulation calls the wrapper's `aggregate`: a planning
-/// algorithm is folded over `shards` shards, and one that overrides
-/// `aggregate` (FedNova, STEM, FedACG) runs its own. Every other
-/// method forwards to the wrapped algorithm, so a run sees the same
-/// algorithm.
-pub struct FixedShards {
-    inner: Box<dyn FederatedAlgorithm>,
-    shards: usize,
-    fold: ShardFold,
-}
-
-/// Wraps `inner` so its aggregation folds over exactly `shards` shards.
-pub fn fixed_shards(
-    inner: Box<dyn FederatedAlgorithm>,
-    shards: usize,
-) -> Box<dyn FederatedAlgorithm> {
-    Box::new(FixedShards {
-        inner,
-        shards,
-        fold: ShardFold,
-    })
-}
-
-impl FederatedAlgorithm for FixedShards {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-    fn begin_round(&mut self, round: usize, global: &[f32]) {
-        self.inner.begin_round(round, global);
-    }
-    fn local_rule(&self, client: usize, global: &[f32]) -> LocalRule {
-        self.inner.local_rule(client, global)
-    }
-    fn aggregate(
-        &mut self,
-        global: &[f32],
-        updates: &[ClientUpdate],
-        hyper: &HyperParams,
-    ) -> Vec<f32> {
-        let inner = self.inner.as_mut();
-        aggregate_planned(inner, global, updates, hyper, &mut self.fold, self.shards)
-            .unwrap_or_else(|| self.inner.aggregate(global, updates, hyper))
-    }
-    fn output_params(&self, global: &[f32]) -> Vec<f32> {
-        self.inner.output_params(global)
-    }
-    fn expelled(&self) -> Vec<usize> {
-        self.inner.expelled()
-    }
-    fn suspected(&self) -> Vec<usize> {
-        self.inner.suspected()
-    }
-    fn tracked_client_states(&self) -> usize {
-        self.inner.tracked_client_states()
-    }
-    fn report_invalid_update(&mut self, client: usize) {
-        self.inner.report_invalid_update(client);
-    }
-    fn alphas(&self) -> Option<&[f32]> {
-        self.inner.alphas()
-    }
-    fn uploads_momentum(&self) -> bool {
-        self.inner.uploads_momentum()
-    }
-    fn cost_profile(&self) -> CostProfile {
-        self.inner.cost_profile()
-    }
 }
 
 /// The canonical golden-fixture run: 4 clients, 8 rounds, seed 11.
@@ -156,10 +82,10 @@ pub fn history_value(h: &History) -> Value {
     ])
 }
 
-/// Structural comparison with a numeric tolerance; `tol == 0.0` demands
-/// exact equality (floats round-trip through the JSON fixtures
-/// losslessly, so this is a bit-level check).
-pub fn assert_values_close(golden: &Value, got: &Value, tol: f64, path: &str) {
+/// Structural comparison demanding exact numeric equality (floats
+/// round-trip through the JSON fixtures losslessly, so this is a
+/// bit-level check).
+pub fn assert_values_eq(golden: &Value, got: &Value, path: &str) {
     match (golden, got) {
         (Value::Array(a), Value::Array(b)) => {
             assert_eq!(
@@ -170,22 +96,19 @@ pub fn assert_values_close(golden: &Value, got: &Value, tol: f64, path: &str) {
                 b.len()
             );
             for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                assert_values_close(x, y, tol, &format!("{path}[{i}]"));
+                assert_values_eq(x, y, &format!("{path}[{i}]"));
             }
         }
         (Value::Object(a), Value::Object(b)) => {
             assert_eq!(a.len(), b.len(), "{path}: {} vs {} keys", a.len(), b.len());
             for ((ka, va), (kb, vb)) in a.iter().zip(b) {
                 assert_eq!(ka, kb, "{path}: key mismatch");
-                assert_values_close(va, vb, tol, &format!("{path}.{ka}"));
+                assert_values_eq(va, vb, &format!("{path}.{ka}"));
             }
         }
         _ => {
             if let (Some(x), Some(y)) = (golden.as_f64(), got.as_f64()) {
-                assert!(
-                    (x - y).abs() <= tol,
-                    "{path}: golden {x} vs current {y} (tol {tol})"
-                );
+                assert!(x == y, "{path}: golden {x} vs current {y}");
             } else {
                 assert_eq!(golden, got, "{path}: mismatch");
             }
@@ -193,10 +116,8 @@ pub fn assert_values_close(golden: &Value, got: &Value, tol: f64, path: &str) {
     }
 }
 
-/// Compares a history against a committed fixture under
-/// `tests/fixtures/`. `TACO_REGEN_GOLDEN=1` rewrites the fixture;
-/// `TACO_GOLDEN_TOL=<eps>` relaxes the comparison (useful on platforms
-/// whose libm rounds transcendentals differently).
+/// Compares a history exactly against a committed fixture under
+/// `tests/fixtures/`. `TACO_REGEN_GOLDEN=1` rewrites the fixture.
 pub fn check_against_golden(name: &str, h: &History) {
     let val = history_value(h);
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -215,6 +136,5 @@ pub fn check_against_golden(name: &str, h: &History) {
         )
     });
     let golden = json::parse(text.trim()).expect("golden fixture is valid JSON");
-    let tol: f64 = taco_trace::env::golden_tol().unwrap_or(0.0);
-    assert_values_close(&golden, &val, tol, name);
+    assert_values_eq(&golden, &val, name);
 }

@@ -4,9 +4,7 @@
 
 mod common;
 
-use common::{
-    assert_values_close, check_against_golden, golden_run, history_value, mlp, tabular_fed,
-};
+use common::{assert_values_eq, check_against_golden, golden_run, history_value, mlp, tabular_fed};
 use taco::core::taco::TacoConfig;
 use taco::core::{
     AggWeighting, FedAcg, FedAvg, FedDyn, FedNova, FedProx, FederatedAlgorithm, FoolsGold,
@@ -180,15 +178,13 @@ fn taco_alphas_stay_in_unit_interval_all_run() {
 
 // ---------------------------------------------------------------------------
 // Golden-trajectory regression: fixed-seed runs serialized round by
-// round and compared against checked-in fixtures (the harness lives in
-// `tests/common/mod.rs`, shared with the shard/thread differential
+// round and compared exactly against checked-in fixtures (the harness
+// lives in `tests/common/mod.rs`, shared with the thread differential
 // suite in `backend_diff.rs`).
 // Any unintended change to kernels, data generation, client
 // scheduling, or aggregation shows up as a trajectory diff here.
 // Regenerate after an *intended* change with
-// `TACO_REGEN_GOLDEN=1 cargo test --test end_to_end golden`;
-// `TACO_GOLDEN_TOL=<eps>` relaxes the comparison (useful on platforms
-// whose libm rounds transcendentals differently).
+// `TACO_REGEN_GOLDEN=1 cargo test --test end_to_end golden`.
 
 use taco::tensor::pool::{self, Pool};
 
@@ -259,7 +255,7 @@ fn golden_trajectory_is_thread_count_invariant() {
     let make = || Box::new(Taco::new(4, TacoConfig::paper_default(8, 6)));
     let h1 = pool::with_pool(&p1, || golden_run(make(), true));
     let h8 = pool::with_pool(&p8, || golden_run(make(), true));
-    assert_values_close(&history_value(&h1), &history_value(&h8), 0.0, "t1_vs_t8");
+    assert_values_eq(&history_value(&h1), &history_value(&h8), "t1_vs_t8");
     check_against_golden("golden_taco.json", &h8);
 }
 
