@@ -5,7 +5,7 @@
 
 use taco_bench::{algorithm_by_name, banner, report, run, workload, Scale};
 use taco_core::{FedDyn, FedNova, FederatedAlgorithm};
-use taco_sim::{SimConfig, Simulation};
+use taco_sim::SimConfig;
 
 fn main() {
     let _manifest = banner(
@@ -35,7 +35,7 @@ fn main() {
                 other => algorithm_by_name(other, clients, w.rounds, w.hyper.local_steps),
             };
             let config = SimConfig::new(w.hyper, w.rounds, 45).with_participation(0.5);
-            let half = Simulation::new(w.fed.clone(), w.model.clone_model(), alg2, config).run();
+            let half = run(&w, alg2, config);
             rows.push(vec![
                 ds.to_string(),
                 name,

@@ -14,12 +14,11 @@
 
 use std::sync::Arc;
 
-use taco_bench::{algorithm_by_name, banner, report, workload, Scale};
+use taco_bench::{algorithm_by_name, banner, report, run, workload, Scale};
 use taco_core::compress::{
     codec_from_env, Compressor, NoCompression, Stochastic4Bit, TopK, Uniform8Bit,
 };
 use taco_sim::comm::{time_to_accuracy_with_comm, CommModel};
-use taco_sim::Simulation;
 
 fn main() {
     let _manifest = banner(
@@ -49,7 +48,7 @@ fn main() {
         for (label, codec) in &codecs {
             let alg = algorithm_by_name(alg_name, clients, w.rounds, w.hyper.local_steps);
             let config = w.config(37).with_compressor(codec.clone());
-            let history = Simulation::new(w.fed.clone(), w.model.clone_model(), alg, config).run();
+            let history = run(&w, alg, config);
             // Measured mean uplink bytes per client per round, from
             // the actual wire encodings.
             let uplink = history.total_upload_bytes() / (w.rounds * clients);

@@ -15,7 +15,7 @@
 pub mod perf;
 
 use std::io::Write as _;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use taco_core::taco::TacoConfig;
@@ -27,7 +27,7 @@ use taco_data::{partition, tabular, text, vision, FederatedDataset};
 use taco_nn::{CharLstm, Mlp, Model, PaperCnn, TinyResNet};
 use taco_sim::{History, SimConfig, Simulation};
 use taco_tensor::Prng;
-use taco_trace::Value;
+use taco_trace::{Sink, Value};
 
 /// Salt folded into the run seed for workload data generation, so the
 /// dataset-synthesis stream never aliases model init or the simulation
@@ -318,12 +318,18 @@ pub fn algorithm_by_name(
 /// [`Workload::config`]).
 ///
 /// Every call is recorded into the experiment's run manifest (written
-/// by [`report`] / [`report_csv_only`] next to the CSV artifact).
+/// by [`report`] / [`report_csv_only`] next to the CSV artifact), and
+/// its trace events go to the `TACO_TRACE` sink [`banner`] opened.
 pub fn run(w: &Workload, algorithm: Box<dyn FederatedAlgorithm>, config: SimConfig) -> History {
     let algorithm_name = algorithm.name();
     let (seed, sequential) = (config.seed, !config.parallel);
+    let sink = manifest_lock().as_ref().and_then(|m| m.sink.clone());
     let started = Instant::now();
-    let history = Simulation::new(w.fed.clone(), w.model.clone_model(), algorithm, config).run();
+    let mut sim = Simulation::new(w.fed.clone(), w.model.clone_model(), algorithm, config);
+    if let Some(sink) = sink {
+        sim = sim.with_sink(sink);
+    }
+    let history = sim.run();
     let wall_secs = started.elapsed().as_secs_f64();
     record_run(w, algorithm_name, seed, sequential, wall_secs, &history);
     history
@@ -337,6 +343,8 @@ struct ManifestState {
     claim: String,
     started: Instant,
     runs: Vec<Value>,
+    /// The experiment's `TACO_TRACE` sink, handed to every run.
+    sink: Option<Arc<dyn Sink>>,
 }
 
 static MANIFEST: Mutex<Option<ManifestState>> = Mutex::new(None);
@@ -583,19 +591,20 @@ impl Drop for ManifestGuard {
 ///
 /// `slug` names the experiment's artifacts (`results/<slug>.csv`,
 /// `results/<slug>_manifest.json`); `title` and `paper_claim` are the
-/// human-readable header. Also initialises JSONL tracing from the
-/// `TACO_TRACE` environment variable and starts the run manifest.
+/// human-readable header. Also opens the JSONL trace sink the
+/// `TACO_TRACE` environment variable names, which [`run`] hands to
+/// every simulation, and starts the run manifest.
 /// The returned [`ManifestGuard`] re-flushes the manifest on drop so
 /// it survives a mid-run panic; [`report`] / [`report_csv_only`]
 /// still flush eagerly after every artifact.
 pub fn banner(slug: &str, title: &str, paper_claim: &str) -> ManifestGuard {
-    taco_trace::init_from_env();
     *manifest_lock() = Some(ManifestState {
         slug: slug.to_string(),
         title: title.to_string(),
         claim: paper_claim.to_string(),
         started: Instant::now(),
         runs: Vec::new(),
+        sink: taco_trace::sink_from_env(),
     });
     println!("== {title} ==");
     println!("paper: {paper_claim}");

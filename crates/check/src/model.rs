@@ -324,29 +324,28 @@ impl ModelBuilder {
     }
 
     /// Span-creation sites whose name argument is a string literal:
-    /// `span!("…")`, `quiet_span!("…")`, `Span::quiet("…")`,
-    /// `Span::new("…")`.
+    /// `quiet_span!("…")`, `Span::quiet("…")`.
     fn collect_span_uses(&mut self, ctx: &FileCtx, idx: &FileIndex) {
         let code = &idx.code;
         let mut sites: Vec<(usize, u32)> = Vec::new(); // index of the StrLit token
         for i in 0..code.len() {
             match &code[i].kind {
-                // span!("…") / quiet_span!("…")
+                // quiet_span!("…")
                 TokenKind::Ident(name)
-                    if (name == "span" || name == "quiet_span")
+                    if name == "quiet_span"
                         && matches!(code.get(i + 1), Some(t) if t.kind == TokenKind::Punct('!'))
                         && matches!(code.get(i + 2), Some(t) if t.kind == TokenKind::Punct('(')) =>
                 {
                     sites.push((i + 3, code[i].line));
                 }
-                // Span::quiet("…") / Span::new("…")
+                // Span::quiet("…")
                 TokenKind::Ident(name)
                     if name == "Span"
                         && matches!(code.get(i + 1), Some(t) if t.kind == TokenKind::Punct(':'))
                         && matches!(code.get(i + 2), Some(t) if t.kind == TokenKind::Punct(':'))
                         && matches!(
                             code.get(i + 3),
-                            Some(t) if matches!(&t.kind, TokenKind::Ident(m) if m == "quiet" || m == "new")
+                            Some(t) if matches!(&t.kind, TokenKind::Ident(m) if m == "quiet")
                         )
                         && matches!(code.get(i + 4), Some(t) if t.kind == TokenKind::Punct('(')) =>
                 {
@@ -570,7 +569,7 @@ mod tests {
 
     #[test]
     fn span_sites_collect_literals_but_not_consts() {
-        let src = "fn f() {\n    let a = trace::span!(\"client_step\", round = 1);\n    let b = trace::Span::quiet(crate::phase::LOCAL);\n    let c = taco_trace::Span::quiet(\"sim.adhoc\");\n}\n";
+        let src = "fn f() {\n    let a = trace::quiet_span!(\"client_step\");\n    let b = trace::Span::quiet(crate::phase::LOCAL);\n    let c = taco_trace::Span::quiet(\"sim.adhoc\");\n}\n";
         let m = collect("crates/sim/src/x.rs", src);
         let names: Vec<&str> = m.span_uses.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["client_step", "sim.adhoc"]);

@@ -49,12 +49,7 @@ pub(crate) fn execute_jobs(
 ) -> Vec<ClientUpdate> {
     let (hyper, seed) = (&config.hyper, config.seed);
     let run_one = move |model: &mut dyn Model, job: &ClientJob| -> ClientUpdate {
-        let span = trace::span!(
-            crate::phase::CLIENT_STEP,
-            round = round,
-            client = job.client,
-            steps = job.steps
-        );
+        let span = trace::Span::quiet(crate::phase::CLIENT_STEP);
         let mut rng = client_rng(seed, round, job.client);
         // Wall-clock time is read only through taco-trace spans
         // (D2): the span both feeds the `client_compute.seconds`

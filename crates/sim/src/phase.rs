@@ -38,19 +38,16 @@ pub const ALL: [&str; 7] = [
     CLIENT_COMPUTE,
 ];
 
-/// One client's whole local step (the event-emitting span wrapping
-/// [`CLIENT_COMPUTE`]; per-client, inside [`LOCAL`]).
+/// One client's whole local step (the span wrapping
+/// [`CLIENT_COMPUTE`]; per-client, inside [`LOCAL`]). Also the `name`
+/// of the `span` event the round thread records for each finished
+/// client job.
 pub const CLIENT_STEP: &str = "client_step";
 
 /// Auxiliary span names reported outside the round-loop phase set:
 /// still contract — renaming one changes the trace schema — but not
 /// part of the per-round `<name>.seconds` trajectory in [`ALL`].
 pub const AUX: [&str; 1] = [CLIENT_STEP];
-
-/// The `<name>.seconds` histogram a phase's span feeds.
-pub fn seconds_histogram(phase: &str) -> String {
-    format!("{phase}.seconds")
-}
 
 #[cfg(test)]
 mod tests {
@@ -66,6 +63,5 @@ mod tests {
         for name in ALL.iter().chain(AUX.iter()) {
             assert!(!name.ends_with(".seconds"), "{name} already suffixed");
         }
-        assert_eq!(seconds_histogram(ROUND), "sim.round.seconds");
     }
 }

@@ -19,7 +19,7 @@ use taco_core::{ClientUpdate, FederatedAlgorithm, HyperParams};
 use taco_data::FederatedDataset;
 use taco_nn::{Batch, Model};
 use taco_tensor::ops;
-use taco_trace as trace;
+use taco_trace::{self as trace, Sink};
 
 /// Batch size of the global model's test-set evaluation, which runs
 /// after every round.
@@ -203,13 +203,15 @@ impl std::fmt::Debug for SimConfig {
 }
 
 /// A federated-learning simulation: one algorithm, one federation, one
-/// model architecture.
+/// model architecture, and optionally the sink its trace events go to
+/// ([`Simulation::with_sink`]).
 pub struct Simulation {
     fed: FederatedDataset,
     prototype: Box<dyn Model>,
     algorithm: Box<dyn FederatedAlgorithm>,
     config: SimConfig,
     eval_batches: Vec<Batch>,
+    sink: Option<Arc<dyn Sink>>,
 }
 
 /// Seconds spent in each phase of one round (see [`crate::phase`]).
@@ -223,18 +225,19 @@ struct PhaseSecs {
     eval: f64,
 }
 
-/// Counts one occurrence on `counter` and, only while a trace sink is
-/// installed, emits a `kind` event for `round` carrying the fields
+/// Counts one occurrence on `counter` and, only when the run has a
+/// sink, records a `kind` event for `round` carrying the fields
 /// `fields` adds.
 pub(crate) fn note(
+    sink: Option<&dyn Sink>,
     counter: &str,
     kind: &str,
     round: usize,
     fields: impl FnOnce(trace::Event) -> trace::Event,
 ) {
     trace::counter(counter).incr();
-    if trace::active() {
-        trace::emit(&fields(trace::Event::new(kind).with("round", round)));
+    if let Some(sink) = sink {
+        sink.record(&fields(trace::Event::new(kind).with("round", round)));
     }
 }
 
@@ -267,13 +270,24 @@ impl Simulation {
             algorithm,
             config,
             eval_batches,
+            sink: None,
         }
+    }
+
+    /// Sends this run's trace events to `sink`: a `span` event per
+    /// client job, the `fault` events and one `round` event per round,
+    /// recorded on the round thread in a fixed order, and a flush when
+    /// the run ends. Without a sink the run builds no events.
+    pub fn with_sink(mut self, sink: Arc<dyn Sink>) -> Self {
+        self.sink = Some(sink);
+        self
     }
 
     /// Runs the full training loop and returns the trajectory.
     pub fn run(mut self) -> History {
-        let mut eval_model = self.prototype.clone_model();
-        let mut global = eval_model.params();
+        let sink = self.sink.clone();
+        let sink = sink.as_deref();
+        let mut global = self.prototype.params();
         let mut prev_global = global.clone();
         let mut history = History {
             algorithm: self.algorithm.name().to_string(),
@@ -296,7 +310,7 @@ impl Simulation {
             if plan.eligible.is_empty() {
                 break;
             }
-            let faults = note_faults(&plan);
+            let faults = note_faults(sink, &plan);
             let (jobs, mut echoes) = self.build_jobs(&plan, &global, &prev_global);
             trace::counter("sim.clients_skipped")
                 .add((hyper.num_clients - plan.participants.len()) as u64);
@@ -313,10 +327,14 @@ impl Simulation {
                 round,
                 &self.config,
             );
+            if let Some(sink) = sink {
+                note_client_steps(sink, round, &updates);
+            }
             updates.append(&mut echoes);
             updates.sort_by_key(|u| u.client);
             secs.local = local_span.finish();
             let outcome = server::process_uploads(
+                sink,
                 &self.config,
                 &plan.faults,
                 round,
@@ -336,18 +354,25 @@ impl Simulation {
             secs.aggregate = aggregate_span.finish();
             prev_global = std::mem::replace(&mut global, next);
             let eval_span = trace::Span::quiet(crate::phase::EVAL);
-            let test = self.evaluate(&mut *eval_model, &global);
+            let test = evaluate(
+                &mut *self.prototype,
+                &*self.algorithm,
+                &self.eval_batches,
+                &global,
+            );
             secs.eval = eval_span.finish();
             let last = history.rounds.last();
             let record = self.record(plan, faults, &outcome, test, last);
             trace::counter("sim.rounds").incr();
             secs.round = round_span.finish();
-            if trace::active() {
-                trace::emit(&self.round_event(&record, &secs));
+            if let Some(sink) = sink {
+                sink.record(&self.round_event(&record, &secs));
             }
             history.rounds.push(record);
         }
-        trace::flush();
+        if let Some(sink) = sink {
+            sink.flush();
+        }
         history.expelled_clients = self.algorithm.expelled();
         history
     }
@@ -399,13 +424,6 @@ impl Simulation {
             });
         }
         (jobs, echoes)
-    }
-
-    /// Test loss and accuracy of the algorithm's reported parameters.
-    fn evaluate(&self, model: &mut dyn Model, global: &[f32]) -> (f64, f64) {
-        model.set_params(&self.algorithm.output_params(global));
-        let (loss, accuracy) = taco_nn::evaluate(model, &self.eval_batches);
-        (loss as f64, accuracy as f64)
     }
 
     /// The round's record. A round without an honest upload carries the
@@ -506,8 +524,37 @@ impl Simulation {
     }
 }
 
+/// Test loss and accuracy of the algorithm's reported parameters,
+/// loaded into `model` first.
+fn evaluate(
+    model: &mut dyn Model,
+    algorithm: &dyn FederatedAlgorithm,
+    batches: &[Batch],
+    global: &[f32],
+) -> (f64, f64) {
+    model.set_params(&algorithm.output_params(global));
+    let (loss, accuracy) = taco_nn::evaluate(model, batches);
+    (loss as f64, accuracy as f64)
+}
+
+/// Records one `span` event per finished client job, in the jobs'
+/// (client) order: the job's measured compute seconds, its client and
+/// its local step count.
+fn note_client_steps(sink: &dyn Sink, round: usize, updates: &[ClientUpdate]) {
+    for u in updates {
+        sink.record(
+            &trace::Event::new("span")
+                .with("name", crate::phase::CLIENT_STEP)
+                .with("secs", u.compute_seconds)
+                .with("round", round)
+                .with("client", u.client)
+                .with("steps", u.steps),
+        );
+    }
+}
+
 /// Tallies the plan's fault draws, reporting each one.
-fn note_faults(plan: &RoundPlan) -> FaultTotals {
+fn note_faults(sink: Option<&dyn Sink>, plan: &RoundPlan) -> FaultTotals {
     let mut totals = FaultTotals::default();
     for (client, kind) in plan.faults.iter().enumerate() {
         let Some(kind) = kind else { continue };
@@ -517,7 +564,7 @@ fn note_faults(plan: &RoundPlan) -> FaultTotals {
             FaultKind::Corrupt(_) => (&mut totals.corruptions, "sim.faults.corrupt"),
         };
         *count += 1;
-        note(counter, "fault", plan.round, |e| {
+        note(sink, counter, "fault", plan.round, |e| {
             e.with("client", client).with("fault", kind.label())
         });
     }

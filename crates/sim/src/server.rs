@@ -23,7 +23,7 @@ use crate::fault::{self, Corruption, FaultKind, RejectReason};
 use crate::runner::{note, SimConfig};
 use taco_core::compress::codec_stream;
 use taco_core::{ClientUpdate, FederatedAlgorithm};
-use taco_trace as trace;
+use taco_trace::{self as trace, Sink};
 
 /// What the pipeline did to a round's uploads.
 pub(crate) struct UploadOutcome {
@@ -49,8 +49,10 @@ impl UploadOutcome {
 
 /// Runs the pipeline over this round's raw uploads (already sorted in
 /// client order) and returns the survivors; quarantined uploads are
-/// reported to the algorithm.
+/// reported to the algorithm, and every cut and quarantine is noted
+/// in the run's `sink`, if it has one.
 pub(crate) fn process_uploads(
+    sink: Option<&dyn Sink>,
     config: &SimConfig,
     fault_of: &[Option<FaultKind>],
     round: usize,
@@ -77,7 +79,7 @@ pub(crate) fn process_uploads(
                 };
                 if deadline.misses(u.steps, slowdown) {
                     deadline_cuts += 1;
-                    note("sim.faults.deadline_cut", "fault", round, |e| {
+                    note(sink, "sim.faults.deadline_cut", "fault", round, |e| {
                         e.with("client", u.client).with("fault", "deadline_cut")
                     });
                     false
@@ -100,8 +102,10 @@ pub(crate) fn process_uploads(
         .collect();
     taco_tensor::pool::for_each_chunk(&mut received, 1, |_, r| {
         let r = &mut r[0];
+        // `plan_round` draws faults only under a fault plan, so without
+        // one `fault_of` is all `None`.
         let corruption = match fault_of[r.update.client] {
-            Some(FaultKind::Corrupt(c)) if config.fault_plan.is_some() => Some(c),
+            Some(FaultKind::Corrupt(c)) => Some(c),
             _ => None,
         };
         (r.verdict, r.bytes) = receive(config, round, corruption, &mut r.update);
@@ -122,7 +126,7 @@ pub(crate) fn process_uploads(
             Ok(()) => accepted.push(u),
             Err(reason) => {
                 quarantined += 1;
-                note("sim.faults.rejected", "fault", round, |e| {
+                note(sink, "sim.faults.rejected", "fault", round, |e| {
                     e.with("client", u.client)
                         .with("fault", "quarantine")
                         .with("reason", reason.label())

@@ -1,6 +1,6 @@
 //! Kernel-level instrumentation with cached metric handles.
 //!
-//! [`taco_trace::span!`] resolves its histogram by name on every
+//! [`taco_trace::quiet_span!`] resolves its histogram by name on every
 //! completion (a `format!` plus a registry lookup), which is fine for
 //! round- or client-scale spans but too heavy for kernels that run
 //! thousands of times per round on sub-millisecond inputs. Each kernel
@@ -16,10 +16,6 @@
 //! * `<name>.elems` — counter of work items (multiply-adds for matmul
 //!   kernels, elements moved for packing/pooling kernels), so
 //!   throughput is `elems / seconds.sum`.
-//!
-//! Caveat: handles are cached for the process lifetime, so these
-//! metrics do not survive `taco_trace::reset_metrics()` (which nothing
-//! outside trace-crate tests calls).
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -91,7 +87,6 @@ mod tests {
 
     #[test]
     fn records_calls_seconds_and_elems() {
-        let _guard = taco_trace::test_guard();
         {
             let _t = TEST_KERNEL.record(42);
         }

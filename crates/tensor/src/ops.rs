@@ -38,15 +38,6 @@ pub fn norm(a: &[f32]) -> f32 {
     (acc.sqrt()) as f32
 }
 
-/// Squared Euclidean norm of a slice.
-pub fn norm_sq(a: &[f32]) -> f32 {
-    let mut acc = 0.0f64;
-    for &x in a {
-        acc += x as f64 * x as f64;
-    }
-    acc as f32
-}
-
 /// Cosine similarity between two slices.
 ///
 /// Returns `0.0` when either vector has (near-)zero norm; this matches
@@ -255,7 +246,6 @@ mod tests {
     #[test]
     fn norm_pythagoras() {
         assert_eq!(norm(&[3.0, 4.0]), 5.0);
-        assert_eq!(norm_sq(&[3.0, 4.0]), 25.0);
     }
 
     #[test]

@@ -189,14 +189,6 @@ impl Registry {
             peak_rss_bytes: crate::perf::peak_rss_bytes(),
         }
     }
-
-    /// Removes every metric. Intended for tests and for isolating one
-    /// benchmark run from the next; existing handles keep working but
-    /// are no longer reachable from the registry.
-    pub fn reset(&self) {
-        lock(&self.counters).clear();
-        lock(&self.histograms).clear();
-    }
 }
 
 /// A point-in-time copy of a [`Registry`], name-sorted.
@@ -305,8 +297,6 @@ mod tests {
         assert_eq!(s.counters[1].0, "z.last");
         let parsed = crate::json::parse(&s.to_value().to_json()).unwrap();
         assert!(parsed.get("histograms").is_some());
-        r.reset();
-        assert!(r.snapshot().is_empty());
     }
 
     #[test]

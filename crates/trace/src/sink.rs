@@ -1,5 +1,4 @@
-//! Pluggable event sinks: no-op (default), in-memory (tests), and a
-//! JSONL file stream.
+//! Pluggable event sinks: in-memory (tests) and a JSONL file stream.
 
 use crate::event::Event;
 use std::fs::File;
@@ -8,22 +7,14 @@ use std::path::Path;
 use std::sync::Mutex;
 
 /// Receives every emitted [`Event`]. Implementations must be cheap and
-/// non-blocking where possible: sinks run inline on the simulation's
-/// threads.
+/// non-blocking where possible: a simulation records into its sink
+/// inline, on the thread that runs its rounds.
 pub trait Sink: Send + Sync {
     /// Handles one event.
     fn record(&self, event: &Event);
 
     /// Flushes any buffered output. Default: no-op.
     fn flush(&self) {}
-}
-
-/// Discards every event (the default when tracing is not configured).
-#[derive(Debug, Default)]
-pub struct NoopSink;
-
-impl Sink for NoopSink {
-    fn record(&self, _event: &Event) {}
 }
 
 /// Buffers events in memory; the test-side sink.
@@ -81,7 +72,7 @@ impl Sink for MemorySink {
 }
 
 /// Streams events as one JSON object per line to a file. Created by
-/// `TACO_TRACE=path` (see [`crate::init_from_env`]) or directly.
+/// `TACO_TRACE=path` (see [`crate::sink_from_env`]) or directly.
 #[derive(Debug)]
 pub struct JsonlSink {
     writer: Mutex<BufWriter<File>>,

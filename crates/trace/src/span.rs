@@ -1,47 +1,26 @@
-//! Lightweight spans: RAII timers that feed duration histograms and
-//! (optionally) the event stream.
+//! Lightweight spans: RAII timers that feed duration histograms.
 
-use crate::event::Event;
-use crate::value::Value;
 use std::time::Instant;
 
-/// A running span. Created by [`crate::span!`] / [`crate::quiet_span!`]
-/// or [`Span::new`] / [`Span::quiet`].
+/// A running span. Created by [`crate::quiet_span!`] or
+/// [`Span::quiet`].
 ///
 /// On [`Span::finish`] (or drop) the elapsed wall-clock time is
-/// recorded into the global histogram `<name>.seconds`. Non-quiet
-/// spans additionally emit a `span` event carrying their fields when a
-/// sink is active. Quiet spans are meant for hot paths (per-step
-/// forward/backward): metrics only, never an event.
+/// recorded into the global histogram `<name>.seconds`. A span never
+/// emits an event: events go to the sink of the run that owns them.
 #[derive(Debug)]
 pub struct Span {
     name: &'static str,
     start: Instant,
-    fields: Vec<(String, Value)>,
-    emit_event: bool,
     done: bool,
 }
 
 impl Span {
-    /// Starts a span that emits a `span` event on completion (when a
-    /// sink is active) in addition to the duration histogram.
-    pub fn new(name: &'static str, fields: Vec<(String, Value)>) -> Self {
-        Span {
-            name,
-            start: Instant::now(),
-            fields,
-            emit_event: true,
-            done: false,
-        }
-    }
-
-    /// Starts a metrics-only span (duration histogram, no event).
+    /// Starts a span (duration histogram only).
     pub fn quiet(name: &'static str) -> Self {
         Span {
             name,
             start: Instant::now(),
-            fields: Vec::new(),
-            emit_event: false,
             done: false,
         }
     }
@@ -60,13 +39,6 @@ impl Span {
         self.done = true;
         let secs = self.start.elapsed().as_secs_f64();
         crate::histogram(&format!("{}.seconds", self.name)).observe(secs);
-        if self.emit_event && crate::active() {
-            let mut event = Event::new("span")
-                .with("name", self.name)
-                .with("secs", secs);
-            event.fields.append(&mut self.fields);
-            crate::emit(&event);
-        }
         secs
     }
 }
@@ -79,26 +51,9 @@ impl Drop for Span {
     }
 }
 
-/// Starts an event-emitting [`Span`]: `span!(phase::AGGREGATE)` or
-/// `span!(phase::CLIENT_STEP, client = 3, steps = k)`. The name is any
-/// `&str` expression — by convention a contract constant (the `D9`
-/// span-contract lint flags bare literals in `sim`/`bench`). Field
-/// values may be any type convertible into [`crate::value::Value`].
-#[macro_export]
-macro_rules! span {
-    ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {
-        $crate::span::Span::new(
-            $name,
-            ::std::vec![$((
-                ::std::stringify!($key).to_string(),
-                $crate::value::Value::from($val)
-            )),*],
-        )
-    };
-}
-
-/// Starts a metrics-only [`Span`] for hot paths: records the duration
-/// histogram but never emits an event.
+/// Starts a [`Span`]: `quiet_span!(phase::AGGREGATE)`. The name is any
+/// `&'static str` expression — by convention a contract constant (the
+/// `D9` span-contract lint flags bare literals in `sim`/`bench`).
 #[macro_export]
 macro_rules! quiet_span {
     ($name:expr) => {
@@ -109,8 +64,6 @@ macro_rules! quiet_span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::MemorySink;
-    use std::sync::Arc;
 
     #[test]
     fn span_records_duration_histogram() {
@@ -119,36 +72,5 @@ mod tests {
         assert!(secs >= 0.0);
         let snap = crate::histogram("test.span.quiet.seconds").snapshot();
         assert!(snap.count >= 1);
-    }
-
-    #[test]
-    fn span_emits_event_with_fields_when_sink_active() {
-        let _guard = crate::test_guard();
-        let sink = Arc::new(MemorySink::new());
-        let prev = crate::set_sink(sink.clone());
-        {
-            let _span = crate::span!("test.span.loud", client = 7usize);
-        }
-        crate::set_sink(prev);
-        let events = sink.events_of_kind("span");
-        assert_eq!(events.len(), 1);
-        assert_eq!(
-            events[0].field("name").and_then(Value::as_str),
-            Some("test.span.loud")
-        );
-        assert_eq!(events[0].field("client").and_then(Value::as_f64), Some(7.0));
-        assert!(events[0].field("secs").is_some());
-    }
-
-    #[test]
-    fn quiet_span_never_emits_events() {
-        let _guard = crate::test_guard();
-        let sink = Arc::new(MemorySink::new());
-        let prev = crate::set_sink(sink.clone());
-        {
-            let _span = crate::quiet_span!("test.span.silent");
-        }
-        crate::set_sink(prev);
-        assert!(sink.is_empty());
     }
 }
