@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use taco_bench::perf::{HostInfo, PerfMetric, PerfReport, SCHEMA_VERSION};
 use taco_bench::{banner, build_info};
-use taco_core::compress::{codec_stream, Compressor, Uniform8Bit};
+use taco_core::compress::{Compressor, Uniform8Bit, CODEC_SALT};
 use taco_core::taco::TacoConfig;
 use taco_core::{ClientUpdate, FederatedAlgorithm, HyperParams, Taco};
 use taco_tensor::pool::{self, Pool};
@@ -184,7 +184,7 @@ fn encode_probe(delta: &[f32]) -> Probe<'_> {
             let encode = || {
                 let start = Instant::now();
                 std::hint::black_box(
-                    Uniform8Bit.encode(delta, &mut codec_stream(SUITE_SEED, 0, 0)),
+                    Uniform8Bit.encode(delta, &mut Prng::for_cell(SUITE_SEED ^ CODEC_SALT, 0, 0)),
                 );
                 delta.len() as f64 * 4.0 / start.elapsed().as_secs_f64() / 1e9
             };
@@ -280,7 +280,10 @@ fn main() {
     // The one deterministic metric: the wire size of one AGG_DIM-dim
     // Q8 payload, gated on every host.
     let wire_bytes = Uniform8Bit
-        .encode(&codec_delta, &mut codec_stream(SUITE_SEED, 0, 0))
+        .encode(
+            &codec_delta,
+            &mut Prng::for_cell(SUITE_SEED ^ CODEC_SALT, 0, 0),
+        )
         .wire_bytes() as f64;
     println!("{:<30} {wire_bytes:>10.0} bytes", "codec.q8.wire_bytes");
     metrics.push(metric(

@@ -30,7 +30,7 @@
 //!   stochastic rounding*: each coordinate rounds up with probability
 //!   equal to its fractional level, so the quantizer is unbiased even
 //!   at 4 bits. Rounding bits come from a salted per-`(round, client)`
-//!   stream ([`codec_stream`]), making encodings bit-reproducible at
+//!   stream (salted with [`CODEC_SALT`]), making encodings bit-reproducible at
 //!   any thread count.
 //!
 //! Wire layouts (documented in DESIGN.md § wire formats):
@@ -48,19 +48,10 @@ use taco_tensor::{ops, Prng};
 /// Salt mixed into the run seed for the stochastic-rounding stream, so
 /// quantization draws are independent of the training, participation,
 /// fault, and every other salted stream derived from the same
-/// `(round, client)` cell (DESIGN.md §7 salt table).
-const CODEC_SALT: u64 = 0xC0DEC;
-
-/// Deterministic per-`(round, client)` RNG for codec rounding draws —
-/// the same derivation as the fault and client training streams,
-/// salted with `CODEC_SALT`. Pure in its arguments, so parallel and
-/// sequential encodes are bit-identical.
-pub fn codec_stream(seed: u64, round: usize, client: usize) -> Prng {
-    let mixed = (seed ^ CODEC_SALT)
-        ^ (round as u64).wrapping_mul(0x9E3779B97F4A7C15)
-        ^ (client as u64).wrapping_mul(0xC2B2AE3D27D4EB4F);
-    Prng::seed_from_u64(mixed)
-}
+/// `(round, client)` cell (DESIGN.md §7 salt table). A client's stream
+/// is `Prng::for_cell(seed ^ CODEC_SALT, round, client)`, pure in its
+/// arguments, so parallel and sequential encodes are bit-identical.
+pub const CODEC_SALT: u64 = 0xC0DEC;
 
 /// The wire-format payload of one encoded client delta.
 ///
@@ -244,8 +235,9 @@ pub trait Compressor: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Encodes `input` into its wire format. Stochastic codecs draw
-    /// rounding bits from `stream` (derive it with [`codec_stream`]
-    /// for the per-`(round, client)` determinism contract);
+    /// rounding bits from `stream` (derive it with `Prng::for_cell`
+    /// and [`CODEC_SALT`] for the per-`(round, client)` determinism
+    /// contract);
     /// deterministic codecs ignore it.
     fn encode(&self, input: &[f32], stream: &mut Prng) -> EncodedDelta;
 
@@ -617,7 +609,7 @@ pub fn relative_error(compressor: &dyn Compressor, input: &[f32]) -> f64 {
     if norm < 1e-12 {
         return 0.0;
     }
-    let out = compressor.roundtrip(input, &mut codec_stream(0, 0, 0));
+    let out = compressor.roundtrip(input, &mut Prng::for_cell(CODEC_SALT, 0, 0));
     let err = ops::norm(&ops::sub(input, &out)) as f64;
     err / norm
 }
@@ -628,7 +620,7 @@ mod tests {
     use taco_tensor::{ops, Prng, Tensor};
 
     fn stream() -> Prng {
-        codec_stream(7, 0, 0)
+        Prng::for_cell(7 ^ CODEC_SALT, 0, 0)
     }
 
     fn rt(c: &dyn Compressor, input: &[f32]) -> Vec<f32> {
@@ -1035,13 +1027,13 @@ mod tests {
     fn stochastic_quantization_is_deterministic_per_stream_cell() {
         let mut rng = Prng::seed_from_u64(4);
         let x = Tensor::randn([777], 1.0, &mut rng).into_vec();
-        let a = Stochastic4Bit.encode(&x, &mut codec_stream(42, 3, 5));
-        let b = Stochastic4Bit.encode(&x, &mut codec_stream(42, 3, 5));
+        let a = Stochastic4Bit.encode(&x, &mut Prng::for_cell(42 ^ CODEC_SALT, 3, 5));
+        let b = Stochastic4Bit.encode(&x, &mut Prng::for_cell(42 ^ CODEC_SALT, 3, 5));
         assert_eq!(
             a, b,
             "same (seed, round, client) must re-encode identically"
         );
-        let other = Stochastic4Bit.encode(&x, &mut codec_stream(42, 3, 6));
+        let other = Stochastic4Bit.encode(&x, &mut Prng::for_cell(42 ^ CODEC_SALT, 3, 6));
         assert_ne!(a, other, "different clients must draw different rounding");
     }
 

@@ -1,6 +1,6 @@
 //! FedACG (Kim et al.) — accelerated client gradient.
 
-use crate::algorithm::{CostProfile, FederatedAlgorithm};
+use crate::algorithm::FederatedAlgorithm;
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
 use std::sync::Arc;
@@ -126,13 +126,6 @@ impl FederatedAlgorithm for FedAcg {
             *m = self.momentum_decay * *m - hyper.eta_g * a;
         }
         ops::add(global, &self.momentum)
-    }
-
-    fn cost_profile(&self) -> CostProfile {
-        CostProfile {
-            grads_per_step: 1,
-            extra_vector_ops: 2,
-        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! FedAvg (McMahan et al.) — the uncorrected baseline.
 
 use crate::algorithm::{
-    fedavg_plan, AggWeighting, CostProfile, FederatedAlgorithm, UploadStats, WeightedCombine,
+    fedavg_plan, AggWeighting, FederatedAlgorithm, UploadStats, WeightedCombine,
 };
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
@@ -51,13 +51,6 @@ impl FederatedAlgorithm for FedAvg {
         hyper: &HyperParams,
     ) -> Option<WeightedCombine> {
         Some(fedavg_plan(updates, hyper, self.weighting))
-    }
-
-    fn cost_profile(&self) -> CostProfile {
-        CostProfile {
-            grads_per_step: 1,
-            extra_vector_ops: 0,
-        }
     }
 }
 

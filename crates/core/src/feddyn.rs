@@ -24,7 +24,7 @@
 //! over-correction pattern and a natural extra baseline.
 
 use crate::algorithm::{
-    fedavg_plan, AggWeighting, CostProfile, FederatedAlgorithm, UploadStats, WeightedCombine,
+    fedavg_plan, AggWeighting, FederatedAlgorithm, UploadStats, WeightedCombine,
 };
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
@@ -122,13 +122,6 @@ impl FederatedAlgorithm for FedDyn {
         }
         // FedAvg server step (see module docs).
         Some(fedavg_plan(updates, hyper, AggWeighting::Uniform))
-    }
-
-    fn cost_profile(&self) -> CostProfile {
-        CostProfile {
-            grads_per_step: 1,
-            extra_vector_ops: 3, // prox pull + linear term + bookkeeping
-        }
     }
 }
 

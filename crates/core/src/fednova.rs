@@ -15,7 +15,7 @@
 //! With uniform `τ_i = K` this reduces exactly to FedAvg (tested
 //! below), so it slots into every Table V-style comparison unchanged.
 
-use crate::algorithm::{AggWeighting, CostProfile, FederatedAlgorithm};
+use crate::algorithm::{AggWeighting, FederatedAlgorithm};
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
 use taco_tensor::ops;
@@ -91,13 +91,6 @@ impl FederatedAlgorithm for FedNova {
         // already divided by η_l.
         ops::axpy(&mut next, -hyper.eta_g / hyper.local_steps as f32, &agg);
         next
-    }
-
-    fn cost_profile(&self) -> CostProfile {
-        CostProfile {
-            grads_per_step: 1,
-            extra_vector_ops: 0,
-        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! FedProx (Li et al.) — loss-function regularization.
 
 use crate::algorithm::{
-    fedavg_plan, AggWeighting, CostProfile, FederatedAlgorithm, UploadStats, WeightedCombine,
+    fedavg_plan, AggWeighting, FederatedAlgorithm, UploadStats, WeightedCombine,
 };
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
@@ -71,13 +71,6 @@ impl FederatedAlgorithm for FedProx {
     ) -> Option<WeightedCombine> {
         self.anchor = None;
         Some(fedavg_plan(updates, hyper, self.weighting))
-    }
-
-    fn cost_profile(&self) -> CostProfile {
-        CostProfile {
-            grads_per_step: 1,
-            extra_vector_ops: 2, // subtract anchor, axpy into gradient
-        }
     }
 }
 

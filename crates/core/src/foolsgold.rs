@@ -1,6 +1,6 @@
 //! FoolsGold (Fung et al.) — aggregation calibration.
 
-use crate::algorithm::{CostProfile, FederatedAlgorithm, UploadStats, WeightedCombine};
+use crate::algorithm::{FederatedAlgorithm, UploadStats, WeightedCombine};
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
 use taco_tensor::ops;
@@ -180,14 +180,6 @@ impl FederatedAlgorithm for FoolsGold {
 
     fn tracked_client_states(&self) -> usize {
         self.histories.iter().filter(|h| !h.is_empty()).count()
-    }
-
-    fn cost_profile(&self) -> CostProfile {
-        // All extra work is server-side; clients run plain SGD.
-        CostProfile {
-            grads_per_step: 1,
-            extra_vector_ops: 0,
-        }
     }
 }
 

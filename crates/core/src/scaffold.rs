@@ -1,7 +1,7 @@
 //! SCAFFOLD (Karimireddy et al.) — control-variate correction.
 
 use crate::algorithm::{
-    fedavg_plan, AggWeighting, CostProfile, FederatedAlgorithm, UploadStats, WeightedCombine,
+    fedavg_plan, AggWeighting, FederatedAlgorithm, UploadStats, WeightedCombine,
 };
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
@@ -149,13 +149,6 @@ impl FederatedAlgorithm for Scaffold {
 
     fn tracked_client_states(&self) -> usize {
         self.c_clients.iter().filter(|c| !c.is_empty()).count()
-    }
-
-    fn cost_profile(&self) -> CostProfile {
-        CostProfile {
-            grads_per_step: 1,
-            extra_vector_ops: 1, // add the (precomputed) correction term
-        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! STEM (Khanduri et al.) — stochastic two-sided momentum.
 
-use crate::algorithm::{CostProfile, FederatedAlgorithm};
+use crate::algorithm::FederatedAlgorithm;
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
 use taco_tensor::ops;
@@ -102,13 +102,6 @@ impl FederatedAlgorithm for Stem {
         let mut next = global.to_vec();
         ops::axpy(&mut next, -hyper.eta_g, &agg);
         next
-    }
-
-    fn cost_profile(&self) -> CostProfile {
-        CostProfile {
-            grads_per_step: 2,
-            extra_vector_ops: 2, // momentum combine + bookkeeping
-        }
     }
 }
 

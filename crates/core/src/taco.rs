@@ -18,7 +18,7 @@
 //! `Δ_i^t` the clients send anyway, which is why its per-round client
 //! overhead in Table III is "Low".
 
-use crate::algorithm::{CostProfile, FederatedAlgorithm, UploadStats, WeightedCombine};
+use crate::algorithm::{FederatedAlgorithm, UploadStats, WeightedCombine};
 use crate::alpha;
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
@@ -316,13 +316,6 @@ impl FederatedAlgorithm for Taco {
 
     fn alphas(&self) -> Option<&[f32]> {
         Some(&self.alphas)
-    }
-
-    fn cost_profile(&self) -> CostProfile {
-        CostProfile {
-            grads_per_step: 1,
-            extra_vector_ops: 1, // axpy the shared Δ_t into the gradient
-        }
     }
 }
 

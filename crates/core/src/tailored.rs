@@ -14,7 +14,7 @@
 //!   shift with coefficient `(1−α_i^t)` instead of the uniform `α`.
 
 use crate::algorithm::{
-    fedavg_plan, AggWeighting, CostProfile, FederatedAlgorithm, UploadStats, WeightedCombine,
+    fedavg_plan, AggWeighting, FederatedAlgorithm, UploadStats, WeightedCombine,
 };
 use crate::alpha::{self, AlphaVariant};
 use crate::hyper::HyperParams;
@@ -93,13 +93,6 @@ impl FederatedAlgorithm for TailoredProx {
     fn alphas(&self) -> Option<&[f32]> {
         Some(&self.alphas)
     }
-
-    fn cost_profile(&self) -> CostProfile {
-        CostProfile {
-            grads_per_step: 1,
-            extra_vector_ops: 2,
-        }
-    }
 }
 
 /// SCAFFOLD with tailored per-client correction coefficients (Fig. 6).
@@ -168,10 +161,6 @@ impl FederatedAlgorithm for TailoredScaffold {
 
     fn alphas(&self) -> Option<&[f32]> {
         Some(&self.alphas)
-    }
-
-    fn cost_profile(&self) -> CostProfile {
-        self.inner.cost_profile()
     }
 }
 

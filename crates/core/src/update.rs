@@ -68,16 +68,6 @@ pub enum LocalRule {
     },
 }
 
-impl LocalRule {
-    /// Gradient evaluations per local step under this rule.
-    pub fn grads_per_step(&self) -> usize {
-        match self {
-            LocalRule::StemMomentum { .. } => 2,
-            _ => 1,
-        }
-    }
-}
-
 /// The round's shared anchor when one was built for `global`'s
 /// dimension, else a fresh one from `build`. Algorithms build the
 /// anchor once in `begin_round` and drop it when the round
@@ -683,12 +673,6 @@ mod tests {
         model.set_params(&trained);
         let (l1, _) = taco_nn::evaluate(&mut model, &eval);
         assert!(l1 < l0, "local SGD failed to learn: {l0} -> {l1}");
-    }
-
-    #[test]
-    fn grads_per_step_profile() {
-        assert_eq!(LocalRule::PlainSgd.grads_per_step(), 1);
-        assert_eq!(LocalRule::StemMomentum { alpha: 0.1 }.grads_per_step(), 2);
     }
 
     #[test]

@@ -1,81 +1,44 @@
-//! Element-wise activation layers.
+//! Element-wise activations.
+//!
+//! Every ReLU in this crate runs through [`relu`] on the forward pass
+//! and [`relu_mask`] on the backward pass, so all networks agree on
+//! edge cases: a NaN pre-activation stays NaN (it is not a negative
+//! number) and passes no gradient back.
 
-use taco_tensor::Tensor;
-
-/// ReLU activation with cached mask for the backward pass.
+/// In-place ReLU: sets every negative value to zero and keeps NaN.
 ///
-/// Stateless apart from the cache, so one instance can be reused across
-/// forward/backward pairs but not interleaved.
-#[derive(Debug, Clone, Default)]
-pub struct Relu {
-    mask: Vec<bool>,
+/// With `train` set it returns the mask of strictly positive inputs,
+/// which [`relu_mask`] applies on the backward pass; without it the
+/// mask is empty, so no backward pass may follow.
+pub fn relu(x: &mut [f32], train: bool) -> Vec<bool> {
+    let mask = if train {
+        x.iter().map(|&v| v > 0.0).collect()
+    } else {
+        Vec::new()
+    };
+    for v in x.iter_mut() {
+        // A select, not a conditional store, so the loop vectorizes.
+        *v = if *v < 0.0 { 0.0 } else { *v };
+    }
+    mask
 }
 
-impl Relu {
-    /// Creates a ReLU layer.
-    pub fn new() -> Self {
-        Relu::default()
-    }
-
-    /// Forward pass: `max(x, 0)` element-wise.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.mask = x.data().iter().map(|&v| v > 0.0).collect();
-        x.map(|v| v.max(0.0))
-    }
-
-    /// Inference forward pass, in place: the values of
-    /// [`Relu::forward`] with no mask kept, so no backward may follow.
-    pub fn infer_in_place(x: &mut [f32]) {
-        for v in x.iter_mut() {
-            *v = v.max(0.0);
-        }
-    }
-
-    /// In-place flat-slice variant used by the CNN/ResNet inner loops.
-    pub fn forward_flat(&mut self, x: &mut [f32]) {
-        self.mask = x.iter().map(|&v| v > 0.0).collect();
-        for v in x.iter_mut() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
-    }
-
-    /// Backward pass: zeroes gradients where the input was negative.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward` or with a mismatched length.
-    pub fn backward(&self, grad_out: &Tensor) -> Tensor {
-        assert_eq!(
-            grad_out.len(),
-            self.mask.len(),
-            "Relu::backward length mismatch (was forward called?)"
-        );
-        let data = grad_out
-            .data()
-            .iter()
-            .zip(&self.mask)
-            .map(|(&g, &m)| if m { g } else { 0.0 })
-            .collect();
-        Tensor::from_vec(data, grad_out.shape().clone())
-    }
-
-    /// Flat-slice variant of [`Relu::backward`], in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs from the last forward call.
-    pub fn backward_flat(&self, grad: &mut [f32]) {
-        assert_eq!(
-            grad.len(),
-            self.mask.len(),
-            "Relu::backward_flat length mismatch"
-        );
-        for (g, &m) in grad.iter_mut().zip(&self.mask) {
-            if !m {
-                *g = 0.0;
-            }
+/// ReLU backward pass, in place: zeroes the gradient wherever the
+/// forward input of [`relu`] was not positive.
+///
+/// # Panics
+///
+/// Panics if `mask` is not the length of `grad`, e.g. because the
+/// forward pass ran without `train`.
+pub fn relu_mask(grad: &mut [f32], mask: &[bool]) {
+    assert_eq!(
+        grad.len(),
+        mask.len(),
+        "ReLU mask length mismatch (was the forward pass run with train set?)"
+    );
+    for (g, &m) in grad.iter_mut().zip(mask) {
+        if !m {
+            *g = 0.0;
         }
     }
 }
@@ -90,38 +53,22 @@ pub fn sigmoid(x: f32) -> f32 {
     }
 }
 
-/// Hyperbolic tangent (thin wrapper for symmetry with [`sigmoid`]).
-pub fn tanh(x: f32) -> f32 {
-    x.tanh()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn relu_forward_backward() {
-        let mut r = Relu::new();
-        let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], [3]);
-        let y = r.forward(&x);
-        assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
-        let g = r.backward(&Tensor::from_vec(vec![5.0, 5.0, 5.0], [3]));
-        assert_eq!(g.data(), &[0.0, 0.0, 5.0]);
-    }
-
-    #[test]
-    fn relu_flat_matches_tensor_path() {
-        let mut r1 = Relu::new();
-        let mut r2 = Relu::new();
-        let x = Tensor::from_vec(vec![-2.0, 3.0, -0.5, 1.0], [4]);
-        let y = r1.forward(&x);
-        let mut flat = x.data().to_vec();
-        r2.forward_flat(&mut flat);
-        assert_eq!(y.data(), &flat[..]);
-        let mut g = vec![1.0; 4];
-        r2.backward_flat(&mut g);
-        let gt = r1.backward(&Tensor::full([4], 1.0));
-        assert_eq!(gt.data(), &g[..]);
+        let mut x = vec![-1.0, 0.0, 2.0, f32::NAN];
+        let mask = relu(&mut x, true);
+        assert_eq!(&x[..3], &[0.0, 0.0, 2.0]);
+        assert!(x[3].is_nan(), "NaN must not be clipped to zero");
+        let mut g = vec![5.0; 4];
+        relu_mask(&mut g, &mask);
+        assert_eq!(g, [0.0, 0.0, 5.0, 0.0]);
+        let mut y = vec![-1.0, 3.0];
+        assert!(relu(&mut y, false).is_empty());
+        assert_eq!(y, [0.0, 3.0]);
     }
 
     #[test]
@@ -136,8 +83,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "length mismatch")]
-    fn backward_without_forward_panics() {
-        let r = Relu::new();
-        let _ = r.backward(&Tensor::zeros([2]));
+    fn mask_from_an_inference_pass_panics() {
+        let mask = relu(&mut [1.0, -1.0], false);
+        relu_mask(&mut [1.0, 1.0], &mask);
     }
 }

@@ -2,13 +2,12 @@
 //! fully-connected layers with ReLU activations (Table IV cites the
 //! CNN of Li et al., "Federated learning on non-IID data silos").
 
-use crate::activation::Relu;
+use crate::activation::{relu, relu_mask};
 use crate::batch::Batch;
 use crate::conv_layer::ConvLayer;
 use crate::dense::Dense;
-use crate::loss::{count_correct, softmax_cross_entropy};
-use crate::model::Model;
-use crate::params::{self, HasParams, ParamBlock};
+use crate::model::Network;
+use crate::params::{HasParams, ParamBlock};
 use taco_tensor::conv::{maxpool2d_backward, maxpool2d_forward, Conv2dSpec};
 use taco_tensor::{Prng, Tensor};
 
@@ -18,17 +17,19 @@ use taco_tensor::{Prng, Tensor};
 /// Works on square inputs with any channel count; see
 /// [`PaperCnn::for_image`] for the constructor used by the experiment
 /// harness.
+#[derive(Clone)]
 pub struct PaperCnn {
     conv1: ConvLayer,
     conv2: ConvLayer,
     fc1: Dense,
     fc2: Dense,
     fc3: Dense,
-    relu_fc1: Relu,
-    relu_fc2: Relu,
     image: ImageGeom,
     classes: usize,
-    // Per-sample activation caches.
+    // Activation caches of the last training pass: the FC head's ReLU
+    // masks and each sample's trunk masks and pool indices.
+    fc1_mask: Vec<bool>,
+    fc2_mask: Vec<bool>,
     sample_caches: Vec<SampleCache>,
 }
 
@@ -43,6 +44,7 @@ struct ImageGeom {
     p2_side: usize,
 }
 
+#[derive(Clone)]
 struct SampleCache {
     relu1_mask: Vec<bool>,
     pool1_arg: Vec<usize>,
@@ -103,10 +105,10 @@ impl PaperCnn {
             fc1: Dense::new(flat, hidden, rng),
             fc2: Dense::new(hidden, hidden / 2, rng),
             fc3: Dense::new(hidden / 2, classes, rng),
-            relu_fc1: Relu::new(),
-            relu_fc2: Relu::new(),
             image,
             classes,
+            fc1_mask: Vec::new(),
+            fc2_mask: Vec::new(),
             sample_caches: Vec::new(),
         }
     }
@@ -134,34 +136,14 @@ impl PaperCnn {
         self.sample_caches.clear();
         self.conv1.begin_batch();
         self.conv2.begin_batch();
-        let conv = |layer: &mut ConvLayer, x: &[f32], side: usize| {
-            if train {
-                layer.forward_sample(x, side, side)
-            } else {
-                layer.infer_sample(x, side, side)
-            }
-        };
-        let relu = |a: &mut [f32]| {
-            let mask = if train {
-                a.iter().map(|&v| v > 0.0).collect()
-            } else {
-                Vec::new()
-            };
-            for v in a.iter_mut() {
-                if *v < 0.0 {
-                    *v = 0.0;
-                }
-            }
-            mask
-        };
         let mut features = Tensor::zeros([b, flat]);
         for i in 0..b {
             let x = batch.sample(i);
-            let mut a1 = conv(&mut self.conv1, x, g.side);
-            let relu1_mask = relu(&mut a1);
+            let mut a1 = self.conv1.forward_sample(x, g.side, g.side, train);
+            let relu1_mask = relu(&mut a1, train);
             let (p1, pool1_arg) = maxpool2d_forward(&a1, g.c1_out, g.c1_side, g.c1_side, 2, 2);
-            let mut a2 = conv(&mut self.conv2, &p1, g.p1_side);
-            let relu2_mask = relu(&mut a2);
+            let mut a2 = self.conv2.forward_sample(&p1, g.p1_side, g.p1_side, train);
+            let relu2_mask = relu(&mut a2, train);
             let (p2, pool2_arg) = maxpool2d_forward(&a2, g.c2_out, g.c2_side, g.c2_side, 2, 2);
             features.row_mut(i).copy_from_slice(&p2);
             if train {
@@ -175,71 +157,6 @@ impl PaperCnn {
         }
         features
     }
-
-    /// The logits; with `train` unset neither the trunk nor the FC head
-    /// keeps a backward cache.
-    fn forward_logits(&mut self, batch: &Batch, train: bool) -> Tensor {
-        let features = self.forward_trunk(batch, train);
-        if !train {
-            let mut h1 = self.fc1.infer(&features);
-            Relu::infer_in_place(h1.data_mut());
-            let mut h2 = self.fc2.infer(&h1);
-            Relu::infer_in_place(h2.data_mut());
-            return self.fc3.infer(&h2);
-        }
-        let h1 = self.fc1.forward(&features);
-        let h1 = self.relu_fc1.forward(&h1);
-        let h2 = self.fc2.forward(&h1);
-        let h2 = self.relu_fc2.forward(&h2);
-        self.fc3.forward(&h2)
-    }
-
-    fn backward(&mut self, grad_logits: &Tensor) {
-        let g = self.image;
-        let mut gr = self.fc3.backward(grad_logits);
-        gr = self.relu_fc2.backward(&gr);
-        gr = self.fc2.backward(&gr);
-        gr = self.relu_fc1.backward(&gr);
-        let gfeat = self.fc1.backward(&gr);
-        let b = gfeat.dims()[0];
-        for i in 0..b {
-            let cache = &self.sample_caches[i];
-            // Unpool 2.
-            let a2_len = g.c2_out * g.c2_side * g.c2_side;
-            let mut ga2 = maxpool2d_backward(gfeat.row(i), &cache.pool2_arg, g.c2_out, a2_len);
-            for (v, &m) in ga2.iter_mut().zip(&cache.relu2_mask) {
-                if !m {
-                    *v = 0.0;
-                }
-            }
-            let gp1 = self.conv2.backward_sample(i, &ga2, g.p1_side, g.p1_side);
-            // Unpool 1.
-            let a1_len = g.c1_out * g.c1_side * g.c1_side;
-            let mut ga1 = maxpool2d_backward(&gp1, &cache.pool1_arg, g.c1_out, a1_len);
-            for (v, &m) in ga1.iter_mut().zip(&cache.relu1_mask) {
-                if !m {
-                    *v = 0.0;
-                }
-            }
-            // Nothing reads the gradient with respect to the image.
-            self.conv1.backward_sample_weights(i, &ga1, g.side, g.side);
-        }
-    }
-
-    fn clone_cnn(&self) -> PaperCnn {
-        PaperCnn {
-            conv1: self.conv1.clone(),
-            conv2: self.conv2.clone(),
-            fc1: self.fc1.clone(),
-            fc2: self.fc2.clone(),
-            fc3: self.fc3.clone(),
-            relu_fc1: Relu::new(),
-            relu_fc2: Relu::new(),
-            image: self.image,
-            classes: self.classes,
-            sample_caches: Vec::new(),
-        }
-    }
 }
 
 impl HasParams for PaperCnn {
@@ -252,46 +169,45 @@ impl HasParams for PaperCnn {
     }
 }
 
-impl Model for PaperCnn {
-    fn param_count(&mut self) -> usize {
-        params::param_count(self)
+impl Network for PaperCnn {
+    fn logits(&mut self, batch: &Batch, train: bool) -> Tensor {
+        let features = self.forward_trunk(batch, train);
+        let mut h1 = self.fc1.forward(&features, train);
+        self.fc1_mask = relu(h1.data_mut(), train);
+        let mut h2 = self.fc2.forward(&h1, train);
+        self.fc2_mask = relu(h2.data_mut(), train);
+        self.fc3.forward(&h2, train)
     }
 
-    fn params(&mut self) -> Vec<f32> {
-        params::flatten_params(self)
-    }
-
-    fn set_params(&mut self, p: &[f32]) {
-        params::unflatten_params(self, p);
-    }
-
-    fn loss_and_grad(&mut self, batch: &Batch) -> (f32, Vec<f32>) {
-        params::zero_grads(self);
-        let fwd = taco_trace::quiet_span!("nn.forward");
-        let logits = self.forward_logits(batch, true);
-        fwd.finish();
-        let (loss, grad_logits) = softmax_cross_entropy(&logits, batch.targets());
-        let bwd = taco_trace::quiet_span!("nn.backward");
-        self.backward(&grad_logits);
-        bwd.finish();
-        (loss, params::flatten_grads(self))
-    }
-
-    fn loss_and_accuracy(&mut self, batch: &Batch) -> (f32, f32) {
-        let logits = self.forward_logits(batch, false);
-        let (loss, _) = softmax_cross_entropy(&logits, batch.targets());
-        let acc = count_correct(&logits, batch.targets()) as f32 / batch.len() as f32;
-        (loss, acc)
-    }
-
-    fn clone_model(&self) -> Box<dyn Model> {
-        Box::new(self.clone_cnn())
+    fn backward(&mut self, grad_logits: &Tensor) {
+        let g = self.image;
+        let mut gr = self.fc3.backward(grad_logits);
+        relu_mask(gr.data_mut(), &self.fc2_mask);
+        let mut gr = self.fc2.backward(&gr);
+        relu_mask(gr.data_mut(), &self.fc1_mask);
+        let gfeat = self.fc1.backward(&gr);
+        let b = gfeat.dims()[0];
+        for i in 0..b {
+            let cache = &self.sample_caches[i];
+            // Unpool 2.
+            let a2_len = g.c2_out * g.c2_side * g.c2_side;
+            let mut ga2 = maxpool2d_backward(gfeat.row(i), &cache.pool2_arg, g.c2_out, a2_len);
+            relu_mask(&mut ga2, &cache.relu2_mask);
+            let gp1 = self.conv2.backward_sample(i, &ga2, g.p1_side, g.p1_side);
+            // Unpool 1.
+            let a1_len = g.c1_out * g.c1_side * g.c1_side;
+            let mut ga1 = maxpool2d_backward(&gp1, &cache.pool1_arg, g.c1_out, a1_len);
+            relu_mask(&mut ga1, &cache.relu1_mask);
+            // Nothing reads the gradient with respect to the image.
+            self.conv1.backward_sample_weights(i, &ga1, g.side, g.side);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Model;
 
     fn tiny() -> (PaperCnn, Batch) {
         let mut rng = Prng::seed_from_u64(5);
@@ -303,7 +219,7 @@ mod tests {
     #[test]
     fn forward_shapes() {
         let (mut m, batch) = tiny();
-        let logits = m.forward_logits(&batch, true);
+        let logits = m.logits(&batch, true);
         assert_eq!(logits.dims(), &[2, 3]);
     }
 
@@ -345,7 +261,7 @@ mod tests {
     #[test]
     fn evaluation_leaves_no_state_behind() {
         let (mut fresh, batch) = tiny();
-        let mut evaluated = fresh.clone_cnn();
+        let mut evaluated = fresh.clone();
         let other = Batch::new(
             Tensor::randn([3, 1, 16, 16], 1.0, &mut Prng::seed_from_u64(8)),
             vec![1, 0, 2],

@@ -12,8 +12,7 @@ use taco_tensor::{Prng, Tensor};
 /// [`ConvLayer::begin_batch`], then `forward_sample` for each sample in
 /// order, then `backward_sample` with matching indices — or, for a
 /// first layer, `backward_sample_weights`, which skips the input
-/// gradient. [`ConvLayer::infer_sample`] convolves without caching,
-/// for evaluation.
+/// gradient. An inference pass caches nothing.
 #[derive(Debug, Clone)]
 pub struct ConvLayer {
     weight: ParamBlock,
@@ -49,8 +48,10 @@ impl ConvLayer {
         self.cols.clear();
     }
 
-    /// Convolves one `[in_ch, h, w]` sample, caching its patch matrix.
-    pub fn forward_sample(&mut self, input: &[f32], h: usize, w: usize) -> Vec<f32> {
+    /// Convolves one `[in_ch, h, w]` sample. With `train` set it caches
+    /// the sample's patch matrix for the backward pass; without it the
+    /// matrix is dropped.
+    pub fn forward_sample(&mut self, input: &[f32], h: usize, w: usize, train: bool) -> Vec<f32> {
         let (out, cols) = conv2d_forward(
             input,
             h,
@@ -59,23 +60,10 @@ impl ConvLayer {
             self.bias.value.data(),
             &self.spec,
         );
-        self.cols.push(cols);
+        if train {
+            self.cols.push(cols);
+        }
         out
-    }
-
-    /// Convolves one `[in_ch, h, w]` sample for inference: the same
-    /// output as [`ConvLayer::forward_sample`], but the patch matrix is
-    /// dropped, so nothing is kept for a backward pass.
-    pub fn infer_sample(&self, input: &[f32], h: usize, w: usize) -> Vec<f32> {
-        conv2d_forward(
-            input,
-            h,
-            w,
-            &self.weight.value,
-            self.bias.value.data(),
-            &self.spec,
-        )
-        .0
     }
 
     /// Backward pass for forward sample `idx`; accumulates weight/bias
@@ -85,7 +73,7 @@ impl ConvLayer {
     ///
     /// # Panics
     ///
-    /// Panics if `idx` was not forwarded this batch.
+    /// Panics if `idx` was not forwarded with `train` set this batch.
     pub fn backward_sample(
         &mut self,
         idx: usize,
@@ -104,7 +92,7 @@ impl ConvLayer {
     ///
     /// # Panics
     ///
-    /// Panics if `idx` was not forwarded this batch.
+    /// Panics if `idx` was not forwarded with `train` set this batch.
     pub fn backward_sample_weights(&mut self, idx: usize, grad_out: &[f32], h: usize, w: usize) {
         let cols = std::mem::take(&mut self.cols[idx]);
         conv2d_weight_grad(
@@ -145,7 +133,7 @@ mod tests {
         assert_eq!(param_count(&mut layer), 3 * 2 * 9 + 3);
         layer.begin_batch();
         let x = vec![0.5f32; 2 * 4 * 4];
-        let y = layer.forward_sample(&x, 4, 4);
+        let y = layer.forward_sample(&x, 4, 4, true);
         assert_eq!(y.len(), 3 * 4 * 4);
         let gin = layer.backward_sample(0, &vec![1.0; y.len()], 4, 4);
         assert_eq!(gin.len(), x.len());
@@ -175,7 +163,7 @@ mod tests {
         for layer in [&mut full, &mut weights_only] {
             layer.begin_batch();
             for x in &xs {
-                layer.forward_sample(x, h, w);
+                layer.forward_sample(x, h, w, true);
             }
         }
         for (i, g) in gs.iter().enumerate() {

@@ -6,8 +6,8 @@ use taco_tensor::{linalg, Prng, Tensor};
 /// A fully-connected layer `y = x · Wᵀ + b`.
 ///
 /// Weights are `[out, in]`, inputs `[batch, in]`, outputs
-/// `[batch, out]`. The forward pass caches the input for the backward
-/// pass; [`Dense::infer`] caches nothing, for evaluation. Gradients
+/// `[batch, out]`. A training forward pass caches the input for the
+/// backward pass; an inference pass caches nothing. Gradients
 /// accumulate into the layer's [`ParamBlock`]s, the weight gradient
 /// straight into its buffer. A first layer calls
 /// [`Dense::backward_weights`], which skips the input gradient.
@@ -45,24 +45,14 @@ impl Dense {
         self.weight.value.dims()[0]
     }
 
-    /// Forward pass. Caches the input for [`Dense::backward`].
+    /// Forward pass. With `train` set it caches the input for
+    /// [`Dense::backward`]; without it the cache is dropped, so no
+    /// backward pass may follow.
     ///
     /// # Panics
     ///
     /// Panics if `x` is not `[batch, in_features]`.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y = self.infer(x);
-        self.cached_input = Some(x.clone());
-        y
-    }
-
-    /// Inference forward pass: the same output as [`Dense::forward`],
-    /// but nothing is cached, so no backward pass may follow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `[batch, in_features]`.
-    pub fn infer(&self, x: &Tensor) -> Tensor {
+    pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.dims().len(), 2, "dense input must be 2-D");
         assert_eq!(
             x.dims()[1],
@@ -78,6 +68,7 @@ impl Dense {
                 *v += bj;
             }
         }
+        self.cached_input = train.then(|| x.clone());
         y
     }
 
@@ -86,7 +77,7 @@ impl Dense {
     ///
     /// # Panics
     ///
-    /// Panics if called before [`Dense::forward`].
+    /// Panics if no training [`Dense::forward`] came first.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         self.backward_weights(grad_out);
         // dX = g · W.
@@ -100,7 +91,7 @@ impl Dense {
     ///
     /// # Panics
     ///
-    /// Panics if called before [`Dense::forward`].
+    /// Panics if no training [`Dense::forward`] came first.
     pub fn backward_weights(&mut self, grad_out: &Tensor) {
         let x = self
             .cached_input
@@ -148,7 +139,7 @@ mod tests {
         p[6] = 0.5;
         p[7] = -0.5;
         unflatten_params(&mut d, &p);
-        let y = d.forward(&Tensor::zeros([4, 3]));
+        let y = d.forward(&Tensor::zeros([4, 3]), false);
         assert_eq!(y.dims(), &[4, 2]);
         assert_eq!(y.row(2), &[0.5, -0.5]);
     }
@@ -159,7 +150,7 @@ mod tests {
         let mut d = Dense::new(4, 3, &mut rng);
         let x = Tensor::randn([2, 4], 1.0, &mut rng);
         // Loss = sum of outputs.
-        let y = d.forward(&x);
+        let y = d.forward(&x, true);
         let gin = d.backward(&Tensor::full(y.shape().clone(), 1.0));
         let analytic = flatten_grads(&mut d);
         let base = flatten_params(&mut d);
@@ -168,10 +159,10 @@ mod tests {
             let mut p = base.clone();
             p[i] += eps;
             unflatten_params(&mut d, &p);
-            let up = d.forward(&x).sum();
+            let up = d.forward(&x, false).sum();
             p[i] -= 2.0 * eps;
             unflatten_params(&mut d, &p);
-            let dn = d.forward(&x).sum();
+            let dn = d.forward(&x, false).sum();
             let fd = (up - dn) / (2.0 * eps);
             assert!(
                 (fd - analytic[i]).abs() < 1e-2,
@@ -185,9 +176,9 @@ mod tests {
             for c in 0..4 {
                 let mut xp = x.clone();
                 xp.data_mut()[r * 4 + c] += eps;
-                let up = d.forward(&xp).sum();
+                let up = d.forward(&xp, false).sum();
                 xp.data_mut()[r * 4 + c] -= 2.0 * eps;
-                let dn = d.forward(&xp).sum();
+                let dn = d.forward(&xp, false).sum();
                 let fd = (up - dn) / (2.0 * eps);
                 assert!((fd - gin.at(&[r, c])).abs() < 1e-2);
             }
@@ -200,10 +191,10 @@ mod tests {
         let mut d = Dense::new(2, 2, &mut rng);
         let x = Tensor::randn([1, 2], 1.0, &mut rng);
         let g = Tensor::full([1, 2], 1.0);
-        d.forward(&x);
+        d.forward(&x, true);
         d.backward(&g);
         let once = flatten_grads(&mut d);
-        d.forward(&x);
+        d.forward(&x, true);
         d.backward(&g);
         let twice = flatten_grads(&mut d);
         for (a, b) in once.iter().zip(&twice) {
@@ -219,9 +210,9 @@ mod tests {
         for _ in 0..2 {
             let x = Tensor::randn([3, 7], 1.0, &mut rng);
             let g = Tensor::randn([3, 5], 1.0, &mut rng);
-            full.forward(&x);
+            full.forward(&x, true);
             assert_eq!(full.backward(&g).dims(), &[3, 7]);
-            weights_only.forward(&x);
+            weights_only.forward(&x, true);
             weights_only.backward_weights(&g);
         }
         let want = flatten_grads(&mut full);

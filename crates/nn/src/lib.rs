@@ -13,12 +13,17 @@
 //!   argument).
 //! - [`CharLstm`] — an embedding + LSTM + projection next-symbol model.
 //!
-//! Every model implements [`Model`], whose contract is exactly what a
+//! Every network is a [`Model`], whose contract is exactly what a
 //! federated-learning algorithm needs: read/write the parameters as a
 //! **flat `Vec<f32>`** and compute a mini-batch loss gradient as a flat
-//! vector. No autograd tape exists; each layer implements its forward
-//! and backward pass explicitly and is verified against finite
-//! differences in its unit tests.
+//! vector. A network implements only [`Network`]: its logits, which
+//! keep backward caches only when training, and their backward pass
+//! into its [`ParamBlock`]s. One generic implementation turns every
+//! `Network` into a `Model`: the flat-vector plumbing, the softmax
+//! cross-entropy loss, evaluation (the same forward pass, not
+//! training) and cloning are written once. No autograd tape exists;
+//! each layer implements its forward and backward pass explicitly and
+//! is verified against finite differences in its unit tests.
 //!
 //! # Example
 //!
@@ -54,6 +59,6 @@ pub use batch::Batch;
 pub use cnn::PaperCnn;
 pub use lstm::CharLstm;
 pub use mlp::Mlp;
-pub use model::{evaluate, map_with_models, Model};
+pub use model::{evaluate, map_with_models, Model, Network};
 pub use params::ParamBlock;
 pub use resnet::TinyResNet;

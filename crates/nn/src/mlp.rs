@@ -1,23 +1,23 @@
 //! The paper's tabular MLP (hidden layers 32-16-8 on `adult`).
 
-use crate::activation::Relu;
+use crate::activation::{relu, relu_mask};
 use crate::batch::Batch;
 use crate::dense::Dense;
-use crate::loss::{count_correct, softmax_cross_entropy};
-use crate::model::Model;
-use crate::params::{self, HasParams, ParamBlock};
+use crate::model::Network;
+use crate::params::{HasParams, ParamBlock};
 use taco_tensor::{Prng, Tensor};
 
 /// A multi-layer perceptron with ReLU activations.
 ///
 /// The paper's `adult` model uses hidden layers `(32, 16, 8)`; see
 /// [`Mlp::paper_adult`]. Any hidden-layer list is supported.
+#[derive(Clone)]
 pub struct Mlp {
     layers: Vec<Dense>,
-    relus: Vec<Relu>,
+    /// One ReLU mask per hidden layer from the last training pass.
+    masks: Vec<Vec<bool>>,
     in_features: usize,
     classes: usize,
-    hidden: Vec<usize>,
 }
 
 impl Mlp {
@@ -29,20 +29,17 @@ impl Mlp {
     pub fn new(in_features: usize, hidden: &[usize], classes: usize, rng: &mut Prng) -> Self {
         assert!(in_features > 0 && classes > 0, "degenerate MLP shape");
         let mut layers = Vec::new();
-        let mut relus = Vec::new();
         let mut prev = in_features;
         for &h in hidden {
             layers.push(Dense::new(prev, h, rng));
-            relus.push(Relu::new());
             prev = h;
         }
         layers.push(Dense::new(prev, classes, rng));
         Mlp {
             layers,
-            relus,
+            masks: vec![Vec::new(); hidden.len()],
             in_features,
             classes,
-            hidden: hidden.to_vec(),
         }
     }
 
@@ -60,45 +57,6 @@ impl Mlp {
     pub fn classes(&self) -> usize {
         self.classes
     }
-
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut h = x.clone();
-        let n = self.layers.len();
-        for i in 0..n - 1 {
-            h = self.layers[i].forward(&h);
-            h = self.relus[i].forward(&h);
-        }
-        self.layers[n - 1].forward(&h)
-    }
-
-    /// The logits of [`Mlp::forward`] without its backward caches:
-    /// [`Dense::infer`] and an in-place ReLU, for evaluation.
-    fn infer(&self, x: &Tensor) -> Tensor {
-        let n = self.layers.len();
-        let mut h: Option<Tensor> = None;
-        for layer in &self.layers[..n - 1] {
-            let mut y = layer.infer(h.as_ref().unwrap_or(x));
-            Relu::infer_in_place(y.data_mut());
-            h = Some(y);
-        }
-        self.layers[n - 1].infer(h.as_ref().unwrap_or(x))
-    }
-
-    fn backward(&mut self, grad_logits: &Tensor) {
-        let n = self.layers.len();
-        if n == 1 {
-            self.layers[0].backward_weights(grad_logits);
-            return;
-        }
-        let mut g = self.layers[n - 1].backward(grad_logits);
-        for i in (1..n - 1).rev() {
-            g = self.relus[i].backward(&g);
-            g = self.layers[i].backward(&g);
-        }
-        // Nothing reads the gradient with respect to the features.
-        g = self.relus[0].backward(&g);
-        self.layers[0].backward_weights(&g);
-    }
 }
 
 impl HasParams for Mlp {
@@ -109,58 +67,36 @@ impl HasParams for Mlp {
     }
 }
 
-impl Model for Mlp {
-    fn param_count(&mut self) -> usize {
-        params::param_count(self)
-    }
-
-    fn params(&mut self) -> Vec<f32> {
-        params::flatten_params(self)
-    }
-
-    fn set_params(&mut self, p: &[f32]) {
-        params::unflatten_params(self, p);
-    }
-
-    fn loss_and_grad(&mut self, batch: &Batch) -> (f32, Vec<f32>) {
-        params::zero_grads(self);
-        let fwd = taco_trace::quiet_span!("nn.forward");
-        let logits = self.forward(batch.inputs());
-        fwd.finish();
-        let (loss, grad_logits) = softmax_cross_entropy(&logits, batch.targets());
-        let bwd = taco_trace::quiet_span!("nn.backward");
-        self.backward(&grad_logits);
-        bwd.finish();
-        (loss, params::flatten_grads(self))
-    }
-
-    fn loss_and_accuracy(&mut self, batch: &Batch) -> (f32, f32) {
-        let logits = self.infer(batch.inputs());
-        let (loss, _) = softmax_cross_entropy(&logits, batch.targets());
-        let acc = count_correct(&logits, batch.targets()) as f32 / batch.len() as f32;
-        (loss, acc)
-    }
-
-    fn clone_model(&self) -> Box<dyn Model> {
-        Box::new(self.clone_mlp())
-    }
-}
-
-impl Mlp {
-    fn clone_mlp(&self) -> Mlp {
-        Mlp {
-            layers: self.layers.clone(),
-            relus: self.relus.clone(),
-            in_features: self.in_features,
-            classes: self.classes,
-            hidden: self.hidden.clone(),
+impl Network for Mlp {
+    fn logits(&mut self, batch: &Batch, train: bool) -> Tensor {
+        let mut h = self.layers[0].forward(batch.inputs(), train);
+        for i in 1..self.layers.len() {
+            self.masks[i - 1] = relu(h.data_mut(), train);
+            h = self.layers[i].forward(&h, train);
         }
+        h
+    }
+
+    fn backward(&mut self, grad_logits: &Tensor) {
+        let mut g: Option<Tensor> = None;
+        for i in (1..self.layers.len()).rev() {
+            let mut gi = self.layers[i].backward(g.as_ref().unwrap_or(grad_logits));
+            relu_mask(gi.data_mut(), &self.masks[i - 1]);
+            g = Some(gi);
+        }
+        // Nothing reads the gradient with respect to the features.
+        self.layers[0].backward_weights(g.as_ref().unwrap_or(grad_logits));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Model;
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|g| g.to_bits()).collect()
+    }
 
     fn tiny() -> (Mlp, Batch) {
         let mut rng = Prng::seed_from_u64(7);
@@ -218,20 +154,29 @@ mod tests {
         let mut fresh = Mlp::new(6, &[9, 7], 4, &mut rng);
         let x = Tensor::randn([16, 6], 1.0, &mut rng);
         let batch = Batch::new(x, (0..16).map(|i| i % 4).collect());
-        let mut evaluated = fresh.clone_mlp();
-        let (loss, acc) = evaluated.loss_and_accuracy(&batch);
+        let mut evaluated = fresh.clone();
+        let logits = evaluated.logits(&batch, false);
         assert!(evaluated.layers.iter().all(|l| !l.has_cached_input()));
-        let logits = fresh.clone_mlp().forward(batch.inputs());
-        let (want_loss, _) = softmax_cross_entropy(&logits, batch.targets());
-        let want_acc = count_correct(&logits, batch.targets()) as f32 / batch.len() as f32;
-        assert_eq!(loss.to_bits(), want_loss.to_bits());
-        assert_eq!(acc.to_bits(), want_acc.to_bits());
+        let want = fresh.clone().logits(&batch, true);
+        assert_eq!(bits(logits.data()), bits(want.data()));
         // An evaluated model trains exactly like a fresh one.
         let (want_loss, want) = fresh.loss_and_grad(&batch);
         let (got_loss, got) = evaluated.loss_and_grad(&batch);
-        let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
         assert_eq!(got_loss.to_bits(), want_loss.to_bits());
         assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn a_nan_hidden_weight_reaches_the_loss() {
+        let (mut m, batch) = tiny();
+        let mut p = m.params();
+        // The first weight of the first hidden layer.
+        p[0] = f32::NAN;
+        m.set_params(&p);
+        let (loss, _) = m.loss_and_grad(&batch);
+        assert!(!loss.is_finite(), "training loss {loss}");
+        let (loss, _) = m.loss_and_accuracy(&batch);
+        assert!(!loss.is_finite(), "evaluation loss {loss}");
     }
 
     #[test]

@@ -1,10 +1,13 @@
-//! The `Model` trait: the contract between neural networks and the
-//! federated-learning algorithms.
+//! The `Model` trait, the contract between neural networks and the
+//! federated-learning algorithms, and the `Network` trait each network
+//! implements to get it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::batch::Batch;
-use taco_tensor::pool;
+use crate::loss::{count_correct, softmax_cross_entropy};
+use crate::params::{self, HasParams};
+use taco_tensor::{pool, Tensor};
 
 /// A trainable model exposed as a flat parameter vector.
 ///
@@ -12,6 +15,11 @@ use taco_tensor::pool;
 /// algorithm reads the current parameters, asks for a mini-batch
 /// gradient, applies its own (algorithm-specific) update rule to the
 /// flat vector and writes the result back.
+///
+/// Every [`Network`] is a `Model` through one generic implementation,
+/// which owns the flat-vector plumbing, the softmax cross-entropy loss
+/// and the evaluation; a network supplies only its logits and its
+/// backward pass.
 ///
 /// Implementations must be deterministic: the same parameters and the
 /// same batch always yield the same loss and gradient. They must also
@@ -83,6 +91,62 @@ impl Model for Box<dyn Model> {
 
     fn clone_model(&self) -> Box<dyn Model> {
         (**self).clone_model()
+    }
+}
+
+/// A classifier network: what a model supplies to become a [`Model`].
+///
+/// The network owns its layers' [`ParamBlock`](crate::ParamBlock)s
+/// (visited through [`HasParams`]) and computes its logits and their
+/// backward pass; the generic `Model` implementation does the rest.
+/// Its layout of the flat parameter vector is the visiting order of
+/// [`HasParams::visit_params`].
+pub trait Network: HasParams + Clone + Send + Sync + 'static {
+    /// The `[batch, classes]` logits of `batch`. With `train` set the
+    /// network keeps what [`Network::backward`] reads; without it no
+    /// backward pass may follow, and the network need not keep anything.
+    fn logits(&mut self, batch: &Batch, train: bool) -> Tensor;
+
+    /// Backpropagates the loss gradient with respect to the logits of
+    /// the last `logits(batch, true)` call, accumulating into the
+    /// parameter blocks' gradients.
+    fn backward(&mut self, grad_logits: &Tensor);
+}
+
+impl<N: Network> Model for N {
+    fn param_count(&mut self) -> usize {
+        params::param_count(self)
+    }
+
+    fn params(&mut self) -> Vec<f32> {
+        params::flatten_params(self)
+    }
+
+    fn set_params(&mut self, p: &[f32]) {
+        params::unflatten_params(self, p);
+    }
+
+    fn loss_and_grad(&mut self, batch: &Batch) -> (f32, Vec<f32>) {
+        params::zero_grads(self);
+        let fwd = taco_trace::quiet_span!("nn.forward");
+        let logits = self.logits(batch, true);
+        fwd.finish();
+        let (loss, grad_logits) = softmax_cross_entropy(&logits, batch.targets());
+        let bwd = taco_trace::quiet_span!("nn.backward");
+        self.backward(&grad_logits);
+        bwd.finish();
+        (loss, params::flatten_grads(self))
+    }
+
+    fn loss_and_accuracy(&mut self, batch: &Batch) -> (f32, f32) {
+        let logits = self.logits(batch, false);
+        let (loss, _) = softmax_cross_entropy(&logits, batch.targets());
+        let acc = count_correct(&logits, batch.targets()) as f32 / batch.len() as f32;
+        (loss, acc)
+    }
+
+    fn clone_model(&self) -> Box<dyn Model> {
+        Box::new(self.clone())
     }
 }
 
@@ -269,6 +333,71 @@ mod tests {
                 "{threads} threads: one clone per further lane"
             );
         }
+    }
+
+    /// FNV-1a over the bits of a run of floats.
+    fn fnv1a(values: impl IntoIterator<Item = f32>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in values {
+            h ^= u64::from(v.to_bits());
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// The `(loss_and_grad, loss_and_accuracy)` digests of one model on
+    /// one batch: a training step, then an evaluation of the same model.
+    fn digests(model: &mut dyn Model, batch: &Batch) -> (u64, u64) {
+        let (loss, grad) = model.loss_and_grad(batch);
+        let (eval_loss, acc) = model.loss_and_accuracy(batch);
+        (
+            fnv1a(std::iter::once(loss).chain(grad)),
+            fnv1a([eval_loss, acc]),
+        )
+    }
+
+    /// Every network's loss, gradient and evaluation bits on a
+    /// fixed-seed batch. A refactor of the layers or of the glue
+    /// between them must leave these digests unchanged.
+    #[test]
+    fn network_bits_are_pinned() {
+        let mut got = Vec::new();
+        let mut rng = Prng::seed_from_u64(41);
+        let mut mlp = Mlp::new(6, &[9, 7], 4, &mut rng);
+        let x = Tensor::randn([16, 6], 1.0, &mut rng);
+        got.push(digests(
+            &mut mlp,
+            &Batch::new(x, (0..16).map(|i| i % 4).collect()),
+        ));
+        let mut cnn = crate::PaperCnn::new(1, 16, 3, 2, 8, &mut rng);
+        let x = Tensor::randn([3, 1, 16, 16], 1.0, &mut rng);
+        got.push(digests(&mut cnn, &Batch::new(x, vec![2, 0, 1])));
+        let mut resnet = crate::TinyResNet::new(1, 8, 4, 4, &mut rng);
+        let x = Tensor::randn([2, 1, 8, 8], 1.0, &mut rng);
+        got.push(digests(&mut resnet, &Batch::new(x, vec![1, 3])));
+        // The LSTM's gradient digest dates from before its backward pass
+        // dropped the last-step `dh` product and the per-step row copies.
+        let mut rng = Prng::seed_from_u64(29);
+        let mut lstm = crate::CharLstm::new(11, 6, 9, &mut rng);
+        let (bsz, seq) = (5, 7);
+        let ids: Vec<f32> = (0..bsz * seq).map(|_| rng.below(11) as f32).collect();
+        let targets: Vec<usize> = (0..bsz).map(|_| rng.below(11)).collect();
+        let batch = Batch::new(Tensor::from_vec(ids, [bsz, seq]), targets);
+        got.push(digests(&mut lstm, &batch));
+        let hex: Vec<_> = got
+            .iter()
+            .map(|(g, e)| format!("({g:#018x}, {e:#018x})"))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (0x34c4_d8f7_86c7_dfc5, 0xc977_a9b9_36ff_2460),
+                (0xffa4_06c0_d5b0_8dea, 0x5a0e_952e_371e_04a0),
+                (0xc2b9_f587_3071_2788, 0x5c8f_d021_fe18_28a9),
+                (0x8812_0773_9599_6e58, 0xd4cd_551c_8d40_57eb),
+            ],
+            "mlp, cnn, resnet, lstm digests: {hex:?}"
+        );
     }
 
     #[test]

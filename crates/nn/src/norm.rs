@@ -56,13 +56,14 @@ impl GroupNorm {
         self.cache.clear();
     }
 
-    /// Normalizes one sample's `[channels, hw]` feature map in place
-    /// and appends its cache entry.
+    /// Normalizes one sample's `[channels, hw]` feature map in place.
+    /// With `train` set it appends the sample's cache entry for
+    /// [`GroupNorm::backward_sample`].
     ///
     /// # Panics
     ///
     /// Panics if `x.len()` is not a multiple of the channel count.
-    pub fn forward_sample(&mut self, x: &mut [f32]) {
+    pub fn forward_sample(&mut self, x: &mut [f32], train: bool) {
         assert_eq!(x.len() % self.channels, 0, "feature map size mismatch");
         let hw = x.len() / self.channels;
         let group_ch = self.channels / self.groups;
@@ -87,10 +88,12 @@ impl GroupNorm {
                 x[i] = gamma[c] * normalized[i] + beta[c];
             }
         }
-        self.cache.push(SampleCache {
-            normalized,
-            inv_std,
-        });
+        if train {
+            self.cache.push(SampleCache {
+                normalized,
+                inv_std,
+            });
+        }
     }
 
     /// Backward pass for sample `idx` (in forward order): transforms
@@ -164,7 +167,7 @@ mod tests {
         let mut gn = GroupNorm::new(4, 2);
         let mut rng = Prng::seed_from_u64(1);
         let mut x: Vec<f32> = (0..4 * 9).map(|_| rng.normal_f32() * 3.0 + 1.0).collect();
-        gn.forward_sample(&mut x);
+        gn.forward_sample(&mut x, true);
         // After the identity affine (γ=1, β=0) each group has ~zero
         // mean and ~unit variance.
         for g in 0..2 {
@@ -187,7 +190,7 @@ mod tests {
         let loss = |gn: &mut GroupNorm, x: &[f32]| -> f32 {
             gn.reset_cache();
             let mut y = x.to_vec();
-            gn.forward_sample(&mut y);
+            gn.forward_sample(&mut y, true);
             y.iter().zip(&gout).map(|(a, b)| a * b).sum()
         };
         let mut gn = GroupNorm::new(channels, 2);
@@ -229,7 +232,7 @@ mod tests {
         let mut gn = GroupNorm::new(channels, 1);
         gn.reset_cache();
         let mut y = x0.clone();
-        gn.forward_sample(&mut y);
+        gn.forward_sample(&mut y, true);
         let mut grad = vec![1.0f32; x0.len()];
         gn.backward_sample(0, &mut grad);
         let ggamma = gn.gamma.grad.data().to_vec();
@@ -240,12 +243,12 @@ mod tests {
             up_gn.gamma.value.data_mut()[c] += eps;
             up_gn.reset_cache();
             let mut yu = x0.clone();
-            up_gn.forward_sample(&mut yu);
+            up_gn.forward_sample(&mut yu, true);
             let mut dn_gn = gn.clone();
             dn_gn.gamma.value.data_mut()[c] -= eps;
             dn_gn.reset_cache();
             let mut yd = x0.clone();
-            dn_gn.forward_sample(&mut yd);
+            dn_gn.forward_sample(&mut yd, true);
             let fd = (yu.iter().sum::<f32>() - yd.iter().sum::<f32>()) / (2.0 * eps);
             assert!(
                 (fd - ggamma[c]).abs() < 1e-2,

@@ -10,13 +10,13 @@
 //! GroupNorm and a global-average-pool head — the same optimization
 //! structure at laptop scale. See DESIGN.md §3.
 
+use crate::activation::{relu, relu_mask};
 use crate::batch::Batch;
 use crate::conv_layer::ConvLayer;
 use crate::dense::Dense;
-use crate::loss::{count_correct, softmax_cross_entropy};
-use crate::model::Model;
+use crate::model::Network;
 use crate::norm::GroupNorm;
-use crate::params::{self, HasParams, ParamBlock};
+use crate::params::{HasParams, ParamBlock};
 use taco_tensor::conv::{global_avg_pool, global_avg_pool_backward, Conv2dSpec};
 use taco_tensor::{Prng, Tensor};
 
@@ -107,54 +107,40 @@ impl ResBlock {
         self.out_masks.clear();
     }
 
-    fn forward_sample(&mut self, x: &[f32]) -> Vec<f32> {
+    fn forward_sample(&mut self, x: &[f32], train: bool) -> Vec<f32> {
         let side = self.in_side;
-        let mut a = self.conv1.forward_sample(x, side, side);
-        self.gn1.forward_sample(&mut a);
-        let mask1: Vec<bool> = a.iter().map(|&v| v > 0.0).collect();
-        for v in &mut a {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
-        let mut b = self.conv2.forward_sample(&a, self.out_side, self.out_side);
-        self.gn2.forward_sample(&mut b);
+        let mut a = self.conv1.forward_sample(x, side, side, train);
+        self.gn1.forward_sample(&mut a, train);
+        let mask1 = relu(&mut a, train);
+        let mut b = self
+            .conv2
+            .forward_sample(&a, self.out_side, self.out_side, train);
+        self.gn2.forward_sample(&mut b, train);
         let shortcut = match &mut self.skip {
-            Some(s) => s.forward_sample(x, side, side),
+            Some(s) => s.forward_sample(x, side, side, train),
             None => x.to_vec(),
         };
         for (bv, sv) in b.iter_mut().zip(&shortcut) {
             *bv += sv;
         }
-        let mask_out: Vec<bool> = b.iter().map(|&v| v > 0.0).collect();
-        for v in &mut b {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
+        let mask_out = relu(&mut b, train);
+        if train {
+            self.relu1_masks.push(mask1);
+            self.out_masks.push(mask_out);
         }
-        self.relu1_masks.push(mask1);
-        self.out_masks.push(mask_out);
         b
     }
 
     fn backward_sample(&mut self, idx: usize, grad_out: &[f32]) -> Vec<f32> {
         let mut g = grad_out.to_vec();
-        for (v, &m) in g.iter_mut().zip(&self.out_masks[idx]) {
-            if !m {
-                *v = 0.0;
-            }
-        }
+        relu_mask(&mut g, &self.out_masks[idx]);
         // Branch gradient through GN2, conv2, ReLU1, GN1, conv1.
         let mut gb = g.clone();
         self.gn2.backward_sample(idx, &mut gb);
         let mut ga = self
             .conv2
             .backward_sample(idx, &gb, self.out_side, self.out_side);
-        for (v, &m) in ga.iter_mut().zip(&self.relu1_masks[idx]) {
-            if !m {
-                *v = 0.0;
-            }
-        }
+        relu_mask(&mut ga, &self.relu1_masks[idx]);
         self.gn1.backward_sample(idx, &mut ga);
         let gx_branch = self
             .conv1
@@ -250,58 +236,6 @@ impl TinyResNet {
     pub fn classes(&self) -> usize {
         self.classes
     }
-
-    fn forward_logits(&mut self, batch: &Batch) -> Tensor {
-        let b = batch.len();
-        self.stem.begin_batch();
-        self.stem_gn.reset_cache();
-        self.stem_masks.clear();
-        for blk in &mut self.blocks {
-            blk.begin_batch();
-        }
-        let hw = self.final_side * self.final_side;
-        let mut pooled = Tensor::zeros([b, self.final_channels]);
-        for i in 0..b {
-            let x = batch.sample(i);
-            let mut a = self.stem.forward_sample(x, self.side, self.side);
-            self.stem_gn.forward_sample(&mut a);
-            let mask: Vec<bool> = a.iter().map(|&v| v > 0.0).collect();
-            for v in &mut a {
-                if *v < 0.0 {
-                    *v = 0.0;
-                }
-            }
-            self.stem_masks.push(mask);
-            let mut h = a;
-            for blk in &mut self.blocks {
-                h = blk.forward_sample(&h);
-            }
-            let p = global_avg_pool(&h, self.final_channels, hw);
-            pooled.row_mut(i).copy_from_slice(&p);
-        }
-        self.head.forward(&pooled)
-    }
-
-    fn backward(&mut self, grad_logits: &Tensor) {
-        let gpool = self.head.backward(grad_logits);
-        let b = gpool.dims()[0];
-        let hw = self.final_side * self.final_side;
-        for i in 0..b {
-            let mut g = global_avg_pool_backward(gpool.row(i), self.final_channels, hw);
-            for bi in (0..self.blocks.len()).rev() {
-                g = self.blocks[bi].backward_sample(i, &g);
-            }
-            for (v, &m) in g.iter_mut().zip(&self.stem_masks[i]) {
-                if !m {
-                    *v = 0.0;
-                }
-            }
-            self.stem_gn.backward_sample(i, &mut g);
-            // Nothing reads the gradient with respect to the image.
-            self.stem
-                .backward_sample_weights(i, &g, self.side, self.side);
-        }
-    }
 }
 
 impl HasParams for TinyResNet {
@@ -315,46 +249,56 @@ impl HasParams for TinyResNet {
     }
 }
 
-impl Model for TinyResNet {
-    fn param_count(&mut self) -> usize {
-        params::param_count(self)
+impl Network for TinyResNet {
+    fn logits(&mut self, batch: &Batch, train: bool) -> Tensor {
+        let b = batch.len();
+        self.stem.begin_batch();
+        self.stem_gn.reset_cache();
+        self.stem_masks.clear();
+        for blk in &mut self.blocks {
+            blk.begin_batch();
+        }
+        let hw = self.final_side * self.final_side;
+        let mut pooled = Tensor::zeros([b, self.final_channels]);
+        for i in 0..b {
+            let x = batch.sample(i);
+            let mut h = self.stem.forward_sample(x, self.side, self.side, train);
+            self.stem_gn.forward_sample(&mut h, train);
+            let mask = relu(&mut h, train);
+            if train {
+                self.stem_masks.push(mask);
+            }
+            for blk in &mut self.blocks {
+                h = blk.forward_sample(&h, train);
+            }
+            let p = global_avg_pool(&h, self.final_channels, hw);
+            pooled.row_mut(i).copy_from_slice(&p);
+        }
+        self.head.forward(&pooled, train)
     }
 
-    fn params(&mut self) -> Vec<f32> {
-        params::flatten_params(self)
-    }
-
-    fn set_params(&mut self, p: &[f32]) {
-        params::unflatten_params(self, p);
-    }
-
-    fn loss_and_grad(&mut self, batch: &Batch) -> (f32, Vec<f32>) {
-        params::zero_grads(self);
-        let fwd = taco_trace::quiet_span!("nn.forward");
-        let logits = self.forward_logits(batch);
-        fwd.finish();
-        let (loss, grad_logits) = softmax_cross_entropy(&logits, batch.targets());
-        let bwd = taco_trace::quiet_span!("nn.backward");
-        self.backward(&grad_logits);
-        bwd.finish();
-        (loss, params::flatten_grads(self))
-    }
-
-    fn loss_and_accuracy(&mut self, batch: &Batch) -> (f32, f32) {
-        let logits = self.forward_logits(batch);
-        let (loss, _) = softmax_cross_entropy(&logits, batch.targets());
-        let acc = count_correct(&logits, batch.targets()) as f32 / batch.len() as f32;
-        (loss, acc)
-    }
-
-    fn clone_model(&self) -> Box<dyn Model> {
-        Box::new(self.clone())
+    fn backward(&mut self, grad_logits: &Tensor) {
+        let gpool = self.head.backward(grad_logits);
+        let b = gpool.dims()[0];
+        let hw = self.final_side * self.final_side;
+        for i in 0..b {
+            let mut g = global_avg_pool_backward(gpool.row(i), self.final_channels, hw);
+            for bi in (0..self.blocks.len()).rev() {
+                g = self.blocks[bi].backward_sample(i, &g);
+            }
+            relu_mask(&mut g, &self.stem_masks[i]);
+            self.stem_gn.backward_sample(i, &mut g);
+            // Nothing reads the gradient with respect to the image.
+            self.stem
+                .backward_sample_weights(i, &g, self.side, self.side);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Model;
 
     fn tiny() -> (TinyResNet, Batch) {
         let mut rng = Prng::seed_from_u64(11);
@@ -366,7 +310,7 @@ mod tests {
     #[test]
     fn forward_shapes() {
         let (mut m, batch) = tiny();
-        let logits = m.forward_logits(&batch);
+        let logits = m.logits(&batch, true);
         assert_eq!(logits.dims(), &[2, 4]);
     }
 

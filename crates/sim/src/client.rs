@@ -1,5 +1,5 @@
-//! Client-side execution: deterministic per-client RNG derivation and
-//! local-step jobs run sequentially or on the shared worker pool.
+//! Client-side execution: local-step jobs run sequentially or on the
+//! shared worker pool, each on its own per-(round, client) RNG.
 
 use crate::runner::SimConfig;
 use taco_core::{update, ClientUpdate, LocalRule};
@@ -16,15 +16,6 @@ pub(crate) struct ClientJob {
     pub(crate) steps: usize,
 }
 
-/// Deterministic per-(round, client) RNG derivation: results never
-/// depend on thread scheduling.
-pub(crate) fn client_rng(seed: u64, round: usize, client: usize) -> Prng {
-    let mixed = seed
-        ^ (round as u64).wrapping_mul(0x9E3779B97F4A7C15)
-        ^ (client as u64).wrapping_mul(0xC2B2AE3D27D4EB4F);
-    Prng::seed_from_u64(mixed)
-}
-
 /// Executes honest-client jobs, sequentially or on the shared worker
 /// pool through [`taco_nn::map_with_models`]: `model` serves one lane
 /// and a clone each further pool thread, and every lane claims one
@@ -37,7 +28,7 @@ pub(crate) fn client_rng(seed: u64, round: usize, client: usize) -> Prng {
 /// With `TACO_THREADS=1` (or [`crate::SimConfig::sequential`])
 /// everything runs on the caller. Results come back in job order and
 /// are bit-identical whichever lane ran a job: each client re-seeds its
-/// RNG from [`client_rng`] and starts from `global`, and a model's
+/// RNG from [`Prng::for_cell`] and starts from `global`, and a model's
 /// parameters fully determine its behaviour ([`Model::set_params`]).
 pub(crate) fn execute_jobs(
     model: &mut dyn Model,
@@ -50,7 +41,7 @@ pub(crate) fn execute_jobs(
     let (hyper, seed) = (&config.hyper, config.seed);
     let run_one = move |model: &mut dyn Model, job: &ClientJob| -> ClientUpdate {
         let span = trace::Span::quiet(crate::phase::CLIENT_STEP);
-        let mut rng = client_rng(seed, round, job.client);
+        let mut rng = Prng::for_cell(seed, round, job.client);
         // Wall-clock time is read only through taco-trace spans
         // (D2): the span both feeds the `client_compute.seconds`
         // histogram and hands back the measured duration.

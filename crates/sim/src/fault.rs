@@ -47,15 +47,6 @@ use taco_tensor::{ops, Prng};
 /// cell.
 const FAULT_SALT: u64 = 0xFA17;
 
-/// Deterministic per-(round, client) RNG for fault draws — the same
-/// derivation as the runner's client streams, salted.
-fn fault_rng(seed: u64, round: usize, client: usize) -> Prng {
-    let mixed = (seed ^ FAULT_SALT)
-        ^ (round as u64).wrapping_mul(0x9E3779B97F4A7C15)
-        ^ (client as u64).wrapping_mul(0xC2B2AE3D27D4EB4F);
-    Prng::seed_from_u64(mixed)
-}
-
 /// How an upload is corrupted on the wire.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Corruption {
@@ -399,7 +390,7 @@ impl FaultPlan {
         if self.is_inert() {
             return None;
         }
-        let mut rng = fault_rng(seed, round, client);
+        let mut rng = Prng::for_cell(seed ^ FAULT_SALT, round, client);
         // Fixed draw order (dropout, corruption kind, straggler) keeps
         // each category's stream stable when another's probability
         // changes.

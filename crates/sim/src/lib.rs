@@ -63,4 +63,4 @@ mod server;
 pub use fault::{Corruption, Deadline, FaultKind, FaultPlan, RejectReason, ValidationPolicy};
 pub use freeloader::ClientBehavior;
 pub use metrics::{FaultTotals, History, RoundRecord};
-pub use runner::{Participation, SimConfig, Simulation};
+pub use runner::{SimConfig, Simulation};

@@ -1,9 +1,9 @@
 //! Round planning: who takes part in a round and what happens to
 //! them, decided before any model is touched.
 
-use crate::client;
 use crate::fault::FaultKind;
-use crate::runner::{Participation, SimConfig};
+use crate::runner::SimConfig;
+use taco_tensor::Prng;
 
 /// Salt folded into the run seed for the per-round participation
 /// sampling draw, keeping the subset-selection stream independent of
@@ -36,20 +36,20 @@ pub(crate) fn plan_round(config: &SimConfig, round: usize, expelled: &[usize]) -
     // expulsions `eligible` is the identity map, so the historical
     // stream is reproduced bit for bit; the per-round draw consumes a
     // fresh generator, so no round shifts later rounds' draws.
-    let participants = match config.participation {
-        Participation::Full => eligible.clone(),
-        Participation::Sample { .. } if eligible.is_empty() => Vec::new(),
-        Participation::Sample { fraction } => {
-            let m = ((eligible.len() as f64 * fraction).ceil() as usize).clamp(1, eligible.len());
-            let mut prng = client::client_rng(config.seed ^ PARTICIPATION_SALT, round, usize::MAX);
-            let mut chosen: Vec<usize> = prng
-                .sample_indices(eligible.len(), m)
-                .into_iter()
-                .map(|i| eligible[i])
-                .collect();
-            chosen.sort_unstable();
-            chosen
-        }
+    // At fraction 1.0 the draw keeps every eligible client, sorted.
+    let participants = if eligible.is_empty() {
+        Vec::new()
+    } else {
+        let m = ((eligible.len() as f64 * config.participation).ceil() as usize)
+            .clamp(1, eligible.len());
+        let mut prng = Prng::for_cell(config.seed ^ PARTICIPATION_SALT, round, usize::MAX);
+        let mut chosen: Vec<usize> = prng
+            .sample_indices(eligible.len(), m)
+            .into_iter()
+            .map(|i| eligible[i])
+            .collect();
+        chosen.sort_unstable();
+        chosen
     };
     // Fault draws are a pure per-(round, client) function of the seed
     // and plan, so they are identical whatever the thread count.

@@ -25,20 +25,6 @@ use taco_trace::{self as trace, Sink};
 /// after every round.
 const EVAL_BATCH: usize = 64;
 
-/// Which clients take part in each round.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Participation {
-    /// Every client participates every round (the paper's setting).
-    Full,
-    /// A uniformly random subset of `⌈fraction·N⌉` clients per round
-    /// (classic partial participation; deterministic given the run
-    /// seed).
-    Sample {
-        /// Fraction of clients sampled per round, in `(0, 1]`.
-        fraction: f64,
-    },
-}
-
 /// Configuration of a simulation run.
 ///
 /// The fields are public; [`Simulation::new`] checks them with the
@@ -65,8 +51,11 @@ pub struct SimConfig {
     /// bit-identical whatever this flag or the thread count — see the
     /// pool module docs.
     pub parallel: bool,
-    /// Client participation scheme.
-    pub participation: Participation,
+    /// Fraction of the eligible clients that take part in each round,
+    /// in `(0, 1]`: a uniformly random subset of `⌈fraction·N⌉` of them
+    /// (deterministic given the run seed). The default 1.0 is the
+    /// paper's full participation.
+    pub participation: f64,
     /// Per-client local step counts `τ_i` (system heterogeneity; used
     /// by FedNova-style normalized aggregation). `None` means every
     /// client runs `hyper.local_steps`.
@@ -92,7 +81,7 @@ impl SimConfig {
             seed,
             behaviors: vec![ClientBehavior::Honest; hyper.num_clients],
             parallel: true,
-            participation: Participation::Full,
+            participation: 1.0,
             local_steps_per_client: None,
             upload_compressor: None,
             fault_plan: None,
@@ -122,12 +111,11 @@ impl SimConfig {
                 "local_steps_per_client entries must be positive"
             );
         }
-        if let Participation::Sample { fraction } = self.participation {
-            assert!(
-                fraction > 0.0 && fraction <= 1.0,
-                "participation fraction must be in (0, 1], got {fraction}"
-            );
-        }
+        assert!(
+            self.participation > 0.0 && self.participation <= 1.0,
+            "participation fraction must be in (0, 1], got {}",
+            self.participation
+        );
     }
 
     /// Builder-style upload-compression override.
@@ -148,7 +136,7 @@ impl SimConfig {
     ///
     /// Panics if `fraction` is outside `(0, 1]`.
     pub fn with_participation(mut self, fraction: f64) -> Self {
-        self.participation = Participation::Sample { fraction };
+        self.participation = fraction;
         self.check();
         self
     }
@@ -1200,8 +1188,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "participation fraction must be in (0, 1]")]
     fn direct_zero_participation_panics_in_new() {
-        simulate(direct_config(|c| {
-            c.participation = Participation::Sample { fraction: 0.0 }
-        }));
+        simulate(direct_config(|c| c.participation = 0.0));
     }
 }

@@ -11,18 +11,19 @@
 //! - On the shared worker pool ([`taco_tensor::pool`]), one task per
 //!   upload: [`receive`] — encode, wire corruption, wire bytes, the
 //!   structure check, decode and validation. Each step is a pure
-//!   function of the upload, its fault and its
-//!   `codec_stream(seed, round, client)`, so the result is the same
-//!   whichever thread runs it. On a one-thread pool the stage runs
-//!   inline on the round thread.
+//!   function of the upload, its fault and its codec stream
+//!   `Prng::for_cell(seed ^ CODEC_SALT, round, client)`, so the result
+//!   is the same whichever thread runs it. On a one-thread pool the
+//!   stage runs inline on the round thread.
 //! - On the round thread, in client order, after the stage: the byte
 //!   sum, the quarantine events and the algorithm's
 //!   `report_invalid_update` strikes.
 
 use crate::fault::{self, Corruption, FaultKind, RejectReason};
 use crate::runner::{note, SimConfig};
-use taco_core::compress::codec_stream;
+use taco_core::compress::CODEC_SALT;
 use taco_core::{ClientUpdate, FederatedAlgorithm};
+use taco_tensor::Prng;
 use taco_trace::{self as trace, Sink};
 
 /// What the pipeline did to a round's uploads.
@@ -175,7 +176,7 @@ fn receive(
 ) -> (Result<(), RejectReason>, usize) {
     let (structure, bytes) = match &config.upload_compressor {
         Some(c) => {
-            let mut stream = codec_stream(config.seed, round, update.client);
+            let mut stream = Prng::for_cell(config.seed ^ CODEC_SALT, round, update.client);
             let mut enc = c.encode(&update.delta, &mut stream);
             if let Some(corruption) = corruption {
                 fault::apply_corruption_encoded(&mut enc, corruption);

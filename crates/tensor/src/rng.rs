@@ -57,6 +57,20 @@ impl Prng {
         }
     }
 
+    /// The generator of one `(round, client)` cell of a run seeded with
+    /// `seed`.
+    ///
+    /// Pure in its arguments, so a cell's draws never depend on thread
+    /// scheduling. Streams that must not correlate (client training,
+    /// participation, faults, codec rounding) each pass the run seed
+    /// XORed with their own named salt.
+    pub fn for_cell(seed: u64, round: usize, client: usize) -> Self {
+        Prng::seed_from_u64(
+            seed ^ (round as u64).wrapping_mul(0x9E3779B97F4A7C15)
+                ^ (client as u64).wrapping_mul(0xC2B2AE3D27D4EB4F),
+        )
+    }
+
     /// Derives an independent child generator.
     ///
     /// Used to hand every simulated client its own stream so that the
