@@ -26,7 +26,6 @@ fn main() {
         let w = workload(ds, clients, 61, scale, None);
         for (label, variant) in variants {
             let cfg = TacoConfig::paper_default(w.rounds, w.hyper.local_steps)
-                .with_extrapolated_output(false)
                 .with_alpha_variant(variant);
             let alg = Box::new(Taco::new(clients, cfg));
             let history = run(&w, alg, w.config(61));

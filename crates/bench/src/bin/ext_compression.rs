@@ -9,15 +9,11 @@
 //! ride the uplink while the dense broadcast rides the downlink — on
 //! `cellular()` (1 Mbit up / 5 Mbit down) that asymmetry is exactly
 //! where upload compression pays.
-//!
-//! Set `TACO_CODEC` to restrict the sweep to one codec.
 
 use std::sync::Arc;
 
 use taco_bench::{algorithm_by_name, banner, report, run, workload, Scale};
-use taco_core::compress::{
-    codec_from_env, Compressor, NoCompression, Stochastic4Bit, TopK, Uniform8Bit,
-};
+use taco_core::compress::{Compressor, NoCompression, Stochastic4Bit, TopK, Uniform8Bit};
 use taco_sim::comm::{time_to_accuracy_with_comm, CommModel};
 
 fn main() {
@@ -29,19 +25,13 @@ fn main() {
     let scale = Scale::from_env();
     let clients = 8;
     let mut w = workload("fmnist", clients, 37, scale, None);
-    let codecs: Vec<(String, Arc<dyn Compressor>)> = match codec_from_env() {
-        Some(c) => vec![(c.name().to_string(), c)],
-        None => vec![
-            (
-                "none".to_string(),
-                Arc::new(NoCompression) as Arc<dyn Compressor>,
-            ),
-            ("uniform-8bit".to_string(), Arc::new(Uniform8Bit)),
-            ("stochastic-4bit".to_string(), Arc::new(Stochastic4Bit)),
-            ("top-k 10%".to_string(), Arc::new(TopK::new(0.1))),
-            ("top-k 1%".to_string(), Arc::new(TopK::new(0.01))),
-        ],
-    };
+    let codecs: [(&str, Arc<dyn Compressor>); 5] = [
+        ("none", Arc::new(NoCompression)),
+        ("uniform-8bit", Arc::new(Uniform8Bit)),
+        ("stochastic-4bit", Arc::new(Stochastic4Bit)),
+        ("top-k 10%", Arc::new(TopK::new(0.1))),
+        ("top-k 1%", Arc::new(TopK::new(0.01))),
+    ];
     let dense_bytes = w.model.param_count() * 4;
     let mut rows = Vec::new();
     for alg_name in ["FedAvg", "TACO"] {
@@ -67,7 +57,7 @@ fn main() {
             };
             rows.push(vec![
                 alg_name.to_string(),
-                label.clone(),
+                label.to_string(),
                 format!("{:.2}%", history.final_accuracy() * 100.0),
                 format!("{:.2} MB", history.total_upload_bytes() as f64 / 1e6),
                 format!("{:.1} KB", uplink as f64 / 1e3),

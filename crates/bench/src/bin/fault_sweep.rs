@@ -69,7 +69,6 @@ fn main() {
             Box::new(Taco::new(
                 clients,
                 TacoConfig::paper_default(rounds, local_steps)
-                    .with_extrapolated_output(false)
                     .with_detection(0.6, (rounds / 2).max(1)),
             ))
         }),

@@ -5,7 +5,7 @@
 //! Scaffold are less stable (over-correction), STEM wins on rounds but
 //! loses on wall-clock. The binary prints both series per algorithm.
 
-use taco_bench::{all_algorithms, banner, report, run, workload, Scale};
+use taco_bench::{algorithm_by_name, banner, report, run, workload, Scale, PAPER_ALGORITHMS};
 
 fn main() {
     let _manifest = banner(
@@ -20,29 +20,28 @@ fn main() {
         let mut acc_rows = Vec::new();
         let mut time_rows = Vec::new();
         let mut summary = Vec::new();
-        for alg_idx in 0..7 {
+        for name in PAPER_ALGORITHMS {
             let mut finals = Vec::new();
             let mut instabilities = Vec::new();
             let mut times = Vec::new();
-            let mut name = String::new();
             for seed in 0..seeds {
                 let w = workload(ds, clients, 21 + seed, scale, None);
-                let alg = all_algorithms(clients, w.rounds, w.hyper.local_steps)
-                    .into_iter()
-                    .nth(alg_idx)
-                    .expect("algorithm index");
-                name = alg.name().to_string();
+                let alg = algorithm_by_name(name, clients, w.rounds, w.hyper.local_steps);
                 let history = run(&w, alg, w.config(21 + seed).sequential());
                 if seed == 0 {
                     for (r, acc) in history.accuracy_series().iter().enumerate() {
                         acc_rows.push(vec![
-                            name.clone(),
+                            name.to_string(),
                             (r + 1).to_string(),
                             format!("{:.4}", acc),
                         ]);
                     }
                     for (t, acc) in history.accuracy_vs_time() {
-                        time_rows.push(vec![name.clone(), format!("{t:.3}"), format!("{acc:.4}")]);
+                        time_rows.push(vec![
+                            name.to_string(),
+                            format!("{t:.3}"),
+                            format!("{acc:.4}"),
+                        ]);
                     }
                 }
                 finals.push(history.final_accuracy() * 100.0);
@@ -51,7 +50,7 @@ fn main() {
             }
             let ms = taco_tensor::stats::MeanStd::of(&finals);
             summary.push(vec![
-                name.clone(),
+                name.to_string(),
                 format!("{:.2}±{:.2}%", ms.mean, ms.std),
                 format!("{:.4}", taco_tensor::stats::mean(&instabilities)),
                 format!("{:.1}s", taco_tensor::stats::mean(&times)),

@@ -30,8 +30,7 @@ fn main() {
         let w = workload(ds, clients, 91, scale, None);
         let k_inv = 1.0 / w.hyper.local_steps as f32;
         for &gamma in &gammas {
-            let base = TacoConfig::paper_default(w.rounds, w.hyper.local_steps)
-                .with_extrapolated_output(false);
+            let base = TacoConfig::paper_default(w.rounds, w.hyper.local_steps);
             let cfg = if gamma == 0.0 {
                 base.with_ablation(false, true)
             } else {

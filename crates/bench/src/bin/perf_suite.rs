@@ -7,8 +7,8 @@
 //! deterministic Q8 wire size. README § Perf trajectory lists the
 //! metrics and how `bench_compare` gates them.
 //!
-//! After one warm-up pass the suite makes `TACO_PERF_REPEATS` passes
-//! (default 60); each pass takes one short reading of every timed
+//! After one warm-up pass the suite makes `REPEATS` (60) passes;
+//! each pass takes one short reading of every timed
 //! metric, and each metric reports its best (per aggregation round,
 //! summed over the rounds). Interleaving spreads every metric's
 //! readings over the whole run, so a slow stretch of a shared host
@@ -41,9 +41,8 @@ const AGG_DIM: usize = 262_144;
 /// the best of them.
 const WINDOWS: usize = 10;
 
-fn repeats() -> usize {
-    trace::env::perf_repeats().unwrap_or(60)
-}
+/// Interleaved measurement passes after the warm-up.
+const REPEATS: usize = 60;
 
 fn hist_sum(snap: &trace::Snapshot, name: &str) -> f64 {
     snap.histograms
@@ -219,7 +218,6 @@ fn main() {
          fold and the upload codec; this fixed-seed suite pins each in isolation so \
          the trajectory is visible per commit",
     );
-    let passes = repeats();
     let mut rng = Prng::seed_from_u64(SUITE_SEED ^ FLAT_OPS_SALT);
     let codec_delta: Vec<f32> = (0..AGG_DIM).map(|_| rng.normal_f32() * 0.01).collect();
     let single = Pool::new(1);
@@ -236,11 +234,11 @@ fn main() {
         aggregate_probe(&workers),
         encode_probe(&codec_delta),
     ];
-    // One warm-up pass, then `passes` passes that each take one
+    // One warm-up pass, then `REPEATS` passes that each take one
     // reading of every probe: a slow stretch of a shared host costs
     // each metric one reading rather than all of one metric's.
     let mut best: Vec<Vec<f64>> = vec![Vec::new(); probes.len()];
-    for pass in 0..=passes {
+    for pass in 0..=REPEATS {
         for (probe, best) in probes.iter_mut().zip(&mut best) {
             let reading = (probe.sample)();
             if pass == 1 {
@@ -273,7 +271,7 @@ fn main() {
         })
         .collect();
     println!(
-        "(best of {passes} interleaved passes; aggregate on {} workers)",
+        "(best of {REPEATS} interleaved passes; aggregate on {} workers)",
         workers.threads()
     );
 
@@ -301,7 +299,7 @@ fn main() {
         unix_ms: trace::event::unix_ms_now(),
         build: build_info(),
         host: HostInfo::current(),
-        repeats: passes as u64,
+        repeats: REPEATS as u64,
         metrics,
     };
     let out = trace::env::bench_out()

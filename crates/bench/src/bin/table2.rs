@@ -39,7 +39,6 @@ fn main() {
         let cfg = taco_core::taco::TacoConfig {
             detect_freeloaders: false,
             ..taco_core::taco::TacoConfig::paper_default(w.rounds, w.hyper.local_steps)
-                .with_extrapolated_output(false)
         };
         let alg = Box::new(taco_core::Taco::new(clients, cfg));
         let history = run(&w, alg, w.config(33).with_behaviors(behaviors.clone()));

@@ -5,7 +5,9 @@
 //! (+2.76%–58.68%) and the fewest rounds to target on most; FedProx
 //! and Scaffold fail to converge on SVHN.
 
-use taco_bench::{all_algorithms, banner, format_rounds, report, run, workload, Scale};
+use taco_bench::{
+    algorithm_by_name, banner, format_rounds, report, run, workload, Scale, PAPER_ALGORITHMS,
+};
 
 fn main() {
     let _manifest = banner(
@@ -26,17 +28,12 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for ds in datasets {
-        for alg_idx in 0..7 {
+        for name in PAPER_ALGORITHMS {
             let mut accs = Vec::new();
             let mut rounds_repr = String::new();
-            let mut name = String::new();
             for seed in 0..seeds {
                 let w = workload(ds, clients, 100 + seed, scale, None);
-                let alg = all_algorithms(clients, w.rounds, w.hyper.local_steps)
-                    .into_iter()
-                    .nth(alg_idx)
-                    .expect("algorithm index");
-                name = alg.name().to_string();
+                let alg = algorithm_by_name(name, clients, w.rounds, w.hyper.local_steps);
                 let history = run(&w, alg, w.config(100 + seed));
                 accs.push(history.final_accuracy() * 100.0);
                 if seed == 0 {
@@ -46,7 +43,7 @@ fn main() {
             let ms = taco_tensor::stats::MeanStd::of(&accs);
             rows.push(vec![
                 ds.to_string(),
-                name,
+                name.to_string(),
                 format!("{:.2}±{:.2}", ms.mean, ms.std),
                 rounds_repr,
             ]);

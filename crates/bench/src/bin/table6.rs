@@ -33,9 +33,8 @@ fn main() {
         ];
         for (ds, part) in settings {
             let w = workload(ds, clients, 55, scale, Some(part));
-            let cfg = TacoConfig::paper_default(w.rounds, w.hyper.local_steps)
-                .with_extrapolated_output(false)
-                .with_ablation(corr, agg);
+            let cfg =
+                TacoConfig::paper_default(w.rounds, w.hyper.local_steps).with_ablation(corr, agg);
             let alg = Box::new(Taco::new(clients, cfg));
             let history = run(&w, alg, w.config(55));
             row.push(format!("{:.2}%", history.final_accuracy() * 100.0));

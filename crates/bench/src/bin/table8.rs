@@ -32,7 +32,6 @@ fn main() {
         let mut row = vec![format!("{kappa:.1}")];
         for &(_, lambda) in &lambdas {
             let cfg = TacoConfig::paper_default(w.rounds, w.hyper.local_steps)
-                .with_extrapolated_output(false)
                 .with_detection(kappa as f32, lambda);
             let alg = Box::new(Taco::new(clients, cfg));
             let history = run(&w, alg, w.config(81).with_behaviors(behaviors.clone()));

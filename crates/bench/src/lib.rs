@@ -95,8 +95,6 @@ pub enum PartitionKind {
     SyntheticGroups,
     /// `Dir(φ)` label skew.
     Dirichlet(f64),
-    /// IID shuffle.
-    Iid,
 }
 
 /// One dataset+model workload from Table IV, scaled for the harness.
@@ -252,41 +250,37 @@ fn make_partition(
             (shards, Some(groups))
         }
         PartitionKind::Dirichlet(phi) => (partition::dirichlet(labels, clients, phi, rng), None),
-        PartitionKind::Iid => (partition::iid(labels, clients, rng), None),
     }
 }
 
-/// The paper's seven algorithms with their default hyper-parameters
-/// (Section V-A): `ζ = 0.1`, SCAFFOLD `α = 1`, STEM `α_t = 0.2`,
-/// FedACG `β = 0.001`, TACO `γ = 1/K`, `κ = 0.6`, `λ = T/5`.
+/// The paper's seven algorithms, in the order its tables list them.
+pub const PAPER_ALGORITHMS: [&str; 7] = [
+    "FedAvg",
+    "FedProx",
+    "FoolsGold",
+    "Scaffold",
+    "STEM",
+    "FedACG",
+    "TACO",
+];
+
+/// The paper's seven algorithms ([`PAPER_ALGORITHMS`]) with their
+/// default hyper-parameters, each built by [`algorithm_by_name`].
 pub fn all_algorithms(
     clients: usize,
     rounds: usize,
     local_steps: usize,
 ) -> Vec<Box<dyn FederatedAlgorithm>> {
-    vec![
-        Box::new(FedAvg::new(AggWeighting::Uniform)),
-        Box::new(FedProx::new(0.1)),
-        Box::new(FoolsGold::new()),
-        Box::new(Scaffold::new(clients, 1.0)),
-        // The paper's α_t = 0.2 pairs with K in the hundreds and
-        // η_l = 0.01; at harness scale the per-step movement is larger
-        // and the variance-reduction recursion with small α diverges,
-        // so STEM's coefficient is re-tuned to 0.5 (kept constant) —
-        // the same re-scaling applied to η_l and γ·K.
-        Box::new(Stem::new(0.5).without_decay()),
-        Box::new(FedAcg::new(0.001)),
-        // Per-round reported model is w_t, matching the paper's
-        // figures; Algorithm 2's z_T extrapolation (Eq. 15) happens
-        // once after training, not at every evaluation point.
-        Box::new(Taco::new(
-            clients,
-            TacoConfig::paper_default(rounds, local_steps).with_extrapolated_output(false),
-        )),
-    ]
+    PAPER_ALGORITHMS
+        .iter()
+        .map(|name| algorithm_by_name(name, clients, rounds, local_steps))
+        .collect()
 }
 
-/// Builds one algorithm by its paper name.
+/// Builds one algorithm by its paper name, with the paper's default
+/// hyper-parameters (Section V-A): `ζ = 0.1`, SCAFFOLD `α = 1`, STEM
+/// `α_t = 0.2`, FedACG `β = 0.001`, TACO `γ = 1/K`, `κ = 0.6`,
+/// `λ = T/5`.
 ///
 /// # Panics
 ///
@@ -302,11 +296,16 @@ pub fn algorithm_by_name(
         "FedProx" => Box::new(FedProx::new(0.1)),
         "FoolsGold" => Box::new(FoolsGold::new()),
         "Scaffold" => Box::new(Scaffold::new(clients, 1.0)),
+        // The paper's α_t = 0.2 pairs with K in the hundreds and
+        // η_l = 0.01; at harness scale the per-step movement is larger
+        // and the variance-reduction recursion with small α diverges,
+        // so STEM's coefficient is re-tuned to 0.5 (kept constant) —
+        // the same re-scaling applied to η_l and γ·K.
         "STEM" => Box::new(Stem::new(0.5).without_decay()),
         "FedACG" => Box::new(FedAcg::new(0.001)),
         "TACO" => Box::new(Taco::new(
             clients,
-            TacoConfig::paper_default(rounds, local_steps).with_extrapolated_output(false),
+            TacoConfig::paper_default(rounds, local_steps),
         )),
         "FedProx+TACO" => Box::new(TailoredProx::new(clients, 0.1)),
         "Scaffold+TACO" => Box::new(TailoredScaffold::new(clients)),

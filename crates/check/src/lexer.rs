@@ -55,23 +55,10 @@ pub enum TokenKind {
 }
 
 impl TokenKind {
-    /// True for comment tokens (never matched by code-sequence rules).
-    pub fn is_comment(&self) -> bool {
-        matches!(self, TokenKind::LineComment(_) | TokenKind::BlockComment(_))
-    }
-
     /// The comment text, if this is a comment.
     pub fn comment_text(&self) -> Option<&str> {
         match self {
             TokenKind::LineComment(t) | TokenKind::BlockComment(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// The string-literal body, if this is a (raw) string literal.
-    pub fn str_text(&self) -> Option<&str> {
-        match self {
-            TokenKind::StrLit(t) | TokenKind::RawStrLit(t) => Some(t),
             _ => None,
         }
     }

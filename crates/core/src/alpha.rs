@@ -14,6 +14,10 @@
 
 use taco_tensor::ops;
 
+/// The initial coefficient `α_i^0` every client starts from
+/// (Algorithm 2).
+pub const INITIAL_ALPHA: f32 = 0.1;
+
 /// Design variants of Eq. 7, used by the `ablation_alpha` bench to
 /// justify the two factors (DESIGN.md §5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -97,7 +101,7 @@ pub fn coefficients_from_stats(norms: &[f32], cosines: &[f32], variant: AlphaVar
 /// Degenerate cases follow the paper's initialization logic: if all
 /// deltas (or the mean) are zero — which only happens before any real
 /// training step — every coefficient is `0`, which the caller should
-/// have replaced by the `α_i^0 = 0.1` initialization anyway.
+/// have replaced by the [`INITIAL_ALPHA`] initialization anyway.
 ///
 /// # Panics
 ///

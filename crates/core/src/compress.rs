@@ -42,8 +42,7 @@
 //! | `Q8` | `min: f32, scale: f32, n_exc: u32`, `d × u8`, `n_exc × (idx: u32, raw: f32)` | `12 + d + 8·n_exc` |
 //! | `Q4` | `min: f32, scale: f32, n_exc: u32, dim: u32`, `⌈d/2⌉ × u8`, `n_exc × (idx: u32, raw: f32)` | `16 + ⌈d/2⌉ + 8·n_exc` |
 
-use std::sync::Arc;
-use taco_tensor::{ops, Prng};
+use taco_tensor::Prng;
 
 /// Salt mixed into the run seed for the stochastic-rounding stream, so
 /// quantization draws are independent of the training, participation,
@@ -566,58 +565,22 @@ impl Compressor for NoCompression {
     }
 }
 
-/// Builds a codec from its registry name (`none`, `topk`, `q8`, `q4`);
-/// `None` for unknown names.
-pub fn codec_by_name(name: &str) -> Option<Arc<dyn Compressor>> {
-    match name.trim().to_ascii_lowercase().as_str() {
-        "none" => Some(Arc::new(NoCompression)),
-        "topk" => Some(Arc::new(TopK::new(0.1))),
-        "q8" => Some(Arc::new(Uniform8Bit)),
-        "q4" => Some(Arc::new(Stochastic4Bit)),
-        _ => None,
-    }
-}
-
-/// The codec selected by `TACO_CODEC` (`none`, `topk`, `q8`, `q4`);
-/// `None` when unset or empty. An unrecognized name warns once on
-/// stderr and runs uncompressed.
-pub fn codec_from_env() -> Option<Arc<dyn Compressor>> {
-    let name = taco_trace::env::codec_name()?;
-    let trimmed = name.trim();
-    if trimmed.is_empty() {
-        return None;
-    }
-    match codec_by_name(trimmed) {
-        Some(codec) => Some(codec),
-        None => {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "warning: unknown TACO_CODEC '{trimmed}', running uncompressed \
-                     (expected 'none', 'topk', 'q8', or 'q4')"
-                );
-            });
-            None
-        }
-    }
-}
-
-/// Relative compression error `‖x − C(x)‖ / ‖x‖` (0 for a zero
-/// input), measured with a fixed rounding stream.
-pub fn relative_error(compressor: &dyn Compressor, input: &[f32]) -> f64 {
-    let norm = ops::norm(input) as f64;
-    if norm < 1e-12 {
-        return 0.0;
-    }
-    let out = compressor.roundtrip(input, &mut Prng::for_cell(CODEC_SALT, 0, 0));
-    let err = ops::norm(&ops::sub(input, &out)) as f64;
-    err / norm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use taco_tensor::{ops, Prng, Tensor};
+
+    /// Relative compression error `‖x − C(x)‖ / ‖x‖` (0 for a zero
+    /// input), measured with a fixed rounding stream.
+    fn relative_error(compressor: &dyn Compressor, input: &[f32]) -> f64 {
+        let norm = ops::norm(input) as f64;
+        if norm < 1e-12 {
+            return 0.0;
+        }
+        let out = compressor.roundtrip(input, &mut Prng::for_cell(CODEC_SALT, 0, 0));
+        let err = ops::norm(&ops::sub(input, &out)) as f64;
+        err / norm
+    }
 
     fn stream() -> Prng {
         Prng::for_cell(7 ^ CODEC_SALT, 0, 0)
@@ -1194,20 +1157,5 @@ mod tests {
         for bad in [&out_of_range, &unsorted, &truncated_q4] {
             let _ = bad.decode();
         }
-    }
-
-    #[test]
-    fn codec_registry_names_resolve() {
-        for (name, display) in [
-            ("none", "none"),
-            ("topk", "top-k"),
-            ("q8", "uniform-8bit"),
-            ("q4", "stochastic-4bit"),
-            (" Q8 ", "uniform-8bit"),
-        ] {
-            let c = codec_by_name(name).unwrap_or_else(|| panic!("{name} must resolve"));
-            assert_eq!(c.name(), display);
-        }
-        assert!(codec_by_name("zstd").is_none());
     }
 }

@@ -6,6 +6,9 @@ use crate::update::{ClientUpdate, LocalRule};
 use std::sync::Arc;
 use taco_tensor::ops;
 
+/// The momentum decay `λ` of the cited FedACG work.
+const MOMENTUM_DECAY: f32 = 0.85;
+
 /// FedACG: the server maintains a global momentum `m_t`; every client
 /// minimizes the look-ahead-regularized loss
 /// `f_i(w) + (β/2)‖w − w_t − m_t‖²` (Algorithm 1, line 4), and the
@@ -15,13 +18,12 @@ use taco_tensor::ops;
 /// The paper's Algorithm 1 leaves `m_{t+1}` to the cited FedACG work;
 /// per that work the momentum accumulates the aggregated update with a
 /// decay factor `λ`: `m_{t+1} = λ·m_t − η_g·Δ̄_t` (parameter units,
-/// pointing in the descent direction), and we use the cited default
+/// pointing in the descent direction), and we use the cited
 /// `λ = 0.85`. Both `β` and `λ` are **uniform across clients**, the
 /// over-correction pattern the paper targets.
 #[derive(Debug, Clone)]
 pub struct FedAcg {
     beta: f32,
-    momentum_decay: f32,
     /// Global momentum `m_t` in parameter units; empty until sized.
     momentum: Vec<f32>,
     /// This round's look-ahead anchor `w_t + m_t`, shared by every
@@ -45,24 +47,9 @@ impl FedAcg {
         );
         FedAcg {
             beta,
-            momentum_decay: 0.85,
             momentum: Vec::new(),
             anchor: None,
         }
-    }
-
-    /// Overrides the momentum decay `λ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda` is outside `[0, 1)`.
-    pub fn with_momentum_decay(mut self, lambda: f32) -> Self {
-        assert!(
-            (0.0..1.0).contains(&lambda),
-            "momentum decay must be in [0, 1), got {lambda}"
-        );
-        self.momentum_decay = lambda;
-        self
     }
 
     /// The current global momentum (diagnostics).
@@ -123,7 +110,7 @@ impl FederatedAlgorithm for FedAcg {
         // This is Algorithm 1's line 10 with the momentum folded in
         // exactly once.
         for (m, &a) in self.momentum.iter_mut().zip(&agg) {
-            *m = self.momentum_decay * *m - hyper.eta_g * a;
+            *m = MOMENTUM_DECAY * *m - hyper.eta_g * a;
         }
         ops::add(global, &self.momentum)
     }

@@ -15,7 +15,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct FedProx {
     zeta: f32,
-    weighting: AggWeighting,
     /// This round's proximal anchor, shared by every client's rule:
     /// built in `begin_round`, dropped when the round aggregates.
     anchor: Option<Arc<[f32]>>,
@@ -33,11 +32,7 @@ impl FedProx {
             zeta.is_finite() && zeta >= 0.0,
             "zeta must be non-negative and finite, got {zeta}"
         );
-        FedProx {
-            zeta,
-            weighting: AggWeighting::Uniform,
-            anchor: None,
-        }
+        FedProx { zeta, anchor: None }
     }
 
     /// The regularization strength.
@@ -70,7 +65,7 @@ impl FederatedAlgorithm for FedProx {
         hyper: &HyperParams,
     ) -> Option<WeightedCombine> {
         self.anchor = None;
-        Some(fedavg_plan(updates, hyper, self.weighting))
+        Some(fedavg_plan(updates, hyper, AggWeighting::Uniform))
     }
 }
 

@@ -5,8 +5,8 @@
 /// rates `η_l`, `η_g`, and the mini-batch size `s`.
 ///
 /// The paper's default is `η_g = K · η_l`, which
-/// [`HyperParams::new`] applies automatically; use
-/// [`HyperParams::with_eta_g`] to override.
+/// [`HyperParams::new`] applies; the fields are public for a caller
+/// that needs another value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HyperParams {
     /// Number of clients `N` (full participation).
@@ -45,20 +45,6 @@ impl HyperParams {
         }
     }
 
-    /// Overrides the global learning rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eta_g` is not positive/finite.
-    pub fn with_eta_g(mut self, eta_g: f32) -> Self {
-        assert!(
-            eta_g.is_finite() && eta_g > 0.0,
-            "eta_g must be positive and finite, got {eta_g}"
-        );
-        self.eta_g = eta_g;
-        self
-    }
-
     /// The product `K · η_l` — the normalizer the paper's aggregation
     /// rules divide by to convert accumulated parameter-space deltas
     /// into gradient-scale updates.
@@ -76,12 +62,6 @@ mod tests {
         let h = HyperParams::new(20, 100, 0.01, 64);
         assert!((h.eta_g - 1.0).abs() < 1e-6);
         assert!((h.k_eta_l() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn override_eta_g() {
-        let h = HyperParams::new(4, 10, 0.1, 8).with_eta_g(0.5);
-        assert_eq!(h.eta_g, 0.5);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!    `w_{t+1} = w_t − η_g Δ_{t+1}`;
 //! 4. clients whose `α_i^{t+1} ≥ κ` collect a strike; after more than
 //!    `λ` strikes they are expelled as suspected freeloaders (Eq. 10);
-//! 5. the reported model is the extrapolated `z_t` (Eq. 15).
+//! 5. after the last round, [`Taco::extrapolated`] gives the output
+//!    model `z_T` (Eq. 15).
 //!
 //! TACO needs **no auxiliary uploads**: everything is computed from the
 //! `Δ_i^t` the clients send anyway, which is why its per-round client
@@ -35,8 +36,6 @@ pub struct TacoConfig {
     pub kappa: f32,
     /// Strikes before expulsion `λ`; the paper's default is `T/5`.
     pub lambda: usize,
-    /// Initial coefficient `α_i^0`; the paper initializes to 0.1.
-    pub initial_alpha: f32,
     /// Whether freeloader detection is active (Table VIII turns the
     /// thresholds; the accuracy experiments with all-benign clients
     /// leave it on). Benign clients do trip `κ = 0.6`: with all-honest
@@ -54,14 +53,6 @@ pub struct TacoConfig {
     /// is the paper's formula; alternatives back the `ablation_alpha`
     /// bench).
     pub alpha_variant: crate::alpha::AlphaVariant,
-    /// Report the extrapolated `z_t` (Eq. 15) as the output model at
-    /// **every** evaluation point. Algorithm 2 computes `z_T` once,
-    /// after the final round; evaluating the extrapolation every round
-    /// adds large evaluation-time variance (each round's `z`
-    /// overshoots the current step by `(1 − α_t)`), so this defaults
-    /// to `false` and [`Taco::extrapolated`] exposes `z_T` for
-    /// end-of-training use.
-    pub extrapolated_output: bool,
 }
 
 impl TacoConfig {
@@ -73,19 +64,11 @@ impl TacoConfig {
             gamma: 1.0 / local_steps.max(1) as f32,
             kappa: 0.6,
             lambda: (rounds / 5).max(1),
-            initial_alpha: 0.1,
             detect_freeloaders: true,
             tailored_correction: true,
             tailored_aggregation: true,
             alpha_variant: crate::alpha::AlphaVariant::Full,
-            extrapolated_output: false,
         }
-    }
-
-    /// Builder-style override of Eq. 15 output extrapolation.
-    pub fn with_extrapolated_output(mut self, enabled: bool) -> Self {
-        self.extrapolated_output = enabled;
-        self
     }
 
     /// Builder-style override of the Eq. 7 variant (ablations).
@@ -157,7 +140,7 @@ impl Taco {
         );
         Taco {
             config,
-            alphas: vec![config.initial_alpha; num_clients],
+            alphas: vec![alpha::INITIAL_ALPHA; num_clients],
             global_delta: Arc::from([]),
             strikes: vec![0; num_clients],
             expelled: vec![false; num_clients],
@@ -183,7 +166,9 @@ impl Taco {
 
     /// The paper's final model output `z_T` (Eq. 15) for the given
     /// global parameters — Algorithm 2's line 14, intended for one
-    /// use after the last round.
+    /// use after the last round. Rounds evaluate `w_t` itself: each
+    /// round's `z_t` overshoots the current step by `(1 − α_t)`, which
+    /// adds large evaluation-time variance.
     pub fn extrapolated(&self, global: &[f32]) -> Vec<f32> {
         if self.prev_global.len() != global.len() {
             return global.to_vec();
@@ -192,7 +177,7 @@ impl Taco {
             .avg_alpha_history
             .last()
             .copied()
-            .unwrap_or(self.config.initial_alpha);
+            .unwrap_or(alpha::INITIAL_ALPHA);
         alpha::extrapolated_output(global, &self.prev_global, avg)
     }
 
@@ -288,15 +273,6 @@ impl FederatedAlgorithm for Taco {
         self.global_delta = combined.into();
     }
 
-    fn output_params(&self, global: &[f32]) -> Vec<f32> {
-        // Eq. 15 at every evaluation point, when configured.
-        if self.config.extrapolated_output {
-            self.extrapolated(global)
-        } else {
-            global.to_vec()
-        }
-    }
-
     fn expelled(&self) -> Vec<usize> {
         self.expelled
             .iter()
@@ -346,7 +322,6 @@ mod tests {
         assert!((c.gamma - 0.01).abs() < 1e-7);
         assert_eq!(c.lambda, 20);
         assert_eq!(c.kappa, 0.6);
-        assert_eq!(c.initial_alpha, 0.1);
     }
 
     #[test]
@@ -464,24 +439,22 @@ mod tests {
 
     #[test]
     fn output_extrapolates_with_z() {
-        let mut alg = Taco::new(2, cfg().with_extrapolated_output(true));
+        let mut alg = Taco::new(2, cfg());
         let hyper = HyperParams::new(2, 1, 1.0, 1);
         alg.begin_round(0, &[1.0]);
         let next = alg.aggregate(&[1.0], &[upd(0, vec![0.5]), upd(1, vec![0.5])], &hyper);
         // w moved 1.0 → 0.5; z = w + (1−α_t)(w − w_prev) continues the
         // motion (α_t < 1 here).
-        let z = alg.output_params(&next);
+        let z = alg.extrapolated(&next);
         assert!(
             z[0] < next[0],
             "z should extrapolate: {} vs {}",
             z[0],
             next[0]
         );
-        // The explicit accessor agrees, and the default (non-
-        // extrapolating) config reports w unchanged.
-        assert_eq!(alg.extrapolated(&next), z);
-        let plain = Taco::new(2, cfg());
-        assert_eq!(plain.output_params(&next), next);
+        // The evaluated model is w itself; z_T is for end-of-training
+        // use only.
+        assert_eq!(alg.output_params(&next), next);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub struct TailoredProx {
 
 impl TailoredProx {
     /// Creates the hybrid with base strength `ζ` for `num_clients`
-    /// clients (initial `α_i^0 = 0.1`, as in TACO).
+    /// clients (initial `α_i^0` is [`alpha::INITIAL_ALPHA`], as in TACO).
     ///
     /// # Panics
     ///
@@ -47,7 +47,7 @@ impl TailoredProx {
         );
         TailoredProx {
             zeta,
-            alphas: vec![0.1; num_clients],
+            alphas: vec![alpha::INITIAL_ALPHA; num_clients],
             anchor: None,
         }
     }
@@ -115,7 +115,7 @@ impl TailoredScaffold {
         TailoredScaffold {
             // α = 1 inside; the tailored factor is applied on top.
             inner: Scaffold::new(num_clients, 1.0),
-            alphas: vec![0.1; num_clients],
+            alphas: vec![alpha::INITIAL_ALPHA; num_clients],
         }
     }
 }

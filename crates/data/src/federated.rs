@@ -69,17 +69,6 @@ impl FederatedDataset {
     pub fn test(&self) -> &Dataset {
         &self.test
     }
-
-    /// Total number of training samples across clients (the paper's
-    /// `D`).
-    pub fn total_train(&self) -> usize {
-        self.clients.iter().map(Dataset::len).sum()
-    }
-
-    /// Per-client sample counts (the paper's `D_i`).
-    pub fn client_sizes(&self) -> Vec<usize> {
-        self.clients.iter().map(Dataset::len).collect()
-    }
 }
 
 #[cfg(test)]
@@ -101,8 +90,6 @@ mod tests {
         let fed = FederatedDataset::from_partition(train, ds(3), &[vec![0, 2], vec![1, 3]]);
         assert_eq!(fed.num_clients(), 2);
         assert_eq!(fed.client(0).sample(1), &[2.0, 2.0]);
-        assert_eq!(fed.total_train(), 4);
-        assert_eq!(fed.client_sizes(), vec![2, 2]);
     }
 
     #[test]

@@ -38,25 +38,6 @@ pub fn softmax_cross_entropy(logits: &Tensor, targets: &[usize]) -> (f32, Tensor
     ((loss / b as f64) as f32, grad)
 }
 
-/// Softmax probabilities per row (used for inspection and tests).
-pub fn softmax(logits: &Tensor) -> Tensor {
-    assert_eq!(logits.shape().ndim(), 2, "logits must be 2-D");
-    let b = logits.dims()[0];
-    let mut out = Tensor::zeros(logits.shape().clone());
-    for i in 0..b {
-        let row = logits.row(i);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut denom = 0.0f64;
-        for &x in row {
-            denom += ((x - max) as f64).exp();
-        }
-        for (o, &x) in out.row_mut(i).iter_mut().zip(row) {
-            *o = (((x - max) as f64).exp() / denom) as f32;
-        }
-    }
-    out
-}
-
 /// Counts correct argmax predictions.
 pub fn count_correct(logits: &Tensor, targets: &[usize]) -> usize {
     let (b, c) = (logits.dims()[0], logits.dims()[1]);
@@ -126,18 +107,6 @@ mod tests {
                 "logit {i}: fd {fd} vs {}",
                 grad.data()[i]
             );
-        }
-    }
-
-    #[test]
-    fn softmax_rows_are_distributions() {
-        let mut rng = Prng::seed_from_u64(3);
-        let logits = Tensor::randn([4, 6], 3.0, &mut rng);
-        let p = softmax(&logits);
-        for i in 0..4 {
-            let s: f32 = p.row(i).iter().sum();
-            assert!((s - 1.0).abs() < 1e-5);
-            assert!(p.row(i).iter().all(|&x| x >= 0.0));
         }
     }
 

@@ -103,14 +103,15 @@ impl CharLstm {
         out
     }
 
-    /// Full forward pass; returns the final logits and the BPTT caches.
-    fn forward(&self, batch: &Batch) -> (Tensor, Vec<StepCache>) {
+    /// Full forward pass; returns the final logits and, when `train`
+    /// is set, one BPTT cache per timestep (none otherwise).
+    fn forward(&self, batch: &Batch, train: bool) -> (Tensor, Vec<StepCache>) {
         let bsz = batch.len();
         let seq = batch.sample_len();
         let hid = self.hidden;
         let mut h = Tensor::zeros([bsz, hid]);
         let mut c = Tensor::zeros([bsz, hid]);
-        let mut caches = Vec::with_capacity(seq);
+        let mut caches = Vec::with_capacity(if train { seq } else { 0 });
         for t in 0..seq {
             let ids: Vec<usize> = (0..bsz)
                 .map(|i| batch.sample(i)[t].round() as usize)
@@ -126,9 +127,9 @@ impl CharLstm {
                     *v += self.b.value.data()[j];
                 }
             }
-            // Nonlinearities per gate block (i, f, g, o).
-            let c_prev = c.clone();
-            let h_prev = h.clone();
+            // Nonlinearities per gate block (i, f, g, o). The states
+            // entering the step are kept only for backpropagation.
+            let prev = train.then(|| (c.clone(), h.clone()));
             for i in 0..bsz {
                 let row = gates.row_mut(i);
                 let (ii, rest) = row.split_at_mut(hid);
@@ -149,14 +150,16 @@ impl CharLstm {
                     hrow[j] = oo[j] * crow[j].tanh();
                 }
             }
-            caches.push(StepCache {
-                gates,
-                c_prev,
-                c: c.clone(),
-                h_prev,
-                x,
-                ids,
-            });
+            if let Some((c_prev, h_prev)) = prev {
+                caches.push(StepCache {
+                    gates,
+                    c_prev,
+                    c: c.clone(),
+                    h_prev,
+                    x,
+                    ids,
+                });
+            }
         }
         // Output head on the final hidden state.
         let mut logits = linalg::matmul_nt(&h, &self.w_out.value);
@@ -271,8 +274,8 @@ impl HasParams for CharLstm {
 
 impl Network for CharLstm {
     fn logits(&mut self, batch: &Batch, train: bool) -> Tensor {
-        let (logits, steps) = self.forward(batch);
-        self.steps = if train { steps } else { Vec::new() };
+        let (logits, steps) = self.forward(batch, train);
+        self.steps = steps;
         logits
     }
 
@@ -298,9 +301,13 @@ mod tests {
     #[test]
     fn forward_shapes() {
         let (m, batch) = tiny();
-        let (logits, caches) = m.forward(&batch);
+        let (logits, caches) = m.forward(&batch, true);
         assert_eq!(logits.dims(), &[2, 6]);
         assert_eq!(caches.len(), 3);
+        // Evaluation builds no step caches and computes the same bits.
+        let (eval_logits, eval_caches) = m.forward(&batch, false);
+        assert!(eval_caches.is_empty());
+        assert_eq!(eval_logits, logits);
     }
 
     #[test]
@@ -362,6 +369,6 @@ mod tests {
         let (m, _) = tiny();
         let x = Tensor::from_vec(vec![9.0], [1, 1]);
         let batch = Batch::new(x, vec![0]);
-        let _ = m.forward(&batch);
+        let _ = m.forward(&batch, false);
     }
 }

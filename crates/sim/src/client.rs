@@ -40,7 +40,6 @@ pub(crate) fn execute_jobs(
 ) -> Vec<ClientUpdate> {
     let (hyper, seed) = (&config.hyper, config.seed);
     let run_one = move |model: &mut dyn Model, job: &ClientJob| -> ClientUpdate {
-        let span = trace::Span::quiet(crate::phase::CLIENT_STEP);
         let mut rng = Prng::for_cell(seed, round, job.client);
         // Wall-clock time is read only through taco-trace spans
         // (D2): the span both feeds the `client_compute.seconds`
@@ -59,7 +58,6 @@ pub(crate) fn execute_jobs(
         let elapsed = compute_span.finish();
         let mut u = ClientUpdate::from_outcome(job.client, job.num_samples, outcome);
         u.compute_seconds = elapsed;
-        drop(span);
         u
     };
     if config.parallel {

@@ -57,13 +57,6 @@ impl CommModel {
             + download_bytes as f64 / self.downlink_bytes_per_sec
             + 2.0 * self.latency_seconds
     }
-
-    /// Round communication time for an uncompressed model exchange of
-    /// `param_count` `f32` values each way.
-    pub fn round_seconds_for_params(&self, param_count: usize) -> f64 {
-        let bytes = param_count * std::mem::size_of::<f32>();
-        self.round_seconds(bytes, bytes)
-    }
 }
 
 /// Combines a compute-time series with a per-round communication cost
@@ -102,22 +95,11 @@ mod tests {
     }
 
     #[test]
-    fn params_payload_is_4_bytes_each() {
-        let m = CommModel {
-            uplink_bytes_per_sec: 4.0,
-            downlink_bytes_per_sec: 4.0,
-            latency_seconds: 0.0,
-        };
-        // 10 params = 40 bytes each way = 10 s + 10 s.
-        assert!((m.round_seconds_for_params(10) - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn cellular_is_slower_than_broadband() {
-        let p = 100_000;
+        let bytes = 400_000;
         assert!(
-            CommModel::cellular().round_seconds_for_params(p)
-                > CommModel::edge_broadband().round_seconds_for_params(p)
+            CommModel::cellular().round_seconds(bytes, bytes)
+                > CommModel::edge_broadband().round_seconds(bytes, bytes)
         );
     }
 

@@ -170,13 +170,6 @@ pub fn curves(history: &History, behaviors: &[ClientBehavior]) -> DetectionCurve
     }
 }
 
-impl DetectionCurves {
-    /// The scoreboard after the final recorded round.
-    pub fn final_score(&self) -> Option<DetectionScore> {
-        self.per_round.last().map(|r| r.score)
-    }
-}
-
 impl std::fmt::Display for DetectionScore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -305,7 +298,7 @@ mod tests {
         assert_eq!(c.per_round[0].score.true_positives, 0);
         assert_eq!(c.time_to_detection, Some(2));
         assert_eq!(c.first_flagged, vec![Some(2), Some(4), None, None]);
-        let last = c.final_score().expect("non-empty curves");
+        let last = c.per_round.last().expect("non-empty curves").score;
         assert_eq!(last.tpr, 1.0);
         assert_eq!(last.fpr, 0.0);
     }
@@ -334,6 +327,5 @@ mod tests {
         assert!(c.per_round.is_empty());
         assert_eq!(c.time_to_detection, None);
         assert_eq!(c.first_flagged, vec![None, None]);
-        assert_eq!(c.final_score(), None);
     }
 }

@@ -38,15 +38,14 @@ pub const ALL: [&str; 7] = [
     CLIENT_COMPUTE,
 ];
 
-/// One client's whole local step (the span wrapping
-/// [`CLIENT_COMPUTE`]; per-client, inside [`LOCAL`]). Also the `name`
-/// of the `span` event the round thread records for each finished
-/// client job.
+/// The `name` of the `span` trace event the round thread records for
+/// each finished client job; its `secs` is the job's
+/// [`CLIENT_COMPUTE`] reading.
 pub const CLIENT_STEP: &str = "client_step";
 
-/// Auxiliary span names reported outside the round-loop phase set:
-/// still contract — renaming one changes the trace schema — but not
-/// part of the per-round `<name>.seconds` trajectory in [`ALL`].
+/// Span-event names outside the round-loop phase set: still contract —
+/// renaming one changes the trace schema — but no quiet span and no
+/// `<name>.seconds` histogram stands behind them.
 pub const AUX: [&str; 1] = [CLIENT_STEP];
 
 #[cfg(test)]

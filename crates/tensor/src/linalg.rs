@@ -72,9 +72,6 @@
 //! dense A operands — batches, im2col patch matrices, and upstream
 //! gradients that are at ReLU-level (~50%) sparsity at most — which is
 //! below the crossover, so the blocked kernel keeps no zero test.
-//!
-//! [`matvec`] and [`outer`] are small enough that the naive loops are
-//! already memory-bound; they are unchanged.
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 use std::sync::OnceLock;
@@ -675,20 +672,6 @@ pub fn matmul_nt_naive(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[m, n][..])
 }
 
-/// Computes the matrix-vector product `A · x` for a 2-D tensor.
-///
-/// # Panics
-///
-/// Panics if `a` is not 2-D or `x.len()` differs from the column count.
-pub fn matvec(a: &Tensor, x: &[f32]) -> Vec<f32> {
-    let (m, k) = dims2(a, "matvec lhs");
-    assert_eq!(x.len(), k, "matvec dimension mismatch");
-    let ad = a.data();
-    (0..m)
-        .map(|i| crate::ops::dot(&ad[i * k..(i + 1) * k], x))
-        .collect()
-}
-
 // --- Weighted fold kernel --------------------------------------------------
 //
 // The server's fold (`taco-core::weighted_mean`) adds the uploads into
@@ -742,17 +725,6 @@ fn fold_weighted_body<const G: usize>(acc: &mut [f64], xs: [&[f32]; G], ws: [f64
         }
         *a = v;
     }
-}
-
-/// Outer product `x · yᵀ` as an `m × n` tensor.
-pub fn outer(x: &[f32], y: &[f32]) -> Tensor {
-    let mut out = vec![0.0f32; x.len() * y.len()];
-    for (i, &xi) in x.iter().enumerate() {
-        for (j, &yj) in y.iter().enumerate() {
-            out[i * y.len() + j] = xi * yj;
-        }
-    }
-    Tensor::from_vec(out, &[x.len(), y.len()][..])
 }
 
 #[cfg(test)]
@@ -942,25 +914,6 @@ mod tests {
         }
         let b = Tensor::randn(&[23, 29][..], 1.0, &mut rng);
         assert_bits_equal(&matmul(&a, &b), &matmul_naive(&a, &b), "sparse matmul");
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let mut rng = Prng::seed_from_u64(5);
-        let a = Tensor::randn(&[4, 6][..], 1.0, &mut rng);
-        let x = Tensor::randn(&[6, 1][..], 1.0, &mut rng);
-        let via_matmul = matmul(&a, &x);
-        let via_matvec = matvec(&a, x.data());
-        for (p, q) in via_matmul.data().iter().zip(&via_matvec) {
-            assert!((p - q).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn outer_shape_and_values() {
-        let t = outer(&[1.0, 2.0], &[3.0, 4.0, 5.0]);
-        assert_eq!(t.dims(), &[2, 3]);
-        assert_eq!(t.data(), &[3.0, 4.0, 5.0, 6.0, 8.0, 10.0]);
     }
 
     #[test]

@@ -152,19 +152,6 @@ pub fn mean_of(vectors: &[&[f32]]) -> Vec<f32> {
     weighted_mean(vectors, &w)
 }
 
-/// Linear interpolation `(1 - t) * a + t * b` into a fresh vector.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn lerp(a: &[f32], b: &[f32], t: f32) -> Vec<f32> {
-    assert_eq!(a.len(), b.len(), "lerp length mismatch");
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| (1.0 - t) * x + t * y)
-        .collect()
-}
-
 /// Returns `true` if every element is finite. The test is branch-free
 /// within fixed-size chunks so it vectorises (the server runs it on
 /// every upload); a non-finite chunk still ends the scan.
@@ -311,15 +298,6 @@ mod tests {
         let a = [1.0, 3.0];
         let b = [3.0, 5.0];
         assert_eq!(mean_of(&[&a, &b]), vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = [0.0, 10.0];
-        let b = [10.0, 0.0];
-        assert_eq!(lerp(&a, &b, 0.0), a.to_vec());
-        assert_eq!(lerp(&a, &b, 1.0), b.to_vec());
-        assert_eq!(lerp(&a, &b, 0.5), vec![5.0, 5.0]);
     }
 
     #[test]

@@ -152,36 +152,11 @@ impl Tensor {
         self.data[off] = value;
     }
 
-    /// Returns a view of this tensor with a different shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshape(mut self, shape: impl Into<Shape>) -> Self {
-        let shape = shape.into();
-        assert_eq!(
-            self.data.len(),
-            shape.len(),
-            "cannot reshape {} elements into shape {}",
-            self.data.len(),
-            shape
-        );
-        self.shape = shape;
-        self
-    }
-
     /// Applies `f` element-wise, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         Tensor {
             data: self.data.iter().map(|&x| f(x)).collect(),
             shape: self.shape.clone(),
-        }
-    }
-
-    /// Applies `f` element-wise in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 
@@ -234,24 +209,6 @@ impl Tensor {
     pub fn max(&self) -> f32 {
         assert!(!self.data.is_empty(), "max of empty tensor");
         self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
-    }
-
-    /// Returns the index of the maximum element in the flat data.
-    ///
-    /// Ties resolve to the first occurrence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is empty.
-    pub fn argmax(&self) -> usize {
-        assert!(!self.data.is_empty(), "argmax of empty tensor");
-        let mut best = 0;
-        for (i, &x) in self.data.iter().enumerate() {
-            if x > self.data[best] {
-                best = i;
-            }
-        }
-        best
     }
 
     /// Returns the Euclidean (L2) norm of the flat data.
@@ -386,25 +343,11 @@ mod tests {
     }
 
     #[test]
-    fn reshape_keeps_data() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2][..]);
-        let r = t.clone().reshape(&[4][..]);
-        assert_eq!(r.data(), t.data());
-        assert_eq!(r.dims(), &[4]);
-    }
-
-    #[test]
     fn map_and_zip() {
         let a = Tensor::from_vec(vec![1.0, 2.0], &[2][..]);
         let b = Tensor::from_vec(vec![3.0, 4.0], &[2][..]);
         assert_eq!(a.map(|x| 2.0 * x).data(), &[2.0, 4.0]);
         assert_eq!(a.zip(&b, |x, y| x * y).data(), &[3.0, 8.0]);
-    }
-
-    #[test]
-    fn argmax_first_tie() {
-        let t = Tensor::from_vec(vec![1.0, 3.0, 3.0, 0.0], &[4][..]);
-        assert_eq!(t.argmax(), 1);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub struct EnvVar {
 /// Every `TACO_*` variable the workspace recognizes. taco-check D8
 /// cross-checks this registry against all use sites and against the
 /// README/EXPERIMENTS docs in both directions.
-pub const REGISTRY: [EnvVar; 10] = [
+pub const REGISTRY: [EnvVar; 8] = [
     EnvVar {
         name: "TACO_TRACE",
         doc: "JSONL trace sink file path; unset/empty disables tracing",
@@ -37,10 +37,6 @@ pub const REGISTRY: [EnvVar; 10] = [
     EnvVar {
         name: "TACO_THREADS",
         doc: "worker-pool size (positive integer); default: available parallelism",
-    },
-    EnvVar {
-        name: "TACO_CODEC",
-        doc: "upload codec for codec-aware tests/benches: `none`, `topk`, `q8`, or `q4`",
     },
     EnvVar {
         name: "TACO_SCALE",
@@ -61,10 +57,6 @@ pub const REGISTRY: [EnvVar; 10] = [
     EnvVar {
         name: "TACO_BENCH_OUT",
         doc: "perf_suite report path override (default BENCH_perf_suite.json)",
-    },
-    EnvVar {
-        name: "TACO_PERF_REPEATS",
-        doc: "interleaved measurement passes of perf_suite (default 60)",
     },
     EnvVar {
         name: "TACO_REGEN_GOLDEN",
@@ -109,12 +101,6 @@ pub fn threads() -> Option<usize> {
     }
 }
 
-/// `TACO_CODEC`: the raw upload-codec name; interpretation (and the
-/// unknown-name warning) stays with `core::compress`.
-pub fn codec_name() -> Option<String> {
-    raw("TACO_CODEC")
-}
-
 /// `TACO_SCALE`: the raw scale name (`quick`/`paper`).
 pub fn scale_name() -> Option<String> {
     raw("TACO_SCALE")
@@ -140,14 +126,6 @@ pub fn results_dir() -> Option<PathBuf> {
 /// `TACO_BENCH_OUT`: perf-suite report path override.
 pub fn bench_out() -> Option<PathBuf> {
     raw_os("TACO_BENCH_OUT").map(Into::into)
-}
-
-/// `TACO_PERF_REPEATS`: interleaved measurement passes of the perf
-/// suite; `None` when unset, unparseable, or zero.
-pub fn perf_repeats() -> Option<usize> {
-    raw("TACO_PERF_REPEATS")
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
 }
 
 /// `TACO_REGEN_GOLDEN`: truthy when set to anything but `""`/`"0"`.
@@ -191,13 +169,11 @@ mod tests {
         // accessor must return its unset-shape instead of panicking.
         let _ = trace_path();
         let _ = threads();
-        let _ = codec_name();
         let _ = scale_name();
         let _ = seeds();
         let _ = clients();
         let _ = results_dir();
         let _ = bench_out();
-        let _ = perf_repeats();
         let _ = regen_golden();
     }
 }

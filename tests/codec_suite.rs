@@ -21,9 +21,7 @@
 //!   history is bit-identical to a codec-free run, so the committed
 //!   goldens stay valid.
 //!
-//! CI runs this suite once per codec with `TACO_CODEC` pinned;
-//! locally, with the variable unset, every codec is exercised in one
-//! pass.
+//! Every codec runs in each test.
 
 mod common;
 
@@ -32,7 +30,7 @@ use std::sync::{Arc, Mutex};
 
 use common::{assert_values_eq, golden_run, golden_run_configured, history_value};
 use taco::core::compress::{
-    codec_by_name, codec_from_env, Compressor, EncodedDelta, NoCompression, Uniform8Bit,
+    Compressor, EncodedDelta, NoCompression, Stochastic4Bit, TopK, Uniform8Bit,
 };
 use taco::core::taco::TacoConfig;
 use taco::core::{AggWeighting, FedAvg, FederatedAlgorithm, Taco};
@@ -43,16 +41,14 @@ use taco::tensor::Prng;
 
 const THREAD_COUNTS: [usize; 2] = [1, 4];
 
-/// The codecs this run exercises: the one pinned by `TACO_CODEC` when
-/// CI's codec matrix sets it, otherwise the full registry.
-fn codecs_under_test() -> Vec<Arc<dyn Compressor>> {
-    match codec_from_env() {
-        Some(c) => vec![c],
-        None => ["none", "topk", "q8", "q4"]
-            .iter()
-            .map(|n| codec_by_name(n).expect("registry name"))
-            .collect(),
-    }
+/// The four wire formats: dense, sparse, 8-bit and 4-bit.
+fn codecs_under_test() -> [Arc<dyn Compressor>; 4] {
+    [
+        Arc::new(NoCompression),
+        Arc::new(TopK::new(0.1)),
+        Arc::new(Uniform8Bit),
+        Arc::new(Stochastic4Bit),
+    ]
 }
 
 #[test]
