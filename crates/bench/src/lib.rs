@@ -12,8 +12,6 @@
 
 #![deny(missing_docs)]
 
-pub mod perf;
-
 use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -411,8 +409,8 @@ fn record_run(
 }
 
 /// Build metadata (crate version, debug/release profile, OS, arch)
-/// stamped into every run manifest and perf report.
-pub fn build_info() -> Value {
+/// stamped into every run manifest.
+fn build_info() -> Value {
     Value::object(vec![
         (
             "version".to_string(),

@@ -554,10 +554,10 @@ mod tests {
     fn env_reads_and_registry_decls() {
         let m = collect(
             "crates/bench/src/lib.rs",
-            "fn f() { let v = std::env::var(\"TACO_SCALE\"); let w = std::env::var_os(\"TACO_BENCH_OUT\"); let x = std::env::var(\"HOME\"); }\n",
+            "fn f() { let v = std::env::var(\"TACO_SCALE\"); let w = std::env::var_os(\"TACO_RESULTS_DIR\"); let x = std::env::var(\"HOME\"); }\n",
         );
         let names: Vec<&str> = m.env_reads.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, vec!["TACO_SCALE", "TACO_BENCH_OUT"]);
+        assert_eq!(names, vec!["TACO_SCALE", "TACO_RESULTS_DIR"]);
         let m = collect(
             ENV_FILE,
             "pub const REGISTRY: [EnvVar; 2] = [\n    EnvVar { name: \"TACO_TRACE\", doc: \"x\" },\n    EnvVar { name: \"TACO_SEEDS\", doc: \"y\" },\n];\n",

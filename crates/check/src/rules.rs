@@ -27,8 +27,7 @@ pub enum RuleId {
     /// and the trace clock edge (`trace::span`, `trace::event`) — the
     /// simulation's deadlines must consume simulated timings, so
     /// wall-clock never leaks into simulated time. Other justified
-    /// readings (kernel timers, the trace perf module) carry explicit
-    /// pragmas.
+    /// readings (the kernel timers) carry explicit pragmas.
     D2WallClock,
     /// No `HashMap`/`HashSet` in `core`/`sim`/`nn` library code —
     /// their iteration order is nondeterministic; use `BTreeMap`/
@@ -159,8 +158,7 @@ const PANIC_FREE_CRATES: [&str; 4] = ["core", "sim", "nn", "data"];
 const WALL_CLOCK_CRATES: [&str; 1] = ["bench"];
 /// The trace files that *define* the clock edge (span timers, event
 /// timestamps). The rest of the trace crate is held to D2 like
-/// everyone else and must pragma each justified reading — e.g. the
-/// perf-suite repeat timer in `trace::perf`.
+/// everyone else and must pragma each justified reading.
 const WALL_CLOCK_FILES: [&str; 2] = ["crates/trace/src/span.rs", "crates/trace/src/event.rs"];
 /// The one file allowed to create threads (D1).
 const POOL_FILE: &str = "crates/tensor/src/pool.rs";

@@ -5,6 +5,14 @@ use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
 use taco_tensor::ops;
 
+/// Pairwise cosine of two accumulated deltas at or above which both
+/// clients are suspected.
+const SUSPICION_THRESHOLD: f32 = 0.98;
+
+/// Rounds a client must have been aggregated before it can be
+/// suspected.
+const MIN_OBSERVATIONS: usize = 3;
+
 /// FoolsGold as restated by the paper (Algorithm 1, line 10): no local
 /// correction, but aggregation weights
 /// `ρ_i = cos(Δ_{t+1}, Δ_i)` — the similarity between each client's
@@ -29,16 +37,16 @@ use taco_tensor::ops;
 /// Alongside the per-round weights the algorithm accumulates each
 /// client's summed delta across rounds (the original work's
 /// "historical gradient"). Two clients whose *accumulated* directions
-/// stay near-parallel — pairwise cosine at or above
-/// [`FoolsGold::with_suspicion`]'s threshold after enough observed
-/// rounds — are flagged as a suspected sybil/colluding pair via
+/// stay near-parallel — pairwise cosine at or above 0.98 once both
+/// have been aggregated in at least 3 rounds — are flagged as a
+/// suspected sybil/colluding pair via
 /// [`FederatedAlgorithm::suspected`]. Honest non-IID clients descend
 /// different local objectives, so their accumulated directions
 /// decorrelate; a colluding coalition pushing one common direction
 /// does not. Suspicion is pure diagnostics: it never changes the
 /// aggregation weights, so trajectories are identical with or without
 /// it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FoolsGold {
     last_weights: Vec<f32>,
     /// Per-client accumulated deltas (the cosine history); empty until
@@ -46,47 +54,12 @@ pub struct FoolsGold {
     histories: Vec<Vec<f32>>,
     /// Rounds each client has been aggregated (gates suspicion).
     observations: Vec<usize>,
-    suspicion_threshold: f32,
-    min_observations: usize,
-}
-
-impl Default for FoolsGold {
-    fn default() -> Self {
-        FoolsGold {
-            last_weights: Vec::new(),
-            histories: Vec::new(),
-            observations: Vec::new(),
-            suspicion_threshold: 0.98,
-            min_observations: 3,
-        }
-    }
 }
 
 impl FoolsGold {
-    /// Creates FoolsGold with the default suspicion settings (pairwise
-    /// cosine ≥ 0.98 after 3 observed rounds).
+    /// Creates FoolsGold with no client history.
     pub fn new() -> Self {
         FoolsGold::default()
-    }
-
-    /// Builder-style override of the suspicion thresholds: flag a pair
-    /// of clients when the cosine of their accumulated deltas reaches
-    /// `threshold` and both have been aggregated at least
-    /// `min_observations` rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is not in `(0, 1]` or `min_observations`
-    /// is zero.
-    pub fn with_suspicion(mut self, threshold: f32, min_observations: usize) -> Self {
-        assert!(
-            threshold > 0.0 && threshold <= 1.0,
-            "suspicion threshold must be in (0, 1], got {threshold}"
-        );
-        assert!(min_observations > 0, "min_observations must be positive");
-        self.suspicion_threshold = threshold;
-        self.min_observations = min_observations;
-        self
     }
 
     /// The aggregation weights used in the most recent round
@@ -148,9 +121,7 @@ impl FederatedAlgorithm for FoolsGold {
         // Pairwise cosine over accumulated histories, in fixed client
         // order; a pair at or above the threshold flags both members.
         let eligible: Vec<usize> = (0..self.histories.len())
-            .filter(|&i| {
-                self.observations[i] >= self.min_observations && !self.histories[i].is_empty()
-            })
+            .filter(|&i| self.observations[i] >= MIN_OBSERVATIONS && !self.histories[i].is_empty())
             .collect();
         let norms: Vec<f32> = eligible
             .iter()
@@ -164,7 +135,7 @@ impl FederatedAlgorithm for FoolsGold {
                 }
                 let dot = ops::dot(&self.histories[i], &self.histories[j]);
                 let cos = ops::cosine_from_dot(dot, norms[a], norms[b]);
-                if cos >= self.suspicion_threshold {
+                if cos >= SUSPICION_THRESHOLD {
                     flagged[i] = true;
                     flagged[j] = true;
                 }
@@ -221,28 +192,37 @@ mod tests {
 
     #[test]
     fn colluding_pair_is_suspected_and_honest_clients_are_not() {
-        let mut alg = FoolsGold::new().with_suspicion(0.95, 3);
-        let hyper = HyperParams::new(4, 1, 1.0, 1);
+        let mut alg = FoolsGold::new();
+        let hyper = HyperParams::new(6, 1, 1.0, 1);
         // Clients 0 and 1 push one shared direction every round (a
-        // colluding coalition); 2 and 3 push decorrelated directions.
-        let rounds: [[Vec<f32>; 4]; 3] = [
+        // colluding coalition; accumulated cosine ≈ 0.9998); 2 and 3
+        // push decorrelated directions. 4 and 5 stay close but not
+        // parallel: their accumulated cosine is 1/√1.0625 ≈ 0.970,
+        // just under the 0.98 threshold.
+        let rounds: [[Vec<f32>; 6]; 3] = [
             [
                 vec![1.0, 1.0, 0.0],
                 vec![1.0, 1.05, 0.0],
                 vec![0.5, -1.0, 0.3],
                 vec![-0.8, 0.2, 1.0],
+                vec![0.0, -1.0, 0.0],
+                vec![0.0, -1.0, -0.25],
             ],
             [
                 vec![1.0, 0.95, 0.0],
                 vec![1.1, 1.0, 0.0],
                 vec![-0.4, 0.9, -1.0],
                 vec![1.0, -0.5, -0.2],
+                vec![0.0, -1.0, 0.0],
+                vec![0.0, -1.0, -0.25],
             ],
             [
                 vec![0.9, 1.0, 0.0],
                 vec![1.0, 1.0, 0.0],
                 vec![0.7, 0.1, 0.9],
                 vec![-0.2, 1.0, 0.4],
+                vec![0.0, -1.0, 0.0],
+                vec![0.0, -1.0, -0.25],
             ],
         ];
         for round in &rounds {
@@ -258,7 +238,9 @@ mod tests {
 
     #[test]
     fn suspicion_needs_minimum_observations() {
-        let mut alg = FoolsGold::new().with_suspicion(0.9, 3);
+        // Identical deltas: cosine 1, above the threshold from the
+        // first round, yet no flag before the third observation.
+        let mut alg = FoolsGold::new();
         let hyper = HyperParams::new(2, 1, 1.0, 1);
         for _ in 0..2 {
             let _ = alg.aggregate(
@@ -278,13 +260,26 @@ mod tests {
 
     #[test]
     fn suspicion_never_changes_aggregation() {
-        let hyper = HyperParams::new(2, 1, 1.0, 1);
-        let mut strict = FoolsGold::new().with_suspicion(0.5, 1);
-        let mut lax = FoolsGold::new().with_suspicion(1.0, 99);
-        let updates = vec![upd(0, vec![0.4, 0.6]), upd(1, vec![0.5, 0.5])];
-        let a = strict.aggregate(&[1.0, 1.0], &updates, &hyper);
-        let b = lax.aggregate(&[1.0, 1.0], &updates, &hyper);
+        // `seasoned` has aggregated the identical pair 0/1 for three
+        // rounds and suspects it; `fresh` has no history. Both must
+        // take the same step on the same round.
+        let hyper = HyperParams::new(3, 1, 1.0, 1);
+        let updates = vec![
+            upd(0, vec![0.4, 0.6]),
+            upd(1, vec![0.4, 0.6]),
+            upd(2, vec![0.9, -0.2]),
+        ];
+        let mut seasoned = FoolsGold::new();
+        for _ in 0..3 {
+            let _ = seasoned.aggregate(&[1.0, 1.0], &updates, &hyper);
+        }
+        let mut fresh = FoolsGold::new();
+        assert_eq!(seasoned.suspected(), vec![0, 1]);
+        assert!(fresh.suspected().is_empty());
+        let a = seasoned.aggregate(&[1.0, 1.0], &updates, &hyper);
+        let b = fresh.aggregate(&[1.0, 1.0], &updates, &hyper);
         assert_eq!(a, b);
+        testkit::assert_bits_eq(seasoned.last_weights(), fresh.last_weights(), "weights");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Non-IID partitioners.
 //!
-//! These implement the paper's three client-data layouts:
+//! These implement the paper's two client-data layouts:
 //!
 //! - [`dirichlet`] — `Dir(φ)` label-distribution skew (Table IV uses
 //!   φ ∈ {0.1, 0.2, 0.5}), the standard protocol of Li et al. and many
@@ -9,7 +9,6 @@
 //! - [`synthetic_groups`] — the Group A/B/C split of Section IV-A /
 //!   Table II: Group A clients see 10% of the labels, Group B 20%,
 //!   Group C 50%, with the label subsets drawn at random per client.
-//! - [`iid`] — uniform shuffle, the control setting.
 //!
 //! All partitioners return index shards that form a partition of the
 //! input (every sample appears in exactly one shard; property-tested),
@@ -79,22 +78,6 @@ fn fix_empty_shards(shards: &mut [Vec<usize>]) {
         };
         shards[empty].push(moved);
     }
-}
-
-/// IID partition: shuffles the indices and deals them round-robin.
-///
-/// # Panics
-///
-/// Panics if `n_clients` is zero.
-pub fn iid(labels: &[usize], n_clients: usize, rng: &mut Prng) -> Vec<Vec<usize>> {
-    assert!(n_clients > 0, "need at least one client");
-    let mut idx: Vec<usize> = (0..labels.len()).collect();
-    rng.shuffle(&mut idx);
-    let mut shards = vec![Vec::new(); n_clients];
-    for (pos, i) in idx.into_iter().enumerate() {
-        shards[pos % n_clients].push(i);
-    }
-    shards
 }
 
 /// `Dir(φ)` label-skew partition.
@@ -264,17 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn iid_is_a_partition_with_even_shards() {
-        let l = labels(103, 10);
-        let mut rng = Prng::seed_from_u64(1);
-        let shards = iid(&l, 5, &mut rng);
-        assert_partition(103, &shards);
-        for s in &shards {
-            assert!(s.len() == 20 || s.len() == 21);
-        }
-    }
-
-    #[test]
     fn dirichlet_is_a_partition() {
         let l = labels(500, 10);
         let mut rng = Prng::seed_from_u64(2);
@@ -300,10 +272,16 @@ mod tests {
 
     #[test]
     fn iid_skew_is_near_zero() {
+        // Every run of ten consecutive samples holds each label once;
+        // dealing whole runs round-robin gives every client the global
+        // label distribution.
         let l = labels(2000, 10);
-        let mut rng = Prng::seed_from_u64(4);
-        let shards = iid(&l, 10, &mut rng);
-        assert!(skew_statistic(&l, &shards) < 0.1);
+        let mut shards = vec![Vec::new(); 10];
+        for i in 0..l.len() {
+            shards[(i / 10) % 10].push(i);
+        }
+        assert_partition(2000, &shards);
+        assert!(skew_statistic(&l, &shards) < 1e-12);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub struct EnvVar {
 /// Every `TACO_*` variable the workspace recognizes. taco-check D8
 /// cross-checks this registry against all use sites and against the
 /// README/EXPERIMENTS docs in both directions.
-pub const REGISTRY: [EnvVar; 8] = [
+pub const REGISTRY: [EnvVar; 7] = [
     EnvVar {
         name: "TACO_TRACE",
         doc: "JSONL trace sink file path; unset/empty disables tracing",
@@ -53,10 +53,6 @@ pub const REGISTRY: [EnvVar; 8] = [
     EnvVar {
         name: "TACO_RESULTS_DIR",
         doc: "artifact directory override for results/ (tests use a scratch dir)",
-    },
-    EnvVar {
-        name: "TACO_BENCH_OUT",
-        doc: "perf_suite report path override (default BENCH_perf_suite.json)",
     },
     EnvVar {
         name: "TACO_REGEN_GOLDEN",
@@ -123,11 +119,6 @@ pub fn results_dir() -> Option<PathBuf> {
     raw_os("TACO_RESULTS_DIR").map(Into::into)
 }
 
-/// `TACO_BENCH_OUT`: perf-suite report path override.
-pub fn bench_out() -> Option<PathBuf> {
-    raw_os("TACO_BENCH_OUT").map(Into::into)
-}
-
 /// `TACO_REGEN_GOLDEN`: truthy when set to anything but `""`/`"0"`.
 pub fn regen_golden() -> bool {
     raw("TACO_REGEN_GOLDEN").is_some_and(|v| v != "0" && !v.is_empty())
@@ -173,7 +164,6 @@ mod tests {
         let _ = seeds();
         let _ = clients();
         let _ = results_dir();
-        let _ = bench_out();
         let _ = regen_golden();
     }
 }

@@ -6,7 +6,8 @@
 //! - [`taco_data`] — synthetic federated datasets and partitioners
 //! - [`taco_core`] — FL algorithms (TACO + six baselines)
 //! - [`taco_sim`] — federated simulation runtime
-//! - [`taco_trace`] — structured tracing, metrics, and run manifests
+//! - [`taco_trace`] — structured tracing and metrics, including the
+//!   metrics snapshot that `taco-bench`'s run manifests embed
 
 pub use taco_core as core;
 pub use taco_data as data;

@@ -132,7 +132,6 @@ fn partitions_are_exact() {
         let phi = 0.05 + rng.uniform_f64() * 4.95;
         let labels: Vec<usize> = (0..n).map(|i| i % classes).collect();
         for shards in [
-            partition::iid(&labels, clients, &mut rng),
             partition::dirichlet(&labels, clients, phi, &mut rng),
             partition::synthetic_groups(&labels, clients, &mut rng).0,
         ] {
