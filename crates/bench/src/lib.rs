@@ -317,6 +317,10 @@ pub fn algorithm_by_name(
 /// Every call is recorded into the experiment's run manifest (written
 /// by [`report`] / [`report_csv_only`] next to the CSV artifact), and
 /// its trace events go to the `TACO_TRACE` sink [`banner`] opened.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the manifest reports each run's wall time; it never reaches the simulation"
+)]
 pub fn run(w: &Workload, algorithm: Box<dyn FederatedAlgorithm>, config: SimConfig) -> History {
     let algorithm_name = algorithm.name();
     let (seed, sequential) = (config.seed, !config.parallel);
@@ -594,6 +598,10 @@ impl Drop for ManifestGuard {
 /// The returned [`ManifestGuard`] re-flushes the manifest on drop so
 /// it survives a mid-run panic; [`report`] / [`report_csv_only`]
 /// still flush eagerly after every artifact.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the manifest reports the experiment's wall time"
+)]
 pub fn banner(slug: &str, title: &str, paper_claim: &str) -> ManifestGuard {
     *manifest_lock() = Some(ManifestState {
         slug: slug.to_string(),

@@ -224,10 +224,9 @@ pub fn aggregate_planned<A: FederatedAlgorithm + ?Sized>(
 }
 
 /// Static per-step compute profile of an algorithm. Table I, Table III
-/// and Fig. 5 report *measured* times, and the local-step outcome
-/// counts the real gradient evaluations; nothing in the workspace
-/// reads the profile, every algorithm keeps the trait's default, and
-/// the benchmark's timing decorator only forwards it.
+/// and Fig. 5 report *measured* times; nothing in the workspace reads
+/// the profile, every algorithm keeps the trait's default, and the
+/// benchmark's timing decorator only forwards it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostProfile {
     /// Gradient evaluations per local step (2 for STEM).
@@ -430,7 +429,6 @@ pub(crate) mod testkit {
             num_samples: 1,
             final_v: None,
             mean_loss: 0.0,
-            grad_evals: 0,
             steps: 1,
             compute_seconds: 0.0,
         }
@@ -496,7 +494,6 @@ mod tests {
             num_samples: n,
             final_v: None,
             mean_loss: 0.0,
-            grad_evals: 0,
             steps: 1,
             compute_seconds: 0.0,
         }

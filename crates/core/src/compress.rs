@@ -250,7 +250,7 @@ pub trait Compressor: Send + Sync {
 
 /// Finite-only (min, max) of a slice, folded left to right with
 /// `f32::min` / `f32::max`; `(∞, −∞)` when no coordinate is finite.
-/// Unlike [`ops::min_max`], an `∞` input cannot poison the
+/// Unlike a plain min/max fold, an `∞` input cannot poison the
 /// quantization range — non-finite coordinates travel as escape
 /// entries instead.
 fn finite_min_max(xs: &[f32]) -> (f32, f32) {
@@ -915,8 +915,7 @@ mod tests {
         let mut rng = Prng::seed_from_u64(2);
         let x = Tensor::randn([1000], 2.0, &mut rng).into_vec();
         let out = rt(&Uniform8Bit, &x);
-        let min = x.iter().cloned().fold(f32::INFINITY, f32::min);
-        let max = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let (min, max) = finite_min_max(&x);
         let half_step = (max - min) / 255.0 / 2.0;
         for (a, b) in x.iter().zip(&out) {
             assert!((a - b).abs() <= half_step * 1.001, "{a} vs {b}");

@@ -1,6 +1,6 @@
 //! FedACG (Kim et al.) — accelerated client gradient.
 
-use crate::algorithm::FederatedAlgorithm;
+use crate::algorithm::{self, FederatedAlgorithm};
 use crate::hyper::HyperParams;
 use crate::update::{ClientUpdate, LocalRule};
 use std::sync::Arc;
@@ -102,8 +102,7 @@ impl FederatedAlgorithm for FedAcg {
         self.anchor = None;
         // Data-weighted mean of Δ_i, in gradient units.
         let weights: Vec<f32> = updates.iter().map(|u| u.num_samples as f32).collect();
-        let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
-        let mut agg = ops::weighted_mean(&deltas, &weights);
+        let mut agg = algorithm::weighted_mean(updates, &weights);
         ops::scale(&mut agg, 1.0 / hyper.k_eta_l());
         // Heavy-ball momentum in parameter units (the cited FedACG
         // update): m_{t+1} = λ·m_t − η_g·Δ̄_t, w_{t+1} = w_t + m_{t+1}.
@@ -127,7 +126,6 @@ mod tests {
             num_samples: n,
             final_v: None,
             mean_loss: 0.0,
-            grad_evals: 0,
             steps: 1,
             compute_seconds: 0.0,
         }

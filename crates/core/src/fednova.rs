@@ -106,7 +106,6 @@ mod tests {
             num_samples: n,
             final_v: None,
             mean_loss: 0.0,
-            grad_evals: steps,
             steps,
             compute_seconds: 0.0,
         }

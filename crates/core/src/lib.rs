@@ -35,6 +35,7 @@
 //! [`alpha`], shared by [`taco`] and [`tailored`].
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod algorithm;
 pub mod alpha;

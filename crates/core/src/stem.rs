@@ -88,10 +88,13 @@ impl FederatedAlgorithm for Stem {
         let dim = global.len();
         let mut acc = vec![0.0f64; dim];
         for u in updates {
+            #[expect(
+                clippy::expect_used,
+                reason = "uploads_momentum() makes the runner record final_v for every STEM client; absence is a harness bug worth a loud panic"
+            )]
             let v = u
                 .final_v
                 .as_ref()
-                // taco-check: allow(unwrap, uploads_momentum() makes the runner record final_v for every STEM client; absence is a harness bug worth a loud panic)
                 .expect("STEM update missing final momentum");
             for j in 0..dim {
                 acc[j] += (u.delta[j] + v[j]) as f64;
@@ -116,7 +119,6 @@ mod tests {
             num_samples: 1,
             final_v: Some(v),
             mean_loss: 0.0,
-            grad_evals: 0,
             steps: 1,
             compute_seconds: 0.0,
         }
@@ -165,7 +167,6 @@ mod tests {
             num_samples: 1,
             final_v: None,
             mean_loss: 0.0,
-            grad_evals: 0,
             steps: 1,
             compute_seconds: 0.0,
         };

@@ -176,7 +176,6 @@ mod tests {
             num_samples: 1,
             final_v: None,
             mean_loss: 0.0,
-            grad_evals: 0,
             steps: 1,
             compute_seconds: 0.0,
         }

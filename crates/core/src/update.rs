@@ -95,8 +95,6 @@ pub struct LocalOutcome {
     pub final_v: Option<Vec<f32>>,
     /// Mean mini-batch loss over the `K` steps.
     pub mean_loss: f32,
-    /// Total gradient evaluations performed (cost-model input).
-    pub grad_evals: usize,
     /// The number of local SGD steps actually taken (`τ_i`; FedNova's
     /// normalized averaging divides by it under system heterogeneity).
     pub steps: usize,
@@ -117,8 +115,6 @@ pub struct ClientUpdate {
     pub final_v: Option<Vec<f32>>,
     /// Mean local training loss this round.
     pub mean_loss: f32,
-    /// Gradient evaluations spent this round.
-    pub grad_evals: usize,
     /// Local SGD steps actually taken this round (`τ_i`).
     pub steps: usize,
     /// Measured local compute time in seconds (filled by the
@@ -136,7 +132,6 @@ impl ClientUpdate {
             num_samples,
             final_v: outcome.final_v,
             mean_loss: outcome.mean_loss,
-            grad_evals: outcome.grad_evals,
             steps: outcome.steps,
             compute_seconds: 0.0,
         }
@@ -163,7 +158,10 @@ impl ClientUpdate {
 /// Panics if `steps`, `batch_size` are zero, the dataset is empty,
 /// `start` or a rule vector's length differs from the model's
 /// parameter count.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the step's model, data, rule and hyperparameters are independent inputs"
+)]
 pub fn run_local_steps(
     model: &mut dyn Model,
     start: &[f32],
@@ -193,14 +191,12 @@ pub fn run_local_steps(
     let mut w = start.to_vec();
     let step = -eta_l;
     let mut loss_sum = 0.0f64;
-    let mut grad_evals = 0usize;
     let mut prev_w: Vec<f32> = Vec::new();
     let mut prev_v: Vec<f32> = Vec::new();
     for k in 0..steps {
         model.set_params(&w);
         let batch = data.sample_batch(batch_size, rng);
         let (loss, g) = model.loss_and_grad(&batch);
-        grad_evals += 1;
         loss_sum += loss as f64;
         match rule {
             LocalRule::PlainSgd => {
@@ -243,7 +239,6 @@ pub fn run_local_steps(
                     // Second gradient: same batch, previous iterate.
                     model.set_params(&prev_w);
                     let (_, g_prev) = model.loss_and_grad(&batch);
-                    grad_evals += 1;
                     for ((v, &pv), &gp) in v.iter_mut().zip(&prev_v).zip(&g_prev) {
                         *v += (1.0 - alpha) * (pv - gp);
                     }
@@ -261,7 +256,6 @@ pub fn run_local_steps(
         delta: w,
         final_v: matches!(rule, LocalRule::StemMomentum { .. }).then_some(prev_v),
         mean_loss: (loss_sum / steps as f64) as f32,
-        grad_evals,
         steps,
     }
 }
@@ -319,13 +313,11 @@ mod tests {
         let dim = w.len();
         let mut delta = w.clone();
         let mut loss_sum = 0.0f64;
-        let mut grad_evals = 0usize;
         let mut prev_w: Vec<f32> = Vec::new();
         let mut prev_v: Vec<f32> = Vec::new();
         for k in 0..steps {
             let batch = data.sample_batch(batch_size, rng);
             let (loss, g) = model.loss_and_grad(&batch);
-            grad_evals += 1;
             loss_sum += loss as f64;
             let v = match rule {
                 LocalRule::PlainSgd => g,
@@ -364,7 +356,6 @@ mod tests {
                         model.set_params(&prev_w);
                         let (_, g_prev) = model.loss_and_grad(&batch);
                         model.set_params(&w);
-                        grad_evals += 1;
                         let mut v = g;
                         for i in 0..dim {
                             v[i] += (1.0 - alpha) * (prev_v[i] - g_prev[i]);
@@ -391,7 +382,6 @@ mod tests {
                 None
             },
             mean_loss: (loss_sum / steps as f64) as f32,
-            grad_evals,
             steps,
         }
     }
@@ -478,11 +468,7 @@ mod tests {
                     want.mean_loss.to_bits(),
                     "loss, {case}"
                 );
-                assert_eq!(
-                    (got.grad_evals, got.steps),
-                    (want.grad_evals, want.steps),
-                    "{case}"
-                );
+                assert_eq!(got.steps, want.steps, "{case}");
             }
         }
     }
@@ -513,7 +499,6 @@ mod tests {
         for i in 0..w0.len() {
             assert!((out.delta[i] - (w0[i] - wk[i])).abs() < 1e-6);
         }
-        assert_eq!(out.grad_evals, 5);
         assert!(out.final_v.is_none());
     }
 
@@ -575,11 +560,10 @@ mod tests {
 
     /// Every field of a [`LocalOutcome`] as raw bits, so signed zeros
     /// and NaN payloads compare exactly.
-    fn outcome_bits(o: &LocalOutcome) -> (Vec<u32>, u32, usize, usize) {
+    fn outcome_bits(o: &LocalOutcome) -> (Vec<u32>, u32, usize) {
         (
             o.delta.iter().map(|x| x.to_bits()).collect(),
             o.mean_loss.to_bits(),
-            o.grad_evals,
             o.steps,
         )
     }
@@ -628,7 +612,6 @@ mod tests {
             4,
             &mut rng,
         );
-        assert_eq!(out.grad_evals, 5 + 4);
         assert!(out.final_v.is_some());
         assert_eq!(out.final_v.as_ref().map(Vec::len), Some(out.delta.len()));
     }

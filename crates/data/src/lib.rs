@@ -35,6 +35,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod dataset;
 pub mod federated;

@@ -93,10 +93,13 @@ impl Dense {
     ///
     /// Panics if no training [`Dense::forward`] came first.
     pub fn backward_weights(&mut self, grad_out: &Tensor) {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` contract: backward before forward is a caller bug the message names"
+        )]
         let x = self
             .cached_input
             .as_ref()
-            // taco-check: allow(unwrap, documented `# Panics` contract — backward before forward is a caller bug the message names)
             .expect("Dense::backward called before forward");
         // dW += gᵀ · x, dB += column sums of g.
         linalg::matmul_tn_acc(grad_out, x, &mut self.weight.grad);

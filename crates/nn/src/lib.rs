@@ -41,6 +41,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod activation;
 pub mod batch;

@@ -179,7 +179,10 @@ impl CharLstm {
         let hid = self.hidden;
         let last_h = {
             // Reconstruct final h from the last cache (o * tanh(c)).
-            // taco-check: allow(unwrap, forward pushes one cache per timestep and seq_len ≥ 1; an empty cache list is a caller bug named by the message)
+            #[expect(
+                clippy::expect_used,
+                reason = "forward pushes one cache per timestep and seq_len ≥ 1; an empty cache list is a caller bug named by the message"
+            )]
             let cache = caches.last().expect("empty sequence");
             let mut h = Tensor::zeros([bsz, hid]);
             for i in 0..bsz {

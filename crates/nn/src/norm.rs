@@ -237,7 +237,10 @@ mod tests {
         gn.backward_sample(0, &mut grad);
         let ggamma = gn.gamma.grad.data().to_vec();
         let eps = 1e-3f32;
-        #[allow(clippy::needless_range_loop)] // c indexes three parallel structures
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "c indexes three parallel structures"
+        )]
         for c in 0..channels {
             let mut up_gn = gn.clone();
             up_gn.gamma.value.data_mut()[c] += eps;

@@ -42,8 +42,9 @@ pub(crate) fn execute_jobs(
     let run_one = move |model: &mut dyn Model, job: &ClientJob| -> ClientUpdate {
         let mut rng = Prng::for_cell(seed, round, job.client);
         // Wall-clock time is read only through taco-trace spans
-        // (D2): the span both feeds the `client_compute.seconds`
-        // histogram and hands back the measured duration.
+        // (`Instant::now` is a disallowed method here): the span both
+        // feeds the `client_compute.seconds` histogram and hands back
+        // the measured duration.
         let compute_span = trace::Span::quiet(crate::phase::CLIENT_COMPUTE);
         let outcome = update::run_local_steps(
             model,

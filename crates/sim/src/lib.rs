@@ -48,6 +48,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod client;
 pub mod comm;

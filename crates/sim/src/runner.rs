@@ -406,7 +406,6 @@ impl Simulation {
                 num_samples,
                 final_v: self.algorithm.uploads_momentum().then(|| vec![0.0; dim]),
                 mean_loss: 0.0,
-                grad_evals: 0,
                 steps: 0,
                 compute_seconds: 0.0,
             });

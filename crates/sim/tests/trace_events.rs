@@ -13,7 +13,7 @@ use taco_core::{FedAvg, HyperParams, Taco};
 use taco_data::partition;
 use taco_data::{tabular, FederatedDataset};
 use taco_nn::{Mlp, Model};
-use taco_sim::{FaultKind, FaultPlan, History, SimConfig, Simulation};
+use taco_sim::{phase, FaultKind, FaultPlan, History, SimConfig, Simulation};
 use taco_tensor::pool::{self, Pool};
 use taco_tensor::Prng;
 use taco_trace::{self as trace, MemorySink, Sink, Value};
@@ -176,6 +176,10 @@ impl Sink for Rendezvous {
 /// sink: every `round` event lands in the sink of the run it
 /// describes.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "two runs on their own threads, outside the pool, at once"
+)]
 fn concurrent_runs_keep_their_events_apart() {
     let (n, rounds) = (4, 4);
     let hyper = HyperParams::new(n, 3, 0.05, 8);
@@ -256,5 +260,37 @@ fn event_order_is_the_same_on_any_pool() {
     for pair in steps.windows(2) {
         let ((_, _, r0, c0), (_, _, r1, c1)) = (pair[0], pair[1]);
         assert!(r0 < r1 || (r0 == r1 && c0 < c1), "{pair:?}");
+    }
+}
+
+/// The `sim::phase` contract (README § Lints, D9): a run feeds every
+/// phase's `.seconds` histogram, and no `sim.*` span outside
+/// `phase::ALL` reports.
+#[test]
+fn every_phase_feeds_its_seconds_histogram() {
+    let hyper = HyperParams::new(3, 2, 0.05, 8);
+    capture(Simulation::new(
+        small_fed(3, 14),
+        mlp(14),
+        Box::new(FedAvg::default()),
+        SimConfig::new(hyper, 2, 5),
+    ));
+    let names: Vec<String> = trace::snapshot()
+        .histograms
+        .into_iter()
+        .map(|(n, _)| n)
+        .collect();
+    for phase in phase::ALL {
+        assert!(
+            names.contains(&format!("{phase}.seconds")),
+            "no histogram for {phase}"
+        );
+    }
+    for name in names.iter().filter(|n| n.starts_with("sim.")) {
+        let span = name.strip_suffix(".seconds").unwrap_or(name);
+        assert!(
+            phase::ALL.contains(&span),
+            "{name} is outside sim::phase::ALL"
+        );
     }
 }

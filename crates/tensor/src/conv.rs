@@ -275,7 +275,10 @@ pub fn col2im_naive(cols_t: &Tensor, h: usize, w: usize, spec: &Conv2dSpec) -> V
 
 /// Accumulates the image-gradient planes of channels `c0..` held in
 /// `chunk` (a whole number of `h * w` planes), for any kernel width.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the plane geometry travels as scalars, as in its caller"
+)]
 fn col2im_planes_any(
     data: &[f32],
     h: usize,
@@ -319,7 +322,10 @@ fn col2im_planes_any(
 /// wholly inside the input row adds `K` contiguous floats at once; a
 /// border row keeps the per-element bounds checks. The loop order, and
 /// so every pixel's `(oy, ox)` accumulation order, is unchanged.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the plane geometry travels as scalars, as in its caller"
+)]
 fn col2im_planes<const K: usize>(
     data: &[f32],
     h: usize,

@@ -345,7 +345,10 @@ fn gebp_dispatch<PA: Fn(&mut [f32], usize, usize, usize, usize)>(
 /// runtime. The body's own pointer arithmetic is justified inline.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the blocked kernel takes its operands, geometry and scratch as plain arguments"
+)]
 unsafe fn gebp_avx<PA: Fn(&mut [f32], usize, usize, usize, usize)>(
     pack_a: &PA,
     b: &[f32],
@@ -369,7 +372,10 @@ unsafe fn gebp_avx<PA: Fn(&mut [f32], usize, usize, usize, usize)>(
 /// and run through the same [`micro`] on a stack tile; only the valid
 /// part of the tile is copied back. Each lane of the tile folds only
 /// its own row and column, so the padding never reaches a valid output.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the blocked kernel takes its operands, geometry and scratch as plain arguments"
+)]
 #[inline(always)]
 fn gebp_body<PA: Fn(&mut [f32], usize, usize, usize, usize)>(
     pack_a: &PA,

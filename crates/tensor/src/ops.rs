@@ -164,12 +164,13 @@ pub fn all_finite(a: &[f32]) -> bool {
 //
 // The aggregation paths in `taco-core` must reduce in a fixed
 // left-to-right order so trajectories stay bit-identical across runs
-// and thread counts. Ad-hoc `.sum()`/`.fold()` chains in core are
-// rejected by the `taco-check` D6 lint; these helpers are the blessed
-// reduction points. They are plain sequential folds — bit-identical to
-// `iter().sum()` today — and the contract is that they will *never* be
-// parallelized or reassociated (no pairwise/Kahan rewrites) without a
-// golden-trajectory regeneration.
+// and thread counts. Ad-hoc `.sum()`/`.fold()` chains in core fail
+// clippy (`disallowed-methods` in `crates/core/clippy.toml`, rule D6);
+// these helpers are the blessed reduction points. They are plain
+// sequential folds — bit-identical to `iter().sum()` today — and the
+// contract is that they will *never* be parallelized or reassociated
+// (no pairwise/Kahan rewrites) without a golden-trajectory
+// regeneration.
 
 /// Left-to-right sum of an `f32` slice. The reduction order is part of
 /// the contract: element `0` first, element `len-1` last.
@@ -204,20 +205,6 @@ pub fn dot_f64(a: &[f64], b: &[f64]) -> f64 {
         acc += x * y;
     }
     acc
-}
-
-/// Minimum and maximum of a slice in one left-to-right pass, with
-/// `fold(INFINITY, min)` semantics: an empty slice yields
-/// `(INFINITY, NEG_INFINITY)` and `NaN` elements are skipped (both
-/// `f32::min` and `f32::max` prefer the non-`NaN` operand).
-pub fn min_max(xs: &[f32]) -> (f32, f32) {
-    let mut lo = f32::INFINITY;
-    let mut hi = f32::NEG_INFINITY;
-    for &x in xs {
-        lo = lo.min(x);
-        hi = hi.max(x);
-    }
-    (lo, hi)
 }
 
 #[cfg(test)]
@@ -337,14 +324,5 @@ mod tests {
         let ws: Vec<f64> = (0..100).map(|i| 1.0 / (i as f64 + 1.0)).collect();
         let manual: f64 = ws.iter().zip(&ys).map(|(a, b)| a * b).sum();
         assert_eq!(dot_f64(&ws, &ys).to_bits(), manual.to_bits());
-    }
-
-    #[test]
-    fn min_max_matches_fold_semantics() {
-        assert_eq!(min_max(&[3.0, -1.0, 2.0]), (-1.0, 3.0));
-        assert_eq!(min_max(&[]), (f32::INFINITY, f32::NEG_INFINITY));
-        // NaN is skipped, like fold(∞, f32::min).
-        let (lo, hi) = min_max(&[1.0, f32::NAN, 5.0]);
-        assert_eq!((lo, hi), (1.0, 5.0));
     }
 }

@@ -114,6 +114,10 @@ impl Pool {
     /// Creates a pool with `threads` total compute threads (the caller
     /// counts as one, so `threads − 1` workers are spawned). `0` is
     /// treated as `1`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the pool is the one place that starts threads"
+    )]
     pub fn new(threads: usize) -> Self {
         let threads = threads.clamp(1, MAX_THREADS);
         let shared = Arc::new(Shared {
@@ -373,6 +377,7 @@ impl<T> Copy for SendPtr<T> {}
 // SAFETY: asserted at each construction site — every thread touches a
 // disjoint index range behind the pointer.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: as for `Send`: no two threads touch the same index.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 fn worker_main(shared: &Shared) {
@@ -552,6 +557,10 @@ mod tests {
     /// `dispatch` on a fresh two-thread pool, run on its own thread so
     /// a hang fails the test instead of stalling it; returns whether
     /// the dispatch unwound, and with which message.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a thread outside the pool bounds a hang in the pool"
+    )]
     fn dispatch_bounded(dispatch: fn(&Pool)) -> Result<(), String> {
         let (tx, rx) = std::sync::mpsc::channel();
         let runner = std::thread::spawn(move || {

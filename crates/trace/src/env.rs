@@ -3,11 +3,12 @@
 //!
 //! Every `TACO_*` variable the workspace reads is declared exactly once
 //! in [`REGISTRY`] and read exactly here, through a typed accessor.
-//! This is a **statically enforced contract**: taco-check's D8 rule
-//! (`env-registry`) flags any raw `std::env::var("TACO_…")` outside
-//! this file, any `TACO_*` name that is not registered (typos), and any
-//! registered name missing from the README/EXPERIMENTS documentation —
-//! see `crates/check/src/workspace_rules.rs`.
+//! This is an **enforced contract** (rule D8, README § Lints):
+//! `std::env::{var, var_os}` anywhere else fails clippy
+//! (`disallowed-methods` in `clippy.toml`), the one raw read
+//! `debug_assert`s its name is registered (typos), and
+//! `tests/workspace.rs` fails when the registry and the
+//! README/EXPERIMENTS documentation disagree.
 //!
 //! Accessors deliberately reproduce the parsing semantics of the call
 //! sites they replaced (trimming, empty-string handling, invalid-value
@@ -26,9 +27,9 @@ pub struct EnvVar {
     pub doc: &'static str,
 }
 
-/// Every `TACO_*` variable the workspace recognizes. taco-check D8
-/// cross-checks this registry against all use sites and against the
-/// README/EXPERIMENTS docs in both directions.
+/// Every `TACO_*` variable the workspace recognizes. The accessors'
+/// raw read checks its name against this list, and `tests/workspace.rs`
+/// checks it against the README/EXPERIMENTS docs in both directions.
 pub const REGISTRY: [EnvVar; 7] = [
     EnvVar {
         name: "TACO_TRACE",
@@ -68,11 +69,19 @@ pub fn is_registered(name: &str) -> bool {
 /// The one raw read. Debug builds assert the name went through the
 /// registry, so a typo in an accessor fails the first test that
 /// exercises it rather than silently reading an unset variable.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one TACO_* read; debug builds assert the name is registered"
+)]
 fn raw(name: &str) -> Option<String> {
     debug_assert!(is_registered(name), "unregistered env var {name}");
     std::env::var(name).ok()
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one TACO_* read; debug builds assert the name is registered"
+)]
 fn raw_os(name: &str) -> Option<std::ffi::OsString> {
     debug_assert!(is_registered(name), "unregistered env var {name}");
     std::env::var_os(name)

@@ -51,6 +51,10 @@ impl Event {
 }
 
 /// Milliseconds since the Unix epoch right now.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "event timestamps are reported and never reach simulated time"
+)]
 pub fn unix_ms_now() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)

@@ -17,7 +17,8 @@
 //!   every [`Snapshot`];
 //! - the **`taco_env` registry** ([`env`](mod@env)) — the declared `TACO_*`
 //!   environment surface with typed accessors; the one place in the
-//!   workspace allowed to read `TACO_*` variables (taco-check rule D8).
+//!   workspace allowed to read `TACO_*` variables (any other
+//!   `std::env::var` call fails clippy, rule D8).
 //!
 //! # Example
 //!

@@ -300,6 +300,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs threads outside the pool to race the histogram"
+    )]
     fn concurrent_observations_are_not_lost() {
         let h = std::sync::Arc::new(Histogram::default());
         std::thread::scope(|s| {

@@ -17,6 +17,10 @@ pub struct Span {
 
 impl Span {
     /// Starts a span (duration histogram only).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "span timers feed trace histograms and never simulated time"
+    )]
     pub fn quiet(name: &'static str) -> Self {
         Span {
             name,
@@ -52,8 +56,8 @@ impl Drop for Span {
 }
 
 /// Starts a [`Span`]: `quiet_span!(phase::AGGREGATE)`. The name is any
-/// `&'static str` expression — by convention a contract constant (the
-/// `D9` span-contract lint flags bare literals in `sim`/`bench`).
+/// `&'static str` expression — by convention a contract constant such
+/// as `taco_sim::phase::AGGREGATE`.
 #[macro_export]
 macro_rules! quiet_span {
     ($name:expr) => {

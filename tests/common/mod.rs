@@ -3,7 +3,7 @@
 //! fixture comparison used by `end_to_end.rs` (trajectory regression)
 //! and `backend_diff.rs` (thread equivalence of the aggregation
 //! path).
-#![allow(dead_code)] // each test binary uses a subset
+#![allow(dead_code, reason = "each test binary uses a subset")]
 
 use taco::core::{FederatedAlgorithm, HyperParams};
 use taco::data::{partition, tabular, FederatedDataset};
